@@ -42,17 +42,21 @@ Chain sums over a truncated index lattice (j = n mod step, |j| <= cutoff):
                      expanding the parenthesised brackets; they sum back
                      to sigma(n, s) exactly.
 
-Everything is computed in transfer form (iterated matrix-vector products
-over the lattice); the test-suite checks these against exhaustive
-nested-loop enumeration on tiny index sets.  Truncation always
-under-counts the sums, so in the inequality suite a truncated "pass" is
-meaningful; each value carries a tail estimate (the increment from the
-last cutoff doubling) and ``CutoffTooSmall`` fires when that estimate
-exceeds 1% of the value.
+Everything is computed in transfer form.  An index set is held as a mask
+on its enclosing arithmetic progression, where every chain operator is
+diag * Hankel r(|j_k + j_l|) * diag or diag * Toeplitz |V(j_k - j_l)| *
+diag; the middle factor is one masked FFT convolution, so a sweep costs
+O(cutoff log cutoff) time and O(cutoff) memory.  The test-suite checks
+these against nested-loop enumeration on tiny index sets and against a
+dense matrix-power reference.  Truncation always under-counts the sums,
+so in the inequality suite a truncated "pass" is meaningful; each value
+carries a tail estimate (the increment from the last cutoff doubling)
+and ``CutoffTooSmall`` fires when that estimate exceeds 1% of the value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,7 +69,6 @@ from .potential import FourierPotential, MajorantSeq, majorant, majorant_dir
 __all__ = [
     "CutoffTooSmall",
     "BranchAmbiguity",
-    "BoundInputs",
     "CheckResult",
     "SeriesReport",
     "rho_tilde",
@@ -86,7 +89,6 @@ __all__ = [
     "a0_sum",
     "a0_bound_check",
     "lemma_suite",
-    "regime_threshold_alt",
     "GATED_CHECKS",
     "report_to_json",
     "report_csv_rows",
@@ -101,34 +103,6 @@ class CutoffTooSmall(RuntimeError):
 
 class BranchAmbiguity(ValueError):
     """lambda - j^2 fell on the branch cut of the square root."""
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Majorant, level, free constant, and cutoff bundled for one run."""
-
-    r: MajorantSeq
-    n: int
-    rho_constant: float = 8.0
-    cutoff: int | None = None
-
-    def __post_init__(self):
-        if self.rho_constant <= 0:
-            raise ValueError("rho_constant must be positive")
-        if self.cutoff is not None and self.cutoff < 8 * self.n:
-            raise ValueError("cutoff must be at least 8*n")
-
-    @property
-    def m_const(self) -> float:
-        return 4.0 * (1.0 + self.r.norm)
-
-    def rates(self):
-        """(rho, eps, kappa, 64*kappa, kappa < 1/4)."""
-        return kappa_for(self.r, self.n, self.rho_constant)
-
-    def suite(self, potential: "FourierPotential | None" = None, **kw) -> "SeriesReport":
-        return lemma_suite(self.r, self.n, self.cutoff, potential=potential,
-                           rho_constant=self.rho_constant, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +144,6 @@ def kappa_for(r: MajorantSeq, n: int, rho_constant: float = 8.0):
     return rho, eps, kappa, bound64, valid
 
 
-def regime_threshold_alt(r: MajorantSeq, N: int) -> tuple[bool, float]:
-    """Alternative small-deviation regime predicate (experimental).
-
-    Evaluates 2^9 (1+||r||) (E_sqrt(N)(r) + (2/N^(1/4)) (||r||^(1/2)
-    + (ln 6N)^(1/4))) and reports whether it is <= 1/2.  Kept as an
-    optional sharper regime finder; not used by any gated check.
-    """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    val = (2.0 ** 9) * (1.0 + r.norm) * (
-        r.tail_energy(math.sqrt(N))
-        + (2.0 / N ** 0.25) * (math.sqrt(r.norm) + (math.log(6.0 * N)) ** 0.25))
-    return val <= 0.5, val
-
-
 # ---------------------------------------------------------------------------
 # lattices and lookup tables
 # ---------------------------------------------------------------------------
@@ -218,55 +177,112 @@ def _vabs_lookup(source, max_offset: int) -> np.ndarray:
     raise TypeError("expected a FourierPotential or MajorantSeq")
 
 
-def _tail_guard(value: float, half_value: float, what: str, check: bool) -> float:
-    est = abs(value - half_value)
-    if check and value > 0 and est > TAIL_RTOL * value:
-        raise CutoffTooSmall(
-            f"{what}: tail estimate {est:.3e} exceeds {TAIL_RTOL:.0%} "
-            f"of the value {value:.6e}; raise the cutoff")
-    return est
+def _tail(full, half) -> tuple[float, float]:
+    """A value and its cutoff-doubling increment; for a profile, where that is largest."""
+    full, half = np.atleast_1d(full), np.atleast_1d(half)
+    k = int(np.argmax(np.abs(full - half)))
+    return float(full[k]), abs(float(full[k]) - float(half[k]))
+
+
+def _truncated(orders_on, what: str, n: int, cutoff, step: int, exclude, indices,
+               check_tail: bool):
+    """Top order of a chain sum on the default lattice or on ``indices``.
+
+    ``orders_on(idx)`` returns every order up to the requested one.  With
+    ``check_tail`` on the default lattice the value is recomputed at half
+    the cutoff, and ``CutoffTooSmall`` fires when the increment exceeds
+    TAIL_RTOL of it.
+    """
+    if indices is not None:
+        return orders_on(np.asarray(indices))[-1]
+    if cutoff is None:
+        cutoff = 8 * n
+    if cutoff < 8 * n:
+        raise ValueError("cutoff must be at least 8*n")
+    val = orders_on(lattice(n, cutoff, step, exclude))[-1]
+    if check_tail:
+        full, est = _tail(val, orders_on(lattice(n, cutoff // 2, step, exclude))[-1])
+        if full > 0 and est > TAIL_RTOL * full:
+            raise CutoffTooSmall(
+                f"{what}: tail estimate {est:.3e} exceeds {TAIL_RTOL:.0%} "
+                f"of the value {full:.6e}; raise the cutoff")
+    return val
+
+
+# ---------------------------------------------------------------------------
+# the transfer kernel
+# ---------------------------------------------------------------------------
+
+class _Lattice:
+    """An index set held as a mask on its enclosing progression.
+
+    The progression is j_k = j0 + g k (0 <= k < N, g the gcd of the index
+    differences); ``j`` holds it and ``mask`` marks the set.
+    """
+
+    def __init__(self, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        j0 = int(idx.min())
+        g = int(np.gcd.reduce(idx - j0)) or 1
+        k = (idx - j0) // g
+        self.mask = np.zeros(int(k.max()) + 1, dtype=bool)
+        self.mask[k] = True
+        size = len(self.mask)
+        self.j = j0 + g * np.arange(size)
+        self.top = int(np.abs(self.j).max())
+        self.sums = 2 * j0 + g * np.arange(2 * size - 1)   # j_k + j_l at k + l
+        self.diffs = g * np.arange(1 - size, size)         # j_k - j_l at k - l + N - 1
+
+    def weight(self, denom: np.ndarray) -> np.ndarray:
+        """1/denom on the set and 0 off it; an excluded +-n never divides."""
+        return np.divide(1.0, np.abs(denom), out=np.zeros(len(denom)), where=self.mask)
+
+    def transfer(self, kernel: np.ndarray, hankel: bool):
+        """x -> K x restricted to the set, where K[k, l] = kernel[k + l]
+        (Hankel) or kernel[k - l + N - 1] (Toeplitz).
+
+        K is applied as a zero-padded FFT convolution of length >= 2N - 1,
+        so no wrap-around reaches the N entries kept.  Entries off the set
+        are zeroed on input and on output; excluding an index needs both.
+        """
+        size = len(self.mask)
+        nfft = 1 << (2 * size - 2).bit_length()
+        spec = np.fft.rfft(kernel, nfft)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            x = np.where(self.mask, x, 0.0)
+            y = np.fft.irfft(spec * np.fft.rfft(x[::-1] if hankel else x, nfft), nfft)
+            return np.where(self.mask, y[size - 1:2 * size - 1], 0.0)
+
+        return apply
+
+    def hankel(self, r: MajorantSeq, reach: int):
+        """r(|j|) out to 2*top + reach, and the Hankel transfer r(|j_k + j_l|)."""
+        rtab = r.table(2 * self.top + reach)
+        return rtab, self.transfer(rtab[np.abs(self.sums)], hankel=True)
 
 
 # ---------------------------------------------------------------------------
 # chain sums L and R
 # ---------------------------------------------------------------------------
 
-def _chain_l(vabs_src, p: int, d: int, n: int, idx: np.ndarray) -> float:
-    off = int(np.abs(idx).max(initial=0)) + abs(d) + int(np.abs(idx).max(initial=0))
+def _chain_orders(vabs_src, n: int, idx, p_max: int, d: int):
+    """L(p, d) and R(p, d) for p = 1..p_max on one index set."""
+    lat = _Lattice(idx)
+    off = 2 * lat.top + abs(d)
     vabs = _vabs_lookup(vabs_src, off)
-    wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
-    u = vabs[(d - idx) + off] * wsq
-    if p == 1:
-        return float(u.sum())
-    T = vabs[(idx[:, None] - idx[None, :]) + off] * wsq[None, :]
-    v = np.ones(len(idx))
-    for _ in range(p - 1):
-        v = T @ v
-    return float(u @ v)
-
-
-def _chain_r(vabs_src, p: int, d: int, n: int, idx: np.ndarray) -> float:
-    off = int(np.abs(idx).max(initial=0)) + abs(d) + int(np.abs(idx).max(initial=0))
-    vabs = _vabs_lookup(vabs_src, off)
-    wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
-    v = vabs[(idx - d) + off] * wsq
-    if p == 1:
-        return float(v.sum())
-    T = wsq[:, None] * vabs[(idx[:, None] - idx[None, :]) + off]
-    for _ in range(p - 1):
-        v = T @ v
-    return float(v.sum())
-
-
-def _resolve(n: int, cutoff: int | None, step: int, exclude, indices):
-    if indices is not None:
-        return np.asarray(indices), None
-    if cutoff is None:
-        cutoff = 8 * n
-    if cutoff < 8 * n:
-        raise ValueError("cutoff must be at least 8*n")
-    return (lattice(n, cutoff, step, exclude),
-            lattice(n, cutoff // 2, step, exclude))
+    toep = lat.transfer(vabs[lat.diffs + off], hankel=False)
+    wsq = lat.weight(n * n - lat.j.astype(float) ** 2)
+    u = vabs[(d - lat.j) + off] * wsq
+    y = vabs[(lat.j - d) + off] * wsq
+    g = lat.mask.astype(float)
+    ls, rs = [float(u @ g)], [float(y.sum())]
+    for _ in range(p_max - 1):
+        g = toep(wsq * g)
+        y = wsq * toep(y)
+        ls.append(float(u @ g))
+        rs.append(float(y.sum()))
+    return ls, rs
 
 
 def l_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
@@ -277,11 +293,8 @@ def l_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    idx, idx_half = _resolve(n, cutoff, step, (n, -n), indices)
-    val = _chain_l(vabs_src, p, d, n, idx)
-    if idx_half is not None:
-        _tail_guard(val, _chain_l(vabs_src, p, d, n, idx_half), f"L({p},{d})", check_tail)
-    return val
+    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, d)[0], f"L({p},{d})",
+                      n, cutoff, step, (n, -n), indices, check_tail)
 
 
 def r_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
@@ -289,31 +302,26 @@ def r_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
     """Truncated chain sum R(p, d); equals L(p, -d) on a symmetric lattice."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    idx, idx_half = _resolve(n, cutoff, step, (n, -n), indices)
-    val = _chain_r(vabs_src, p, d, n, idx)
-    if idx_half is not None:
-        _tail_guard(val, _chain_r(vabs_src, p, d, n, idx_half), f"R({p},{d})", check_tail)
-    return val
+    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, d)[1], f"R({p},{d})",
+                      n, cutoff, step, (n, -n), indices, check_tail)
 
 
 # ---------------------------------------------------------------------------
 # majorant chain sums
 # ---------------------------------------------------------------------------
 
-def _sigma_on(r: MajorantSeq, n: int, s: int, idx: np.ndarray) -> float:
-    top = int(np.abs(idx).max(initial=0))
-    rtab = r.table(2 * top + abs(n))
-    wminus = 1.0 / np.abs(n - idx.astype(float))
-    a = rtab[np.abs(n + idx)]
-    if s == 1:
-        return float(a @ wminus)
-    wplus = 1.0 / np.abs(n + idx.astype(float))
-    Rm = rtab[np.abs(idx[:, None] + idx[None, :])]
-    M = (wminus[:, None] + wplus[None, :]) * Rm
-    v = wminus.copy()
-    for _ in range(s - 1):
-        v = M @ v
-    return float(a @ v)
+def _sigma_orders(r: MajorantSeq, n: int, idx, s_max: int) -> list[float]:
+    """sigma(n, s) for s = 1..s_max."""
+    lat = _Lattice(idx)
+    rtab, hank = lat.hankel(r, abs(n))
+    a = rtab[np.abs(n + lat.j)]
+    wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
+    v = wminus
+    out = [float(a @ v)]
+    for _ in range(s_max - 1):
+        v = wminus * hank(v) + hank(wplus * v)
+        out.append(float(a @ v))
+    return out
 
 
 def sigma(r: MajorantSeq, n: int, s: int, cutoff: int | None = None,
@@ -321,24 +329,22 @@ def sigma(r: MajorantSeq, n: int, s: int, cutoff: int | None = None,
     """Truncated bracketed majorant chain sigma(n, s)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    idx, idx_half = _resolve(n, cutoff, step, (n, -n), indices)
-    val = _sigma_on(r, n, s, idx)
-    if idx_half is not None:
-        _tail_guard(val, _sigma_on(r, n, s, idx_half), f"sigma(n,{s})", check_tail)
-    return val
+    return _truncated(lambda idx: _sigma_orders(r, n, idx, s), f"sigma(n,{s})",
+                      n, cutoff, step, (n, -n), indices, check_tail)
 
 
-def _sigma1_on(r: MajorantSeq, n: int, s: int, ms: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    top = int(np.abs(idx).max(initial=0))
-    rtab = r.table(2 * top + abs(n) + int(np.abs(ms).max(initial=0)))
-    wminus = 1.0 / np.abs(n - idx.astype(float))
-    g = np.ones(len(idx))
-    if s > 1:
-        T1 = rtab[np.abs(idx[:, None] + idx[None, :])] * wminus[None, :]
-        for _ in range(s - 1):
-            g = T1 @ g
-    front = rtab[np.abs(ms[:, None] + idx[None, :])] * wminus[None, :]
-    return front @ g
+def _sigma1_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> list:
+    """sigma1(n, s; m) over ms for s = 1..s_max."""
+    lat = _Lattice(idx)
+    rtab, hank = lat.hankel(r, abs(n) + int(np.abs(ms).max(initial=0)))
+    wminus = lat.weight(n - lat.j)
+    front = rtab[np.abs(ms[:, None] + lat.j[None, :])] * wminus
+    g = lat.mask.astype(float)
+    out = [front @ g]
+    for _ in range(s_max - 1):
+        g = hank(wminus * g)
+        out.append(front @ g)
+    return out
 
 
 def sigma1(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
@@ -353,28 +359,22 @@ def sigma1_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None 
     if s < 1:
         raise ValueError("s must be >= 1")
     ms = np.asarray(list(m_values))
-    idx, idx_half = _resolve(n, cutoff, step, (n,), indices)
-    vals = _sigma1_on(r, n, s, ms, idx)
-    if idx_half is not None:
-        half = _sigma1_on(r, n, s, ms, idx_half)
-        worst = int(np.argmax(np.abs(vals - half)))
-        _tail_guard(float(vals[worst]), float(half[worst]), f"sigma1(n,{s};m)", check_tail)
-    return vals
+    return _truncated(lambda idx: _sigma1_orders(r, n, idx, s, ms), f"sigma1(n,{s};m)",
+                      n, cutoff, step, (n,), indices, check_tail)
 
 
-def _sigma2_on(r: MajorantSeq, n: int, s: int, ms: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    top = int(np.abs(idx).max(initial=0))
-    rtab = r.table(2 * top + abs(n) + int(np.abs(ms).max(initial=0)))
-    fidx = idx.astype(float)
-    wsq = 1.0 / np.abs(n * n - fidx ** 2)
-    Rm = rtab[np.abs(idx[:, None] + idx[None, :])]
-    z = Rm @ wsq
-    if s > 2:
-        T2 = Rm * (1.0 / np.abs(n + fidx))[None, :]
-        for _ in range(s - 2):
-            z = T2 @ z
-    front = rtab[np.abs(ms[:, None] + idx[None, :])]
-    return front @ z
+def _sigma2_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> list:
+    """sigma2(n, s; m) over ms for s = 2..s_max."""
+    lat = _Lattice(idx)
+    rtab, hank = lat.hankel(r, abs(n) + int(np.abs(ms).max(initial=0)))
+    front = rtab[np.abs(ms[:, None] + lat.j[None, :])]
+    wplus = lat.weight(n + lat.j)
+    z = hank(lat.weight(n * n - lat.j.astype(float) ** 2))
+    out = [front @ z]
+    for _ in range(s_max - 2):
+        z = hank(wplus * z)
+        out.append(front @ z)
+    return out
 
 
 def sigma2(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
@@ -388,32 +388,28 @@ def sigma2_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None 
     if s < 2:
         raise ValueError("s must be >= 2")
     ms = np.asarray(list(m_values))
-    idx, idx_half = _resolve(n, cutoff, step, (n, -n), indices)
-    vals = _sigma2_on(r, n, s, ms, idx)
-    if idx_half is not None:
-        half = _sigma2_on(r, n, s, ms, idx_half)
-        worst = int(np.argmax(np.abs(vals - half)))
-        _tail_guard(float(vals[worst]), float(half[worst]), f"sigma2(n,{s};m)", check_tail)
-    return vals
+    return _truncated(lambda idx: _sigma2_orders(r, n, idx, s, ms), f"sigma2(n,{s};m)",
+                      n, cutoff, step, (n, -n), indices, check_tail)
 
 
-def _sigma_tilde_on(r: MajorantSeq, n: int, deltas, idx: np.ndarray) -> float:
-    top = int(np.abs(idx).max(initial=0))
-    rtab = r.table(2 * top + abs(n))
-    fidx = idx.astype(float)
-    wminus = 1.0 / np.abs(n - fidx)
-    wplus = 1.0 / np.abs(n + fidx)
-    Rm = rtab[np.abs(idx[:, None] + idx[None, :])]
-    v = wminus.copy()
-    for dlt in reversed(list(deltas)):
-        if dlt == -1:
-            v = (Rm @ v) * wminus
-        elif dlt == +1:
-            v = Rm @ (wplus * v)
-        else:
-            raise ValueError("deltas entries must be +-1")
-    a = rtab[np.abs(n + idx)]
-    return float(a @ v)
+def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, sign_vectors) -> list[float]:
+    """The signed-kernel piece of sigma for each sign vector."""
+    lat = _Lattice(idx)
+    rtab, hank = lat.hankel(r, abs(n))
+    a = rtab[np.abs(n + lat.j)]
+    wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
+    out = []
+    for deltas in sign_vectors:
+        v = wminus
+        for dlt in reversed(list(deltas)):
+            if dlt == -1:
+                v = wminus * hank(v)
+            elif dlt == +1:
+                v = hank(wplus * v)
+            else:
+                raise ValueError("deltas entries must be +-1")
+        out.append(float(a @ v))
+    return out
 
 
 def sigma_tilde(r: MajorantSeq, n: int, deltas, cutoff: int | None = None,
@@ -424,8 +420,8 @@ def sigma_tilde(r: MajorantSeq, n: int, deltas, cutoff: int | None = None,
     attaches 1/|n + j_right|; summing over all sign vectors recovers
     sigma(n, s) exactly.
     """
-    idx, _ = _resolve(n, cutoff, step, (n, -n), indices)
-    return _sigma_tilde_on(r, n, deltas, idx)
+    return _truncated(lambda idx: _sigma_tilde_pieces(r, n, idx, [deltas]), "sigma_tilde",
+                      n, cutoff, step, (n, -n), indices, check_tail=False)
 
 
 # ---------------------------------------------------------------------------
@@ -582,81 +578,6 @@ def _default_m_samples(n: int, cutoff: int, step: int) -> np.ndarray:
     return np.array(sorted(ms))
 
 
-def _suite_values(r: MajorantSeq, n: int, ms: np.ndarray, idx_pm: np.ndarray,
-                  idx_1: np.ndarray, s_max: int):
-    """All majorant chain sums for one lattice, sharing the lookup tables.
-
-    Returns (sigma by s, sigma1 profiles over ms, sigma2 profiles over
-    ms, signed-kernel pieces by s).  The chain length is swept
-    incrementally so every table is gathered exactly once.
-    """
-    top = int(max(np.abs(idx_pm).max(initial=0), np.abs(idx_1).max(initial=0)))
-    rtab = r.table(2 * top + abs(n) + int(np.abs(ms).max(initial=0)))
-    fpm = idx_pm.astype(float)
-    f1 = idx_1.astype(float)
-    wminus = 1.0 / np.abs(n - fpm)
-    wplus = 1.0 / np.abs(n + fpm)
-    wsq = 1.0 / np.abs(n * n - fpm ** 2)
-    wminus1 = 1.0 / np.abs(n - f1)
-    Rm = rtab[np.abs(idx_pm[:, None] + idx_pm[None, :])]
-    Rm1 = rtab[np.abs(idx_1[:, None] + idx_1[None, :])]
-    a = rtab[np.abs(n + idx_pm)]
-    front_pm = rtab[np.abs(ms[:, None] + idx_pm[None, :])]
-    front1w = rtab[np.abs(ms[:, None] + idx_1[None, :])] * wminus1[None, :]
-
-    sig = {1: float(a @ wminus)}
-    v = wminus
-    for s in range(2, s_max + 1):
-        v = wminus * (Rm @ v) + Rm @ (wplus * v)
-        sig[s] = float(a @ v)
-
-    s1 = {}
-    g = np.ones(len(idx_1))
-    s1[1] = front1w @ g
-    for s in range(2, s_max + 3):
-        g = Rm1 @ (wminus1 * g)
-        s1[s] = front1w @ g
-
-    s2 = {}
-    z = Rm @ wsq
-    s2[2] = front_pm @ z
-    for s in range(3, s_max + 1):
-        z = Rm @ (wplus * z)
-        s2[s] = front_pm @ z
-
-    tilde: dict[int, dict] = {}
-    level = {(): wminus}
-    for depth in range(1, s_max):
-        nxt = {}
-        for key, vec in level.items():
-            nxt[(-1,) + key] = wminus * (Rm @ vec)
-            nxt[(+1,) + key] = Rm @ (wplus * vec)
-        level = nxt
-        tilde[depth + 1] = {key: float(a @ vec) for key, vec in level.items()}
-    return sig, s1, s2, tilde
-
-
-def _chain_tables(pot: FourierPotential, n: int, idx: np.ndarray, p_max: int):
-    """L(p, +-n) and R(p, +-n) for p = 1..p_max, one table gather."""
-    fidx = idx.astype(float)
-    wsq = 1.0 / np.abs(n * n - fidx ** 2)
-    off = int(np.abs(idx).max(initial=0)) * 2 + n
-    vabs = pot.vabs_table(off)
-    VT = vabs[(idx[:, None] - idx[None, :]) + off]
-    l_tab, r_tab = {}, {}
-    for d in (n, -n):
-        u = vabs[(d - idx) + off] * wsq
-        g = np.ones(len(idx))
-        y = vabs[(idx - d) + off] * wsq
-        for p in range(1, p_max + 1):
-            if p > 1:
-                g = VT @ (wsq * g)
-                y = wsq * (VT @ y)
-            l_tab[(p, d)] = float(u @ g)
-            r_tab[(p, d)] = float(y.sum())
-    return l_tab, r_tab
-
-
 def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
                 potential: FourierPotential | None = None,
                 rho_constant: float = 8.0, s_max: int = 4, p_max: int = 4,
@@ -691,26 +612,21 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     tails: dict[str, float] = {}
 
     def tracked(label, full, half):
-        est = abs(full - half)
-        denom = abs(full)
-        tails[label] = est / denom if denom > 0 else 0.0
-        return full
+        val, est = _tail(full, half)
+        tails[label] = est / abs(val) if val != 0 else 0.0
 
-    idx_pm = lattice(n, cutoff, step, (n, -n))
-    idx_pm_h = lattice(n, cutoff // 2, step, (n, -n))
-    idx_1 = lattice(n, cutoff, step, (n,))
-    idx_1_h = lattice(n, cutoff // 2, step, (n,))
+    def swept(label, first, orders_on, exclude):
+        """Every order on the lattice, with tails against the half-cutoff lattice."""
+        full = orders_on(lattice(n, cutoff, step, exclude))
+        half = orders_on(lattice(n, cutoff // 2, step, exclude))
+        for s, (f, h) in enumerate(zip(full, half), first):
+            tracked(label.format(s), f, h)
+        return dict(enumerate(full, first))
 
-    sig, s1, s2, tilde = _suite_values(r, n, ms, idx_pm, idx_1, s_max)
-    sig_h, s1_h, s2_h, _ = _suite_values(r, n, ms, idx_pm_h, idx_1_h, s_max)
-    for s in sig:
-        tracked(f"sigma[s={s}]", sig[s], sig_h[s])
-    for s in s1:
-        worst = int(np.argmax(np.abs(s1[s] - s1_h[s])))
-        tracked(f"sigma1[s={s}]", float(s1[s][worst]), float(s1_h[s][worst]))
-    for s in s2:
-        worst = int(np.argmax(np.abs(s2[s] - s2_h[s])))
-        tracked(f"sigma2[s={s}]", float(s2[s][worst]), float(s2_h[s][worst]))
+    pm = (n, -n)
+    sig = swept("sigma[s={}]", 1, lambda idx: _sigma_orders(r, n, idx, s_max), pm)
+    s1 = swept("sigma1[s={}]", 1, lambda idx: _sigma1_orders(r, n, idx, s_max + 2, ms), (n,))
+    s2 = swept("sigma2[s={}]", 2, lambda idx: _sigma2_orders(r, n, idx, s_max, ms), pm)
 
     checks: list[CheckResult] = []
 
@@ -748,8 +664,9 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         add("sigma_le_eps_power", sig[s], eps ** s, f"s={s}")
 
     # signed-kernel split: exact resummation and the per-piece bound
+    idx_pm = lattice(n, cutoff, step, pm)
     for s in range(2, s_max + 1):
-        pieces = list(tilde[s].values())
+        pieces = _sigma_tilde_pieces(r, n, idx_pm, itertools.product((-1, 1), repeat=s - 1))
         add("sigma_splits_exact", abs(sum(pieces) - sig[s]),
             1e-10 * max(1.0, sig[s]), f"s={s}")
         add("signed_kernel_bound", max(pieces), (eps / 2.0) ** s, f"s={s}")
@@ -764,22 +681,22 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     l_table: dict[str, float] = {}
     r_table: dict[str, float] = {}
     if potential is not None:
-        l_raw, r_raw = _chain_tables(potential, n, idx_pm, p_max)
-        l_half, _ = _chain_tables(potential, n, idx_pm_h, p_max)
-        for (p, d), lv in l_raw.items():
-            tracked(f"L({p},{d:+d})", lv, l_half[(p, d)])
-            l_table[f"{p},{d:+d}"] = lv
-            r_table[f"{p},{d:+d}"] = r_raw[(p, d)]
+        for d in pm:
+            ls = swept(f"L({{}},{d:+d})", 1,
+                       lambda idx: _chain_orders(potential, n, idx, p_max, d)[0], pm)
+            rs = _chain_orders(potential, n, idx_pm, p_max, d)[1]
+            for p in ls:
+                l_table[f"{p},{d:+d}"], r_table[f"{p},{d:+d}"] = ls[p], rs[p - 1]
         for p in range(1, p_max + 1):
             for d in (n, -n):
-                add("reflection_identity",
-                    abs(r_raw[(p, d)] - l_raw[(p, -d)]),
-                    1e-12 * max(1.0, r_raw[(p, d)]),
-                    f"R({p},{d:+d}) = L({p},{-d:+d})")
+                rv = r_table[f"{p},{d:+d}"]
+                add("reflection_identity", abs(rv - l_table[f"{p},{-d:+d}"]),
+                    1e-12 * max(1.0, rv), f"R({p},{d:+d}) = L({p},{-d:+d})")
         for s in range(1, min(p_max, s_max) + 1):
             for d in (n, -n):
-                add("chain_le_sigma", l_raw[(s, d)], sig[s], f"L({s},{d:+d})")
-                add("chain_le_eps_power", l_raw[(s, d)], eps ** s, f"L({s},{d:+d})")
+                lv = l_table[f"{s},{d:+d}"]
+                add("chain_le_sigma", lv, sig[s], f"L({s},{d:+d})")
+                add("chain_le_eps_power", lv, eps ** s, f"L({s},{d:+d})")
         bc = BoundaryCondition.PER_PLUS if step == 2 else BoundaryCondition.DIRICHLET
         checks.append(a0_bound_check(potential, bc, n, cutoff))
 

@@ -180,7 +180,8 @@ def cmd_decay(cfg: RunConfig) -> int:
             pair = projector.riesz_projection(
                 H, n, projector.ContourSpec.for_level(n, cfg.nodes))
             records.append(norms.decay_record(pair, r, cfg.rho_constant))
-        except Exception as exc:  # per-level isolation: one bad n must not kill the sweep
+        except (projector.EigenvalueOnContour, projector.TruncationTooSmall,
+                projector.IndexOutOfBasis) as exc:  # one bad level must not kill the sweep
             errors[str(n)] = f"{type(exc).__name__}: {exc}"
     echo = cfg.echo()
     _write_csv(cfg.out / "decay_records.csv", norms.records_to_csv_rows(records), echo)

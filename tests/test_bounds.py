@@ -76,22 +76,6 @@ class TestRates:
         kappa, bound64, valid = bounds.kappa_and_bound(rho, eps)
         assert (kappa, bound64, valid) == expect
 
-    def test_bound_inputs_validation(self):
-        r = delta_majorant()
-        with pytest.raises(ValueError):
-            bounds.BoundInputs(r, 16, cutoff=64)
-        bi = bounds.BoundInputs(r, 16, cutoff=128)
-        rho, eps, kappa, b64, valid = bi.rates()
-        assert kappa == max(rho, eps) and b64 == 64 * kappa
-
-    def test_regime_threshold_alt(self):
-        # the refined predicate is even more conservative than kappa < 1/4:
-        # it only certifies the small-deviation regime at astronomical N
-        ok_small, val_small = bounds.regime_threshold_alt(zero_majorant(), 10)
-        assert not ok_small and val_small > 0.5
-        ok_big, val_big = bounds.regime_threshold_alt(zero_majorant(), 10 ** 16)
-        assert ok_big and val_big < val_small
-
 
 # -- enumeration oracles ------------------------------------------------------
 
@@ -271,6 +255,127 @@ class TestSigmaFamily:
             a = bounds.sigma(r1, 4, s, indices=idx)
             b = bounds.sigma(r2, 4, s, indices=idx)
             assert np.isclose(b, scale ** s * a, rtol=1e-10)
+
+
+# -- dense matrix-power reference ----------------------------------------------
+# Gathers every chain operator as a dense index x index table and takes
+# matrix powers: the direct form of the transfer sweeps, small sets only.
+
+def dense_tables(r, vabs_src, n, idx):
+    top = int(np.abs(idx).max()) * 2 + 2 * n + 64
+    rtab = r.table(top)
+    if isinstance(vabs_src, pot.FourierPotential):
+        vtab = vabs_src.vabs_table(top)
+    else:
+        d = np.arange(-top, top + 1)
+        vtab = np.abs(d) * vabs_src.table(top)[np.abs(d)]
+    return (lambda m: rtab[np.abs(m)]), (lambda d: vtab[d + top])
+
+
+def dense_L(vabs, p, d, n, idx):
+    wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
+    T = vabs(idx[:, None] - idx[None, :]) * wsq[None, :]
+    return (vabs(d - idx) * wsq) @ np.linalg.matrix_power(T, p - 1) @ np.ones(len(idx))
+
+
+def dense_R(vabs, p, d, n, idx):
+    wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
+    T = wsq[:, None] * vabs(idx[:, None] - idx[None, :])
+    return np.ones(len(idx)) @ np.linalg.matrix_power(T, p - 1) @ (vabs(idx - d) * wsq)
+
+
+def dense_sigma(rr, n, s, idx):
+    wm, wp = 1.0 / np.abs(n - idx), 1.0 / np.abs(n + idx)
+    M = (wm[:, None] + wp[None, :]) * rr(idx[:, None] + idx[None, :])
+    return rr(n + idx) @ np.linalg.matrix_power(M, s - 1) @ wm
+
+
+def dense_sigma1(rr, n, s, ms, idx):
+    wm = 1.0 / np.abs(n - idx)
+    T = rr(idx[:, None] + idx[None, :]) * wm[None, :]
+    front = rr(ms[:, None] + idx[None, :]) * wm[None, :]
+    return front @ np.linalg.matrix_power(T, s - 1) @ np.ones(len(idx))
+
+
+def dense_sigma2(rr, n, s, ms, idx):
+    wp = 1.0 / np.abs(n + idx)
+    wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
+    Rm = rr(idx[:, None] + idx[None, :])
+    front = rr(ms[:, None] + idx[None, :])
+    return front @ np.linalg.matrix_power(Rm * wp[None, :], s - 2) @ (Rm @ wsq)
+
+
+def assert_rel(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def step_case(step):
+    """(majorant, L/R source) on the lattice of the given step."""
+    if step == 2:
+        return delta_majorant(1.0, top=512), pot.delta_comb(0.5, max_index=512)
+    r1 = pot.majorant_dir(pot.per_to_dir(pot.delta_comb(1.0, max_index=512), 256))
+    return r1, r1
+
+
+class TestDenseReference:
+    N = 6
+
+    def check_public(self, step, idx, idx1, where, where1):
+        """Public sums on idx (+-n excluded) and idx1 (n excluded), which
+        ``where`` and ``where1`` select, against the dense reference."""
+        n = self.N
+        r, src = step_case(step)
+        rr, vabs = dense_tables(r, src, n, idx1)
+        ms = np.array([n, n + step, -n, 0, 3 * step])
+        for p in (1, 2, 3, 4):
+            for d in (n, -n):
+                assert_rel(bounds.l_sum(src, p, d, n, **where), dense_L(vabs, p, d, n, idx))
+                assert_rel(bounds.r_sum(src, p, d, n, **where), dense_R(vabs, p, d, n, idx))
+            assert_rel(bounds.sigma(r, n, p, **where), dense_sigma(rr, n, p, idx))
+            assert_rel(bounds.sigma1_profile(r, n, p, ms, **where1),
+                       dense_sigma1(rr, n, p, ms, idx1))
+            if p >= 2:
+                assert_rel(bounds.sigma2_profile(r, n, p, ms, **where),
+                           dense_sigma2(rr, n, p, ms, idx))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_public_sums_on_default_lattice(self, step):
+        n = self.N
+        where = dict(cutoff=8 * n, step=step, check_tail=False)
+        self.check_public(step, bounds.lattice(n, 8 * n, step, (n, -n)),
+                          bounds.lattice(n, 8 * n, step, (n,)), where, where)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_public_sums_on_gapped_indices(self, step):
+        n = self.N
+        gaps = {n, -n, -10, 12, 14, 3, 5}
+        idx = np.array([j for j in range(-30, 31, step) if j not in gaps])
+        idx1 = np.array(sorted(set(idx) | {-n}))
+        self.check_public(step, idx, idx1, dict(indices=idx), dict(indices=idx1))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_lemma_suite_tables(self, step):
+        n, cutoff = self.N, 64
+        r, src = step_case(step)
+        potential = src if step == 2 else None
+        rep = bounds.lemma_suite(r, n, cutoff, potential=potential, step=step)
+        idx = bounds.lattice(n, cutoff, step, (n, -n))
+        idx1 = bounds.lattice(n, cutoff, step, (n,))
+        ms = np.array(rep.inputs["m_samples"])
+        rr, vabs = dense_tables(r, src, n, idx1)
+        for s, val in rep.sigma_table.items():
+            assert_rel(val, dense_sigma(rr, n, int(s), idx))
+        assert sorted(map(int, rep.sigma1_sup)) == list(range(1, 7))
+        for s, val in rep.sigma1_sup.items():
+            assert_rel(val, dense_sigma1(rr, n, int(s), ms, idx1).max())
+        assert sorted(map(int, rep.sigma2_sup)) == [2, 3, 4]
+        for s, val in rep.sigma2_sup.items():
+            assert_rel(val, dense_sigma2(rr, n, int(s), ms, idx).max())
+        assert len(rep.l_table) == (8 if potential else 0) == len(rep.r_table)
+        for key, val in rep.l_table.items():
+            p, d = map(int, key.split(","))
+            assert_rel(val, dense_L(vabs, p, d, n, idx))
+            assert_rel(rep.r_table[key], dense_R(vabs, p, d, n, idx))
 
 
 class TestNestedVsMatrix:

@@ -84,6 +84,19 @@ class TestDecay:
         assert "10" in payload["errors"]
         assert "EigenvalueOnContour" in payload["errors"]["10"]
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only the projector's domain errors are per-level failures; a bug
+        # must crash the sweep instead of becoming a skipped level
+        import hillproj.projector as prj
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken projector")
+
+        monkeypatch.setattr(prj, "riesz_projection", broken)
+        with pytest.raises(TypeError, match="broken projector"):
+            run(["decay", "--potential", "mathieu:1.0", "--bc", "per+",
+                 "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])
+
 
 class TestBounds:
     def test_zero_potential_all_pass(self, tmp_path):
