@@ -172,6 +172,8 @@ def _majorant_for(pot, bc: BoundaryCondition, K: int):
 
 
 def cmd_decay(cfg: RunConfig) -> int:
+    if cfg.n_min < 2:  # the rate rho_n is defined for n >= 2 only
+        raise ConfigError(f"decay needs n_min >= 2, got {cfg.n_min}")
     H = assemble(cfg.bc, cfg.pot, cfg.K)
     r = _majorant_for(cfg.pot, cfg.bc, cfg.K)
     records, errors = [], {}
@@ -180,7 +182,8 @@ def cmd_decay(cfg: RunConfig) -> int:
             pair = projector.riesz_projection(
                 H, n, projector.ContourSpec.for_level(n, cfg.nodes))
             records.append(norms.decay_record(pair, r, cfg.rho_constant))
-        except (projector.EigenvalueOnContour, projector.TruncationTooSmall,
+        except (projector.EigenvalueOnContour, projector.RankMismatch,
+                projector.TruncationTooSmall,
                 projector.IndexOutOfBasis) as exc:  # one bad level must not kill the sweep
             errors[str(n)] = f"{type(exc).__name__}: {exc}"
     echo = cfg.echo()
@@ -191,7 +194,10 @@ def cmd_decay(cfg: RunConfig) -> int:
     }, echo)
     if errors:
         print(f"decay: {len(errors)} level(s) failed: {sorted(errors)}", file=sys.stderr)
-    return EXIT_OK if records else EXIT_VERDICT
+    unconverged = [rec.n for rec in records if not rec.converged]
+    if unconverged:
+        print(f"decay: quadrature did not converge at levels {unconverged}", file=sys.stderr)
+    return EXIT_OK if records and not unconverged else EXIT_VERDICT
 
 
 def _bounds_levels(cfg: RunConfig) -> list[int]:
@@ -403,7 +409,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(cfg)
-    except (bounds.CutoffTooSmall, projector.EigenvalueOnContour) as exc:
+    except (bounds.CutoffTooSmall, projector.EigenvalueOnContour,
+            projector.RankMismatch) as exc:
         print(f"verdict failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except ValueError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,7 +65,11 @@ def basis_sup_constant(bc: BoundaryCondition) -> float:
 
 @dataclass(frozen=True)
 class DecayRecord:
-    """Per-level norms of B(n) next to the analytic rate values."""
+    """Per-level norms of B(n) next to the analytic rate values.
+
+    The last four fields are the quadrature evidence of the projection:
+    they go into the JSON records but not into the frozen CSV columns.
+    """
 
     n: int
     sum_abs_B: float
@@ -77,6 +81,10 @@ class DecayRecord:
     kappa_n: float
     bound64: float
     bound_valid: bool
+    quad_error_est: float
+    nodes_used: int
+    idempotency: float
+    converged: bool
 
     def __post_init__(self):
         if not (self.t_n <= self.frob + 1e-12 and self.frob <= self.sum_abs_B + 1e-12):
@@ -108,6 +116,8 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
         t_n=spectral_norm(B),
         frob=float(np.linalg.norm(B, "fro")),
         rho_n=rho, eps_n=eps, kappa_n=kappa, bound64=bound64, bound_valid=valid,
+        quad_error_est=pair.quad_error_est, nodes_used=pair.nodes_used,
+        idempotency=pair.idempotency, converged=pair.converged,
     )
 
 
@@ -296,9 +306,6 @@ def records_to_csv_rows(records) -> list[list]:
 def records_to_json(records, meta: dict | None = None) -> str:
     payload = {
         "meta": meta or {},
-        "records": [
-            {col: getattr(rec, col) for col in DECAY_CSV_COLUMNS}
-            for rec in records
-        ],
+        "records": [asdict(rec) for rec in records],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -134,7 +134,8 @@ class HillMatrix:
     Immutable after assembly (arrays are marked read-only); eigen data is
     computed lazily and cached since several consumers (localization
     counts, contour guards, the dense-eigendecomposition projector) share
-    it.
+    it.  Eigenvalues alone skip the eigenvectors unless ``eig()`` has
+    already computed them.
     """
 
     def __init__(self, basis: BasisSpec, diag0: np.ndarray, Vmat: np.ndarray,
@@ -148,6 +149,7 @@ class HillMatrix:
         for a in (self.diag0, self.Vmat, self.L):
             a.setflags(write=False)
         self._eig = None
+        self._vals = None
 
     @property
     def size(self) -> int:
@@ -161,7 +163,12 @@ class HillMatrix:
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        return self.eig()[0]
+        """Cached eigenvalues; taken from ``eig()`` if that already ran."""
+        if self._eig is not None:
+            return self._eig[0]
+        if self._vals is None:
+            self._vals = np.linalg.eigvals(self.L)
+        return self._vals
 
 
 def _per_vmat(pot: FourierPotential, basis: BasisSpec) -> tuple[np.ndarray, float]:

@@ -1,16 +1,27 @@
 """Riesz projections by contour quadrature of the resolvent.
 
-The projection onto the spectrum of a truncated Hill matrix inside the
-disc |z - n^2| < n is computed with the trapezoidal rule in angle,
+The projection P onto the spectrum of a truncated Hill matrix inside the
+disc |z - n^2| < n has rank r = 2 (periodic families) or r = 1
+(Dirichlet).  Only its action on the r free columns E = [e_{+-n}] (or
+[e_n]) is integrated, with the trapezoidal rule in angle,
 
-    P ~ (radius / Q) * sum_j exp(i theta_j) (z_j - L)^(-1),
+    X ~ (radius / Q) * sum_j exp(i theta_j) (z_j - L)^(-1) E       ~ P E,
+    Y ~ (radius / Q) * sum_j exp(i theta_j) (z_j - L)^(-T) E       ~ (E^T P)^T,
 
-which converges exponentially in Q for integrands analytic in an annulus
-around the circle.  Node counts are doubled (reusing previous nodes)
-until the Frobenius change drops below a tolerance; the last change is
-reported as the quadrature error estimate.  The free projection is never
-computed by quadrature: it is the exact coordinate projection onto the
-indices {+-n} (periodic families) or {n} (Dirichlet).
+two r-column solves per node, and the projection is assembled as
+
+    P = X (E^T X)^(-1) Y^T,
+
+which is exact for a rank-r projection whenever E^T P E is invertible.
+The formula forces rank r, so the disc must hold exactly r eigenvalues:
+that count is checked (``RankMismatch``) on the eigenvalues the contour
+guard computes.  The trapezoidal rule converges exponentially in Q for
+integrands analytic in an annulus around the circle.  Node counts are
+doubled (reusing the moments of previous nodes) until the Frobenius
+change of P drops below a tolerance; the last change is reported as the
+quadrature error estimate.  The free projection is never computed by
+quadrature: it is the exact coordinate projection onto the indices
+{+-n} (periodic families) or {n} (Dirichlet).
 
 Block projections S_N onto all spectrum in the rectangle
 {-N < Re z < N^2 + N, |Im z| < N} are computed as a rectangle-contour
@@ -33,6 +44,7 @@ __all__ = [
     "EigenvalueOnContour",
     "TruncationTooSmall",
     "IndexOutOfBasis",
+    "RankMismatch",
     "ContourSpec",
     "ProjectionPair",
     "riesz_projection",
@@ -61,6 +73,10 @@ class TruncationTooSmall(ValueError):
 
 class IndexOutOfBasis(ValueError):
     """The requested level is not contained in the basis index set."""
+
+
+class RankMismatch(RuntimeError):
+    """The disc does not hold exactly bc.rank eigenvalues."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,7 @@ class ProjectionPair:
     B: np.ndarray
     quad_error_est: float
     nodes_used: int
+    converged: bool  # quad_error_est fell below the requested tolerance
     idempotency: float = field(init=False)
 
     def __post_init__(self):
@@ -121,18 +138,21 @@ class ProjectionPair:
             "trace_re": self.trace.real,
             "trace_im": self.trace.imag,
             "quad_error_est": self.quad_error_est,
+            "converged": self.converged,
             "idempotency_residual": self.idempotency,
             "nodes": self.nodes_used,
         }
 
 
 def _contour_guard(H: HillMatrix, center: complex, radius: float,
-                   guard_frac: float) -> None:
+                   guard_frac: float) -> np.ndarray:
+    """Raise if an eigenvalue is near the circle; return the eigenvalues."""
     vals = H.eigenvalues()
     dist = np.abs(np.abs(vals - center) - radius)
     if dist.min() < guard_frac * radius:
         raise EigenvalueOnContour(
             f"eigenvalue within {guard_frac:.2f}*radius of |z-{center}|={radius}")
+    return vals
 
 
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
@@ -154,10 +174,11 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
 
     Preconditions: n matches the boundary-condition parity, +-n lie in
     the basis, the half-width is at least 4n (so the contour stays well
-    inside the truncated spectrum), and no eigenvalue approaches the
-    contour.  Node counts start at ``contour.nodes`` and are doubled,
-    reusing earlier resolvent factorizations, until the projection
-    stabilizes below ``tol`` in Frobenius norm or ``max_nodes`` is hit.
+    inside the truncated spectrum), no eigenvalue approaches the contour,
+    and the disc holds exactly ``bc.rank`` eigenvalues.  Node counts start
+    at ``contour.nodes`` and are doubled, reusing the moments of earlier
+    nodes, until the projection stabilizes below ``tol`` in Frobenius norm
+    or ``max_nodes`` is hit.
     """
     bc = H.basis.bc
     if not bc.level_ok(n):
@@ -170,37 +191,50 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
             "degrades when the contour approaches the truncation edge")
     if contour is None:
         contour = ContourSpec.for_level(n)
-    _contour_guard(H, contour.center, contour.radius, guard_frac)
-
     c, R = contour.center, contour.radius
+    vals = _contour_guard(H, c, R, guard_frac)
+    inside = int(np.count_nonzero(np.abs(vals - c) < R))
+    if inside != bc.rank:
+        raise RankMismatch(
+            f"{inside} eigenvalue(s) in |z-{c}|<{R}, expected {bc.rank} for {bc.value}")
+
+    P0 = free_projection(H.basis, n)
+    cols = np.flatnonzero(np.diag(P0))  # positions of e_{+-n} (e_n for Dirichlet)
+    E, r = P0[:, cols], len(cols)
     ident = np.eye(H.size, dtype=complex)
 
-    def node_sum(thetas: np.ndarray) -> np.ndarray:
-        acc = np.zeros((H.size, H.size), dtype=complex)
+    def moments(thetas: np.ndarray) -> np.ndarray:
+        # columns [:r] accumulate (z - L)^-1 E, columns [r:] (z - L)^-T E
+        acc = np.zeros((H.size, 2 * r), dtype=complex)
         for th in thetas:
-            z = c + R * np.exp(1j * th)
-            acc += np.exp(1j * th) * np.linalg.inv(z * ident - H.L)
+            A = (c + R * np.exp(1j * th)) * ident - H.L
+            acc[:, :r] += np.exp(1j * th) * np.linalg.solve(A, E)
+            acc[:, r:] += np.exp(1j * th) * np.linalg.solve(A.T, E)
         return acc
+
+    def project(M: np.ndarray, scale: float) -> np.ndarray:
+        # X ~ P E and Y^T ~ E^T P, so P = X (E^T X)^-1 Y^T for rank-r P
+        X, Y = scale * M[:, :r], scale * M[:, r:]
+        return X @ np.linalg.solve(X[cols], Y.T)
 
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
     # error estimate costs no extra resolvent solves
     Q = contour.nodes
     thetas = 2.0 * np.pi * np.arange(Q) / Q
-    S_even = node_sum(thetas[::2])
-    S = S_even + node_sum(thetas[1::2])
-    P = (R / Q) * S
-    est = float(np.linalg.norm(P - (R / (Q // 2)) * S_even, "fro"))
+    M_even = moments(thetas[::2])
+    M = M_even + moments(thetas[1::2])
+    P = project(M, R / Q)
+    est = float(np.linalg.norm(P - project(M_even, R / (Q // 2)), "fro"))
     while est >= tol and Q < max_nodes:
         # midpoints of the current grid are the odd nodes of the doubled grid
-        S = S + node_sum(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
+        M = M + moments(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
-        P_new = (R / Q) * S
+        P_new = project(M, R / Q)
         est = float(np.linalg.norm(P_new - P, "fro"))
         P = P_new
 
-    P0 = free_projection(H.basis, n)
     return ProjectionPair(n=n, basis=H.basis, P=P, P0=P0, B=P - P0,
-                          quad_error_est=est, nodes_used=Q)
+                          quad_error_est=est, nodes_used=Q, converged=est < tol)
 
 
 def _coupling_entry(pot, bc: BoundaryCondition, k: int, m: int) -> complex:

@@ -69,8 +69,9 @@ class TestDecay:
             assert np.isclose(rec["bound64"], 64 * rec["kappa_n"])
 
     def test_per_level_isolation(self, tmp_path):
-        # v0 = 10 parks an eigenvalue cluster on the n = 10 contour: that
-        # level fails the guard, the neighbours still produce records
+        # v0 = 10 parks an eigenvalue cluster on the n = 10 contour and
+        # empties the n = 8 disc: both levels are recorded as errors, the
+        # n = 12 neighbour still produces a record
         cfgfile = tmp_path / "pot.json"
         cfgfile.write_text(json.dumps({
             "kind": "custom", "v0": [10.0, 0.0],
@@ -80,9 +81,41 @@ class TestDecay:
                     "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "decay.json").read_text())
-        assert sorted(r["n"] for r in payload["records"]) == [8, 12]
-        assert "10" in payload["errors"]
+        assert sorted(r["n"] for r in payload["records"]) == [12]
+        assert "RankMismatch" in payload["errors"]["8"]
         assert "EigenvalueOnContour" in payload["errors"]["10"]
+
+    def test_json_carries_quadrature_evidence(self, tmp_path):
+        code = run(["decay", "--potential", "mathieu:1.0", "--bc", "dir",
+                    "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "decay.json").read_text())
+        for rec in payload["records"]:
+            assert rec["converged"] is True
+            assert rec["quad_error_est"] < 1e-10
+            assert rec["nodes_used"] == 64
+            assert rec["idempotency"] < 1e-8
+        header = read_csv_body(tmp_path / "decay_records.csv")[0].split(",")
+        assert "converged" not in header and "nodes_used" not in header
+
+    def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch):
+        import hillproj.projector as prj
+        real = prj.riesz_projection
+        monkeypatch.setattr(prj, "riesz_projection",
+                            lambda H, n, contour: real(H, n, contour, tol=1e-30,
+                                                       max_nodes=64))
+        code = run(["decay", "--potential", "mathieu:1.0", "--bc", "per+",
+                    "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads((tmp_path / "decay.json").read_text())
+        assert [r["converged"] for r in payload["records"]] == [False, False]
+
+    def test_level_one_is_config_error(self, tmp_path, capsys):
+        code = run(["decay", "--potential", "mathieu:1.0", "--bc", "per-",
+                    "--K", "48", "--n-min", "1", "--n-max", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "decay needs n_min >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "decay.json").exists()
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only the projector's domain errors are per-level failures; a bug

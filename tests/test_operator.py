@@ -50,6 +50,15 @@ class TestFreeMatrix:
         expect = np.sort([k * k for k in H.basis.indices])
         assert np.abs(vals - expect).max() < 1e-10
 
+    def test_eigenvalues_skip_eigenvectors(self):
+        H = hp.assemble(BC.DIRICHLET, pot.mathieu(1.0), 32)
+        vals = H.eigenvalues()
+        assert H._eig is None  # no eigenvectors were computed
+        assert H.eigenvalues() is vals
+        full = H.eig()[0]
+        assert np.abs(np.sort_complex(vals) - np.sort_complex(full)).max() < 1e-10
+        assert H.eigenvalues() is full  # eig() is preferred once cached
+
 
 class TestAssemblePeriodic:
     def test_mathieu_matches_classical_matrix(self):

@@ -105,7 +105,8 @@ class TestRieszProjection:
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
         meta = hp.riesz_projection(H, 8).metadata()
         assert meta["n"] == 8 and meta["bc"] == "per+"
-        for key in ("trace_re", "quad_error_est", "idempotency_residual", "nodes"):
+        for key in ("trace_re", "quad_error_est", "converged", "idempotency_residual",
+                    "nodes"):
             assert key in meta
 
     def test_dump_projection(self, tmp_path):
@@ -121,6 +122,81 @@ class TestRieszProjection:
         lines = csv_path.read_text().splitlines()
         assert lines[0].split(",")[0] == "index"
         assert len(lines) == H.size + 1
+
+
+def full_inverse_projection(H, n, nodes=64, tol=1e-10, max_nodes=512):
+    """Reference: trapezoid node sum of the full resolvent inverse.
+
+    Same contour, node doubling and error estimate as riesz_projection,
+    but every node inverts z - L densely; returns (P, nodes_used).
+    """
+    c, R = complex(n * n), float(n)
+    ident = np.eye(H.size, dtype=complex)
+
+    def node_sum(thetas):
+        acc = np.zeros((H.size, H.size), dtype=complex)
+        for th in thetas:
+            z = c + R * np.exp(1j * th)
+            acc += np.exp(1j * th) * np.linalg.inv(z * ident - H.L)
+        return acc
+
+    Q = nodes
+    thetas = 2.0 * np.pi * np.arange(Q) / Q
+    S_even = node_sum(thetas[::2])
+    S = S_even + node_sum(thetas[1::2])
+    P = (R / Q) * S
+    est = np.linalg.norm(P - (R / (Q // 2)) * S_even, "fro")
+    while est >= tol and Q < max_nodes:
+        S = S + node_sum(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
+        Q *= 2
+        P_new = (R / Q) * S
+        est = np.linalg.norm(P_new - P, "fro")
+        P = P_new
+    return P, Q
+
+
+class TestRankEngineVsFullInverse:
+    """The rank-r moment formula against the dense node sum it replaced."""
+
+    @pytest.mark.parametrize("pname", ["mathieu", "delta"])
+    @pytest.mark.parametrize("bc,n", [(BC.PER_PLUS, 10), (BC.PER_MINUS, 9),
+                                      (BC.DIRICHLET, 8)])
+    def test_gallery(self, pname, bc, n):
+        p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
+        H = hp.assemble(bc, p, 64)
+        pair = hp.riesz_projection(H, n)
+        P_ref, q_ref = full_inverse_projection(H, n)
+        assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-13
+        assert pair.converged
+        if bc.is_periodic_family:
+            assert pair.nodes_used == q_ref
+        else:
+            # the rank-1 moments of the sine basis converge a doubling
+            # earlier than the full resolvent (64 against 128 nodes)
+            assert pair.nodes_used == q_ref // 2 == 64
+
+    def test_non_hermitian_potential(self):
+        p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)])
+        H = hp.assemble(BC.PER_PLUS, p, 64)
+        assert np.abs(H.L - H.L.T).max() > 0.1  # L^T != L, so Y differs from X
+        pair = hp.riesz_projection(H, 8)
+        P_ref, q_ref = full_inverse_projection(H, 8)
+        assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-13
+        assert pair.nodes_used == q_ref
+
+    def test_empty_disc_raises(self):
+        # v0 = 10 moves the level-8 pair to about 74, outside |z - 64| < 8
+        p = pot.from_coeffs(10.0, [(2, 0.25), (-2, -0.25)])
+        H = hp.assemble(BC.PER_PLUS, p, 48)
+        assert prj.eigen_count_in_disc(H, 8) == 0
+        with pytest.raises(prj.RankMismatch):
+            hp.riesz_projection(H, 8)
+
+    def test_unconverged_flag(self):
+        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 64)
+        pair = hp.riesz_projection(H, 8, tol=1e-30, max_nodes=64)
+        assert pair.converged is False and pair.nodes_used == 64
+        assert hp.riesz_projection(H, 8).converged is True
 
 
 class TestFirstOrderResidue:
