@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from . import bounds, norms, operator, potential, projector  # noqa: F401
-from .operator import BoundaryCondition, assemble, basis_for, free_matrix  # noqa: F401
+from .operator import BoundaryCondition, assemble, basis_for  # noqa: F401
 from .potential import (  # noqa: F401
     FourierPotential,
     MajorantSeq,

@@ -197,7 +197,7 @@ def cmd_decay(cfg: RunConfig) -> int:
     unconverged = [rec.n for rec in records if not rec.converged]
     if unconverged:
         print(f"decay: quadrature did not converge at levels {unconverged}", file=sys.stderr)
-    return EXIT_OK if records and not unconverged else EXIT_VERDICT
+    return EXIT_OK if records and not errors and not unconverged else EXIT_VERDICT
 
 
 def _bounds_levels(cfg: RunConfig) -> list[int]:

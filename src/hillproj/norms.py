@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .operator import BasisSpec, BoundaryCondition
+from .operator import BasisSpec
 from .potential import MajorantSeq
 from .projector import BlockProjection, ProjectionPair
 
@@ -38,7 +38,6 @@ __all__ = [
     "TooFewRecords",
     "DecayRecord",
     "GridFunction",
-    "basis_sup_constant",
     "decay_record",
     "spectral_norm",
     "bari_markus_partial",
@@ -56,11 +55,6 @@ __all__ = [
 
 class TooFewRecords(ValueError):
     """Not enough per-level records for a tail diagnostic."""
-
-
-def basis_sup_constant(bc: BoundaryCondition) -> float:
-    """D = sup_x |e_k(x)|: 1 for exponentials, sqrt(2) for sines."""
-    return bc.basis_sup
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
     """Measure B(n) and attach the analytic rates for the same level."""
     B = pair.B
     sab = float(np.abs(B).sum())
-    d = basis_sup_constant(pair.bc)
+    d = pair.bc.basis_sup
     rho, eps, kappa, bound64, valid = _bounds.kappa_for(r, pair.n, rho_constant)
     return DecayRecord(
         n=pair.n,
@@ -252,7 +246,7 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
     ratio must stay below 3 (plus grid slack); outside the regime the
     report flags ``regime_ok = False`` instead of failing.
     """
-    d = basis_sup_constant(pair.bc)
+    d = pair.bc.basis_sup
     proxy = d * d * float(np.abs(pair.B).sum())
     regime_ok = proxy <= 0.5
     ratio = _sample_ratios(pair.P, pair.basis, samples, M, seed)

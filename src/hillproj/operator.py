@@ -32,7 +32,6 @@ __all__ = [
     "HillMatrix",
     "basis_for",
     "assemble",
-    "free_matrix",
     "dump_matrix",
 ]
 
@@ -171,6 +170,13 @@ class HillMatrix:
         return self._vals
 
 
+def _coverage(covers, needed: np.ndarray) -> float:
+    """Share of the needed coupling indices (with repeats) that ``covers`` accepts."""
+    uniq, counts = np.unique(needed, return_counts=True)
+    covered = np.array([covers(int(d)) for d in uniq])
+    return float((counts * covered).sum() / counts.sum()) if counts.sum() else 1.0
+
+
 def _per_vmat(pot: FourierPotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
     idx = np.array(basis.indices)
     off = idx[:, None] - idx[None, :]
@@ -178,11 +184,7 @@ def _per_vmat(pot: FourierPotential, basis: BasisSpec) -> tuple[np.ndarray, floa
     tab = pot.v_table(D)
     V = tab[off + D]
     V = V + complex(pot.v0) * np.eye(len(idx))
-    needed = np.abs(off[off != 0])
-    covered = np.array([pot.covers(int(d)) for d in np.unique(needed)])
-    counts = np.array([(needed == d).sum() for d in np.unique(needed)])
-    coverage = float((counts * covered).sum() / counts.sum()) if counts.sum() else 1.0
-    return V, coverage
+    return V, _coverage(pot.covers, np.abs(off[off != 0]))
 
 
 def _dir_vmat(sp: SinePotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
@@ -192,12 +194,7 @@ def _dir_vmat(sp: SinePotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
     tab = sp.qt_table(int(summ.max()))
     V = (diff * tab[diff] - summ * tab[summ]) / math.sqrt(2.0)
     V = V + complex(sp.v0) * np.eye(len(idx))
-    needed = np.concatenate([diff[diff != 0].ravel(), summ.ravel()])
-    uniq = np.unique(needed)
-    covered = np.array([sp.covers(int(d)) for d in uniq])
-    counts = np.array([(needed == d).sum() for d in uniq])
-    coverage = float((counts * covered).sum() / counts.sum()) if counts.sum() else 1.0
-    return V, coverage
+    return V, _coverage(sp.covers, np.concatenate([diff[diff != 0].ravel(), summ.ravel()]))
 
 
 def assemble(bc: BoundaryCondition,
@@ -230,13 +227,6 @@ def assemble(bc: BoundaryCondition,
             "store more coefficients or shrink the basis")
     diag0 = np.array([float(k * k) for k in basis.indices])
     return HillMatrix(basis, diag0, V, coverage=coverage, label=label)
-
-
-def free_matrix(basis: BasisSpec) -> HillMatrix:
-    """Matrix of the free operator: diag(k^2), no coupling."""
-    diag0 = np.array([float(k * k) for k in basis.indices])
-    return HillMatrix(basis, diag0, np.zeros((basis.size, basis.size), dtype=complex),
-                      label="free")
 
 
 def dump_matrix(H: HillMatrix, path: str | Path, fmt: str = "csv") -> Path:

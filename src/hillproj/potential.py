@@ -50,7 +50,6 @@ __all__ = [
     "sawtooth",
     "majorant",
     "majorant_dir",
-    "tail_energy",
     "per_to_dir",
     "q_grid",
     "q_grid_sine",
@@ -101,12 +100,6 @@ class FourierPotential:
     def V(self, m: int) -> complex:
         """Interaction coefficient V(m) = m * w(m); V(0) = 0."""
         return m * self.wc(m)
-
-    @property
-    def support(self) -> int:
-        """Largest |m| with a stored nonzero coefficient."""
-        nz = [abs(m) for m, c in self.w.items() if c != 0]
-        return max(nz) if nz else 0
 
     @property
     def l2_w(self) -> float:
@@ -307,13 +300,6 @@ def majorant_dir(sp: SinePotential) -> MajorantSeq:
     """r(m) = |qt(|m|)| on the integer lattice."""
     r = {m: abs(c) for m, c in sp.qt.items() if abs(c) > 0}
     return MajorantSeq(r, step=1)
-
-
-def tail_energy(r: MajorantSeq, n: float) -> float:
-    """ell^2 tail (sum_{|i| >= n} r(i)^2)^(1/2) of a majorant."""
-    if n < 0:
-        raise ValueError("threshold must be >= 0")
-    return r.tail_energy(n)
 
 
 def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:

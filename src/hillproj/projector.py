@@ -1,32 +1,34 @@
 """Riesz projections by contour quadrature of the resolvent.
 
-The projection P onto the spectrum of a truncated Hill matrix inside the
-disc |z - n^2| < n has rank r = 2 (periodic families) or r = 1
-(Dirichlet).  Only its action on the r free columns E = [e_{+-n}] (or
-[e_n]) is integrated, with the trapezoidal rule in angle,
+One engine serves every contour.  A projection P of rank r is recovered
+from its action on r free columns E = I[:, cols].  A contour rule with
+nodes z_j and weights w_j gives the moments (two r-column solves per
+node, ``_moments``)
 
-    X ~ (radius / Q) * sum_j exp(i theta_j) (z_j - L)^(-1) E       ~ P E,
-    Y ~ (radius / Q) * sum_j exp(i theta_j) (z_j - L)^(-T) E       ~ (E^T P)^T,
+    X ~ scale * sum_j w_j (z_j - L)^(-1) E       ~ P E,
+    Y ~ scale * sum_j w_j (z_j - L)^(-T) E       ~ (E^T P)^T,
 
-two r-column solves per node, and the projection is assembled as
+and ``_rank_r`` assembles P = X (E^T X)^(-1) Y^T, which is exact for a
+rank-r projection whenever E^T P E is invertible.  The formula forces
+rank r, so every contour must enclose exactly r eigenvalues: the guards
+check that count (``RankMismatch``) on the eigenvalues they compute.
 
-    P = X (E^T X)^(-1) Y^T,
-
-which is exact for a rank-r projection whenever E^T P E is invertible.
-The formula forces rank r, so the disc must hold exactly r eigenvalues:
-that count is checked (``RankMismatch``) on the eigenvalues the contour
-guard computes.  The trapezoidal rule converges exponentially in Q for
-integrands analytic in an annulus around the circle.  Node counts are
-doubled (reusing the moments of previous nodes) until the Frobenius
-change of P drops below a tolerance; the last change is reported as the
-quadrature error estimate.  The free projection is never computed by
-quadrature: it is the exact coordinate projection onto the indices
-{+-n} (periodic families) or {n} (Dirichlet).
+The level projection over the disc |z - n^2| < n has r = 2 (periodic
+families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  It uses the
+trapezoidal rule in angle, w_j = exp(i theta_j) and z_j = n^2 + n w_j,
+which converges exponentially in Q for integrands analytic in an annulus
+around the circle.  Node counts are doubled (reusing the moments of
+previous nodes) until the Frobenius change of P drops below a tolerance;
+the last change is reported as the quadrature error estimate.  The free
+projection is never computed by quadrature: it is the exact coordinate
+projection onto the indices {+-n} (periodic families) or {n} (Dirichlet).
 
 Block projections S_N onto all spectrum in the rectangle
-{-N < Re z < N^2 + N, |Im z| < N} are computed as a rectangle-contour
-quadrature for a small base block plus a sum of circle projections for
-the remaining levels.
+{-N < Re z < N^2 + N, |Im z| < N} are a rectangle-contour block for a
+small base N0 plus a sum of level projections for the remaining levels.
+The base block uses composite Gauss-Legendre panels on the same engine,
+with E the columns of every index k^2 < N0^2 + N0, so the rectangle must
+hold exactly that many eigenvalues.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "rectangle_projection",
     "block_projection",
     "BlockProjection",
-    "dump_projection",
     "validated_levels",
 ]
 
@@ -72,7 +73,7 @@ class TruncationTooSmall(ValueError):
 
 
 class IndexOutOfBasis(ValueError):
-    """The requested level is not contained in the basis index set."""
+    """The requested level is not a level of the basis lattice (parity or range)."""
 
 
 class RankMismatch(RuntimeError):
@@ -155,6 +156,48 @@ def _contour_guard(H: HillMatrix, center: complex, radius: float,
     return vals
 
 
+def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
+                guard_frac: float) -> np.ndarray:
+    """Check the preconditions of ``riesz_projection``; return the positions of e_{+-n}."""
+    bc, basis = H.basis.bc, H.basis
+    if not bc.level_ok(n):
+        raise IndexOutOfBasis(f"level {n} has wrong parity for {bc.value}")
+    if not basis.contains_level(n):
+        raise IndexOutOfBasis(f"level {n} outside basis of half-width {basis.half_width}")
+    if basis.half_width < 4 * n:
+        raise TruncationTooSmall(
+            f"half-width {basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
+            "degrades when the contour approaches the truncation edge")
+    c, R = contour.center, contour.radius
+    vals = _contour_guard(H, c, R, guard_frac)
+    inside = int(np.count_nonzero(np.abs(vals - c) < R))
+    if inside != bc.rank:
+        raise RankMismatch(
+            f"{inside} eigenvalue(s) in |z-{c}|<{R}, expected {bc.rank} for {bc.value}")
+    return np.array(sorted(basis.position(k) for k in (n, -n)[:bc.rank]))
+
+
+def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
+             ws: np.ndarray) -> np.ndarray:
+    """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r."""
+    r = len(cols)
+    ident = np.eye(H.size, dtype=complex)
+    E = ident[:, cols]
+    acc = np.zeros((H.size, 2 * r), dtype=complex)
+    for z, w in zip(zs, ws):
+        A = z * ident - H.L
+        acc[:, :r] += w * np.linalg.solve(A, E)
+        acc[:, r:] += w * np.linalg.solve(A.T, E)
+    return acc
+
+
+def _rank_r(M: np.ndarray, cols: np.ndarray, scale: complex) -> np.ndarray:
+    """P = X (E^T X)^-1 Y^T from the scaled moments X ~ P E and Y^T ~ E^T P."""
+    r = len(cols)
+    X, Y = scale * M[:, :r], scale * M[:, r:]
+    return X @ np.linalg.solve(X[cols], Y.T)
+
+
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     """Coordinate projection onto {+-n} (Per+-) or {n} (Dirichlet)."""
     if not basis.contains_level(n):
@@ -172,50 +215,22 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
                      guard_frac: float = GUARD_FRACTION) -> ProjectionPair:
     """Contour-quadrature Riesz projection for the level n disc.
 
-    Preconditions: n matches the boundary-condition parity, +-n lie in
-    the basis, the half-width is at least 4n (so the contour stays well
-    inside the truncated spectrum), no eigenvalue approaches the contour,
-    and the disc holds exactly ``bc.rank`` eigenvalues.  Node counts start
-    at ``contour.nodes`` and are doubled, reusing the moments of earlier
-    nodes, until the projection stabilizes below ``tol`` in Frobenius norm
-    or ``max_nodes`` is hit.
+    Preconditions: n is a level of the basis lattice (its parity, with
+    +-n in the basis), the half-width is at least 4n (so the contour stays
+    well inside the truncated spectrum), no eigenvalue approaches the
+    contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Node
+    counts start at ``contour.nodes`` and are doubled, reusing the moments
+    of earlier nodes, until the projection stabilizes below ``tol`` in
+    Frobenius norm or ``max_nodes`` is hit.
     """
-    bc = H.basis.bc
-    if not bc.level_ok(n):
-        raise ValueError(f"level {n} has wrong parity for {bc.value}")
-    if not H.basis.contains_level(n):
-        raise IndexOutOfBasis(f"level {n} outside basis of half-width {H.basis.half_width}")
-    if H.basis.half_width < 4 * n:
-        raise TruncationTooSmall(
-            f"half-width {H.basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
-            "degrades when the contour approaches the truncation edge")
     if contour is None:
         contour = ContourSpec.for_level(n)
+    cols = _level_cols(H, n, contour, guard_frac)
     c, R = contour.center, contour.radius
-    vals = _contour_guard(H, c, R, guard_frac)
-    inside = int(np.count_nonzero(np.abs(vals - c) < R))
-    if inside != bc.rank:
-        raise RankMismatch(
-            f"{inside} eigenvalue(s) in |z-{c}|<{R}, expected {bc.rank} for {bc.value}")
-
-    P0 = free_projection(H.basis, n)
-    cols = np.flatnonzero(np.diag(P0))  # positions of e_{+-n} (e_n for Dirichlet)
-    E, r = P0[:, cols], len(cols)
-    ident = np.eye(H.size, dtype=complex)
 
     def moments(thetas: np.ndarray) -> np.ndarray:
-        # columns [:r] accumulate (z - L)^-1 E, columns [r:] (z - L)^-T E
-        acc = np.zeros((H.size, 2 * r), dtype=complex)
-        for th in thetas:
-            A = (c + R * np.exp(1j * th)) * ident - H.L
-            acc[:, :r] += np.exp(1j * th) * np.linalg.solve(A, E)
-            acc[:, r:] += np.exp(1j * th) * np.linalg.solve(A.T, E)
-        return acc
-
-    def project(M: np.ndarray, scale: float) -> np.ndarray:
-        # X ~ P E and Y^T ~ E^T P, so P = X (E^T X)^-1 Y^T for rank-r P
-        X, Y = scale * M[:, :r], scale * M[:, r:]
-        return X @ np.linalg.solve(X[cols], Y.T)
+        w = np.exp(1j * thetas)
+        return _moments(H, cols, c + R * w, w)
 
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
     # error estimate costs no extra resolvent solves
@@ -223,16 +238,17 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
     thetas = 2.0 * np.pi * np.arange(Q) / Q
     M_even = moments(thetas[::2])
     M = M_even + moments(thetas[1::2])
-    P = project(M, R / Q)
-    est = float(np.linalg.norm(P - project(M_even, R / (Q // 2)), "fro"))
+    P = _rank_r(M, cols, R / Q)
+    est = float(np.linalg.norm(P - _rank_r(M_even, cols, R / (Q // 2)), "fro"))
     while est >= tol and Q < max_nodes:
         # midpoints of the current grid are the odd nodes of the doubled grid
         M = M + moments(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
-        P_new = project(M, R / Q)
+        P_new = _rank_r(M, cols, R / Q)
         est = float(np.linalg.norm(P_new - P, "fro"))
         P = P_new
 
+    P0 = free_projection(H.basis, n)
     return ProjectionPair(n=n, basis=H.basis, P=P, P0=P0, B=P - P0,
                           quad_error_est=est, nodes_used=Q, converged=est < tol)
 
@@ -329,7 +345,13 @@ def _rect_corners(N: int | float) -> list[complex]:
             complex(-N, N), complex(-N, -N), complex(re_max, -N)]
 
 
-def _rect_guard(H: HillMatrix, N: float, guard_frac: float) -> None:
+def _rect_guard(H: HillMatrix, N: float, guard_frac: float) -> np.ndarray:
+    """Check the rectangle contour; return the free columns of its block.
+
+    The block projection has rank len(cols), the number of basis indices
+    with k^2 < N^2 + N, and the rank-r formula forces that rank: a
+    rectangle holding any other number of eigenvalues is refused.
+    """
     corners = _rect_corners(N)
     vals = H.eigenvalues()
     mind = np.inf
@@ -340,13 +362,20 @@ def _rect_guard(H: HillMatrix, N: float, guard_frac: float) -> None:
     if mind < guard_frac * N:
         raise EigenvalueOnContour(
             f"eigenvalue within {guard_frac:.2f}*N of the rectangle boundary")
+    idx = np.array(H.basis.indices)
+    cols = np.flatnonzero(idx * idx < N * N + N)
+    inside = int(np.count_nonzero((vals.real > -N) & (vals.real < N * N + N)
+                                  & (np.abs(vals.imag) < N)))
+    if inside != len(cols):
+        raise RankMismatch(
+            f"{inside} eigenvalue(s) in the N={N:g} rectangle, expected {len(cols)}")
+    return cols
 
 
-def _rect_quadrature(H: HillMatrix, N: float, panels_scale: int,
+def _rect_quadrature(H: HillMatrix, N: float, cols: np.ndarray, panels_scale: int,
                      panel_nodes: int) -> np.ndarray:
     nodes, weights = roots_legendre(panel_nodes)
-    ident = np.eye(H.size, dtype=complex)
-    acc = np.zeros((H.size, H.size), dtype=complex)
+    zs, ws = [], []
     corners = _rect_corners(N)
     for a, b in zip(corners[:-1], corners[1:]):
         length = abs(b - a)
@@ -355,11 +384,10 @@ def _rect_quadrature(H: HillMatrix, N: float, panels_scale: int,
             pa = a + (b - a) * p / n_panels
             pb = a + (b - a) * (p + 1) / n_panels
             half = (pb - pa) / 2.0
-            mid = (pa + pb) / 2.0
-            for t, w in zip(nodes, weights):
-                z = mid + half * t
-                acc += (w * half) * np.linalg.inv(z * ident - H.L)
-    return acc / (2.0j * np.pi)
+            zs.append((pa + pb) / 2.0 + half * nodes)
+            ws.append(weights * half)
+    M = _moments(H, cols, np.concatenate(zs), np.concatenate(ws))
+    return _rank_r(M, cols, 1.0 / (2.0j * np.pi))
 
 
 def rectangle_projection(H: HillMatrix, N: int, panel_nodes: int = 20,
@@ -367,15 +395,18 @@ def rectangle_projection(H: HillMatrix, N: int, panel_nodes: int = 20,
                          refine_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
-    Composite Gauss-Legendre panels on each rectangle side (corners are
-    never nodes); the panel count is doubled once and the Frobenius
-    change reported as the error estimate, refining again if needed.
+    The rectangle must hold exactly as many eigenvalues as there are free
+    indices k with k^2 < N^2 + N (else ``RankMismatch``).  Composite
+    Gauss-Legendre panels on each rectangle side (corners are never
+    nodes) feed the rank-r moment formula; the panel count is doubled
+    once and the Frobenius change reported as the error estimate,
+    refining again if needed.
     """
-    _rect_guard(H, float(N), guard_frac)
-    P = _rect_quadrature(H, float(N), 1, panel_nodes)
+    cols = _rect_guard(H, float(N), guard_frac)
+    P = _rect_quadrature(H, float(N), cols, 1, panel_nodes)
     scale = 2
     while True:
-        P2 = _rect_quadrature(H, float(N), scale, panel_nodes)
+        P2 = _rect_quadrature(H, float(N), cols, scale, panel_nodes)
         est = float(np.linalg.norm(P2 - P, "fro"))
         P = P2
         if est < refine_tol or scale >= 8:
@@ -426,36 +457,8 @@ def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64,
                            level_errors=level_errors, free_dimension=free_dim)
 
 
-def dump_projection(pair: ProjectionPair, path, fmt: str = "csv"):
-    """Export P in the operator dump format plus a JSON metadata sidecar.
-
-    csv: basis-index header row, then one row per index (row-major,
-    're+imj' entries).  npz: arrays 'indices', 'P', 'P0', 'B'.  The
-    sidecar '<path>.meta.json' carries the per-projection quality data.
-    """
-    import csv as _csv
-    import json as _json
-    from pathlib import Path as _Path
-
-    path = _Path(path)
-    if fmt == "npz":
-        np.savez(path, indices=np.array(pair.basis.indices),
-                 P=pair.P, P0=pair.P0, B=pair.B)
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["index"] + [str(k) for k in pair.basis.indices])
-            for k, row in zip(pair.basis.indices, pair.P):
-                writer.writerow([str(k)] + [f"{z.real:.17g}{z.imag:+.17g}j" for z in row])
-    else:
-        raise ValueError("fmt must be 'csv' or 'npz'")
-    meta = path.with_name(path.name + ".meta.json")
-    meta.write_text(_json.dumps(pair.metadata(), indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def validated_levels(H: HillMatrix, candidates, guard_frac: float = GUARD_FRACTION):
-    """Levels passing the spectral-side checks: parity, range, guard, count.
+    """Levels passing the preconditions of ``riesz_projection``.
 
     The smallest returned level is the empirical onset of the asymptotic
     regime for this potential and truncation (it is potential-dependent
@@ -463,15 +466,9 @@ def validated_levels(H: HillMatrix, candidates, guard_frac: float = GUARD_FRACTI
     """
     good = []
     for n in candidates:
-        bc = H.basis.bc
-        if not bc.level_ok(n) or not H.basis.contains_level(n):
-            continue
-        if H.basis.half_width < 4 * n:
-            continue
         try:
-            _contour_guard(H, complex(n * n), float(n), guard_frac)
-        except EigenvalueOnContour:
+            _level_cols(H, n, ContourSpec.for_level(n), guard_frac)
+        except (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch):
             continue
-        if eigen_count_in_disc(H, n) == bc.rank:
-            good.append(n)
+        good.append(n)
     return good

@@ -71,7 +71,8 @@ class TestDecay:
     def test_per_level_isolation(self, tmp_path):
         # v0 = 10 parks an eigenvalue cluster on the n = 10 contour and
         # empties the n = 8 disc: both levels are recorded as errors, the
-        # n = 12 neighbour still produces a record
+        # n = 12 neighbour still produces a record, and the failed levels
+        # fail the verdict
         cfgfile = tmp_path / "pot.json"
         cfgfile.write_text(json.dumps({
             "kind": "custom", "v0": [10.0, 0.0],
@@ -79,7 +80,7 @@ class TestDecay:
         code = run(["decay", "--potential", f"file:{cfgfile}", "--bc", "per+",
                     "--K", "48", "--n-min", "8", "--n-max", "12",
                     "--out", str(tmp_path)])
-        assert code == 0
+        assert code == 1
         payload = json.loads((tmp_path / "decay.json").read_text())
         assert sorted(r["n"] for r in payload["records"]) == [12]
         assert "RankMismatch" in payload["errors"]["8"]

@@ -37,12 +37,12 @@ class TestBasis:
 
 class TestFreeMatrix:
     def test_diagonals(self):
-        assert np.array_equal(op.free_matrix(op.basis_for(BC.PER_PLUS, 4)).diag0,
-                              [16, 4, 0, 4, 16])
-        assert np.array_equal(op.free_matrix(op.basis_for(BC.PER_MINUS, 5)).diag0,
-                              [25, 9, 1, 1, 9, 25])
-        assert np.array_equal(op.free_matrix(op.basis_for(BC.DIRICHLET, 3)).diag0,
-                              [1, 4, 9])
+        assert np.array_equal(op.assemble(BC.PER_PLUS, pot.zero(), 8).diag0,
+                              [64, 36, 16, 4, 0, 4, 16, 36, 64])
+        assert np.array_equal(op.assemble(BC.PER_MINUS, pot.zero(), 8).diag0,
+                              [49, 25, 9, 1, 1, 9, 25, 49])
+        assert np.array_equal(op.assemble(BC.DIRICHLET, pot.zero(), 8).diag0,
+                              [1, 4, 9, 16, 25, 36, 49, 64])
 
     def test_zero_potential_eigenvalues_are_squares(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 16)

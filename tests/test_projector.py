@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 import hillproj as hp
 from hillproj import potential as pot
@@ -109,20 +110,6 @@ class TestRieszProjection:
                     "nodes"):
             assert key in meta
 
-    def test_dump_projection(self, tmp_path):
-        import json
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
-        pair = hp.riesz_projection(H, 8)
-        path = prj.dump_projection(pair, tmp_path / "p.npz", fmt="npz")
-        data = np.load(path)
-        assert np.abs(data["P"] - pair.P).max() == 0.0
-        meta = json.loads((tmp_path / "p.npz.meta.json").read_text())
-        assert meta["n"] == 8 and "quad_error_est" in meta
-        csv_path = prj.dump_projection(pair, tmp_path / "p.csv", fmt="csv")
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].split(",")[0] == "index"
-        assert len(lines) == H.size + 1
-
 
 def full_inverse_projection(H, n, nodes=64, tol=1e-10, max_nodes=512):
     """Reference: trapezoid node sum of the full resolvent inverse.
@@ -197,6 +184,74 @@ class TestRankEngineVsFullInverse:
         pair = hp.riesz_projection(H, 8, tol=1e-30, max_nodes=64)
         assert pair.converged is False and pair.nodes_used == 64
         assert hp.riesz_projection(H, 8).converged is True
+
+
+def dense_rect_quadrature(H, N, panels_scale, panel_nodes=20):
+    """Reference: Gauss-Legendre panel sum of the full resolvent inverse.
+
+    Same rectangle, panels and nodes as rectangle_projection, but every
+    node inverts z - L densely, so the result has whatever rank the
+    rectangle holds.
+    """
+    nodes, weights = roots_legendre(panel_nodes)
+    ident = np.eye(H.size, dtype=complex)
+    acc = np.zeros((H.size, H.size), dtype=complex)
+    re_max = float(N * N + N)
+    corners = [complex(re_max, -N), complex(re_max, N), complex(-N, N),
+               complex(-N, -N), complex(re_max, -N)]
+    for a, b in zip(corners[:-1], corners[1:]):
+        n_panels = panels_scale * max(1, math.ceil(abs(b - a) / max(N, 4.0)))
+        for p in range(n_panels):
+            pa = a + (b - a) * p / n_panels
+            pb = a + (b - a) * (p + 1) / n_panels
+            half = (pb - pa) / 2.0
+            for t, w in zip(nodes, weights):
+                z = (pa + pb) / 2.0 + half * t
+                acc += (w * half) * np.linalg.inv(z * ident - H.L)
+    return acc / (2.0j * np.pi)
+
+
+def dense_rectangle_projection(H, N, refine_tol=1e-9):
+    """The panel doubling of rectangle_projection over the dense node sum."""
+    P, scale = dense_rect_quadrature(H, N, 1), 2
+    while True:
+        P2 = dense_rect_quadrature(H, N, scale)
+        est = np.linalg.norm(P2 - P, "fro")
+        P = P2
+        if est < refine_tol or scale >= 8:
+            return P, est
+        scale *= 2
+
+
+class TestRectangleVsDenseInverse:
+    """The rank-r rectangle block against the dense node sum it replaced."""
+
+    @pytest.mark.parametrize("pname", ["mathieu", "delta"])
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    def test_gallery(self, pname, bc):
+        p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
+        H = hp.assemble(bc, p, 48)
+        S, est = prj.rectangle_projection(H, 4)
+        S_ref, est_ref = dense_rectangle_projection(H, 4)
+        assert np.linalg.norm(S - S_ref, "fro") <= 1e-13
+        assert est < 1e-9 and est_ref < 1e-9
+
+    def test_non_hermitian_potential(self):
+        p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)])
+        H = hp.assemble(BC.PER_PLUS, p, 48)
+        assert np.abs(H.L - H.L.T).max() > 0.1
+        S, _ = prj.rectangle_projection(H, 4)
+        S_ref, _ = dense_rectangle_projection(H, 4)
+        assert np.linalg.norm(S - S_ref, "fro") <= 1e-13
+
+    def test_count_mismatch_raises(self):
+        # v0 = 10 leaves 3 eigenvalues in the N = 4 rectangle against the
+        # 5 free indices 0, +-2, +-4; the dense sum would return rank 3
+        p = pot.from_coeffs(10.0, [(2, 0.25), (-2, -0.25)])
+        H = hp.assemble(BC.PER_PLUS, p, 48)
+        assert abs(np.trace(dense_rect_quadrature(H, 4, 1)) - 3) < 1e-8
+        with pytest.raises(prj.RankMismatch):
+            prj.rectangle_projection(H, 4)
 
 
 class TestFirstOrderResidue:
