@@ -244,13 +244,16 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
     H = assemble(cfg.bc, cfg.pot, cfg.K)
     levels = projector.validated_levels(H, cfg.levels())
     picks = levels[:: max(1, len(levels) // 3)][:3]
-    results = []
+    results, unconverged = [], []
     ok = True
     for n in picks:
         pair = projector.riesz_projection(H, n, projector.ContourSpec.for_level(n, cfg.nodes))
         rep = norms.equivalence_check(pair, samples=cfg.samples, seed=cfg.seed)
         ok &= rep.passed
-        results.append({"type": "level", **rep.__dict__})
+        if not pair.converged:
+            unconverged.append(n)
+        results.append({"type": "level", **rep.__dict__,
+                        "quad_error_est": pair.quad_error_est, "converged": pair.converged})
     for N in (10, 20):
         if N > cfg.n_max or not levels:
             continue
@@ -269,7 +272,9 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
                      int(res["passed"]), int(res["regime_ok"])])
     _write_csv(cfg.out / "lpnorms.csv", rows, echo)
     _write_json(cfg.out / "lpnorms.json", {"results": results, "all_passed": ok}, echo)
-    return EXIT_OK if ok else EXIT_VERDICT
+    if unconverged:
+        print(f"lpnorms: quadrature did not converge at levels {unconverged}", file=sys.stderr)
+    return EXIT_OK if ok and not unconverged else EXIT_VERDICT
 
 
 # ---------------------------------------------------------------------------

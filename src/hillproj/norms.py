@@ -61,7 +61,7 @@ class TooFewRecords(ValueError):
 class DecayRecord:
     """Per-level norms of B(n) next to the analytic rate values.
 
-    The last four fields are the quadrature evidence of the projection:
+    The last six fields are the quadrature evidence of the projection:
     they go into the JSON records but not into the frozen CSV columns.
     """
 
@@ -79,6 +79,8 @@ class DecayRecord:
     nodes_used: int
     idempotency: float
     converged: bool
+    trace_defect: float
+    guard_margin: float
 
     def __post_init__(self):
         if not (self.t_n <= self.frob + 1e-12 and self.frob <= self.sum_abs_B + 1e-12):
@@ -112,6 +114,7 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
         rho_n=rho, eps_n=eps, kappa_n=kappa, bound64=bound64, bound_valid=valid,
         quad_error_est=pair.quad_error_est, nodes_used=pair.nodes_used,
         idempotency=pair.idempotency, converged=pair.converged,
+        trace_defect=pair.trace_defect, guard_margin=pair.guard_margin,
     )
 
 

@@ -130,11 +130,15 @@ def basis_for(bc: BoundaryCondition, half_width: int) -> BasisSpec:
 class HillMatrix:
     """Dense truncated matrix of L_bc, with its free diagonal part.
 
-    Immutable after assembly (arrays are marked read-only); eigen data is
-    computed lazily and cached since several consumers (localization
-    counts, contour guards, the dense-eigendecomposition projector) share
-    it.  Eigenvalues alone skip the eigenvectors unless ``eig()`` has
-    already computed them.
+    Immutable after assembly (arrays are marked read-only).  Derived data
+    is computed lazily and cached, since several consumers share it:
+    the eigenvalues (localization counts, contour guards), the full
+    eigendecomposition (the dense-eigendecomposition projector) and the
+    unitary Hessenberg form L = U A U^H (every contour quadrature, which
+    solves its shifted systems on A).  Eigenvalues alone skip the
+    eigenvectors unless ``eig()`` has already computed them; they never
+    come from the Hessenberg form, so the guards stay independent of the
+    quadrature.
     """
 
     def __init__(self, basis: BasisSpec, diag0: np.ndarray, Vmat: np.ndarray,
@@ -149,6 +153,7 @@ class HillMatrix:
             a.setflags(write=False)
         self._eig = None
         self._vals = None
+        self._hess = None
 
     @property
     def size(self) -> int:
@@ -168,6 +173,33 @@ class HillMatrix:
         if self._vals is None:
             self._vals = np.linalg.eigvals(self.L)
         return self._vals
+
+    def hessenberg(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (A, U) with L = U A U^H, A upper Hessenberg and U unitary.
+
+        Householder reflections I - v v^H (|v|^2 = 2) zero column k below
+        its subdiagonal; a column that is already zero there (every
+        column of a diagonal L) is skipped.  The entries of A below the
+        subdiagonal are set to exact zeros.
+        """
+        if self._hess is None:
+            A = self.L.copy()
+            U = np.eye(self.size, dtype=complex)
+            for k in range(self.size - 2):
+                x = A[k + 1:, k]
+                if not x[1:].any():
+                    continue
+                v = x.copy()
+                v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
+                v *= math.sqrt(2.0) / np.linalg.norm(v)
+                A[k + 1:, k:] -= np.outer(v, v.conj() @ A[k + 1:, k:])
+                A[:, k + 1:] -= np.outer(A[:, k + 1:] @ v, v.conj())
+                U[:, k + 1:] -= np.outer(U[:, k + 1:] @ v, v.conj())
+                A[k + 2:, k] = 0.0
+            for a in (A, U):
+                a.setflags(write=False)
+            self._hess = (A, U)
+        return self._hess
 
 
 def _coverage(covers, needed: np.ndarray) -> float:

@@ -2,8 +2,7 @@
 
 One engine serves every contour.  A projection P of rank r is recovered
 from its action on r free columns E = I[:, cols].  A contour rule with
-nodes z_j and weights w_j gives the moments (two r-column solves per
-node, ``_moments``)
+nodes z_j and weights w_j gives the moments (``_moments``)
 
     X ~ scale * sum_j w_j (z_j - L)^(-1) E       ~ P E,
     Y ~ scale * sum_j w_j (z_j - L)^(-T) E       ~ (E^T P)^T,
@@ -12,6 +11,13 @@ and ``_rank_r`` assembles P = X (E^T X)^(-1) Y^T, which is exact for a
 rank-r projection whenever E^T P E is invertible.  The formula forces
 rank r, so every contour must enclose exactly r eigenvalues: the guards
 check that count (``RankMismatch``) on the eigenvalues they compute.
+
+The shifted solves never factor z - L.  Each matrix is reduced once to
+the unitary Hessenberg form L = U A U^H (``HillMatrix.hessenberg``).
+Both directions then solve upper Hessenberg systems: z - A for X, and
+z - J A^T J (J the index reversal) for Y.  ``_hessenberg_sweep`` solves
+them with one bottom-up Givens sweep per node, vectorised over the
+nodes, in O(N^2 r) work and O(N r) memory per node.
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  It uses the
@@ -37,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .operator import BasisSpec, BoundaryCondition, HillMatrix
 from .potential import FourierPotential, per_to_dir
@@ -111,6 +116,7 @@ class ProjectionPair:
     quad_error_est: float
     nodes_used: int
     converged: bool  # quad_error_est fell below the requested tolerance
+    guard_margin: float  # nearest eigenvalue-to-circle distance / radius
     idempotency: float = field(init=False)
 
     def __post_init__(self):
@@ -131,6 +137,11 @@ class ProjectionPair:
     def rank_expected(self) -> int:
         return self.bc.rank
 
+    @property
+    def trace_defect(self) -> float:
+        """|trace P - r|: a projection of rank r has trace exactly r."""
+        return abs(self.trace - self.rank_expected)
+
     def metadata(self) -> dict:
         return {
             "n": self.n,
@@ -141,24 +152,28 @@ class ProjectionPair:
             "quad_error_est": self.quad_error_est,
             "converged": self.converged,
             "idempotency_residual": self.idempotency,
+            "trace_defect": self.trace_defect,
+            "guard_margin": self.guard_margin,
             "nodes": self.nodes_used,
         }
 
 
 def _contour_guard(H: HillMatrix, center: complex, radius: float,
-                   guard_frac: float) -> np.ndarray:
-    """Raise if an eigenvalue is near the circle; return the eigenvalues."""
+                   guard_frac: float) -> tuple[np.ndarray, float]:
+    """Raise if an eigenvalue is near the circle; return the eigenvalues and
+    the guard margin (nearest eigenvalue-to-circle distance / radius)."""
     vals = H.eigenvalues()
     dist = np.abs(np.abs(vals - center) - radius)
     if dist.min() < guard_frac * radius:
         raise EigenvalueOnContour(
             f"eigenvalue within {guard_frac:.2f}*radius of |z-{center}|={radius}")
-    return vals
+    return vals, float(dist.min()) / radius
 
 
 def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
-                guard_frac: float) -> np.ndarray:
-    """Check the preconditions of ``riesz_projection``; return the positions of e_{+-n}."""
+                guard_frac: float) -> tuple[np.ndarray, float]:
+    """Check the preconditions of ``riesz_projection``; return the positions
+    of e_{+-n} and the guard margin."""
     bc, basis = H.basis.bc, H.basis
     if not bc.level_ok(n):
         raise IndexOutOfBasis(f"level {n} has wrong parity for {bc.value}")
@@ -169,26 +184,92 @@ def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
             f"half-width {basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
             "degrades when the contour approaches the truncation edge")
     c, R = contour.center, contour.radius
-    vals = _contour_guard(H, c, R, guard_frac)
+    vals, margin = _contour_guard(H, c, R, guard_frac)
     inside = int(np.count_nonzero(np.abs(vals - c) < R))
     if inside != bc.rank:
         raise RankMismatch(
             f"{inside} eigenvalue(s) in |z-{c}|<{R}, expected {bc.rank} for {bc.value}")
-    return np.array(sorted(basis.position(k) for k in (n, -n)[:bc.rank]))
+    return np.array(sorted(basis.position(k) for k in (n, -n)[:bc.rank])), margin
+
+
+_NODE_BLOCK = 128  # nodes per sweep: bounds the work arrays at O(_NODE_BLOCK * N * r)
+
+
+def _hessenberg_sweep(hs: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Solutions x[d, j] of (z_j - hs[d]) x = rhs[d] for upper Hessenberg hs.
+
+    ``hs`` is D x N x N, ``rhs`` is D x r x N (right-hand sides as rows)
+    and the result is D x Q x r x N for the Q shifts ``zs``.  A bottom-up
+    Givens RQ of z - hs: step k rotates columns k-1 and k to zero the
+    subdiagonal entry (k, k-1), which completes column k of the
+    triangular factor, so it fixes y_k and updates the right-hand sides.
+    Only the column being reduced is kept, so each shift costs O(N^2 r)
+    work and O(N r) memory.  A second pass applies the stored rotations
+    to y.
+    """
+    D, N, _ = hs.shape
+    Q = len(zs)
+    # index-major work arrays (row, [rhs,] d, node), so every update is
+    # one contiguous block of rows; negcols[k, i, d] = -hs[d, i, k] and
+    # h[k - 1, d] is the entry (k, k-1) of z - hs[d], the same for every z
+    negcols = np.ascontiguousarray(-np.transpose(hs, (2, 1, 0))[..., None])
+    h = -np.diagonal(hs, offset=-1, axis1=1, axis2=2).T[..., None]
+    v = np.empty((N, D, Q), dtype=complex)  # column k of the partly reduced z - hs
+    v[:] = negcols[N - 1]
+    v[N - 1] += zs
+    y = np.empty((N, rhs.shape[1], D, Q), dtype=complex)  # right-hand sides, then y
+    y[:] = np.transpose(rhs, (2, 1, 0))[..., None]
+    cs = np.empty((N, D, Q), dtype=complex)
+    ss = np.empty((N, D, Q), dtype=complex)
+    habs = np.abs(h)
+    for k in range(N - 1, 0, -1):
+        rho = np.hypot(habs[k - 1], np.abs(v[k]))
+        c = cs[k] = v[k] / rho
+        s = ss[k] = h[k - 1] / rho
+        yk = y[k] = y[k] / rho
+        u, vk = negcols[k - 1, :k], v[:k]
+        # [column k-1, column k] <- [u, v] [[c, conj(s)], [-s, conj(c)]]
+        sc = s.conj()
+        col_k = sc * u + c.conj() * vk
+        col_k[k - 1] += sc * zs
+        y[:k] -= col_k[:, None] * yk
+        np.subtract(c * u, s * vk, out=vk)
+        vk[k - 1] += c * zs
+    y[0] /= v[0]
+    ccs, scs = cs.conj(), ss.conj()
+    for k in range(1, N):
+        lo, hi = y[k - 1].copy(), y[k]
+        y[k - 1] = cs[k] * lo + scs[k] * hi
+        y[k] = ccs[k] * hi - ss[k] * lo
+    return np.transpose(y, (2, 3, 1, 0))
 
 
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
              ws: np.ndarray) -> np.ndarray:
-    """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r."""
-    r = len(cols)
-    ident = np.eye(H.size, dtype=complex)
-    E = ident[:, cols]
-    acc = np.zeros((H.size, 2 * r), dtype=complex)
-    for z, w in zip(zs, ws):
-        A = z * ident - H.L
-        acc[:, :r] += w * np.linalg.solve(A, E)
-        acc[:, r:] += w * np.linalg.solve(A.T, E)
-    return acc
+    """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r.
+
+    Each leading axis of ``ws`` (one weight row per sum) is a leading axis
+    of the result.  With L = U A U^H from ``H.hessenberg()``,
+
+        (z - L)^-1 E = U (z - A)^-1 U^H E,
+        (z - L)^-T E = conj(U) J (z - J A^T J)^-1 J U^T E,
+
+    J the index reversal; A and J A^T J are both upper Hessenberg, so one
+    sweep serves both directions.  Nodes go through in blocks of
+    ``_NODE_BLOCK``.
+    """
+    A, U = H.hessenberg()
+    hs = np.stack([A, A.T[::-1, ::-1]])
+    Ue = U[cols]
+    rhs = np.stack([Ue.conj(), Ue[:, ::-1]])
+    acc = 0.0
+    for i in range(0, len(zs), _NODE_BLOCK):
+        blk = slice(i, i + _NODE_BLOCK)
+        x = _hessenberg_sweep(hs, rhs, zs[blk])
+        acc = acc + np.einsum("...j,djrn->...drn", ws[..., blk], x)
+    X = acc[..., 0, :, :] @ U.T
+    Y = acc[..., 1, :, ::-1] @ U.conj().T
+    return np.swapaxes(np.concatenate([X, Y], axis=-2), -1, -2)
 
 
 def _rank_r(M: np.ndarray, cols: np.ndarray, scale: complex) -> np.ndarray:
@@ -225,19 +306,19 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
     """
     if contour is None:
         contour = ContourSpec.for_level(n)
-    cols = _level_cols(H, n, contour, guard_frac)
+    cols, margin = _level_cols(H, n, contour, guard_frac)
     c, R = contour.center, contour.radius
 
-    def moments(thetas: np.ndarray) -> np.ndarray:
+    def moments(thetas: np.ndarray, masks=True) -> np.ndarray:
         w = np.exp(1j * thetas)
-        return _moments(H, cols, c + R * w, w)
+        return _moments(H, cols, c + R * w, masks * w)
 
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
-    # error estimate costs no extra resolvent solves
+    # error estimate costs no extra resolvent solves: one sweep over the
+    # Q-grid gives both the even-node sum and the full sum
     Q = contour.nodes
-    thetas = 2.0 * np.pi * np.arange(Q) / Q
-    M_even = moments(thetas[::2])
-    M = M_even + moments(thetas[1::2])
+    even = np.arange(Q) % 2 == 0
+    M_even, M = moments(2.0 * np.pi * np.arange(Q) / Q, np.stack([even, np.ones_like(even)]))
     P = _rank_r(M, cols, R / Q)
     est = float(np.linalg.norm(P - _rank_r(M_even, cols, R / (Q // 2)), "fro"))
     while est >= tol and Q < max_nodes:
@@ -250,7 +331,8 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
 
     P0 = free_projection(H.basis, n)
     return ProjectionPair(n=n, basis=H.basis, P=P, P0=P0, B=P - P0,
-                          quad_error_est=est, nodes_used=Q, converged=est < tol)
+                          quad_error_est=est, nodes_used=Q, converged=est < tol,
+                          guard_margin=margin)
 
 
 def _coupling_entry(pot, bc: BoundaryCondition, k: int, m: int) -> complex:
@@ -374,7 +456,7 @@ def _rect_guard(H: HillMatrix, N: float, guard_frac: float) -> np.ndarray:
 
 def _rect_quadrature(H: HillMatrix, N: float, cols: np.ndarray, panels_scale: int,
                      panel_nodes: int) -> np.ndarray:
-    nodes, weights = roots_legendre(panel_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(panel_nodes)
     zs, ws = [], []
     corners = _rect_corners(N)
     for a, b in zip(corners[:-1], corners[1:]):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +99,12 @@ class TestDecay:
             assert rec["quad_error_est"] < 1e-10
             assert rec["nodes_used"] == 64
             assert rec["idempotency"] < 1e-8
+            assert rec["trace_defect"] < 1e-8
+            # the guard refuses margins below 5% of the radius
+            assert 0.05 <= rec["guard_margin"] <= 1.0
         header = read_csv_body(tmp_path / "decay_records.csv")[0].split(",")
-        assert "converged" not in header and "nodes_used" not in header
+        for field in ("converged", "nodes_used", "trace_defect", "guard_margin"):
+            assert field not in header
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch):
         import hillproj.projector as prj
@@ -168,6 +175,40 @@ class TestLpNorms:
         assert code == 0
         payload = json.loads((tmp_path / "lpnorms.json").read_text())
         assert payload["all_passed"] and payload["results"]
+        for res in payload["results"]:
+            if res["type"] == "level":
+                assert res["converged"] is True and res["quad_error_est"] < 1e-10
+
+    def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch, capsys):
+        import hillproj.projector as prj
+        real = prj.riesz_projection
+        monkeypatch.setattr(prj, "riesz_projection",
+                            lambda H, n, contour: real(H, n, contour, tol=1e-30,
+                                                       max_nodes=64))
+        code = run(["lpnorms", "--potential", "mathieu:1.0", "--bc", "per+",
+                    "--K", "48", "--n-min", "8", "--n-max", "12",
+                    "--samples", "50", "--out", str(tmp_path)])
+        assert code == 1
+        assert "did not converge" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "lpnorms.json").read_text())
+        levels = [res for res in payload["results"] if res["type"] == "level"]
+        assert levels and all(res["converged"] is False for res in levels)
+        header = read_csv_body(tmp_path / "lpnorms.csv")[0]
+        assert header == "type,level,samples,max_ratio,bound,passed,regime_ok"
+
+
+class TestImports:
+    def test_package_loads_no_scipy(self):
+        # scipy serves the tests only; importing it would cost every CLI
+        # process its start-up time and resident memory
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys, hillproj, hillproj.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
 
 class TestVerify:

@@ -142,6 +142,72 @@ def full_inverse_projection(H, n, nodes=64, tol=1e-10, max_nodes=512):
     return P, Q
 
 
+NON_HERMITIAN = [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)]
+LEVELS = [(BC.PER_PLUS, 10), (BC.PER_MINUS, 9), (BC.DIRICHLET, 8)]
+
+
+def gallery_potential(pname):
+    return {"mathieu": lambda: pot.mathieu(1.0),
+            "delta": lambda: pot.delta_comb(0.5, max_index=512),
+            "complex": lambda: pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN),
+            "zero": pot.zero}[pname]()
+
+
+def solve_moments(H, cols, zs, ws):
+    """Reference: sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E], one dense solve each."""
+    E = np.eye(H.size)[:, cols]
+    acc = np.zeros((H.size, 2 * len(cols)), dtype=complex)
+    for z, w in zip(zs, ws):
+        A = z * np.eye(H.size) - H.L
+        acc += w * np.hstack([np.linalg.solve(A, E), np.linalg.solve(A.T, E)])
+    return acc
+
+
+class TestHessenbergResolvent:
+    """The Hessenberg reduction and the shifted Givens sweep of ``_moments``."""
+
+    @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex", "zero"])
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    def test_reduction(self, pname, bc):
+        H = hp.assemble(bc, gallery_potential(pname), 48)
+        A, U = H.hessenberg()
+        assert H.hessenberg()[0] is A  # cached
+        assert not np.tril(A, -2).any()
+        assert np.linalg.norm(U.conj().T @ U - np.eye(H.size)) <= 1e-13
+        L_norm = np.linalg.norm(H.L)
+        assert np.linalg.norm(U @ A @ U.conj().T - H.L) <= 1e-13 * L_norm
+        if pname == "zero":
+            # L is diagonal: every reflector is skipped
+            assert np.array_equal(U, np.eye(H.size)) and np.array_equal(A, H.L)
+
+    @pytest.mark.parametrize("count", [1, prj._NODE_BLOCK + 3])
+    @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex", "zero"])
+    @pytest.mark.parametrize("bc,n", LEVELS)
+    def test_moments_vs_dense_solve(self, pname, bc, n, count):
+        H = hp.assemble(bc, gallery_potential(pname), 48)
+        cols = np.array(sorted(H.basis.position(k) for k in (n, -n)[:bc.rank]))
+        rng = np.random.default_rng(count)
+        zs = n * n + n * np.exp(2j * PI * (np.arange(count) + 0.25) / count)
+        ws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        M = prj._moments(H, cols, zs, ws)
+        M_ref = solve_moments(H, cols, zs, ws)
+        r = len(cols)
+        for got, ref in ((M[:, :r], M_ref[:, :r]), (M[:, r:], M_ref[:, r:])):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_weight_rows_share_one_sweep(self):
+        # leading axes of the weights give one sum per row, as the level
+        # projection uses for its even-node and full sums
+        H = hp.assemble(BC.PER_PLUS, gallery_potential("complex"), 48)
+        cols = np.array([H.basis.position(-8), H.basis.position(8)])
+        zs = 64 + 8 * np.exp(2j * PI * (np.arange(16) + 0.25) / 16)
+        ws = np.stack([np.arange(16) % 2 == 0, np.ones(16)]) * np.exp(1j * np.arange(16))
+        M = prj._moments(H, cols, zs, ws)
+        assert M.shape == (2, H.size, 4)
+        for row in range(2):
+            assert np.allclose(M[row], prj._moments(H, cols, zs, ws[row]), rtol=0, atol=1e-15)
+
+
 class TestRankEngineVsFullInverse:
     """The rank-r moment formula against the dense node sum it replaced."""
 
