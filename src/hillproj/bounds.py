@@ -170,7 +170,7 @@ def _vabs_lookup(source, max_offset: int) -> np.ndarray:
     stands in for |V| through its worst case |d| r(|d|).
     """
     if isinstance(source, FourierPotential):
-        return source.vabs_table(max_offset)
+        return np.abs(source.v_table(max_offset))
     if isinstance(source, MajorantSeq):
         d = np.arange(-max_offset, max_offset + 1)
         return np.abs(d) * source.table(max_offset)[np.abs(d)]
@@ -484,7 +484,7 @@ def a0_sum(pot, bc: BoundaryCondition, n: int, cutoff: int) -> float:
     if bc.is_periodic_family:
         idx = lattice(n, cutoff, 2, (n, -n))
         off = int(np.abs(idx).max(initial=0)) + n
-        vabs = pot.vabs_table(off)
+        vabs = np.abs(pot.v_table(off))
         wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
         return float(2.0 * ((vabs[(idx - n) + off] + vabs[(idx + n) + off]) * wsq).sum())
     ks = np.arange(1, cutoff + 1)
@@ -581,7 +581,7 @@ def _default_m_samples(n: int, cutoff: int, step: int) -> np.ndarray:
 def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
                 potential: FourierPotential | None = None,
                 rho_constant: float = 8.0, s_max: int = 4, p_max: int = 4,
-                step: int = 2, m_samples=None) -> SeriesReport:
+                m_samples=None) -> SeriesReport:
     """Evaluate the inequality suite for one majorant and level.
 
     All left-hand sides are truncated sums (which only under-count), so a
@@ -591,8 +591,10 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     under-counts right-hand-side sups as well, which keeps every
     comparison conservative.  Comparisons allow a relative 1e-12 slack:
     for majorants with symmetric |w| several inequalities are exact
-    equalities, where rounding alone decides the sign.
+    equalities, where rounding alone decides the sign.  The sums run on
+    the majorant's lattice, step ``r.step``.
     """
+    step = r.step
     if n < 4:
         raise ValueError("the single-step bounds need n >= 4")
     if cutoff is None:

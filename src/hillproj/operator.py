@@ -14,11 +14,9 @@ on top of v0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "HillMatrix",
     "basis_for",
     "assemble",
-    "dump_matrix",
 ]
 
 
@@ -202,13 +199,6 @@ class HillMatrix:
         return self._hess
 
 
-def _coverage(covers, needed: np.ndarray) -> float:
-    """Share of the needed coupling indices (with repeats) that ``covers`` accepts."""
-    uniq, counts = np.unique(needed, return_counts=True)
-    covered = np.array([covers(int(d)) for d in uniq])
-    return float((counts * covered).sum() / counts.sum()) if counts.sum() else 1.0
-
-
 def _per_vmat(pot: FourierPotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
     idx = np.array(basis.indices)
     off = idx[:, None] - idx[None, :]
@@ -216,7 +206,8 @@ def _per_vmat(pot: FourierPotential, basis: BasisSpec) -> tuple[np.ndarray, floa
     tab = pot.v_table(D)
     V = tab[off + D]
     V = V + complex(pot.v0) * np.eye(len(idx))
-    return V, _coverage(pot.covers, np.abs(off[off != 0]))
+    # coverage: the share of the needed coupling indices, with repeats, that are known
+    return V, float(np.mean(pot.covers(np.abs(off[off != 0]))))
 
 
 def _dir_vmat(sp: SinePotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
@@ -226,7 +217,7 @@ def _dir_vmat(sp: SinePotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
     tab = sp.qt_table(int(summ.max()))
     V = (diff * tab[diff] - summ * tab[summ]) / math.sqrt(2.0)
     V = V + complex(sp.v0) * np.eye(len(idx))
-    return V, _coverage(sp.covers, np.concatenate([diff[diff != 0].ravel(), summ.ravel()]))
+    return V, float(np.mean(sp.covers(np.concatenate([diff[diff != 0], summ.ravel()]))))
 
 
 def assemble(bc: BoundaryCondition,
@@ -259,25 +250,3 @@ def assemble(bc: BoundaryCondition,
             "store more coefficients or shrink the basis")
     diag0 = np.array([float(k * k) for k in basis.indices])
     return HillMatrix(basis, diag0, V, coverage=coverage, label=label)
-
-
-def dump_matrix(H: HillMatrix, path: str | Path, fmt: str = "csv") -> Path:
-    """Debug dump of the assembled matrix.
-
-    csv: first row is the basis index header, then one row per basis
-    index, entries rendered as 're+imj' strings, row-major.
-    npz: arrays 'indices', 'L', 'diag0', 'Vmat'.
-    """
-    path = Path(path)
-    if fmt == "npz":
-        np.savez(path, indices=np.array(H.basis.indices),
-                 L=H.L, diag0=H.diag0, Vmat=H.Vmat)
-        return path
-    if fmt != "csv":
-        raise ValueError("fmt must be 'csv' or 'npz'")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [str(k) for k in H.basis.indices])
-        for k, row in zip(H.basis.indices, H.L):
-            writer.writerow([str(k)] + [f"{z.real:.17g}{z.imag:+.17g}j" for z in row])
-    return path

@@ -22,13 +22,15 @@ terms) when Q has no cosine component, i.e. w(-m) == -w(m); otherwise
 the odd-index sine coefficients decay like 1/m and the conversion is a
 genuine infinite series, truncated at ``max_sine``.
 
-All ell^2 statements (norms, tail energies) are evaluated over the
-stored truncation range.
+The constructors take each coefficient sequence (w, qt and the majorant
+r) as a Mapping {m: value} and store it sparse, as sorted index and value
+arrays, so a few far indices cost nothing; consumers read dense windows
+of it.  All ell^2 statements (norms, tail energies) are evaluated over
+the stored truncation range.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,8 +53,6 @@ __all__ = [
     "majorant",
     "majorant_dir",
     "per_to_dir",
-    "q_grid",
-    "q_grid_sine",
     "from_config",
     "parse_potential_arg",
 ]
@@ -70,6 +70,64 @@ class ZeroIndex(ValueError):
     """Index 0 is reserved: the antiderivative Q has zero mean."""
 
 
+class _Coeffs:
+    """A sparse coefficient sequence: sorted unique int64 indices and their values.
+
+    Zero wherever no index is stored.  Read through ``get``, ``window``
+    and ``sumsq``; both arrays are read-only.
+    """
+
+    __slots__ = ("idx", "val")
+
+    def __init__(self, idx: np.ndarray, val: np.ndarray):
+        self.idx, self.val = idx, val
+        for a in (idx, val):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, data, dtype) -> "_Coeffs":
+        """Sort and check a Mapping {index: value}; a _Coeffs passes through."""
+        if isinstance(data, cls):
+            return data
+        idx = np.fromiter(data.keys(), dtype=np.int64, count=len(data))
+        val = np.fromiter(data.values(), dtype=dtype, count=len(data))
+        bad = idx[~np.isfinite(val)]
+        if len(bad):
+            raise ValueError(f"non-finite coefficient at index {bad[0]}")
+        order = np.argsort(idx)
+        return cls(idx[order], val[order])
+
+    def get(self, m):
+        """The value at each index m (scalar or array), zero where none is stored."""
+        m = np.asarray(m, dtype=np.int64)
+        if not len(self.idx):
+            return np.zeros(m.shape, self.val.dtype)[()]
+        pos = np.minimum(np.searchsorted(self.idx, m), len(self.idx) - 1)
+        return np.where(self.idx[pos] == m, self.val[pos], 0)[()]
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Dense values over the indices lo..hi, entry m - lo."""
+        out = np.zeros(hi - lo + 1, dtype=self.val.dtype)
+        a, b = np.searchsorted(self.idx, [lo, hi + 1])
+        out[self.idx[a:b] - lo] = self.val[a:b]
+        return out
+
+    def sumsq(self, t: float = -math.inf) -> float:
+        """sum |value|^2 over the stored indices >= t."""
+        return float(np.sum(_abs(self.val[np.searchsorted(self.idx, t):]) ** 2))
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| bit for bit as Python's abs() (libm hypot); numpy's complex abs is not."""
+    return np.hypot(z.real, z.imag)
+
+
+def _isclose(a: np.ndarray, b: np.ndarray) -> bool:
+    """cmath.isclose(a, b, abs_tol=1e-15) (rel_tol 1e-9) at every entry."""
+    tol = np.maximum(1e-9 * np.maximum(_abs(a), _abs(b)), 1e-15)
+    return bool(np.all(_abs(b - a) <= tol))
+
+
 @dataclass(frozen=True)
 class FourierPotential:
     """Exponential-side data of v = v0 + Q'.
@@ -80,22 +138,21 @@ class FourierPotential:
     """
 
     v0: complex
-    w: Mapping[int, complex]
+    w: Mapping[int, complex] | _Coeffs
     max_index: int
     complete: bool = False
 
     def __post_init__(self):
-        for m, c in self.w.items():
-            if m == 0:
-                raise ZeroIndex("w(0) is fixed to 0 by the zero-mean normalisation")
-            if m % 2 != 0:
-                raise OddIndex(f"index {m} is odd; the exponential lattice is 2Z")
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient at index {m}")
+        w = _Coeffs.of(self.w, complex)
+        if (w.idx == 0).any():
+            raise ZeroIndex("w(0) is fixed to 0 by the zero-mean normalisation")
+        if (w.idx % 2).any():
+            raise OddIndex(f"index {w.idx[w.idx % 2 != 0][0]} is odd; the lattice is 2Z")
+        object.__setattr__(self, "w", w)
 
     def wc(self, m: int) -> complex:
         """Stored coefficient w(m), zero if absent."""
-        return complex(self.w.get(m, 0.0))
+        return complex(self.w.get(m))
 
     def V(self, m: int) -> complex:
         """Interaction coefficient V(m) = m * w(m); V(0) = 0."""
@@ -103,40 +160,28 @@ class FourierPotential:
 
     @property
     def l2_w(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.w.values()))
+        return math.sqrt(self.w.sumsq())
 
     @property
     def hermitian_w(self) -> bool:
         """w(-m) == conj(w(m)), i.e. Q is real-valued."""
-        return all(
-            cmath.isclose(self.wc(-m), self.wc(m).conjugate(), abs_tol=1e-15)
-            for m in self.w
-        )
+        return _isclose(self.w.get(-self.w.idx), self.w.val.conj())
 
     @property
     def selfadjoint(self) -> bool:
         """V(-m) == conj(V(m)) and v0 real: the assembled matrix is Hermitian."""
         if abs(complex(self.v0).imag) > 1e-15:
             return False
-        return all(
-            cmath.isclose(self.V(-m), self.V(m).conjugate(), abs_tol=1e-15)
-            for m in self.w
-        )
+        m = self.w.idx
+        return _isclose(-m * self.w.get(-m), (m * self.w.val).conj())
 
-    def covers(self, m: int) -> bool:
-        """Whether index m is inside the known range (stored or true zero)."""
-        return self.complete or abs(m) <= self.max_index
+    def covers(self, m):
+        """Whether index m (scalar or array) is in the known range (stored or true zero)."""
+        return self.complete | (np.abs(m) <= self.max_index)
 
     def v_table(self, max_offset: int) -> np.ndarray:
         """V(d) for d in [-max_offset, max_offset], indexed d + max_offset."""
-        tab = np.zeros(2 * max_offset + 1, dtype=complex)
-        for m, c in self.w.items():
-            if abs(m) <= max_offset:
-                tab[m + max_offset] = m * c
-        return tab
-
-    def vabs_table(self, max_offset: int) -> np.ndarray:
-        return np.abs(self.v_table(max_offset))
+        return _Coeffs(self.w.idx, self.w.idx * self.w.val).window(-max_offset, max_offset)
 
 
 @dataclass(frozen=True)
@@ -144,37 +189,30 @@ class SinePotential:
     """Sine-side data: Q(x) = sum_{m>=1} qt(m) sqrt(2) sin(m x), plus v0."""
 
     v0: complex
-    qt: Mapping[int, complex]
+    qt: Mapping[int, complex] | _Coeffs
     max_index: int
     complete: bool = False
 
     def __post_init__(self):
-        for m, c in self.qt.items():
-            if m < 1:
-                raise ValueError("sine indices start at 1; qt(0) is fixed to 0")
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient at index {m}")
+        qt = _Coeffs.of(self.qt, complex)
+        if (qt.idx < 1).any():
+            raise ValueError("sine indices start at 1; qt(0) is fixed to 0")
+        object.__setattr__(self, "qt", qt)
 
     def qc(self, m: int) -> complex:
         """qt(m) with qt(0) = 0 and zero outside the stored range."""
-        if m <= 0:
-            return 0.0
-        return complex(self.qt.get(m, 0.0))
+        return complex(self.qt.get(m))
 
     @property
     def l2_qt(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.qt.values()))
+        return math.sqrt(self.qt.sumsq())
 
-    def covers(self, m: int) -> bool:
-        return self.complete or m <= self.max_index
+    def covers(self, m):
+        return self.complete | (np.asarray(m) <= self.max_index)
 
     def qt_table(self, max_index: int) -> np.ndarray:
         """qt(m) for 0 <= m <= max_index as a dense vector."""
-        tab = np.zeros(max_index + 1, dtype=complex)
-        for m, c in self.qt.items():
-            if m <= max_index:
-                tab[m] = c
-        return tab
+        return self.qt.window(0, max_index)
 
 
 @dataclass(frozen=True)
@@ -187,43 +225,37 @@ class MajorantSeq:
     ``norm^2 = r(0)^2 + 2 sum_{m>0} r(m)^2``.
     """
 
-    r: Mapping[int, float]
+    r: Mapping[int, float] | _Coeffs
     step: int
     norm: float = field(init=False)
 
     def __post_init__(self):
-        for m, v in self.r.items():
-            if m < 0:
-                raise ValueError("majorant entries are stored for m >= 0 only")
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"majorant value at {m} must be finite and >= 0")
-        if self.r.get(0, 0.0) != 0.0:
+        r = _Coeffs.of(self.r, float)
+        if (r.idx < 0).any():
+            raise ValueError("majorant entries are stored for m >= 0 only")
+        if (r.val < 0).any():
+            raise ValueError(f"majorant value at {r.idx[r.val < 0][0]} must be >= 0")
+        if r.get(0) != 0.0:
             raise ValueError("r(0) must be 0")
-        sq = sum(v * v for m, v in self.r.items() if m > 0)
-        object.__setattr__(self, "norm", math.sqrt(2.0 * sq))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "norm", math.sqrt(2.0 * r.sumsq(1)))
 
     def get(self, m: int) -> float:
-        return float(self.r.get(abs(int(m)), 0.0))
+        return float(self.r.get(abs(int(m))))
 
     @property
     def max_index(self) -> int:
-        nz = [m for m, v in self.r.items() if v > 0]
-        return max(nz) if nz else 0
+        return int(self.r.idx[self.r.val > 0].max(initial=0))
 
     def tail_energy(self, threshold: float) -> float:
         """(sum_{|i| >= threshold} r(i)^2)^(1/2) over stored indices."""
         if threshold <= 0:
             return self.norm
-        sq = sum(v * v for m, v in self.r.items() if m >= threshold)
-        return math.sqrt(2.0 * sq)
+        return math.sqrt(2.0 * self.r.sumsq(threshold))
 
     def table(self, max_abs: int) -> np.ndarray:
         """r(|j|) for 0 <= |j| <= max_abs as a dense vector (index |j|)."""
-        tab = np.zeros(max_abs + 1)
-        for m, v in self.r.items():
-            if m <= max_abs:
-                tab[m] = v
-        return tab
+        return self.r.window(0, max_abs)
 
 
 def from_coeffs(v0: complex, entries: Iterable[tuple[int, complex]],
@@ -232,15 +264,11 @@ def from_coeffs(v0: complex, entries: Iterable[tuple[int, complex]],
     w: dict[int, complex] = {}
     for m, c in entries:
         m = int(m)
-        if m == 0:
-            raise ZeroIndex("index 0 is not allowed")
-        if m % 2 != 0:
-            raise OddIndex(f"index {m} is odd")
         if m in w:
             raise DuplicateIndex(f"index {m} given twice")
         w[m] = complex(c)
     if max_index is None:
-        max_index = max((abs(m) for m in w), default=0)
+        max_index = max(map(abs, w), default=0)
     return FourierPotential(complex(v0), w, max_index, complete=complete)
 
 
@@ -254,6 +282,12 @@ def mathieu(coupling: float = 1.0) -> FourierPotential:
     return FourierPotential(0.0, {2: c / 2, -2: -c / 2}, 2, complete=True)
 
 
+def _even_lattice(max_index: int) -> np.ndarray:
+    """The even m != 0 with |m| <= max_index, ascending."""
+    m = 2 * np.arange(-(max_index // 2), max_index // 2 + 1)
+    return m[m != 0]
+
+
 def delta_comb(mass: float = 1.0, max_index: int = 512) -> FourierPotential:
     """Periodic delta of the given mass at x = 0 (mod pi).
 
@@ -265,8 +299,8 @@ def delta_comb(mass: float = 1.0, max_index: int = 512) -> FourierPotential:
         raise ValueError("mass must be finite")
     if mass == 0.0:
         return zero()
-    w = {m: mass / (math.pi * m) for m in range(-max_index, max_index + 1)
-         if m != 0 and m % 2 == 0}
+    m = _even_lattice(max_index)
+    w = _Coeffs(m, (mass / (math.pi * m)).astype(complex))
     return FourierPotential(mass / math.pi, w, max_index, complete=False)
 
 
@@ -281,25 +315,22 @@ def sawtooth(amplitude: float = 1.0, max_index: int = 512) -> FourierPotential:
         raise ValueError("amplitude must be finite")
     if amplitude == 0.0:
         return zero()
-    w = {m: -1j * amplitude / (math.pi * m * m)
-         for m in range(-max_index, max_index + 1) if m != 0 and m % 2 == 0}
+    m = _even_lattice(max_index)
+    w = _Coeffs(m, -1j * (amplitude / (math.pi * m * m)))
     return FourierPotential(0.0, w, max_index, complete=False)
 
 
 def majorant(p: FourierPotential) -> MajorantSeq:
     """r(m) = max(|w(m)|, |w(-m)|) on the even lattice."""
-    r: dict[int, float] = {}
-    for m in p.w:
-        a = abs(m)
-        r[a] = max(abs(p.wc(a)), abs(p.wc(-a)))
-    r.pop(0, None)
-    return MajorantSeq(r, step=2)
+    a, slot = np.unique(np.abs(p.w.idx), return_inverse=True)
+    r = np.zeros(len(a))
+    np.maximum.at(r, slot, _abs(p.w.val))
+    return MajorantSeq(_Coeffs(a, r), step=2)
 
 
 def majorant_dir(sp: SinePotential) -> MajorantSeq:
     """r(m) = |qt(|m|)| on the integer lattice."""
-    r = {m: abs(c) for m, c in sp.qt.items() if abs(c) > 0}
-    return MajorantSeq(r, step=1)
+    return MajorantSeq(_Coeffs(sp.qt.idx, _abs(sp.qt.val)), step=1)
 
 
 def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
@@ -315,38 +346,21 @@ def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
     """
     if max_sine < 1:
         raise ValueError("max_sine must be >= 1")
-    ks = np.array(sorted(p.w.keys()), dtype=float)
-    ws = np.array([p.w[int(k)] for k in ks], dtype=complex)
-    qt: dict[int, complex] = {}
-    for m in range(1, max_sine + 1):
-        if m % 2 == 0:
-            val = 1j * (p.wc(m) - p.wc(-m)) / math.sqrt(2.0)
-        else:
-            if len(ks) == 0:
-                val = 0.0
-            else:
-                val = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(ws / (m * m - ks * ks))
-        if val != 0:
-            qt[m] = complex(val)
+    w = p.w
+    qt = np.zeros(max_sine + 1, dtype=complex)
+    ev = np.arange(2, max_sine + 1, 2)
+    # the real and imaginary parts are divided by sqrt(2) separately, as a
+    # Python complex is divided by a float (numpy multiplies by 1/sqrt(2))
+    qt[ev] = ((1j * (w.get(ev) - w.get(-ev))).view(float) / math.sqrt(2.0)).view(complex)
+    if len(w.idx):
+        ks = w.idx.astype(float)
+        for m in range(1, max_sine + 1, 2):
+            qt[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(w.val / (m * m - ks * ks))
+    ms = np.flatnonzero(qt)
     # The sine expansion terminates exactly only when Q has no cosine part.
-    pure_sine = all(abs(p.wc(m) + p.wc(-m)) <= 1e-15 for m in p.w)
-    return SinePotential(p.v0, qt, max_sine, complete=p.complete and pure_sine)
-
-
-def q_grid(p: FourierPotential, xs: np.ndarray) -> np.ndarray:
-    """Q(x) sampled from the exponential coefficients."""
-    vals = np.zeros_like(xs, dtype=complex)
-    for m, c in p.w.items():
-        vals += c * np.exp(1j * m * xs)
-    return vals
-
-
-def q_grid_sine(sp: SinePotential, xs: np.ndarray) -> np.ndarray:
-    """Q(x) sampled from the sine coefficients."""
-    vals = np.zeros_like(xs, dtype=complex)
-    for m, c in sp.qt.items():
-        vals += c * math.sqrt(2.0) * np.sin(m * xs)
-    return vals
+    pure_sine = bool(np.all(_abs(w.val + w.get(-w.idx)) <= 1e-15))
+    return SinePotential(p.v0, _Coeffs(ms, qt[ms]), max_sine,
+                         complete=p.complete and pure_sine)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
+_RECT_TOL = 1e-9  # default refine_tol of rectangle_projection
 
 
 class EigenvalueOnContour(RuntimeError):
@@ -474,7 +475,7 @@ def _rect_quadrature(H: HillMatrix, N: float, cols: np.ndarray, panels_scale: in
 
 def rectangle_projection(H: HillMatrix, N: int, panel_nodes: int = 20,
                          guard_frac: float = GUARD_FRACTION,
-                         refine_tol: float = 1e-9) -> tuple[np.ndarray, float]:
+                         refine_tol: float = _RECT_TOL) -> tuple[np.ndarray, float]:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
     The rectangle must hold exactly as many eigenvalues as there are free
@@ -506,6 +507,7 @@ class BlockProjection:
     rect_error_est: float
     level_errors: dict
     free_dimension: int
+    converged: bool  # every level converged and rect_error_est is under the refine tolerance
 
     @property
     def trace(self) -> complex:
@@ -527,6 +529,7 @@ def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64,
         raise ValueError("N must be >= N0")
     bc = H.basis.bc
     S, rect_est = rectangle_projection(H, N0, panel_nodes=panel_nodes)
+    converged = rect_est < _RECT_TOL
     level_errors: dict[int, float] = {}
     for k in range(N0 + 1, N + 1):
         if not bc.level_ok(k):
@@ -534,9 +537,11 @@ def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64,
         pair = riesz_projection(H, k, ContourSpec.for_level(k, nodes))
         S = S + pair.P
         level_errors[k] = pair.quad_error_est
+        converged &= pair.converged
     free_dim = sum(1 for k in H.basis.indices if k * k < N * N + N)
     return BlockProjection(S=S, N=N, N0=N0, rect_error_est=rect_est,
-                           level_errors=level_errors, free_dimension=free_dim)
+                           level_errors=level_errors, free_dimension=free_dim,
+                           converged=converged)
 
 
 def validated_levels(H: HillMatrix, candidates, guard_frac: float = GUARD_FRACTION):

@@ -265,7 +265,7 @@ def dense_tables(r, vabs_src, n, idx):
     top = int(np.abs(idx).max()) * 2 + 2 * n + 64
     rtab = r.table(top)
     if isinstance(vabs_src, pot.FourierPotential):
-        vtab = vabs_src.vabs_table(top)
+        vtab = np.abs(vabs_src.v_table(top))
     else:
         d = np.arange(-top, top + 1)
         vtab = np.abs(d) * vabs_src.table(top)[np.abs(d)]
@@ -358,7 +358,7 @@ class TestDenseReference:
         n, cutoff = self.N, 64
         r, src = step_case(step)
         potential = src if step == 2 else None
-        rep = bounds.lemma_suite(r, n, cutoff, potential=potential, step=step)
+        rep = bounds.lemma_suite(r, n, cutoff, potential=potential)
         idx = bounds.lattice(n, cutoff, step, (n, -n))
         idx1 = bounds.lattice(n, cutoff, step, (n,))
         ms = np.array(rep.inputs["m_samples"])

@@ -166,6 +166,23 @@ class TestBounds:
                  for c in rep["checks"]}
         assert names["cutoff_converged"] is False
 
+    def test_dirichlet_lists_unrun_checks_as_failed(self, tmp_path):
+        # the L/R chain sums need a FourierPotential; on Dirichlet they are
+        # not computed, so their checks must not pass by omission
+        code = run(["bounds", "--potential", "mathieu:1.0", "--bc", "dir",
+                    "--K", "64", "--n-min", "8", "--n-max", "14",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert payload["all_passed"] is False
+        for rep in payload["reports"]:
+            assert rep["L"] == {} and rep["gated_passed"] is False
+            unrun = [c for c in rep["checks"] if c["note"].startswith("not run")]
+            assert sorted(c["name"] for c in unrun) == [
+                "chain_le_sigma", "first_order_total", "reflection_identity"]
+            assert all(not c["passed"] and np.isnan(c["lhs"]) for c in unrun)
+            assert all(c["passed"] for c in rep["checks"] if c not in unrun)
+
 
 class TestLpNorms:
     def test_free_case(self, tmp_path):
@@ -176,8 +193,9 @@ class TestLpNorms:
         payload = json.loads((tmp_path / "lpnorms.json").read_text())
         assert payload["all_passed"] and payload["results"]
         for res in payload["results"]:
+            assert res["converged"] is True
             if res["type"] == "level":
-                assert res["converged"] is True and res["quad_error_est"] < 1e-10
+                assert res["quad_error_est"] < 1e-10
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch, capsys):
         import hillproj.projector as prj
@@ -193,6 +211,9 @@ class TestLpNorms:
         payload = json.loads((tmp_path / "lpnorms.json").read_text())
         levels = [res for res in payload["results"] if res["type"] == "level"]
         assert levels and all(res["converged"] is False for res in levels)
+        # the S_10 block sums the same unconverged level projections
+        blocks = [res for res in payload["results"] if res["type"] == "block"]
+        assert blocks and all(res["converged"] is False for res in blocks)
         header = read_csv_body(tmp_path / "lpnorms.csv")[0]
         assert header == "type,level,samples,max_ratio,bound,passed,regime_ok"
 

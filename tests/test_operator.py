@@ -153,25 +153,3 @@ class TestAssembleValidation:
         H = hp.assemble(BC.PER_PLUS, p, 32, coverage_floor=0.5)
         assert 0.5 < H.coverage < 1.0
 
-
-class TestDump:
-    def test_csv_round_readable(self, tmp_path):
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 8)
-        path = op.dump_matrix(H, tmp_path / "m.csv", fmt="csv")
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "index"
-        assert [int(h) for h in header[1:]] == list(H.basis.indices)
-        assert len(lines) == H.size + 1
-
-    def test_npz_round_trip(self, tmp_path):
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 8)
-        path = op.dump_matrix(H, tmp_path / "m.npz", fmt="npz")
-        data = np.load(path)
-        assert np.array_equal(data["indices"], H.basis.indices)
-        assert np.abs(data["L"] - H.L).max() == 0.0
-
-    def test_bad_format(self, tmp_path):
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 8)
-        with pytest.raises(ValueError):
-            op.dump_matrix(H, tmp_path / "m.x", fmt="hdf")

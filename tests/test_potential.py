@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hillproj as hp
 import hillproj.potential as pot
 
 PI = math.pi
@@ -14,6 +16,16 @@ PI = math.pi
 def quad_w_coeff(q_values, xs, m):
     """Oracle: w(m) = (1/pi) int_0^pi Q(x) exp(-i m x) dx by trapezoid."""
     return np.trapezoid(q_values * np.exp(-1j * m * xs), xs) / PI
+
+
+def q_grid(p, xs):
+    """Oracle: Q(x) sampled from the exponential coefficients."""
+    return sum(c * np.exp(1j * m * xs) for m, c in zip(p.w.idx, p.w.val))
+
+
+def q_grid_sine(sp, xs):
+    """Oracle: Q(x) sampled from the sine coefficients."""
+    return sum(c * math.sqrt(2.0) * np.sin(m * xs) for m, c in zip(sp.qt.idx, sp.qt.val))
 
 
 class TestFromCoeffs:
@@ -104,9 +116,10 @@ class TestMajorant:
             assert np.isclose(r.get(m), 1.0 / (PI * m))
 
     def test_dominates_coefficients(self):
-        p = pot.from_coeffs(0, [(2, 1 + 1j), (-2, 0.5), (6, -2.0)])
+        entries = [(2, 1 + 1j), (-2, 0.5), (6, -2.0)]
+        p = pot.from_coeffs(0, entries)
         r = pot.majorant(p)
-        for m in p.w:
+        for m, _ in entries:
             assert r.get(m) >= abs(p.wc(m)) and r.get(m) >= abs(p.wc(-m))
 
     def test_r_zero_is_zero(self):
@@ -149,7 +162,7 @@ class TestPerToDir:
         p = pot.from_coeffs(0, [(2, 0.3 + 0.1j), (-2, -0.2), (4, 0.05j)])
         sp = pot.per_to_dir(p, 9)
         xs = np.linspace(0.0, PI, 40001)
-        q = pot.q_grid(p, xs)
+        q = q_grid(p, xs)
         for m in range(1, 10):
             oracle = math.sqrt(2) / PI * np.trapezoid(q * np.sin(m * xs), xs)
             assert np.isclose(sp.qc(m), oracle, atol=1e-8), m
@@ -164,13 +177,13 @@ class TestPerToDir:
         p = pot.from_coeffs(0, entries)
         sp = pot.per_to_dir(p, 64)
         xs = np.linspace(0.0, PI, 4096)
-        assert np.abs(pot.q_grid(p, xs) - pot.q_grid_sine(sp, xs)).max() < 1e-8
+        assert np.abs(q_grid(p, xs) - q_grid_sine(sp, xs)).max() < 1e-8
 
     def test_gallery_round_trip(self):
         for p in (pot.mathieu(1.0), pot.delta_comb(0.5, max_index=64)):
             sp = pot.per_to_dir(p, 64)
             xs = np.linspace(0.0, PI, 4096)
-            assert np.abs(pot.q_grid(p, xs) - pot.q_grid_sine(sp, xs)).max() < 1e-8
+            assert np.abs(q_grid(p, xs) - q_grid_sine(sp, xs)).max() < 1e-8
 
 
 class TestFlags:
@@ -182,6 +195,15 @@ class TestFlags:
 
     def test_delta_selfadjoint(self):
         assert pot.delta_comb(1.0, max_index=32).selfadjoint
+
+    @pytest.mark.parametrize("gap", [0.5e-15, 1.5e-15, 2.5e-15])
+    def test_tolerance_is_cmath_isclose(self, gap):
+        # at |w| ~ 1e-6 the relative and absolute tolerances are both 1e-15:
+        # cmath.isclose takes their max, np.isclose would take their sum
+        a, b = 1e-6, 1e-6 + gap
+        expect = cmath.isclose(b, a, abs_tol=1e-15)
+        assert pot.from_coeffs(0, [(2, a), (-2, b)]).hermitian_w == expect
+        assert pot.from_coeffs(0, [(2, a), (-2, -b)]).selfadjoint == expect
 
 
 class TestConfig:
@@ -212,3 +234,102 @@ class TestConfig:
         assert pot.parse_potential_arg(f"file:{cfgfile}").V(2) == 3.0
         with pytest.raises(ValueError):
             pot.parse_potential_arg("nope:1")
+
+
+# -- sparse storage against a dict-based brute-force reference ------------------
+
+def ref_window(seq, lo, hi, scale_by_index=False):
+    tab = np.zeros(hi - lo + 1, dtype=complex)
+    for m, c in seq.items():
+        if lo <= m <= hi:
+            tab[m - lo] = m * c if scale_by_index else c
+    return tab
+
+
+def ref_majorant(w):
+    return {abs(m): max(abs(w.get(abs(m), 0.0)), abs(w.get(-abs(m), 0.0))) for m in w}
+
+
+def ref_sq_sum(r, t):
+    return 2.0 * sum(v * v for m, v in r.items() if m >= max(t, 1))
+
+
+def ref_max_index(r):
+    return max((m for m, v in r.items() if v > 0), default=0)
+
+
+def ref_symmetric(w, flip):
+    """Whether flip(w(-m)) == w(m) for every stored m, under cmath.isclose."""
+    return all(cmath.isclose(flip(complex(w.get(-m, 0.0))), complex(c), abs_tol=1e-15)
+               for m, c in w.items())
+
+
+coef = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+@st.composite
+def sparse_potential(draw):
+    """Random sparse even-lattice w, sometimes (anti)Hermitian, and a window."""
+    ms = draw(st.lists(st.integers(-60, 60).map(lambda k: 2 * k).filter(bool),
+                       max_size=25, unique=True))
+    w = {m: draw(coef) for m in ms}
+    sym = draw(st.sampled_from([None, 1, -1]))
+    if sym is not None:
+        for m in [m for m in w if m > 0]:
+            w[-m] = sym * w[m].conjugate()
+    return w, draw(st.booleans()), draw(st.integers(1, 130))
+
+
+class TestSparseStorage:
+    @given(sparse_potential())
+    @settings(max_examples=60, deadline=None)
+    def test_fourier_side_matches_dict_reference(self, case):
+        w, complete, D = case
+        p = pot.FourierPotential(0.25, w, 40, complete=complete)
+        assert np.array_equal(p.v_table(D), ref_window(w, -D, D, scale_by_index=True))
+        assert p.hermitian_w == ref_symmetric(w, lambda c: c.conjugate())
+        assert p.selfadjoint == ref_symmetric(w, lambda c: -c.conjugate())
+        ms = np.arange(-130, 131)
+        assert np.array_equal(p.covers(ms), [complete or abs(m) <= 40 for m in ms])
+        assert p.covers(7) == (complete or 7 <= 40)
+        ref = ref_majorant(w)
+        r = pot.majorant(p)
+        assert np.array_equal(r.table(D), ref_window(ref, 0, D).real)
+        assert r.max_index == ref_max_index(ref)
+        assert np.isclose(r.norm ** 2, ref_sq_sum(ref, 0), rtol=1e-14, atol=0)
+        for t in (0.5, 2, 7.3, D, 200):
+            assert np.isclose(r.tail_energy(t) ** 2, ref_sq_sum(ref, t), rtol=1e-14, atol=0)
+
+    @given(st.dictionaries(st.integers(1, 90), coef, max_size=25),
+           st.booleans(), st.integers(0, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_sine_side_matches_dict_reference(self, qt, complete, M):
+        sp = pot.SinePotential(0.0, qt, 50, complete=complete)
+        assert np.array_equal(sp.qt_table(M), ref_window(qt, 0, M))
+        ms = np.arange(0, 101)
+        assert np.array_equal(sp.covers(ms), [complete or m <= 50 for m in ms])
+        ref = {m: abs(c) for m, c in qt.items() if abs(c) > 0}
+        r = pot.majorant_dir(sp)
+        assert np.array_equal(r.table(M), ref_window(ref, 0, M).real)
+        assert r.max_index == ref_max_index(ref)
+        assert np.isclose(r.norm ** 2, ref_sq_sum(ref, 0), rtol=1e-14, atol=0)
+        for t in (1, 3.5, M):
+            assert np.isclose(r.tail_energy(t) ** 2, ref_sq_sum(ref, t), rtol=1e-14, atol=0)
+
+    def test_far_entries_stay_sparse(self):
+        # a dense array over +-1e12 would need terabytes
+        far = 10 ** 12
+        cfg = {"kind": "custom", "entries": [[2, 0.5, 0.0], [-2, -0.5, 0.0],
+                                             [far, 0.0, 1e-3], [-far, 2e-3, 0.0]]}
+        p = pot.from_config(cfg)
+        assert p.max_index == far
+        near = pot.mathieu(1.0)
+        for bc in hp.BoundaryCondition:
+            H = hp.assemble(bc, p, 16)
+            assert H.coverage == 1.0
+            assert np.allclose(H.L, hp.assemble(bc, near, 16).L, rtol=1e-12, atol=1e-15)
+        r = pot.majorant(p)
+        assert r.max_index == far and r.get(-far) == 2e-3 and r.get(4) == 0.0
+        sp = pot.per_to_dir(p, 32)
+        assert np.allclose(sp.qt_table(32), pot.per_to_dir(near, 32).qt_table(32),
+                           rtol=1e-12, atol=1e-15)

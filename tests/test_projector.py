@@ -384,7 +384,14 @@ class TestBlockProjection:
         blk = prj.block_projection(H, 4, 8)
         expect = np.diag([1.0 if k * k < 72 else 0.0 for k in H.basis.indices])
         assert np.abs(blk.S - expect).max() < 1e-10
-        assert blk.free_dimension == 9
+        assert blk.free_dimension == 9 and blk.converged
+
+    def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
+        real = prj.rectangle_projection
+        monkeypatch.setattr(prj, "rectangle_projection",
+                            lambda H, N, panel_nodes: (real(H, N)[0], 1e-3))
+        blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
+        assert blk.rect_error_est == 1e-3 and not blk.converged
 
     def test_mathieu_trace_and_idempotency(self):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
