@@ -132,10 +132,22 @@ def _write_csv(path: Path, rows: list[list], cfg_echo: dict) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, payload: dict, cfg_echo: dict) -> None:
+    """Strict JSON: a NaN or infinite value is written as null."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"version": __version__, "config": cfg_echo, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = _finite_or_null({"version": __version__, "config": cfg_echo, **payload})
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,12 @@ class HillMatrix:
     the eigenvalues (localization counts, contour guards), the full
     eigendecomposition (the dense-eigendecomposition projector) and the
     unitary Hessenberg form L = U A U^H (every contour quadrature, which
-    solves its shifted systems on A).  Eigenvalues alone skip the
-    eigenvectors unless ``eig()`` has already computed them; they never
-    come from the Hessenberg form, so the guards stay independent of the
-    quadrature.
+    solves its shifted systems on A).  ``hermitian`` records whether
+    L == L^H bit for bit, as for every real potential under per+-; then
+    the Hessenberg form is tridiagonal and the eigenvalues come from
+    ``np.linalg.eigvalsh``.  Eigenvalues alone skip the eigenvectors
+    unless ``eig()`` has already computed them; they never come from the
+    Hessenberg form, so the guards stay independent of the quadrature.
     """
 
     def __init__(self, basis: BasisSpec, diag0: np.ndarray, Vmat: np.ndarray,
@@ -148,6 +150,7 @@ class HillMatrix:
         self.label = label
         for a in (self.diag0, self.Vmat, self.L):
             a.setflags(write=False)
+        self.hermitian = bool(np.array_equal(self.L, self.L.conj().T))
         self._eig = None
         self._vals = None
         self._hess = None
@@ -164,11 +167,16 @@ class HillMatrix:
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        """Cached eigenvalues; taken from ``eig()`` if that already ran."""
+        """Cached complex eigenvalues; taken from ``eig()`` if that already ran.
+
+        Otherwise ``eigvals``, or for Hermitian L ``eigvalsh``: ascending,
+        with exactly zero imaginary parts.
+        """
         if self._eig is not None:
             return self._eig[0]
         if self._vals is None:
-            self._vals = np.linalg.eigvals(self.L)
+            self._vals = (np.linalg.eigvalsh(self.L).astype(complex) if self.hermitian
+                          else np.linalg.eigvals(self.L))
         return self._vals
 
     def hessenberg(self) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +185,9 @@ class HillMatrix:
         Householder reflections I - v v^H (|v|^2 = 2) zero column k below
         its subdiagonal; a column that is already zero there (every
         column of a diagonal L) is skipped.  The entries of A below the
-        subdiagonal are set to exact zeros.
+        subdiagonal are set to exact zeros, and for Hermitian L so are
+        those above the superdiagonal, which leaves A tridiagonal.  Both
+        truncations drop entries of size O(eps ||L||).
         """
         if self._hess is None:
             A = self.L.copy()
@@ -193,6 +203,8 @@ class HillMatrix:
                 A[:, k + 1:] -= np.outer(A[:, k + 1:] @ v, v.conj())
                 U[:, k + 1:] -= np.outer(U[:, k + 1:] @ v, v.conj())
                 A[k + 2:, k] = 0.0
+            if self.hermitian:
+                A[np.triu_indices(self.size, 2)] = 0.0
             for a in (A, U):
                 a.setflags(write=False)
             self._hess = (A, U)

@@ -17,7 +17,11 @@ the unitary Hessenberg form L = U A U^H (``HillMatrix.hessenberg``).
 Both directions then solve upper Hessenberg systems: z - A for X, and
 z - J A^T J (J the index reversal) for Y.  ``_hessenberg_sweep`` solves
 them with one bottom-up Givens sweep per node, vectorised over the
-nodes, in O(N^2 r) work and O(N r) memory per node.
+nodes, on the band of A: with A[i, j] = 0 for j - i > b, read from the
+exact zeros of A, a node costs O(N b r) work and O(N r) memory.  A dense
+A has b = N - 1.  For Hermitian L the form is tridiagonal (b = 1), and
+since every Riesz projection of a Hermitian matrix is Hermitian,
+Y = P^T E = conj(P E) = conj(X): only the X direction is swept.
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  It uses the
@@ -196,27 +200,44 @@ def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
 _NODE_BLOCK = 128  # nodes per sweep: bounds the work arrays at O(_NODE_BLOCK * N * r)
 
 
-def _hessenberg_sweep(hs: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Solutions x[d, j] of (z_j - hs[d]) x = rhs[d] for upper Hessenberg hs.
+def _band(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep operands of a stack hs (D x N x N) of upper Hessenberg matrices.
 
-    ``hs`` is D x N x N, ``rhs`` is D x r x N (right-hand sides as rows)
-    and the result is D x Q x r x N for the Q shifts ``zs``.  A bottom-up
-    Givens RQ of z - hs: step k rotates columns k-1 and k to zero the
-    subdiagonal entry (k, k-1), which completes column k of the
-    triangular factor, so it fixes y_k and updates the right-hand sides.
-    Only the column being reduced is kept, so each shift costs O(N^2 r)
-    work and O(N r) memory.  A second pass applies the stored rotations
-    to y.
+    The upper bandwidth b is read from the exact zeros of the stack
+    (hs[d, i, j] == 0 for j - i > b).  Returns ``band``, N x (b+1) x D x 1
+    with band[k, t, d] = -hs[d, k - b + t, k] (zero above row 0), and the
+    subdiagonal h, (N-1) x D x 1 with h[k - 1, d] the entry (k, k-1) of
+    z - hs[d], the same for every z.  Index-major, so every update of the
+    sweep is one contiguous block of rows.
     """
-    D, N, _ = hs.shape
-    Q = len(zs)
-    # index-major work arrays (row, [rhs,] d, node), so every update is
-    # one contiguous block of rows; negcols[k, i, d] = -hs[d, i, k] and
-    # h[k - 1, d] is the entry (k, k-1) of z - hs[d], the same for every z
-    negcols = np.ascontiguousarray(-np.transpose(hs, (2, 1, 0))[..., None])
+    N = hs.shape[1]
+    i, j = np.nonzero(hs.any(axis=0))
+    b = int((j - i).max(initial=0))
+    rows = np.arange(N)[:, None] + np.arange(-b, 1)
+    band = np.where(rows >= 0, -hs[:, np.maximum(rows, 0), np.arange(N)[:, None]], 0)
     h = -np.diagonal(hs, offset=-1, axis1=1, axis2=2).T[..., None]
-    v = np.empty((N, D, Q), dtype=complex)  # column k of the partly reduced z - hs
-    v[:] = negcols[N - 1]
+    return np.ascontiguousarray(np.moveaxis(band, 0, -1)[..., None]), h
+
+
+def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
+                      zs: np.ndarray) -> np.ndarray:
+    """Solutions x[d, j] of (z_j - hs[d]) x = rhs[d] for the operands of ``_band``.
+
+    ``rhs`` is D x r x N (right-hand sides as rows) and the result is
+    D x Q x r x N for the Q shifts ``zs``.  A bottom-up Givens RQ of
+    z - hs: step k rotates columns k-1 and k to zero the subdiagonal entry
+    (k, k-1), which completes column k of the triangular factor, so it
+    fixes y_k and updates the right-hand sides.  Column k of the partly
+    reduced matrix has the band of hs, so step k touches only rows
+    max(0, k-1-b) .. k: each shift costs O(N b r) work and O(N r) memory.
+    A second pass applies the stored rotations to y.
+    """
+    N, b1, D, _ = band.shape
+    b = b1 - 1
+    Q = len(zs)
+    v = np.zeros((N, D, Q), dtype=complex)  # column k of the partly reduced z - hs
+    top = max(0, N - 1 - b)
+    v[top:] = band[N - 1, top - (N - 1 - b):]
     v[N - 1] += zs
     y = np.empty((N, rhs.shape[1], D, Q), dtype=complex)  # right-hand sides, then y
     y[:] = np.transpose(rhs, (2, 1, 0))[..., None]
@@ -228,14 +249,15 @@ def _hessenberg_sweep(hs: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.nda
         c = cs[k] = v[k] / rho
         s = ss[k] = h[k - 1] / rho
         yk = y[k] = y[k] / rho
-        u, vk = negcols[k - 1, :k], v[:k]
+        top = max(0, k - 1 - b)  # rows top .. k-1 of columns k-1 and k are in the band
+        u, vk = band[k - 1, top - (k - 1 - b):], v[top:k]
         # [column k-1, column k] <- [u, v] [[c, conj(s)], [-s, conj(c)]]
         sc = s.conj()
         col_k = sc * u + c.conj() * vk
-        col_k[k - 1] += sc * zs
-        y[:k] -= col_k[:, None] * yk
+        col_k[-1] += sc * zs
+        y[top:k] -= col_k[:, None] * yk
         np.subtract(c * u, s * vk, out=vk)
-        vk[k - 1] += c * zs
+        vk[-1] += c * zs
     y[0] /= v[0]
     ccs, scs = cs.conj(), ss.conj()
     for k in range(1, N):
@@ -245,9 +267,21 @@ def _hessenberg_sweep(hs: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.nda
     return np.transpose(y, (2, 3, 1, 0))
 
 
+def _sweep_operands(H: HillMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U and the ``_band`` of A (and of J A^T J unless L is Hermitian).
+
+    Rebuilt on every call: O(N^2) against the O(Q N b r) sweep it feeds.
+    """
+    A, U = H.hessenberg()
+    hs = A[None] if H.hermitian else np.stack([A, A.T[::-1, ::-1]])
+    return (U, *_band(hs))
+
+
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
              ws: np.ndarray) -> np.ndarray:
-    """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r.
+    """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r
+    (N x r, the first block alone, for Hermitian L: ``_rank_r`` then
+    takes Y = conj(X)).
 
     Each leading axis of ``ws`` (one weight row per sum) is a leading axis
     of the result.  With L = U A U^H from ``H.hessenberg()``,
@@ -255,28 +289,30 @@ def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
         (z - L)^-1 E = U (z - A)^-1 U^H E,
         (z - L)^-T E = conj(U) J (z - J A^T J)^-1 J U^T E,
 
-    J the index reversal; A and J A^T J are both upper Hessenberg, so one
-    sweep serves both directions.  Nodes go through in blocks of
-    ``_NODE_BLOCK``.
+    J the index reversal; A and J A^T J are both upper Hessenberg with the
+    same upper bandwidth, so one sweep serves both directions.  Nodes go
+    through in blocks of ``_NODE_BLOCK``.
     """
-    A, U = H.hessenberg()
-    hs = np.stack([A, A.T[::-1, ::-1]])
+    U, band, h = _sweep_operands(H)
     Ue = U[cols]
-    rhs = np.stack([Ue.conj(), Ue[:, ::-1]])
+    rhs = Ue.conj()[None] if H.hermitian else np.stack([Ue.conj(), Ue[:, ::-1]])
     acc = 0.0
     for i in range(0, len(zs), _NODE_BLOCK):
         blk = slice(i, i + _NODE_BLOCK)
-        x = _hessenberg_sweep(hs, rhs, zs[blk])
+        x = _hessenberg_sweep(band, h, rhs, zs[blk])
         acc = acc + np.einsum("...j,djrn->...drn", ws[..., blk], x)
-    X = acc[..., 0, :, :] @ U.T
-    Y = acc[..., 1, :, ::-1] @ U.conj().T
-    return np.swapaxes(np.concatenate([X, Y], axis=-2), -1, -2)
+    M = acc[..., 0, :, :] @ U.T
+    if not H.hermitian:
+        M = np.concatenate([M, acc[..., 1, :, ::-1] @ U.conj().T], axis=-2)
+    return np.swapaxes(M, -1, -2)
 
 
 def _rank_r(M: np.ndarray, cols: np.ndarray, scale: complex) -> np.ndarray:
-    """P = X (E^T X)^-1 Y^T from the scaled moments X ~ P E and Y^T ~ E^T P."""
+    """P = X (E^T X)^-1 Y^T from the scaled moments X ~ P E and Y^T ~ E^T P
+    (Y = conj(X) when M holds X alone: Hermitian L)."""
     r = len(cols)
-    X, Y = scale * M[:, :r], scale * M[:, r:]
+    X = scale * M[:, :r]
+    Y = scale * M[:, r:] if M.shape[1] > r else X.conj()
     return X @ np.linalg.solve(X[cols], Y.T)
 
 

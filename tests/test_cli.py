@@ -35,6 +35,15 @@ class TestSpectrum:
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert payload["all_ok"] and payload["version"]
 
+    def test_hermitian_spectrum_is_real(self, tmp_path):
+        code = run(["spectrum", "--potential", "mathieu:1.0", "--bc", "per+",
+                    "--K", "48", "--n-min", "6", "--n-max", "12",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        body = read_csv_body(tmp_path / "spectrum_eigenvalues.csv")
+        assert body[0] == "re,im" and len(body) == 50
+        assert all(float(line.split(",")[1]) == 0.0 for line in body[1:])
+
     def test_bad_parity_range_is_config_error(self, tmp_path, capsys):
         code = run(["spectrum", "--potential", "zero", "--bc", "per+",
                     "--K", "48", "--n-min", "9", "--n-max", "9",
@@ -180,7 +189,7 @@ class TestBounds:
             unrun = [c for c in rep["checks"] if c["note"].startswith("not run")]
             assert sorted(c["name"] for c in unrun) == [
                 "chain_le_sigma", "first_order_total", "reflection_identity"]
-            assert all(not c["passed"] and np.isnan(c["lhs"]) for c in unrun)
+            assert all(not c["passed"] and c["lhs"] is None for c in unrun)
             assert all(c["passed"] for c in rep["checks"] if c not in unrun)
 
 
@@ -216,6 +225,29 @@ class TestLpNorms:
         assert blocks and all(res["converged"] is False for res in blocks)
         header = read_csv_body(tmp_path / "lpnorms.csv")[0]
         assert header == "type,level,samples,max_ratio,bound,passed,regime_ok"
+
+
+def strict_json(path: Path):
+    """Parse a file as strict JSON: NaN and Infinity tokens are errors."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_non_finite_values_are_null(self, tmp_path):
+        # Dirichlet bounds has nan sides for its unrun checks, and the
+        # per+ lpnorms S_N block a nan proxy
+        run(["bounds", "--potential", "mathieu:1.0", "--bc", "dir", "--K", "64",
+             "--n-min", "8", "--n-max", "14", "--out", str(tmp_path / "b")])
+        run(["lpnorms", "--potential", "mathieu:1.0", "--bc", "per+", "--K", "64",
+             "--n-min", "4", "--n-max", "14", "--out", str(tmp_path / "l")])
+        report = strict_json(tmp_path / "b" / "bounds_report.json")
+        assert all(c["margin"] is None for rep in report["reports"]
+                   for c in rep["checks"] if c["note"].startswith("not run"))
+        blocks = [res for res in strict_json(tmp_path / "l" / "lpnorms.json")["results"]
+                  if res["type"] == "block"]
+        assert blocks and all(res["proxy"] is None for res in blocks)
 
 
 class TestImports:

@@ -59,6 +59,16 @@ class TestFreeMatrix:
         assert np.abs(np.sort_complex(vals) - np.sort_complex(full)).max() < 1e-10
         assert H.eigenvalues() is full  # eig() is preferred once cached
 
+    def test_hermitian_eigenvalues_are_real(self):
+        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32)
+        assert H.hermitian
+        vals = H.eigenvalues()
+        assert vals.dtype == complex and not vals.imag.any()
+        full = H.eig()[0]
+        assert np.abs(vals - np.sort(full.real)).max() < 1e-10
+        assert np.abs(full.imag).max() < 1e-10
+        assert H.eigenvalues() is full  # eig() is preferred once cached
+
 
 class TestAssemblePeriodic:
     def test_mathieu_matches_classical_matrix(self):

@@ -150,6 +150,7 @@ def gallery_potential(pname):
     return {"mathieu": lambda: pot.mathieu(1.0),
             "delta": lambda: pot.delta_comb(0.5, max_index=512),
             "complex": lambda: pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN),
+            "tridiagonal": lambda: pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN[:2]),
             "zero": pot.zero}[pname]()
 
 
@@ -163,6 +164,20 @@ def solve_moments(H, cols, zs, ws):
     return acc
 
 
+def check_moments(H, M, M_ref, r):
+    """X against the reference always; Y only where ``_moments`` sweeps it.
+
+    For Hermitian L the moments hold X alone: with random weights the sum
+    is no projection, so Y = conj(X) would not hold for it.
+    """
+    assert M.shape[1] == (r if H.hermitian else 2 * r)
+    pairs = [(M[:, :r], M_ref[:, :r])]
+    if not H.hermitian:
+        pairs.append((M[:, r:], M_ref[:, r:]))
+    for got, ref in pairs:
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestHessenbergResolvent:
     """The Hessenberg reduction and the shifted Givens sweep of ``_moments``."""
 
@@ -173,6 +188,9 @@ class TestHessenbergResolvent:
         A, U = H.hessenberg()
         assert H.hessenberg()[0] is A  # cached
         assert not np.tril(A, -2).any()
+        if H.hermitian:
+            # the form of a Hermitian L is tridiagonal, with exact zeros
+            assert not np.triu(A, 2).any()
         assert np.linalg.norm(U.conj().T @ U - np.eye(H.size)) <= 1e-13
         L_norm = np.linalg.norm(H.L)
         assert np.linalg.norm(U @ A @ U.conj().T - H.L) <= 1e-13 * L_norm
@@ -191,9 +209,7 @@ class TestHessenbergResolvent:
         ws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         M = prj._moments(H, cols, zs, ws)
         M_ref = solve_moments(H, cols, zs, ws)
-        r = len(cols)
-        for got, ref in ((M[:, :r], M_ref[:, :r]), (M[:, r:], M_ref[:, r:])):
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        check_moments(H, M, M_ref, len(cols))
 
     def test_weight_rows_share_one_sweep(self):
         # leading axes of the weights give one sum per row, as the level
@@ -206,6 +222,84 @@ class TestHessenbergResolvent:
         assert M.shape == (2, H.size, 4)
         for row in range(2):
             assert np.allclose(M[row], prj._moments(H, cols, zs, ws[row]), rtol=0, atol=1e-15)
+
+
+def banded_hessenberg(rng, N, b, D=2):
+    """D random complex upper Hessenberg N x N matrices of upper bandwidth b."""
+    hs = rng.standard_normal((D, N, N)) + 1j * rng.standard_normal((D, N, N))
+    off = np.arange(N)[None, :] - np.arange(N)[:, None]  # j - i
+    hs[:, (off < -1) | (off > b)] = 0.0
+    return hs
+
+
+class TestBandSweep:
+    """The Givens sweep on the band of the Hessenberg form."""
+
+    @pytest.mark.parametrize("b", [0, 1, 3, 11])
+    def test_sweep_vs_dense_solve(self, b):
+        N, r, Q = 12, 2, 5
+        rng = np.random.default_rng(b)
+        hs = banded_hessenberg(rng, N, b)
+        band, h = prj._band(hs)
+        assert band.shape == (N, b + 1, 2, 1)  # b read from the exact zeros
+        rhs = rng.standard_normal((2, r, N)) + 1j * rng.standard_normal((2, r, N))
+        zs = 3.0 * np.exp(2j * PI * (np.arange(Q) + 0.25) / Q)
+        x = prj._hessenberg_sweep(band, h, rhs, zs)
+        assert x.shape == (2, Q, r, N)
+        for d in range(2):
+            for j, z in enumerate(zs):
+                ref = np.linalg.solve(z * np.eye(N) - hs[d], rhs[d].T).T
+                assert np.linalg.norm(x[d, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("b", [0, 1, 3])
+    def test_band_keeps_the_dense_arithmetic(self, b):
+        # rows outside the band only ever add exact zeros, so padding the
+        # band to the dense width b = N - 1 changes no bit of the result
+        N = 12
+        rng = np.random.default_rng(10 + b)
+        band, h = prj._band(banded_hessenberg(rng, N, b))
+        dense = np.pad(band, ((0, 0), (N - 1 - b, 0), (0, 0), (0, 0)))
+        rhs = rng.standard_normal((2, 1, N)) + 0j
+        zs = 2.0 + np.exp(2j * PI * np.arange(4) / 4)
+        assert np.array_equal(prj._hessenberg_sweep(band, h, rhs, zs),
+                              prj._hessenberg_sweep(dense, h, rhs, zs))
+
+    @pytest.mark.parametrize("pname,bc,b", [
+        ("delta", BC.PER_PLUS, 1),  # Hermitian: tridiagonal form, X alone
+        ("tridiagonal", BC.PER_PLUS, 1),  # tridiagonal L: every reflector skipped
+        ("complex", BC.PER_PLUS, 48),  # dense non-Hermitian form, b = N - 1
+        ("mathieu", BC.DIRICHLET, None),  # non-Hermitian; its b depends on K (23 here)
+    ])
+    def test_moments_on_the_band(self, pname, bc, b):
+        H = hp.assemble(bc, gallery_potential(pname), 48)
+        assert H.hermitian == (pname == "delta")
+        band = prj._sweep_operands(H)[1]
+        assert band.shape[2] == (1 if H.hermitian else 2)
+        if b is not None:
+            assert band.shape[1] == b + 1
+        n = 10
+        cols = np.array(sorted(H.basis.position(k) for k in (n, -n)[:bc.rank]))
+        zs = n * n + n * np.exp(2j * PI * (np.arange(20) + 0.25) / 20)
+        ws = np.random.default_rng(3).standard_normal(20) + 0j
+        check_moments(H, prj._moments(H, cols, zs, ws), solve_moments(H, cols, zs, ws),
+                      len(cols))
+
+    @pytest.mark.parametrize("p", [
+        pot.delta_comb(0.5, max_index=512),
+        # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L,
+        # whose projections are not real
+        pot.from_coeffs(0.0, [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]),
+    ])
+    def test_off_axis_circle_on_hermitian_matrix(self, p):
+        # Y = conj(X) rests on P being Hermitian, not on the symmetry of
+        # the contour: a circle centred off the real axis has no
+        # conjugate node pairs
+        H = hp.assemble(BC.PER_PLUS, p, 64)
+        assert H.hermitian
+        pair = hp.riesz_projection(H, 10, prj.ContourSpec(100 + 4j, 10.0))
+        dense = prj.spectral_projector_dense(H, 10)
+        assert pair.converged
+        assert np.linalg.norm(pair.P - dense, "fro") <= 1e-12
 
 
 class TestRankEngineVsFullInverse:
