@@ -22,7 +22,7 @@ for n in (10, 16, 24):
           f"{'(regime ok)' if rep.regime_ok else '(outside regime)'}  "
           f"max ratio {rep.max_ratio:.4f}  <= 3.05: {rep.passed}")
 
-print("\nblock projections S_N (base rectangle + level circles):")
+print("\nblock projections S_N (base block + level circles):")
 for N in (8, 16):
     blk = projector.block_projection(H, 4, N)
     rep = norms.sn_equivalence(blk, H.basis, samples=200, M=8192)

@@ -234,9 +234,9 @@ def _sample_ratios(P: np.ndarray, basis: BasisSpec, samples: int, M: int,
     keep = np.linalg.norm(coeffs, axis=0) > 1e-12
     coeffs = coeffs[:, keep]
     vals = _basis_grid(basis, M) @ coeffs
-    w = _trapezoid_weights(M)
-    l1 = w @ np.abs(vals)
-    linf = np.abs(vals).max(axis=0)
+    mod = np.abs(vals)
+    l1 = _trapezoid_weights(M) @ mod
+    linf = mod.max(axis=0)
     # mean-normalized L^1: ratio = ||f||_inf / ((1/pi) ||f||_1)
     return float((math.pi * linf / l1).max())
 

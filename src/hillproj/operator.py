@@ -141,13 +141,12 @@ class HillMatrix:
     """
 
     def __init__(self, basis: BasisSpec, diag0: np.ndarray, Vmat: np.ndarray,
-                 coverage: float = 1.0, label: str = ""):
+                 coverage: float = 1.0):
         self.basis = basis
         self.diag0 = np.asarray(diag0, dtype=float)
         self.Vmat = np.asarray(Vmat, dtype=complex)
         self.L = np.diag(self.diag0).astype(complex) + self.Vmat
         self.coverage = float(coverage)
-        self.label = label
         for a in (self.diag0, self.Vmat, self.L):
             a.setflags(write=False)
         self.hermitian = bool(np.array_equal(self.L, self.L.conj().T))
@@ -235,8 +234,7 @@ def _dir_vmat(sp: SinePotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
 def assemble(bc: BoundaryCondition,
              pot: FourierPotential | SinePotential,
              half_width: int,
-             coverage_floor: float = 0.999,
-             label: str = "") -> HillMatrix:
+             coverage_floor: float = 0.999) -> HillMatrix:
     """Assemble the truncated matrix of L_bc for the given potential.
 
     A FourierPotential handed to Dirichlet is converted through
@@ -261,4 +259,4 @@ def assemble(bc: BoundaryCondition,
             f"coverage {coverage:.4f} below floor {coverage_floor}; "
             "store more coefficients or shrink the basis")
     diag0 = np.array([float(k * k) for k in basis.indices])
-    return HillMatrix(basis, diag0, V, coverage=coverage, label=label)
+    return HillMatrix(basis, diag0, V, coverage=coverage)

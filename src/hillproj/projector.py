@@ -34,11 +34,13 @@ projection is never computed by quadrature: it is the exact coordinate
 projection onto the indices {+-n} (periodic families) or {n} (Dirichlet).
 
 Block projections S_N onto all spectrum in the rectangle
-{-N < Re z < N^2 + N, |Im z| < N} are a rectangle-contour block for a
-small base N0 plus a sum of level projections for the remaining levels.
-The base block uses composite Gauss-Legendre panels on the same engine,
-with E the columns of every index k^2 < N0^2 + N0, so the rectangle must
-hold exactly that many eigenvalues.
+{-N < Re z < N^2 + N, |Im z| < N} are a base block for a small N0 plus a
+sum of level projections for the remaining levels.  Any contour that
+encloses exactly the rectangle's eigenvalues gives the base block, so it
+uses the same trapezoidal rule and node doubling on the circle
+|z - N0^2/2| = N0^2/2 + N0 through the rectangle's real endpoints, with
+E the columns of every index k^2 < N0^2 + N0: the circle and the
+rectangle must hold the same eigenvalues, exactly that many.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ __all__ = [
 ]
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
-_RECT_TOL = 1e-9  # default refine_tol of rectangle_projection
+_TOL, _MAX_NODES = 1e-10, 512  # default stopping rule of every contour
 
 
 class EigenvalueOnContour(RuntimeError):
@@ -139,28 +141,9 @@ class ProjectionPair:
         return complex(np.trace(self.P))
 
     @property
-    def rank_expected(self) -> int:
-        return self.bc.rank
-
-    @property
     def trace_defect(self) -> float:
         """|trace P - r|: a projection of rank r has trace exactly r."""
-        return abs(self.trace - self.rank_expected)
-
-    def metadata(self) -> dict:
-        return {
-            "n": self.n,
-            "bc": self.bc.value,
-            "half_width": self.basis.half_width,
-            "trace_re": self.trace.real,
-            "trace_im": self.trace.imag,
-            "quad_error_est": self.quad_error_est,
-            "converged": self.converged,
-            "idempotency_residual": self.idempotency,
-            "trace_defect": self.trace_defect,
-            "guard_margin": self.guard_margin,
-            "nodes": self.nodes_used,
-        }
+        return abs(self.trace - self.bc.rank)
 
 
 def _contour_guard(H: HillMatrix, center: complex, radius: float,
@@ -328,22 +311,15 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     return P0
 
 
-def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
-                     *, tol: float = 1e-10, max_nodes: int = 512,
-                     guard_frac: float = GUARD_FRACTION) -> ProjectionPair:
-    """Contour-quadrature Riesz projection for the level n disc.
+def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: float,
+                 max_nodes: int) -> tuple[np.ndarray, float, int]:
+    """Rank-len(cols) projection over the circle of ``contour`` by the
+    trapezoidal rule; returns P, its error estimate and the nodes used.
 
-    Preconditions: n is a level of the basis lattice (its parity, with
-    +-n in the basis), the half-width is at least 4n (so the contour stays
-    well inside the truncated spectrum), no eigenvalue approaches the
-    contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Node
-    counts start at ``contour.nodes`` and are doubled, reusing the moments
-    of earlier nodes, until the projection stabilizes below ``tol`` in
-    Frobenius norm or ``max_nodes`` is hit.
+    Node counts start at ``contour.nodes`` and are doubled, reusing the
+    moments of earlier nodes, until the Frobenius change of P drops below
+    ``tol`` or ``max_nodes`` is hit.
     """
-    if contour is None:
-        contour = ContourSpec.for_level(n)
-    cols, margin = _level_cols(H, n, contour, guard_frac)
     c, R = contour.center, contour.radius
 
     def moments(thetas: np.ndarray, masks=True) -> np.ndarray:
@@ -365,7 +341,26 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
         P_new = _rank_r(M, cols, R / Q)
         est = float(np.linalg.norm(P_new - P, "fro"))
         P = P_new
+    return P, est, Q
 
+
+def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
+                     *, tol: float = _TOL, max_nodes: int = _MAX_NODES,
+                     guard_frac: float = GUARD_FRACTION) -> ProjectionPair:
+    """Contour-quadrature Riesz projection for the level n disc.
+
+    Preconditions: n is a level of the basis lattice (its parity, with
+    +-n in the basis), the half-width is at least 4n (so the contour stays
+    well inside the truncated spectrum), no eigenvalue approaches the
+    contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Node
+    counts start at ``contour.nodes`` and are doubled, reusing the moments
+    of earlier nodes, until the projection stabilizes below ``tol`` in
+    Frobenius norm or ``max_nodes`` is hit.
+    """
+    if contour is None:
+        contour = ContourSpec.for_level(n)
+    cols, margin = _level_cols(H, n, contour, guard_frac)
+    P, est, Q = _circle_rule(H, cols, contour, tol, max_nodes)
     P0 = free_projection(H.basis, n)
     return ProjectionPair(n=n, basis=H.basis, P=P, P0=P0, B=P - P0,
                           quad_error_est=est, nodes_used=Q, converged=est < tol,
@@ -456,86 +451,37 @@ def spectral_projector_dense(H: HillMatrix, n: int) -> np.ndarray:
     return vecs[:, inside] @ vinv[inside, :]
 
 
-def _rect_corners(N: int | float) -> list[complex]:
-    # counterclockwise, starting at the bottom-right corner
-    N = float(N)
-    re_max = N * N + N
-    return [complex(re_max, -N), complex(re_max, N),
-            complex(-N, N), complex(-N, -N), complex(re_max, -N)]
-
-
-def _rect_guard(H: HillMatrix, N: float, guard_frac: float) -> np.ndarray:
-    """Check the rectangle contour; return the free columns of its block.
-
-    The block projection has rank len(cols), the number of basis indices
-    with k^2 < N^2 + N, and the rank-r formula forces that rank: a
-    rectangle holding any other number of eigenvalues is refused.
-    """
-    corners = _rect_corners(N)
-    vals = H.eigenvalues()
-    mind = np.inf
-    for a, b in zip(corners[:-1], corners[1:]):
-        seg = b - a
-        t = np.clip(((vals - a) * np.conj(seg)).real / abs(seg) ** 2, 0.0, 1.0)
-        mind = min(mind, float(np.abs(vals - (a + t * seg)).min()))
-    if mind < guard_frac * N:
-        raise EigenvalueOnContour(
-            f"eigenvalue within {guard_frac:.2f}*N of the rectangle boundary")
-    idx = np.array(H.basis.indices)
-    cols = np.flatnonzero(idx * idx < N * N + N)
-    inside = int(np.count_nonzero((vals.real > -N) & (vals.real < N * N + N)
-                                  & (np.abs(vals.imag) < N)))
-    if inside != len(cols):
-        raise RankMismatch(
-            f"{inside} eigenvalue(s) in the N={N:g} rectangle, expected {len(cols)}")
-    return cols
-
-
-def _rect_quadrature(H: HillMatrix, N: float, cols: np.ndarray, panels_scale: int,
-                     panel_nodes: int) -> np.ndarray:
-    nodes, weights = np.polynomial.legendre.leggauss(panel_nodes)
-    zs, ws = [], []
-    corners = _rect_corners(N)
-    for a, b in zip(corners[:-1], corners[1:]):
-        length = abs(b - a)
-        n_panels = panels_scale * max(1, math.ceil(length / max(N, 4.0)))
-        for p in range(n_panels):
-            pa = a + (b - a) * p / n_panels
-            pb = a + (b - a) * (p + 1) / n_panels
-            half = (pb - pa) / 2.0
-            zs.append((pa + pb) / 2.0 + half * nodes)
-            ws.append(weights * half)
-    M = _moments(H, cols, np.concatenate(zs), np.concatenate(ws))
-    return _rank_r(M, cols, 1.0 / (2.0j * np.pi))
-
-
-def rectangle_projection(H: HillMatrix, N: int, panel_nodes: int = 20,
-                         guard_frac: float = GUARD_FRACTION,
-                         refine_tol: float = _RECT_TOL) -> tuple[np.ndarray, float]:
+def rectangle_projection(H: HillMatrix, N: int,
+                         guard_frac: float = GUARD_FRACTION) -> tuple[np.ndarray, float]:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
-    The rectangle must hold exactly as many eigenvalues as there are free
-    indices k with k^2 < N^2 + N (else ``RankMismatch``).  Composite
-    Gauss-Legendre panels on each rectangle side (corners are never
-    nodes) feed the rank-r moment formula; the panel count is doubled
-    once and the Frobenius change reported as the error estimate,
-    refining again if needed.
+    Any contour that encloses exactly the rectangle's eigenvalues gives
+    the same projection, so the circle rule of ``riesz_projection`` runs
+    on |z - N^2/2| = N^2/2 + N, which passes through both real endpoints
+    of the rectangle.  Besides the circle guard, the eigenvalues inside
+    the circle must be exactly those inside the rectangle, and their
+    number the count of free indices k with k^2 < N^2 + N (else
+    ``RankMismatch``).  Returns P and its quadrature error estimate.
     """
-    cols = _rect_guard(H, float(N), guard_frac)
-    P = _rect_quadrature(H, float(N), cols, 1, panel_nodes)
-    scale = 2
-    while True:
-        P2 = _rect_quadrature(H, float(N), cols, scale, panel_nodes)
-        est = float(np.linalg.norm(P2 - P, "fro"))
-        P = P2
-        if est < refine_tol or scale >= 8:
-            return P, est
-        scale *= 2
+    contour = ContourSpec(center=complex(N * N / 2), radius=N * N / 2 + N)
+    vals, _ = _contour_guard(H, contour.center, contour.radius, guard_frac)
+    idx = np.array(H.basis.indices)
+    cols = np.flatnonzero(idx * idx < N * N + N)
+    in_circle = np.abs(vals - contour.center) < contour.radius
+    in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
+    if not np.array_equal(in_circle, in_rect) or len(cols) != np.count_nonzero(in_rect):
+        raise RankMismatch(
+            f"{np.count_nonzero(in_rect)} eigenvalue(s) in the N={N} rectangle and "
+            f"{np.count_nonzero(in_circle)} in its circle "
+            f"({np.count_nonzero(in_rect != in_circle)} in only one), "
+            f"expected the same {len(cols)} in both")
+    P, est, _ = _circle_rule(H, cols, contour, _TOL, _MAX_NODES)
+    return P, est
 
 
 @dataclass(frozen=True)
 class BlockProjection:
-    """S_N assembled as a base rectangle block plus level projections."""
+    """S_N assembled as a base block plus level projections."""
 
     S: np.ndarray
     N: int
@@ -543,7 +489,7 @@ class BlockProjection:
     rect_error_est: float
     level_errors: dict
     free_dimension: int
-    converged: bool  # every level converged and rect_error_est is under the refine tolerance
+    converged: bool  # every level and the base block converged (rect_error_est < 1e-10)
 
     @property
     def trace(self) -> complex:
@@ -554,18 +500,18 @@ class BlockProjection:
         return float(np.linalg.norm(self.S @ self.S - self.S, "fro"))
 
 
-def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64,
-                     panel_nodes: int = 20) -> BlockProjection:
+def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> BlockProjection:
     """S_N = S_{N0} + sum of level projections for N0 < k <= N.
 
-    S_{N0} comes from the rectangle contour; each remaining level uses the
-    circle quadrature.  Levels follow the boundary-condition parity.
+    S_{N0} comes from ``rectangle_projection``, each remaining level from
+    ``riesz_projection`` with ``nodes`` starting nodes: one circle rule
+    throughout.  Levels follow the boundary-condition parity.
     """
     if N < N0:
         raise ValueError("N must be >= N0")
     bc = H.basis.bc
-    S, rect_est = rectangle_projection(H, N0, panel_nodes=panel_nodes)
-    converged = rect_est < _RECT_TOL
+    S, rect_est = rectangle_projection(H, N0)
+    converged = rect_est < _TOL
     level_errors: dict[int, float] = {}
     for k in range(N0 + 1, N + 1):
         if not bc.level_ok(k):

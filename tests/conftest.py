@@ -37,7 +37,7 @@ def big_matrices(gallery):
     mats = {}
     for pname, pot in gallery.items():
         for bc in hp.BoundaryCondition:
-            mats[pname, bc] = hp.assemble(bc, pot, BIG_K, label=pname)
+            mats[pname, bc] = hp.assemble(bc, pot, BIG_K)
     return mats
 
 

@@ -7,6 +7,7 @@ from scipy.special import roots_legendre
 import hillproj as hp
 from hillproj import potential as pot
 from hillproj import projector as prj
+from hillproj.operator import HillMatrix
 
 BC = hp.BoundaryCondition
 PI = math.pi
@@ -101,14 +102,6 @@ class TestRieszProjection:
         H = hp.assemble(BC.PER_PLUS, bad, 64)
         with pytest.raises(prj.EigenvalueOnContour):
             hp.riesz_projection(H, 10)
-
-    def test_metadata(self):
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
-        meta = hp.riesz_projection(H, 8).metadata()
-        assert meta["n"] == 8 and meta["bc"] == "per+"
-        for key in ("trace_re", "quad_error_est", "converged", "idempotency_residual",
-                    "nodes"):
-            assert key in meta
 
 
 def full_inverse_projection(H, n, nodes=64, tol=1e-10, max_nodes=512):
@@ -413,6 +406,43 @@ class TestRectangleVsDenseInverse:
         with pytest.raises(prj.RankMismatch):
             prj.rectangle_projection(H, 4)
 
+    def test_circle_and_rectangle_must_hold_the_same_eigenvalues(self):
+        # diagonal L on the per+ basis: one eigenvalue 16 moves into a corner
+        # of the N = 4 rectangle outside the circle |z - 8| = 12, and 100 into
+        # the circle outside the rectangle; both regions still hold 5
+        basis = hp.basis_for(BC.PER_PLUS, 48)
+        diag0 = np.array([float(k * k) for k in basis.indices])
+        vals = diag0.astype(complex)
+        vals[basis.position(4)] = 19.99 + 3.99j
+        vals[basis.position(10)] = 8 + 10j
+        H = HillMatrix(basis, diag0, np.diag(vals - diag0))
+        in_rect = (vals.real > -4) & (vals.real < 20) & (np.abs(vals.imag) < 4)
+        in_circle = np.abs(vals - 8) < 12
+        assert in_rect.sum() == in_circle.sum() == 5
+        assert np.abs(np.abs(vals - 8) - 12).min() > 0.05 * 12
+        with pytest.raises(prj.RankMismatch):
+            prj.rectangle_projection(H, 4)
+
+
+class TestLargestBaseBlock:
+    """lpnorms builds base blocks up to N0 = 19 (N0 = max(4, min(levels) - 2))."""
+
+    @pytest.mark.parametrize("pname,bc", [("mathieu", BC.PER_PLUS), ("mathieu", BC.PER_MINUS),
+                                          ("mathieu", BC.DIRICHLET), ("delta", BC.PER_PLUS)])
+    def test_converges(self, pname, bc):
+        p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
+        H = hp.assemble(bc, p, 96)
+        S, est = prj.rectangle_projection(H, 19)
+        assert est < 1e-10
+        assert abs(np.trace(S) - np.count_nonzero(np.array(H.basis.indices) ** 2 < 380)) < 1e-10
+
+    def test_against_dense_panel_sum(self):
+        H = hp.assemble(BC.PER_MINUS, pot.mathieu(1.0), 96)
+        S, _ = prj.rectangle_projection(H, 19)
+        S_ref, est_ref = dense_rectangle_projection(H, 19)
+        assert est_ref < 1e-9
+        assert np.linalg.norm(S - S_ref, "fro") <= 1e-13
+
 
 class TestFirstOrderResidue:
     def test_zero_cases(self):
@@ -483,7 +513,7 @@ class TestBlockProjection:
     def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
         real = prj.rectangle_projection
         monkeypatch.setattr(prj, "rectangle_projection",
-                            lambda H, N, panel_nodes: (real(H, N)[0], 1e-3))
+                            lambda H, N: (real(H, N)[0], 1e-3))
         blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
         assert blk.rect_error_est == 1e-3 and not blk.converged
 
