@@ -36,8 +36,9 @@ dense = projector.spectral_projector_dense(H, n)
 print(f"  vs eigendecomposition: {np.linalg.norm(pair.P - dense, 'fro'):.3e}")
 
 # --- the deviation from the free projection --------------------------------
-print(f"\n||B||_2 = {np.linalg.norm(pair.B, 2):.4e}   "
-      f"sum|B| = {np.abs(pair.B).sum():.4e}")
+# P is kept as X G Y^T (X, Y: N x 2, G: 2 x 2); ||B||_2 comes from a 4 x 4
+# core, sum|B| from row blocks; pair.B forms the dense matrix on request
+print(f"\n||B||_2 = {pair.t_n:.4e}   sum|B| = {pair.sum_abs_B:.4e}")
 print("the deviation concentrates on the +-n row/column:")
 k = H.basis.position(n)
 print("  row n, entries at m = n-4..n+4:",

@@ -39,7 +39,6 @@ __all__ = [
     "DecayRecord",
     "GridFunction",
     "decay_record",
-    "spectral_norm",
     "bari_markus_partial",
     "BariMarkusReport",
     "synthesize",
@@ -91,26 +90,18 @@ DECAY_CSV_COLUMNS = ["n", "sum_abs_B", "l1_linf_bound", "t_n", "frob",
                      "rho_n", "eps_n", "kappa_n", "bound64", "bound_valid"]
 
 
-def spectral_norm(B: np.ndarray) -> float:
-    """Largest singular value."""
-    if B.size == 0:
-        return 0.0
-    return float(np.linalg.norm(B, 2))
-
-
 def decay_record(pair: ProjectionPair, r: MajorantSeq,
                  rho_constant: float = 8.0) -> DecayRecord:
     """Measure B(n) and attach the analytic rates for the same level."""
-    B = pair.B
-    sab = float(np.abs(B).sum())
+    sab = pair.sum_abs_B
     d = pair.bc.basis_sup
     rho, eps, kappa, bound64, valid = _bounds.kappa_for(r, pair.n, rho_constant)
     return DecayRecord(
         n=pair.n,
         sum_abs_B=sab,
         l1_linf_bound=d * d * sab,
-        t_n=spectral_norm(B),
-        frob=float(np.linalg.norm(B, "fro")),
+        t_n=pair.t_n,
+        frob=pair.frob,
         rho_n=rho, eps_n=eps, kappa_n=kappa, bound64=bound64, bound_valid=valid,
         quad_error_est=pair.quad_error_est, nodes_used=pair.nodes_used,
         idempotency=pair.idempotency, converged=pair.converged,
@@ -225,12 +216,12 @@ class EquivalenceReport:
     note: str = ""
 
 
-def _sample_ratios(P: np.ndarray, basis: BasisSpec, samples: int, M: int,
+def _sample_ratios(project, basis: BasisSpec, samples: int, M: int,
                    seed: int) -> float:
     rng = np.random.default_rng(seed)
     dim = basis.size
     g = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
-    coeffs = P @ g
+    coeffs = project(g)
     keep = np.linalg.norm(coeffs, axis=0) > 1e-12
     coeffs = coeffs[:, keep]
     vals = _basis_grid(basis, M) @ coeffs
@@ -250,9 +241,10 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
     report flags ``regime_ok = False`` instead of failing.
     """
     d = pair.bc.basis_sup
-    proxy = d * d * float(np.abs(pair.B).sum())
+    proxy = d * d * pair.sum_abs_B
     regime_ok = proxy <= 0.5
-    ratio = _sample_ratios(pair.P, pair.basis, samples, M, seed)
+    X, G, Y = pair.X, pair.G, pair.Y
+    ratio = _sample_ratios(lambda g: X @ (G @ (Y.T @ g)), pair.basis, samples, M, seed)
     bound = 3.0 + 0.05
     return EquivalenceReport(
         level=pair.n, samples=samples, max_ratio=ratio, bound=bound,
@@ -270,7 +262,7 @@ def sn_equivalence(block: BlockProjection, basis: BasisSpec, samples: int = 200,
     coefficients equal, the concentrated spike) is always included.
     """
     N = block.N
-    ratio = _sample_ratios(block.S, basis, samples, M, seed)
+    ratio = _sample_ratios(lambda g: block.S @ g, basis, samples, M, seed)
     spike = np.array([1.0 if k * k < N * N + N else 0.0 for k in basis.indices],
                      dtype=complex)
     coeffs = block.S @ spike

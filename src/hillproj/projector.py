@@ -7,10 +7,15 @@ nodes z_j and weights w_j gives the moments (``_moments``)
     X ~ scale * sum_j w_j (z_j - L)^(-1) E       ~ P E,
     Y ~ scale * sum_j w_j (z_j - L)^(-T) E       ~ (E^T P)^T,
 
-and ``_rank_r`` assembles P = X (E^T X)^(-1) Y^T, which is exact for a
-rank-r projection whenever E^T P E is invertible.  The formula forces
+and ``_factors`` keeps P = X G Y^T, G = (E^T X)^(-1), which is exact for
+a rank-r projection whenever E^T P E is invertible.  The formula forces
 rank r, so every contour must enclose exactly r eigenvalues: the guards
 check that count (``RankMismatch``) on the eigenvalues they compute.
+
+No level quantity forms P densely: B = P - E E^T = [X G, -E] [Y, E]^T,
+P^2 - P and the change of P between node counts take their norms from a
+2r x 2r core of thin QRs of two N x 2r factors (``_core``), in O(N r^2).
+Only sum |B_km| visits every entry of B, over row blocks.
 
 The shifted solves never factor z - L.  Each matrix is reduced once to
 the unitary Hessenberg form L = U A U^H (``HillMatrix.hessenberg``).
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +80,7 @@ __all__ = [
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
 _TOL, _MAX_NODES = 1e-10, 512  # default stopping rule of every contour
+_ROW_BLOCK = 512  # rows of B per block of ``sum_abs_B``: O(_ROW_BLOCK * N) memory
 
 
 class EigenvalueOnContour(RuntimeError):
@@ -111,26 +118,43 @@ class ContourSpec:
         return cls(center=complex(n * n), radius=float(n), nodes=nodes)
 
 
+def _core(left: np.ndarray, right: np.ndarray, mid: np.ndarray | None = None) -> np.ndarray:
+    """R_l mid R_r^T for thin QRs left = Q_l R_l, right = Q_r R_r: it has the
+    singular values of left mid right^T, in O(N k^2) for k columns."""
+    R_l, R_r = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
+    return (R_l if mid is None else R_l @ mid) @ R_r.T
+
+
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Numerical Riesz projection P, exact free projection P0, and B = P - P0."""
+    """Riesz projection P = X G Y^T (X, Y: N x r, G: r x r), free projection
+    P0 = E E^T (E = I[:, cols]) and B = P - P0.  Norms come from ``_core``s
+    and row blocks (``sum_abs_B``); dense N x N ``P`` and ``B`` on access only."""
 
     n: int
     basis: BasisSpec
-    P: np.ndarray
-    P0: np.ndarray
-    B: np.ndarray
+    X: np.ndarray
+    G: np.ndarray
+    Y: np.ndarray
+    cols: np.ndarray
     quad_error_est: float
     nodes_used: int
     converged: bool  # quad_error_est fell below the requested tolerance
     guard_margin: float  # nearest eigenvalue-to-circle distance / radius
-    idempotency: float = field(init=False)
+    idempotency: float = field(init=False)  # ||P^2 - P||_F
+    t_n: float = field(init=False)  # ||B||_2, the L^2 -> L^2 deviation
+    frob: float = field(init=False)  # ||B||_F
 
     def __post_init__(self):
-        for a in (self.P, self.P0, self.B):
+        X, G, Y, cols = self.X, self.G, self.Y, self.cols
+        for a in (X, G, Y, cols):
             a.setflags(write=False)
-        resid = float(np.linalg.norm(self.P @ self.P - self.P, "fro"))
-        object.__setattr__(self, "idempotency", resid)
+        E = (np.arange(len(X))[:, None] == cols).astype(float)  # I[:, cols]
+        B = _core(np.hstack([X @ G, -E]), np.hstack([Y, E]))  # B = [X G, -E] [Y, E]^T
+        P2_P = _core(X, Y, G @ (Y.T @ X) @ G - G)  # P^2 - P = X (G Y^T X G - G) Y^T
+        for name, norm in (("idempotency", np.linalg.norm(P2_P, "fro")),
+                           ("t_n", np.linalg.norm(B, 2)), ("frob", np.linalg.norm(B, "fro"))):
+            object.__setattr__(self, name, float(norm))
 
     @property
     def bc(self) -> BoundaryCondition:
@@ -138,12 +162,35 @@ class ProjectionPair:
 
     @property
     def trace(self) -> complex:
-        return complex(np.trace(self.P))
+        return complex(np.trace(self.G @ (self.Y.T @ self.X)))
 
     @property
     def trace_defect(self) -> float:
         """|trace P - r|: a projection of rank r has trace exactly r."""
         return abs(self.trace - self.bc.rank)
+
+    @cached_property
+    def sum_abs_B(self) -> float:
+        """sum |B_km| over blocks of ``_ROW_BLOCK`` rows of X (G Y^T) - E E^T."""
+        GYt, cols, total = self.G @ self.Y.T, self.cols, 0.0
+        for i in range(0, len(self.X), _ROW_BLOCK):
+            blk = self.X[i:i + _ROW_BLOCK] @ GYt
+            c = cols[(cols >= i) & (cols < i + _ROW_BLOCK)]
+            blk[c - i, c] -= 1.0
+            total += float(np.abs(blk).sum())
+        return total
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Dense P, N x N: for the oracles, the tests and block sums."""
+        P = self.X @ (self.G @ self.Y.T)
+        P.setflags(write=False)
+        return P
+
+    @property
+    def B(self) -> np.ndarray:
+        """Dense B = P - P0, N x N: for the oracles and the tests."""
+        return self.P - free_projection(self.basis, self.n)
 
 
 def _contour_guard(H: HillMatrix, center: complex, radius: float,
@@ -263,7 +310,7 @@ def _sweep_operands(H: HillMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
              ws: np.ndarray) -> np.ndarray:
     """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r
-    (N x r, the first block alone, for Hermitian L: ``_rank_r`` then
+    (N x r, the first block alone, for Hermitian L: ``_factors`` then
     takes Y = conj(X)).
 
     Each leading axis of ``ws`` (one weight row per sum) is a leading axis
@@ -290,13 +337,19 @@ def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
     return np.swapaxes(M, -1, -2)
 
 
-def _rank_r(M: np.ndarray, cols: np.ndarray, scale: complex) -> np.ndarray:
-    """P = X (E^T X)^-1 Y^T from the scaled moments X ~ P E and Y^T ~ E^T P
-    (Y = conj(X) when M holds X alone: Hermitian L)."""
+def _factors(M: np.ndarray, cols: np.ndarray, scale: complex):
+    """(X, G, Y): P = X G Y^T, G = (E^T X)^-1, from the scaled moments X ~ P E
+    and Y^T ~ E^T P (Y = conj(X) when M holds X alone: Hermitian L)."""
     r = len(cols)
     X = scale * M[:, :r]
     Y = scale * M[:, r:] if M.shape[1] > r else X.conj()
-    return X @ np.linalg.solve(X[cols], Y.T)
+    return X, np.linalg.inv(X[cols]), Y
+
+
+def _change(f1, f0) -> float:
+    """||X1 G1 Y1^T - X0 G0 Y0^T||_F for ``_factors`` f, from their ``_core``."""
+    (X1, G1, Y1), (X0, G0, Y0) = f1, f0
+    return float(np.linalg.norm(_core(np.hstack([X1 @ G1, X0 @ G0]), np.hstack([Y1, -Y0]))))
 
 
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
@@ -304,17 +357,15 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     if not basis.contains_level(n):
         raise IndexOutOfBasis(f"level {n} not in basis for {basis.bc.value}")
     P0 = np.zeros((basis.size, basis.size), dtype=complex)
-    targets = (n, -n) if basis.bc.is_periodic_family else (n,)
-    for k in set(targets):
-        j = basis.position(k)
-        P0[j, j] = 1.0
+    for k in {n, -n} if basis.bc.is_periodic_family else {n}:
+        P0[basis.position(k), basis.position(k)] = 1.0
     return P0
 
 
 def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: float,
-                 max_nodes: int) -> tuple[np.ndarray, float, int]:
+                 max_nodes: int) -> tuple[tuple, float, int]:
     """Rank-len(cols) projection over the circle of ``contour`` by the
-    trapezoidal rule; returns P, its error estimate and the nodes used.
+    trapezoidal rule: its ``_factors``, error estimate and nodes used.
 
     Node counts start at ``contour.nodes`` and are doubled, reusing the
     moments of earlier nodes, until the Frobenius change of P drops below
@@ -332,16 +383,16 @@ def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: flo
     Q = contour.nodes
     even = np.arange(Q) % 2 == 0
     M_even, M = moments(2.0 * np.pi * np.arange(Q) / Q, np.stack([even, np.ones_like(even)]))
-    P = _rank_r(M, cols, R / Q)
-    est = float(np.linalg.norm(P - _rank_r(M_even, cols, R / (Q // 2)), "fro"))
+    f = _factors(M, cols, R / Q)
+    est = _change(f, _factors(M_even, cols, R / (Q // 2)))
     while est >= tol and Q < max_nodes:
         # midpoints of the current grid are the odd nodes of the doubled grid
         M = M + moments(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
-        P_new = _rank_r(M, cols, R / Q)
-        est = float(np.linalg.norm(P_new - P, "fro"))
-        P = P_new
-    return P, est, Q
+        f_new = _factors(M, cols, R / Q)
+        est = _change(f_new, f)
+        f = f_new
+    return f, est, Q
 
 
 def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
@@ -352,17 +403,14 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
     Preconditions: n is a level of the basis lattice (its parity, with
     +-n in the basis), the half-width is at least 4n (so the contour stays
     well inside the truncated spectrum), no eigenvalue approaches the
-    contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Node
-    counts start at ``contour.nodes`` and are doubled, reusing the moments
-    of earlier nodes, until the projection stabilizes below ``tol`` in
-    Frobenius norm or ``max_nodes`` is hit.
+    contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Nodes
+    are doubled from ``contour.nodes`` as in ``_circle_rule``.
     """
     if contour is None:
         contour = ContourSpec.for_level(n)
     cols, margin = _level_cols(H, n, contour, guard_frac)
-    P, est, Q = _circle_rule(H, cols, contour, tol, max_nodes)
-    P0 = free_projection(H.basis, n)
-    return ProjectionPair(n=n, basis=H.basis, P=P, P0=P0, B=P - P0,
+    (X, G, Y), est, Q = _circle_rule(H, cols, contour, tol, max_nodes)
+    return ProjectionPair(n=n, basis=H.basis, X=X, G=G, Y=Y, cols=cols,
                           quad_error_est=est, nodes_used=Q, converged=est < tol,
                           guard_margin=margin)
 
@@ -475,8 +523,8 @@ def rectangle_projection(H: HillMatrix, N: int,
             f"{np.count_nonzero(in_circle)} in its circle "
             f"({np.count_nonzero(in_rect != in_circle)} in only one), "
             f"expected the same {len(cols)} in both")
-    P, est, _ = _circle_rule(H, cols, contour, _TOL, _MAX_NODES)
-    return P, est
+    (X, G, Y), est, _ = _circle_rule(H, cols, contour, _TOL, _MAX_NODES)
+    return X @ (G @ Y.T), est
 
 
 @dataclass(frozen=True)

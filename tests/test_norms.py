@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,26 +17,29 @@ BC = hp.BoundaryCondition
 
 
 class TestSpectralNorm:
+    """``ProjectionPair.t_n``, the spectral norm of B from its 2r x 2r core."""
+
     def test_zero_and_diagonal(self):
-        assert norms.spectral_norm(np.zeros((4, 4))) == 0.0
-        assert norms.spectral_norm(np.diag([3.0, 0, 0])) == 3.0
+        H = hp.assemble(BC.PER_PLUS, pot.zero(), 40)
+        pair = hp.riesz_projection(H, 8)
+        assert pair.t_n < 1e-14 and pair.frob < 1e-14  # L diagonal: P = P0
+        # 4 G gives P = 4 P0, so B = 3 P0: norm 3, Frobenius 3 sqrt(2)
+        quad = dataclasses.replace(pair, G=4 * pair.G)
+        assert abs(quad.t_n - 3) < 1e-12 and abs(quad.frob - 3 * math.sqrt(2)) < 1e-12
 
     def test_against_power_iteration(self):
-        rng = np.random.default_rng(11)
-        B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert abs(norms.spectral_norm(B) - power_iteration_norm(B)) < 1e-10
+        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 64)
+        pair = hp.riesz_projection(H, 10)
+        assert abs(pair.t_n - power_iteration_norm(pair.B)) < 1e-10
 
 
 class TestNormChain:
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=40, deadline=None)
-    def test_two_le_frob_le_abs_sum(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        two = norms.spectral_norm(B)
-        fro = np.linalg.norm(B, "fro")
-        tot = np.abs(B).sum()
-        assert two <= fro + 1e-12 and fro <= tot + 1e-12
+    @pytest.mark.parametrize("pname", ["mathieu", "delta"])
+    @pytest.mark.parametrize("bc,n", [(BC.PER_PLUS, 10), (BC.PER_MINUS, 9), (BC.DIRICHLET, 8)])
+    def test_two_le_frob_le_abs_sum(self, pname, bc, n):
+        p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
+        pair = hp.riesz_projection(hp.assemble(bc, p, 48), n)
+        assert 0 < pair.t_n <= pair.frob + 1e-15 and pair.frob <= pair.sum_abs_B
 
 
 class TestBariMarkus:

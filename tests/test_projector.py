@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -337,6 +338,81 @@ class TestRankEngineVsFullInverse:
         pair = hp.riesz_projection(H, 8, tol=1e-30, max_nodes=64)
         assert pair.converged is False and pair.nodes_used == 64
         assert hp.riesz_projection(H, 8).converged is True
+
+
+# w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, so
+# Y = conj(X) differs from X by more than rounding
+COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
+
+
+class TestFactoredPair:
+    """The quantities ProjectionPair takes from its factors P = X G Y^T
+    against dense computations on the N x N P.
+
+    Each level also gives a perturbed pair, G -> G (I + M/10) with M
+    random: no projection, so its idempotency and trace defects lie far
+    above rounding and test the cores on more than noise.
+    """
+
+    @pytest.fixture(scope="class", params=[
+        ("delta", BC.PER_PLUS, 10),  # Hermitian: Y = conj(X)
+        ("complex", BC.PER_PLUS, 8),  # NON_HERMITIAN
+        ("mathieu", BC.DIRICHLET, 8),
+        ("complex_hermitian", BC.PER_PLUS, 10),
+    ], ids=lambda p: f"{p[0]}-{p[1].value}")
+    def level(self, request):
+        pname, bc, n = request.param
+        p = (pot.from_coeffs(0.0, COMPLEX_HERMITIAN) if pname == "complex_hermitian"
+             else gallery_potential(pname))
+        H = hp.assemble(bc, p, 48)
+        pair = hp.riesz_projection(H, n)
+        r = bc.rank
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        return H, pair, dataclasses.replace(pair, G=pair.G @ (np.eye(r) + M / 10))
+
+    def test_pair_is_the_riesz_projection(self, level):
+        H, pair, _ = level
+        assert np.array_equal(pair.Y, pair.X.conj()) == H.hermitian
+        assert pair.converged
+        assert np.linalg.norm(pair.P - prj.spectral_projector_dense(H, pair.n)) <= 1e-10
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_norms_of_B(self, level, perturbed):
+        pair = level[2 if perturbed else 1]
+        B = pair.B
+        assert np.array_equal(B, pair.P - prj.free_projection(pair.basis, pair.n))
+        assert abs(pair.t_n - np.linalg.norm(B, 2)) <= 1e-12 * pair.t_n
+        assert abs(pair.frob - np.linalg.norm(B, "fro")) <= 1e-12 * pair.frob
+        assert abs(pair.sum_abs_B - np.abs(B).sum()) <= 1e-14 * pair.sum_abs_B
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_idempotency_and_trace(self, level, perturbed):
+        pair = level[2 if perturbed else 1]
+        P = pair.P
+        idem = np.linalg.norm(P @ P - P, "fro")
+        assert abs(pair.idempotency - idem) <= 1e-13
+        assert abs(pair.trace_defect - abs(np.trace(P) - pair.bc.rank)) <= 1e-13
+        assert (idem > 1e-2) if perturbed else (idem < 1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 13])
+    def test_sum_abs_B_over_row_blocks(self, level, block, monkeypatch):
+        pair = level[2]
+        monkeypatch.setattr(prj, "_ROW_BLOCK", block)
+        fresh = dataclasses.replace(pair)  # sum_abs_B is cached per pair
+        assert abs(fresh.sum_abs_B - np.abs(pair.B).sum()) <= 1e-14 * fresh.sum_abs_B
+
+    def test_doubling_estimate(self, level):
+        H, pair, bad = level
+        dense = np.linalg.norm(pair.P - bad.P, "fro")
+        assert abs(prj._change((pair.X, pair.G, pair.Y), (bad.X, bad.G, bad.Y)) - dense) <= 1e-13
+        # the estimate of the circle rule: 16 nodes, doubled once to 32
+        contour = prj.ContourSpec.for_level(pair.n, 16)
+        f16, _, _ = prj._circle_rule(H, pair.cols, contour, 0.0, 16)
+        f32, est, q = prj._circle_rule(H, pair.cols, contour, 0.0, 32)
+        P16, P32 = (X @ G @ Y.T for X, G, Y in (f16, f32))
+        assert q == 32 and est > 1e-12
+        assert abs(est - np.linalg.norm(P32 - P16, "fro")) <= 1e-13
 
 
 def dense_rect_quadrature(H, N, panels_scale, panel_nodes=20):
