@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +84,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             merged.update(json.load(fh))
-    for key in ("potential", "bc", "K", "n_min", "n_max", "nodes",
-                "rho_constant", "cutoff", "seed", "out", "samples"):
+    for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -202,7 +201,7 @@ def cmd_decay(cfg: RunConfig) -> int:
     echo = cfg.echo()
     _write_csv(cfg.out / "decay_records.csv", norms.records_to_csv_rows(records), echo)
     _write_json(cfg.out / "decay.json", {
-        "records": json.loads(norms.records_to_json(records))["records"],
+        "records": [asdict(rec) for rec in records],
         "errors": errors,
     }, echo)
     if errors:

@@ -23,9 +23,8 @@ the Riesz subspaces is meaningful.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "sn_equivalence",
     "EquivalenceReport",
     "records_to_csv_rows",
-    "records_to_json",
     "DECAY_CSV_COLUMNS",
 ]
 
@@ -290,11 +288,3 @@ def records_to_csv_rows(records) -> list[list]:
                      f"{rec.eps_n:.12e}", f"{rec.kappa_n:.12e}",
                      f"{rec.bound64:.12e}", int(rec.bound_valid)])
     return rows
-
-
-def records_to_json(records, meta: dict | None = None) -> str:
-    payload = {
-        "meta": meta or {},
-        "records": [asdict(rec) for rec in records],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -111,6 +111,17 @@ class BasisSpec:
             return n in self.indices and -n in self.indices
         return n in self.indices
 
+    def transpose_perm(self) -> np.ndarray:
+        """Positions p with L^T = L[p][:, p] for every Hill matrix on this basis.
+
+        Per+-: p reverses the symmetric index set, k -> -k, since the
+        coupling V(k - m) depends on k - m alone: L[-k, -m] = V(m - k) =
+        L[m, k].  Dirichlet: the identity, since its coupling is symmetric
+        in (k, m).
+        """
+        pos = np.arange(self.size)
+        return pos[::-1] if self.bc.is_periodic_family else pos
+
 
 def basis_for(bc: BoundaryCondition, half_width: int) -> BasisSpec:
     if half_width < 1:
@@ -138,6 +149,12 @@ class HillMatrix:
     ``np.linalg.eigvalsh``.  Eigenvalues alone skip the eigenvectors
     unless ``eig()`` has already computed them; they never come from the
     Hessenberg form, so the guards stay independent of the quadrature.
+
+    Every matrix must satisfy the transpose symmetry of its lattice,
+    L^T = L[p][:, p] for p = ``basis.transpose_perm()``, bit for bit
+    (else ``ValueError``): the contour quadrature takes the moments of
+    (z - L)^-T from those of (z - L)^-1 by it.  ``assemble`` meets it for
+    every potential, complex ones included.
     """
 
     def __init__(self, basis: BasisSpec, diag0: np.ndarray, Vmat: np.ndarray,
@@ -149,6 +166,9 @@ class HillMatrix:
         self.coverage = float(coverage)
         for a in (self.diag0, self.Vmat, self.L):
             a.setflags(write=False)
+        p = basis.transpose_perm()
+        if not np.array_equal(self.L.T, self.L[np.ix_(p, p)]):
+            raise ValueError(f"L^T != L[p][:, p] for the {basis.bc.value} lattice symmetry p")
         self.hermitian = bool(np.array_equal(self.L, self.L.conj().T))
         self._eig = None
         self._vals = None

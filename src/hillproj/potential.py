@@ -400,22 +400,25 @@ def from_config(cfg: Mapping, default_truncation: int = 512) -> FourierPotential
     raise ValueError(f"unknown potential kind {kind!r}")
 
 
+# the config key that the parameter of each 'kind:param' shorthand sets
+_SHORTHAND_PARAM = {"zero": None, "mathieu": "coupling", "delta_comb": "mass",
+                    "sawtooth": "amplitude"}
+
+
 def parse_potential_arg(arg: str, default_truncation: int = 512) -> FourierPotential:
-    """Parse a CLI shorthand such as 'mathieu:1.0' or 'file:gallery.json'."""
-    if ":" in arg:
-        kind, _, param = arg.partition(":")
-    else:
-        kind, param = arg, ""
+    """Parse a CLI shorthand such as 'mathieu:1.0' or 'file:gallery.json'.
+
+    A gallery shorthand 'kind:param' is the ``from_config`` mapping with
+    that kind, its parameter (default 1) and ``default_truncation``.
+    """
+    kind, _, param = arg.partition(":")
     kind = kind.strip().lower()
     if kind == "file":
         with open(param) as fh:
             return from_config(json.load(fh), default_truncation)
-    if kind == "zero":
-        return zero()
-    if kind == "mathieu":
-        return mathieu(float(param) if param else 1.0)
-    if kind == "delta_comb":
-        return delta_comb(float(param) if param else 1.0, max_index=default_truncation)
-    if kind == "sawtooth":
-        return sawtooth(float(param) if param else 1.0, max_index=default_truncation)
-    raise ValueError(f"cannot parse potential argument {arg!r}")
+    if kind not in _SHORTHAND_PARAM:
+        raise ValueError(f"cannot parse potential argument {arg!r}")
+    cfg = {"kind": kind, "truncation": default_truncation}
+    if param and _SHORTHAND_PARAM[kind]:
+        cfg[_SHORTHAND_PARAM[kind]] = float(param)
+    return from_config(cfg)

@@ -5,12 +5,19 @@ from its action on r free columns E = I[:, cols].  A contour rule with
 nodes z_j and weights w_j gives the moments (``_moments``)
 
     X ~ scale * sum_j w_j (z_j - L)^(-1) E       ~ P E,
-    Y ~ scale * sum_j w_j (z_j - L)^(-T) E       ~ (E^T P)^T,
 
-and ``_factors`` keeps P = X G Y^T, G = (E^T X)^(-1), which is exact for
-a rank-r projection whenever E^T P E is invertible.  The formula forces
-rank r, so every contour must enclose exactly r eigenvalues: the guards
-check that count (``RankMismatch``) on the eigenvalues they compute.
+and ``_factors`` keeps P = X G Y^T, G = (E^T X)^(-1), Y = P^T E, which
+is exact for a rank-r projection whenever E^T P E is invertible.  The
+formula forces rank r, so every contour must enclose exactly r
+eigenvalues: the guards check that count (``RankMismatch``) on the
+eigenvalues they compute.
+
+Y needs no second set of solves.  Every Hill matrix has the transpose
+symmetry of its lattice, L^T = L[p][:, p] (``BasisSpec.transpose_perm``:
+k -> -k for per+-, the identity for Dirichlet; ``HillMatrix`` checks it),
+so (z - L)^(-T) = (z - L)^(-1)[p][:, p] node by node, for every contour,
+weight and potential.  The columns of every contour here are closed
+under p, p[cols] = cols[s], hence Y = X[p][:, s].
 
 No level quantity forms P densely: B = P - E E^T = [X G, -E] [Y, E]^T,
 P^2 - P and the change of P between node counts take their norms from a
@@ -18,15 +25,12 @@ P^2 - P and the change of P between node counts take their norms from a
 Only sum |B_km| visits every entry of B, over row blocks.
 
 The shifted solves never factor z - L.  Each matrix is reduced once to
-the unitary Hessenberg form L = U A U^H (``HillMatrix.hessenberg``).
-Both directions then solve upper Hessenberg systems: z - A for X, and
-z - J A^T J (J the index reversal) for Y.  ``_hessenberg_sweep`` solves
-them with one bottom-up Givens sweep per node, vectorised over the
-nodes, on the band of A: with A[i, j] = 0 for j - i > b, read from the
-exact zeros of A, a node costs O(N b r) work and O(N r) memory.  A dense
-A has b = N - 1.  For Hermitian L the form is tridiagonal (b = 1), and
-since every Riesz projection of a Hermitian matrix is Hermitian,
-Y = P^T E = conj(P E) = conj(X): only the X direction is swept.
+the unitary Hessenberg form L = U A U^H (``HillMatrix.hessenberg``), and
+``_hessenberg_sweep`` solves z - A with one bottom-up Givens sweep per
+node, vectorised over the nodes, on the band of A: with A[i, j] = 0 for
+j - i > b, read from the exact zeros of A, a node costs O(N b r) work
+and O(N r) memory.  A dense A has b = N - 1; for Hermitian L the form is
+tridiagonal (b = 1).
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  It uses the
@@ -230,49 +234,48 @@ def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
 _NODE_BLOCK = 128  # nodes per sweep: bounds the work arrays at O(_NODE_BLOCK * N * r)
 
 
-def _band(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep operands of a stack hs (D x N x N) of upper Hessenberg matrices.
+def _band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep operands of an upper Hessenberg matrix A (N x N).
 
-    The upper bandwidth b is read from the exact zeros of the stack
-    (hs[d, i, j] == 0 for j - i > b).  Returns ``band``, N x (b+1) x D x 1
-    with band[k, t, d] = -hs[d, k - b + t, k] (zero above row 0), and the
-    subdiagonal h, (N-1) x D x 1 with h[k - 1, d] the entry (k, k-1) of
-    z - hs[d], the same for every z.  Index-major, so every update of the
-    sweep is one contiguous block of rows.
+    The upper bandwidth b is read from the exact zeros of A (A[i, j] == 0
+    for j - i > b).  Returns ``band``, N x (b+1) with band[k, t] =
+    -A[k - b + t, k] (zero above row 0), and the subdiagonal h, N-1 long
+    with h[k - 1] the entry (k, k-1) of z - A, the same for every z.
+    Index-major, so every update of the sweep is one contiguous block of
+    rows.
     """
-    N = hs.shape[1]
-    i, j = np.nonzero(hs.any(axis=0))
+    N = len(A)
+    i, j = np.nonzero(A)
     b = int((j - i).max(initial=0))
     rows = np.arange(N)[:, None] + np.arange(-b, 1)
-    band = np.where(rows >= 0, -hs[:, np.maximum(rows, 0), np.arange(N)[:, None]], 0)
-    h = -np.diagonal(hs, offset=-1, axis1=1, axis2=2).T[..., None]
-    return np.ascontiguousarray(np.moveaxis(band, 0, -1)[..., None]), h
+    band = np.where(rows >= 0, -A[np.maximum(rows, 0), np.arange(N)[:, None]], 0)
+    return band, -np.diagonal(A, offset=-1)
 
 
 def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
                       zs: np.ndarray) -> np.ndarray:
-    """Solutions x[d, j] of (z_j - hs[d]) x = rhs[d] for the operands of ``_band``.
+    """Solutions x[j] of (z_j - A) x = rhs for the operands of ``_band``.
 
-    ``rhs`` is D x r x N (right-hand sides as rows) and the result is
-    D x Q x r x N for the Q shifts ``zs``.  A bottom-up Givens RQ of
-    z - hs: step k rotates columns k-1 and k to zero the subdiagonal entry
+    ``rhs`` is r x N (right-hand sides as rows) and the result is
+    Q x r x N for the Q shifts ``zs``.  A bottom-up Givens RQ of z - A:
+    step k rotates columns k-1 and k to zero the subdiagonal entry
     (k, k-1), which completes column k of the triangular factor, so it
     fixes y_k and updates the right-hand sides.  Column k of the partly
-    reduced matrix has the band of hs, so step k touches only rows
+    reduced matrix has the band of A, so step k touches only rows
     max(0, k-1-b) .. k: each shift costs O(N b r) work and O(N r) memory.
     A second pass applies the stored rotations to y.
     """
-    N, b1, D, _ = band.shape
+    N, b1 = band.shape
     b = b1 - 1
     Q = len(zs)
-    v = np.zeros((N, D, Q), dtype=complex)  # column k of the partly reduced z - hs
+    v = np.zeros((N, Q), dtype=complex)  # column k of the partly reduced z - A
     top = max(0, N - 1 - b)
-    v[top:] = band[N - 1, top - (N - 1 - b):]
+    v[top:] = band[N - 1, top - (N - 1 - b):, None]
     v[N - 1] += zs
-    y = np.empty((N, rhs.shape[1], D, Q), dtype=complex)  # right-hand sides, then y
-    y[:] = np.transpose(rhs, (2, 1, 0))[..., None]
-    cs = np.empty((N, D, Q), dtype=complex)
-    ss = np.empty((N, D, Q), dtype=complex)
+    y = np.empty((N, len(rhs), Q), dtype=complex)  # right-hand sides, then y
+    y[:] = rhs.T[..., None]
+    cs = np.empty((N, Q), dtype=complex)
+    ss = np.empty((N, Q), dtype=complex)
     habs = np.abs(h)
     for k in range(N - 1, 0, -1):
         rho = np.hypot(habs[k - 1], np.abs(v[k]))
@@ -280,7 +283,7 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
         s = ss[k] = h[k - 1] / rho
         yk = y[k] = y[k] / rho
         top = max(0, k - 1 - b)  # rows top .. k-1 of columns k-1 and k are in the band
-        u, vk = band[k - 1, top - (k - 1 - b):], v[top:k]
+        u, vk = band[k - 1, top - (k - 1 - b):, None], v[top:k]
         # [column k-1, column k] <- [u, v] [[c, conj(s)], [-s, conj(c)]]
         sc = s.conj()
         col_k = sc * u + c.conj() * vk
@@ -294,56 +297,38 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
         lo, hi = y[k - 1].copy(), y[k]
         y[k - 1] = cs[k] * lo + scs[k] * hi
         y[k] = ccs[k] * hi - ss[k] * lo
-    return np.transpose(y, (2, 3, 1, 0))
-
-
-def _sweep_operands(H: HillMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U and the ``_band`` of A (and of J A^T J unless L is Hermitian).
-
-    Rebuilt on every call: O(N^2) against the O(Q N b r) sweep it feeds.
-    """
-    A, U = H.hessenberg()
-    hs = A[None] if H.hermitian else np.stack([A, A.T[::-1, ::-1]])
-    return (U, *_band(hs))
+    return np.transpose(y, (2, 1, 0))
 
 
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
              ws: np.ndarray) -> np.ndarray:
-    """sum_j w_j [(z_j - L)^-1 E, (z_j - L)^-T E] for E = I[:, cols], N x 2r
-    (N x r, the first block alone, for Hermitian L: ``_factors`` then
-    takes Y = conj(X)).
+    """sum_j w_j (z_j - L)^-1 E for E = I[:, cols], N x r.
 
     Each leading axis of ``ws`` (one weight row per sum) is a leading axis
     of the result.  With L = U A U^H from ``H.hessenberg()``,
-
-        (z - L)^-1 E = U (z - A)^-1 U^H E,
-        (z - L)^-T E = conj(U) J (z - J A^T J)^-1 J U^T E,
-
-    J the index reversal; A and J A^T J are both upper Hessenberg with the
-    same upper bandwidth, so one sweep serves both directions.  Nodes go
-    through in blocks of ``_NODE_BLOCK``.
+    (z - L)^-1 E = U (z - A)^-1 U^H E.  Nodes go through in blocks of
+    ``_NODE_BLOCK``.
     """
-    U, band, h = _sweep_operands(H)
-    Ue = U[cols]
-    rhs = Ue.conj()[None] if H.hermitian else np.stack([Ue.conj(), Ue[:, ::-1]])
+    A, U = H.hessenberg()
+    band, h = _band(A)
+    rhs = U[cols].conj()
     acc = 0.0
     for i in range(0, len(zs), _NODE_BLOCK):
         blk = slice(i, i + _NODE_BLOCK)
         x = _hessenberg_sweep(band, h, rhs, zs[blk])
-        acc = acc + np.einsum("...j,djrn->...drn", ws[..., blk], x)
-    M = acc[..., 0, :, :] @ U.T
-    if not H.hermitian:
-        M = np.concatenate([M, acc[..., 1, :, ::-1] @ U.conj().T], axis=-2)
-    return np.swapaxes(M, -1, -2)
+        acc = acc + np.einsum("...j,jrn->...rn", ws[..., blk], x)
+    return np.swapaxes(acc @ U.T, -1, -2)
 
 
-def _factors(M: np.ndarray, cols: np.ndarray, scale: complex):
-    """(X, G, Y): P = X G Y^T, G = (E^T X)^-1, from the scaled moments X ~ P E
-    and Y^T ~ E^T P (Y = conj(X) when M holds X alone: Hermitian L)."""
-    r = len(cols)
-    X = scale * M[:, :r]
-    Y = scale * M[:, r:] if M.shape[1] > r else X.conj()
-    return X, np.linalg.inv(X[cols]), Y
+def _factors(M: np.ndarray, cols: np.ndarray, p: np.ndarray, scale: complex):
+    """(X, G, Y): P = X G Y^T, G = (E^T X)^-1, from the scaled moments X ~ P E.
+
+    Y = P^T E comes from X by the transpose symmetry L^T = L[p][:, p],
+    which every Riesz projection of L inherits: P^T = P[p][:, p].  With
+    p[cols] = cols[s] that is Y = X[p][:, s].
+    """
+    X = scale * M
+    return X, np.linalg.inv(X[cols]), X[p][:, np.searchsorted(cols, p[cols])]
 
 
 def _change(f1, f0) -> float:
@@ -372,6 +357,8 @@ def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: flo
     ``tol`` or ``max_nodes`` is hit.
     """
     c, R = contour.center, contour.radius
+    p = H.basis.transpose_perm()
+    assert np.array_equal(np.sort(p[cols]), cols), "cols not closed under the transpose symmetry"
 
     def moments(thetas: np.ndarray, masks=True) -> np.ndarray:
         w = np.exp(1j * thetas)
@@ -383,13 +370,13 @@ def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: flo
     Q = contour.nodes
     even = np.arange(Q) % 2 == 0
     M_even, M = moments(2.0 * np.pi * np.arange(Q) / Q, np.stack([even, np.ones_like(even)]))
-    f = _factors(M, cols, R / Q)
-    est = _change(f, _factors(M_even, cols, R / (Q // 2)))
+    f = _factors(M, cols, p, R / Q)
+    est = _change(f, _factors(M_even, cols, p, R / (Q // 2)))
     while est >= tol and Q < max_nodes:
         # midpoints of the current grid are the odd nodes of the doubled grid
         M = M + moments(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
-        f_new = _factors(M, cols, R / Q)
+        f_new = _factors(M, cols, p, R / Q)
         est = _change(f_new, f)
         f = f_new
     return f, est, Q

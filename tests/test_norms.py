@@ -191,7 +191,3 @@ class TestSerialization:
         rows = norms.records_to_csv_rows(recs)
         assert rows[0] == norms.DECAY_CSV_COLUMNS
         assert len(rows) == 3 and rows[1][0] == 8
-        import json
-        payload = json.loads(norms.records_to_json(recs, meta={"bc": "per+"}))
-        assert payload["meta"]["bc"] == "per+"
-        assert payload["records"][0]["n"] == 8

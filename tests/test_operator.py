@@ -163,3 +163,46 @@ class TestAssembleValidation:
         H = hp.assemble(BC.PER_PLUS, p, 32, coverage_floor=0.5)
         assert 0.5 < H.coverage < 1.0
 
+
+
+NON_HERMITIAN = [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)]
+# w(-m) = -conj(w(m)): a real potential with a complex Hermitian L
+COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
+
+
+class TestTransposeSymmetry:
+    """L^T = J L J (per+-, J the index reversal) or L^T = L (Dirichlet), bit
+    for bit: the contour quadrature takes the (z - L)^-T moments from the
+    (z - L)^-1 moments by it."""
+
+    @pytest.mark.parametrize("bc", list(BC))
+    @pytest.mark.parametrize("pname", ["zero", "mathieu", "delta", "sawtooth",
+                                       "non_hermitian", "complex_hermitian"])
+    def test_assembled_gallery(self, pname, bc):
+        p = {"zero": pot.zero, "mathieu": lambda: pot.mathieu(1.0),
+             "delta": lambda: pot.delta_comb(0.5, max_index=512),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=512),
+             "non_hermitian": lambda: pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN),
+             "complex_hermitian": lambda: pot.from_coeffs(0.0, COMPLEX_HERMITIAN)}[pname]()
+        for K in (40, 48, 64):
+            H = hp.assemble(bc, p, K)
+            if bc.is_periodic_family:
+                assert H.basis.indices[::-1] == tuple(-k for k in H.basis.indices)
+                assert np.array_equal(H.L.T, H.L[::-1, ::-1])
+            else:
+                assert np.array_equal(H.L.T, H.L)
+
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    def test_hand_built_matrix_must_keep_it(self, bc):
+        basis = op.basis_for(bc, 8)
+        diag0 = np.array([float(k * k) for k in basis.indices])
+        V = np.zeros((basis.size, basis.size), dtype=complex)
+        V[0, 1] = V[1, 0] = 0.5  # symmetric in (k, m): L^T = L, but J L J != L
+        if bc.is_periodic_family:
+            with pytest.raises(ValueError, match="lattice symmetry"):
+                op.HillMatrix(basis, diag0, V.copy())
+            V[-1, -2] = V[-2, -1] = 0.5  # and its mirror image
+        op.HillMatrix(basis, diag0, V.copy())
+        V[2, 3] = 1.0  # one entry without its transpose partner
+        with pytest.raises(ValueError, match="lattice symmetry"):
+            op.HillMatrix(basis, diag0, V)

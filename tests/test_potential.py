@@ -235,6 +235,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             pot.parse_potential_arg("nope:1")
 
+    @pytest.mark.parametrize("arg,cfg", [
+        ("zero", {"kind": "zero"}),
+        ("mathieu", {"kind": "mathieu"}),
+        ("Mathieu:2.5", {"kind": "mathieu", "coupling": 2.5}),
+        ("delta_comb:0.5", {"kind": "delta_comb", "mass": 0.5, "truncation": 96}),
+        ("delta_comb:", {"kind": "delta_comb", "mass": 1.0, "truncation": 96}),
+        ("sawtooth:-1.5", {"kind": "sawtooth", "amplitude": -1.5, "truncation": 96}),
+    ])
+    def test_shorthand_is_its_config(self, arg, cfg):
+        a, b = pot.parse_potential_arg(arg, 96), pot.from_config(cfg, 96)
+        assert np.array_equal(a.w.idx, b.w.idx) and np.array_equal(a.w.val, b.w.val)
+        assert (a.v0, a.max_index, a.complete) == (b.v0, b.max_index, b.complete)
+
+    @pytest.mark.parametrize("arg", ["custom:1", "nope:1", "custom"])
+    def test_shorthand_rejects_other_kinds(self, arg):
+        with pytest.raises(ValueError, match="cannot parse"):
+            pot.parse_potential_arg(arg)
+
 
 # -- sparse storage against a dict-based brute-force reference ------------------
 

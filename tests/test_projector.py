@@ -159,16 +159,16 @@ def solve_moments(H, cols, zs, ws):
 
 
 def check_moments(H, M, M_ref, r):
-    """X against the reference always; Y only where ``_moments`` sweeps it.
+    """X against the (z - L)^-1 reference, and the reflected X against the
+    (z - L)^-T reference, for every matrix.
 
-    For Hermitian L the moments hold X alone: with random weights the sum
-    is no projection, so Y = conj(X) would not hold for it.
+    The lattice symmetry L^T = J L J (per+-, J the index reversal) or
+    L^T = L (Dirichlet) holds node by node, so the reflection matches the
+    transpose solves for arbitrary weights, not only for projections.
     """
-    assert M.shape[1] == (r if H.hermitian else 2 * r)
-    pairs = [(M[:, :r], M_ref[:, :r])]
-    if not H.hermitian:
-        pairs.append((M[:, r:], M_ref[:, r:]))
-    for got, ref in pairs:
+    assert M.shape == (H.size, r)
+    Y = M[::-1, ::-1] if H.basis.bc.is_periodic_family else M
+    for got, ref in ((M, M_ref[:, :r]), (Y, M_ref[:, r:])):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -213,17 +213,17 @@ class TestHessenbergResolvent:
         zs = 64 + 8 * np.exp(2j * PI * (np.arange(16) + 0.25) / 16)
         ws = np.stack([np.arange(16) % 2 == 0, np.ones(16)]) * np.exp(1j * np.arange(16))
         M = prj._moments(H, cols, zs, ws)
-        assert M.shape == (2, H.size, 4)
+        assert M.shape == (2, H.size, 2)
         for row in range(2):
             assert np.allclose(M[row], prj._moments(H, cols, zs, ws[row]), rtol=0, atol=1e-15)
 
 
-def banded_hessenberg(rng, N, b, D=2):
-    """D random complex upper Hessenberg N x N matrices of upper bandwidth b."""
-    hs = rng.standard_normal((D, N, N)) + 1j * rng.standard_normal((D, N, N))
+def banded_hessenberg(rng, N, b):
+    """A random complex upper Hessenberg N x N matrix of upper bandwidth b."""
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     off = np.arange(N)[None, :] - np.arange(N)[:, None]  # j - i
-    hs[:, (off < -1) | (off > b)] = 0.0
-    return hs
+    A[(off < -1) | (off > b)] = 0.0
+    return A
 
 
 class TestBandSweep:
@@ -233,17 +233,16 @@ class TestBandSweep:
     def test_sweep_vs_dense_solve(self, b):
         N, r, Q = 12, 2, 5
         rng = np.random.default_rng(b)
-        hs = banded_hessenberg(rng, N, b)
-        band, h = prj._band(hs)
-        assert band.shape == (N, b + 1, 2, 1)  # b read from the exact zeros
-        rhs = rng.standard_normal((2, r, N)) + 1j * rng.standard_normal((2, r, N))
+        A = banded_hessenberg(rng, N, b)
+        band, h = prj._band(A)
+        assert band.shape == (N, b + 1)  # b read from the exact zeros
+        rhs = rng.standard_normal((r, N)) + 1j * rng.standard_normal((r, N))
         zs = 3.0 * np.exp(2j * PI * (np.arange(Q) + 0.25) / Q)
         x = prj._hessenberg_sweep(band, h, rhs, zs)
-        assert x.shape == (2, Q, r, N)
-        for d in range(2):
-            for j, z in enumerate(zs):
-                ref = np.linalg.solve(z * np.eye(N) - hs[d], rhs[d].T).T
-                assert np.linalg.norm(x[d, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert x.shape == (Q, r, N)
+        for j, z in enumerate(zs):
+            ref = np.linalg.solve(z * np.eye(N) - A, rhs.T).T
+            assert np.linalg.norm(x[j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("b", [0, 1, 3])
     def test_band_keeps_the_dense_arithmetic(self, b):
@@ -252,14 +251,14 @@ class TestBandSweep:
         N = 12
         rng = np.random.default_rng(10 + b)
         band, h = prj._band(banded_hessenberg(rng, N, b))
-        dense = np.pad(band, ((0, 0), (N - 1 - b, 0), (0, 0), (0, 0)))
-        rhs = rng.standard_normal((2, 1, N)) + 0j
+        dense = np.pad(band, ((0, 0), (N - 1 - b, 0)))
+        rhs = rng.standard_normal((1, N)) + 0j
         zs = 2.0 + np.exp(2j * PI * np.arange(4) / 4)
         assert np.array_equal(prj._hessenberg_sweep(band, h, rhs, zs),
                               prj._hessenberg_sweep(dense, h, rhs, zs))
 
     @pytest.mark.parametrize("pname,bc,b", [
-        ("delta", BC.PER_PLUS, 1),  # Hermitian: tridiagonal form, X alone
+        ("delta", BC.PER_PLUS, 1),  # Hermitian: tridiagonal form
         ("tridiagonal", BC.PER_PLUS, 1),  # tridiagonal L: every reflector skipped
         ("complex", BC.PER_PLUS, 48),  # dense non-Hermitian form, b = N - 1
         ("mathieu", BC.DIRICHLET, None),  # non-Hermitian; its b depends on K (23 here)
@@ -267,8 +266,7 @@ class TestBandSweep:
     def test_moments_on_the_band(self, pname, bc, b):
         H = hp.assemble(bc, gallery_potential(pname), 48)
         assert H.hermitian == (pname == "delta")
-        band = prj._sweep_operands(H)[1]
-        assert band.shape[2] == (1 if H.hermitian else 2)
+        band = prj._band(H.hessenberg()[0])[0]
         if b is not None:
             assert band.shape[1] == b + 1
         n = 10
@@ -278,22 +276,27 @@ class TestBandSweep:
         check_moments(H, prj._moments(H, cols, zs, ws), solve_moments(H, cols, zs, ws),
                       len(cols))
 
-    @pytest.mark.parametrize("p", [
-        pot.delta_comb(0.5, max_index=512),
+    @pytest.mark.parametrize("p,bc,tol", [
+        (pot.delta_comb(0.5, max_index=512), BC.PER_PLUS, 1e-12),
         # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L,
         # whose projections are not real
-        pot.from_coeffs(0.0, [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]),
-    ])
-    def test_off_axis_circle_on_hermitian_matrix(self, p):
-        # Y = conj(X) rests on P being Hermitian, not on the symmetry of
-        # the contour: a circle centred off the real axis has no
-        # conjugate node pairs
-        H = hp.assemble(BC.PER_PLUS, p, 64)
-        assert H.hermitian
+        (pot.from_coeffs(0.0, [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]),
+         BC.PER_PLUS, 1e-12),
+        # the eigenvector matrix of this L has condition 4e4: the dense
+        # oracle lies 1.35e-12 from the dense inverse node sum on this
+        # circle, which the quadrature matches to 5e-15
+        (pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN), BC.PER_PLUS, 1e-11),
+        (pot.mathieu(1.0), BC.DIRICHLET, 1e-12),
+    ], ids=["delta-per+", "complex_hermitian-per+", "non_hermitian-per+", "mathieu-dir"])
+    def test_off_axis_circle_on_hermitian_matrix(self, p, bc, tol):
+        # Y = X[p][:, s] rests on the lattice symmetry L^T = L[p][:, p],
+        # which holds node by node, not on the symmetry of the contour: a
+        # circle centred off the real axis has no conjugate node pairs
+        H = hp.assemble(bc, p, 64)
         pair = hp.riesz_projection(H, 10, prj.ContourSpec(100 + 4j, 10.0))
         dense = prj.spectral_projector_dense(H, 10)
         assert pair.converged
-        assert np.linalg.norm(pair.P - dense, "fro") <= 1e-12
+        assert np.linalg.norm(pair.P - dense, "fro") <= tol
 
 
 class TestRankEngineVsFullInverse:
@@ -340,8 +343,8 @@ class TestRankEngineVsFullInverse:
         assert hp.riesz_projection(H, 8).converged is True
 
 
-# w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, so
-# Y = conj(X) differs from X by more than rounding
+# w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
+# projections are not real
 COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
 
 
@@ -355,7 +358,7 @@ class TestFactoredPair:
     """
 
     @pytest.fixture(scope="class", params=[
-        ("delta", BC.PER_PLUS, 10),  # Hermitian: Y = conj(X)
+        ("delta", BC.PER_PLUS, 10),  # Hermitian
         ("complex", BC.PER_PLUS, 8),  # NON_HERMITIAN
         ("mathieu", BC.DIRICHLET, 8),
         ("complex_hermitian", BC.PER_PLUS, 10),
@@ -373,7 +376,9 @@ class TestFactoredPair:
 
     def test_pair_is_the_riesz_projection(self, level):
         H, pair, _ = level
-        assert np.array_equal(pair.Y, pair.X.conj()) == H.hermitian
+        # Y = P^T E is X reflected by the lattice symmetry, for every matrix
+        assert np.array_equal(pair.Y, pair.X[::-1, ::-1] if pair.bc.is_periodic_family
+                              else pair.X)
         assert pair.converged
         assert np.linalg.norm(pair.P - prj.spectral_projector_dense(H, pair.n)) <= 1e-10
 
@@ -483,14 +488,17 @@ class TestRectangleVsDenseInverse:
             prj.rectangle_projection(H, 4)
 
     def test_circle_and_rectangle_must_hold_the_same_eigenvalues(self):
-        # diagonal L on the per+ basis: one eigenvalue 16 moves into a corner
-        # of the N = 4 rectangle outside the circle |z - 8| = 12, and 100 into
-        # the circle outside the rectangle; both regions still hold 5
+        # diagonal L on the per+ basis: the pair 16 at +-4 moves into a
+        # corner of the N = 4 rectangle outside the circle |z - 8| = 12, and
+        # the pair 100 at +-10 into the circle outside the rectangle (in
+        # pairs, to keep L^T = J L J); both regions still hold 5
         basis = hp.basis_for(BC.PER_PLUS, 48)
         diag0 = np.array([float(k * k) for k in basis.indices])
         vals = diag0.astype(complex)
-        vals[basis.position(4)] = 19.99 + 3.99j
-        vals[basis.position(10)] = 8 + 10j
+        for k in (4, -4):
+            vals[basis.position(k)] = 19.99 + 3.99j
+        for k in (10, -10):
+            vals[basis.position(k)] = 8 + 10j
         H = HillMatrix(basis, diag0, np.diag(vals - diag0))
         in_rect = (vals.real > -4) & (vals.real < 20) & (np.abs(vals.imag) < 4)
         in_circle = np.abs(vals - 8) < 12
