@@ -232,8 +232,9 @@ class TestConfig:
         cfgfile = tmp_path / "potential.json"
         cfgfile.write_text(json.dumps({"kind": "mathieu", "coupling": 3.0}))
         assert pot.parse_potential_arg(f"file:{cfgfile}").V(2) == 3.0
-        with pytest.raises(ValueError):
-            pot.parse_potential_arg("nope:1")
+        for arg in ("nope:1", "custom:1"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                pot.parse_potential_arg(arg)
 
     @pytest.mark.parametrize("arg,cfg", [
         ("zero", {"kind": "zero"}),
@@ -247,11 +248,6 @@ class TestConfig:
         a, b = pot.parse_potential_arg(arg, 96), pot.from_config(cfg, 96)
         assert np.array_equal(a.w.idx, b.w.idx) and np.array_equal(a.w.val, b.w.val)
         assert (a.v0, a.max_index, a.complete) == (b.v0, b.max_index, b.complete)
-
-    @pytest.mark.parametrize("arg", ["custom:1", "nope:1", "custom"])
-    def test_shorthand_rejects_other_kinds(self, arg):
-        with pytest.raises(ValueError, match="cannot parse"):
-            pot.parse_potential_arg(arg)
 
 
 # -- sparse storage against a dict-based brute-force reference ------------------
