@@ -57,14 +57,13 @@ and ``CutoffTooSmall`` fires when that estimate exceeds 1% of the value.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import BoundaryCondition
-from .potential import FourierPotential, MajorantSeq, majorant, majorant_dir
+from .operator import BoundaryCondition, coupling, majorant_for
+from .potential import FourierPotential, MajorantSeq
 
 __all__ = [
     "CutoffTooSmall",
@@ -286,24 +285,25 @@ def _chain_orders(vabs_src, n: int, idx, p_max: int, d: int):
 
 
 def l_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
-          step: int = 2, indices=None, check_tail: bool = True) -> float:
-    """Truncated chain sum L(p, d) in transfer form.
+          indices=None, check_tail: bool = True) -> float:
+    """Truncated chain sum L(p, d) in transfer form, on the lattice of
+    ``vabs_src``: step ``r.step`` of a majorant, 2 for a FourierPotential.
 
     ``indices`` overrides the default lattice (then no tail check runs).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, d)[0], f"L({p},{d})",
-                      n, cutoff, step, (n, -n), indices, check_tail)
+                      n, cutoff, getattr(vabs_src, "step", 2), (n, -n), indices, check_tail)
 
 
 def r_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
-          step: int = 2, indices=None, check_tail: bool = True) -> float:
+          indices=None, check_tail: bool = True) -> float:
     """Truncated chain sum R(p, d); equals L(p, -d) on a symmetric lattice."""
     if p < 1:
         raise ValueError("p must be >= 1")
     return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, d)[1], f"R({p},{d})",
-                      n, cutoff, step, (n, -n), indices, check_tail)
+                      n, cutoff, getattr(vabs_src, "step", 2), (n, -n), indices, check_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +325,12 @@ def _sigma_orders(r: MajorantSeq, n: int, idx, s_max: int) -> list[float]:
 
 
 def sigma(r: MajorantSeq, n: int, s: int, cutoff: int | None = None,
-          step: int = 2, indices=None, check_tail: bool = True) -> float:
-    """Truncated bracketed majorant chain sigma(n, s)."""
+          indices=None, check_tail: bool = True) -> float:
+    """Truncated bracketed majorant chain sigma(n, s), on the lattice of step ``r.step``."""
     if s < 1:
         raise ValueError("s must be >= 1")
     return _truncated(lambda idx: _sigma_orders(r, n, idx, s), f"sigma(n,{s})",
-                      n, cutoff, step, (n, -n), indices, check_tail)
+                      n, cutoff, r.step, (n, -n), indices, check_tail)
 
 
 def _sigma1_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> list:
@@ -348,19 +348,19 @@ def _sigma1_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> l
 
 
 def sigma1(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
-           step: int = 2, indices=None, check_tail: bool = True) -> float:
+           indices=None, check_tail: bool = True) -> float:
     """Truncated one-sided majorant chain sigma1(n, s; m) (excludes j = n only)."""
-    return float(sigma1_profile(r, n, s, [m], cutoff, step, indices, check_tail)[0])
+    return float(sigma1_profile(r, n, s, [m], cutoff, indices, check_tail)[0])
 
 
 def sigma1_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None = None,
-                   step: int = 2, indices=None, check_tail: bool = True) -> np.ndarray:
+                   indices=None, check_tail: bool = True) -> np.ndarray:
     """sigma1(n, s; m) for several m at once (one transfer sweep)."""
     if s < 1:
         raise ValueError("s must be >= 1")
     ms = np.asarray(list(m_values))
     return _truncated(lambda idx: _sigma1_orders(r, n, idx, s, ms), f"sigma1(n,{s};m)",
-                      n, cutoff, step, (n,), indices, check_tail)
+                      n, cutoff, r.step, (n,), indices, check_tail)
 
 
 def _sigma2_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> list:
@@ -378,18 +378,18 @@ def _sigma2_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> l
 
 
 def sigma2(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
-           step: int = 2, indices=None, check_tail: bool = True) -> float:
+           indices=None, check_tail: bool = True) -> float:
     """Truncated mixed majorant chain sigma2(n, s; m) (s >= 2, excludes +-n)."""
-    return float(sigma2_profile(r, n, s, [m], cutoff, step, indices, check_tail)[0])
+    return float(sigma2_profile(r, n, s, [m], cutoff, indices, check_tail)[0])
 
 
 def sigma2_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None = None,
-                   step: int = 2, indices=None, check_tail: bool = True) -> np.ndarray:
+                   indices=None, check_tail: bool = True) -> np.ndarray:
     if s < 2:
         raise ValueError("s must be >= 2")
     ms = np.asarray(list(m_values))
     return _truncated(lambda idx: _sigma2_orders(r, n, idx, s, ms), f"sigma2(n,{s};m)",
-                      n, cutoff, step, (n, -n), indices, check_tail)
+                      n, cutoff, r.step, (n, -n), indices, check_tail)
 
 
 def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, sign_vectors) -> list[float]:
@@ -413,7 +413,7 @@ def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, sign_vectors) -> list[float
 
 
 def sigma_tilde(r: MajorantSeq, n: int, deltas, cutoff: int | None = None,
-                step: int = 2, indices=None) -> float:
+                indices=None) -> float:
     """One signed-kernel piece of sigma(n, s) for s = len(deltas) + 1.
 
     delta = -1 attaches the weight 1/|n - j_left| to the kernel, delta = +1
@@ -421,7 +421,7 @@ def sigma_tilde(r: MajorantSeq, n: int, deltas, cutoff: int | None = None,
     sigma(n, s) exactly.
     """
     return _truncated(lambda idx: _sigma_tilde_pieces(r, n, idx, [deltas]), "sigma_tilde",
-                      n, cutoff, step, (n, -n), indices, check_tail=False)
+                      n, cutoff, r.step, (n, -n), indices, check_tail=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +451,7 @@ def sigma_nested_vs_matrix(pot: FourierPotential, indices, lam: complex, s: int)
     if on_cut.any():
         raise BranchAmbiguity("lam - j^2 on the branch cut for some j")
     K = np.diag(1.0 / np.sqrt(shift))
-    off = int(np.abs(idx[:, None] - idx[None, :]).max(initial=0))
-    vtab = pot.v_table(off)
-    V = vtab[(idx[:, None] - idx[None, :]) + off]
+    V = coupling(pot, BoundaryCondition.PER_PLUS, idx[:, None], idx[None, :])
     prod = K @ np.linalg.matrix_power(K @ V @ K, s + 1) @ K
 
     denom_out = shift[:, None] * shift[None, :]
@@ -478,22 +476,16 @@ def a0_sum(pot, bc: BoundaryCondition, n: int, cutoff: int) -> float:
     """Total absolute mass of the first-order residues over the lattice.
 
     Sums |first-order residue| over the nonzero pattern (the +-n rows and
-    columns): equals 2 * sum_{k != +-n} (|W(k,n)| + |W(k,-n)|)/|n^2-k^2|
-    for the periodic families (Dirichlet keeps only the n row/column).
+    columns): 2 * sum_{k != +-n} sum_{m = +-n} |W(k, m)|/|n^2-k^2| with W
+    the ``coupling``, over the lattice of ``bc`` through n (Dirichlet: the
+    indices k >= 1, and m = n only).
     """
-    if bc.is_periodic_family:
-        idx = lattice(n, cutoff, 2, (n, -n))
-        off = int(np.abs(idx).max(initial=0)) + n
-        vabs = np.abs(pot.v_table(off))
-        wsq = 1.0 / np.abs(n * n - idx.astype(float) ** 2)
-        return float(2.0 * ((vabs[(idx - n) + off] + vabs[(idx + n) + off]) * wsq).sum())
-    ks = np.arange(1, cutoff + 1)
-    ks = ks[ks != n]
-    qt = pot.qt_table(int(ks.max()) + n)
-    d = np.abs(ks - n)
-    ssum = ks + n
-    w = np.abs(d * qt[d] - ssum * qt[ssum]) / math.sqrt(2.0)
-    return float(2.0 * (w / np.abs(n * n - ks.astype(float) ** 2)).sum())
+    periodic = bc.is_periodic_family
+    ks = lattice(n, cutoff, 2 if periodic else 1, (n, -n))
+    if not periodic:
+        ks = ks[ks >= 1]
+    mass = sum(np.abs(coupling(pot, bc, ks, m)) for m in (n, -n)[:bc.rank])
+    return float(2.0 * (mass / np.abs(n * n - ks.astype(float) ** 2)).sum())
 
 
 @dataclass(frozen=True)
@@ -513,10 +505,7 @@ def a0_bound_check(pot, bc: BoundaryCondition, n: int, cutoff: int | None = None
     """First-order total against 4||r||/sqrt(n) + 4 E_n(r)."""
     if cutoff is None:
         cutoff = 8 * n
-    if bc.is_periodic_family:
-        r = majorant(pot)
-    else:
-        r = majorant_dir(pot)
+    r = majorant_for(pot, bc, cutoff + n)
     lhs = a0_sum(pot, bc, n, cutoff)
     rhs = 4.0 * r.norm / math.sqrt(n) + 4.0 * r.tail_energy(n)
     return CheckResult("first_order_total", lhs <= rhs, lhs, rhs)
@@ -730,8 +719,9 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
 # serialization
 # ---------------------------------------------------------------------------
 
-def report_to_json(report: SeriesReport) -> str:
-    payload = {
+def report_to_json(report: SeriesReport) -> dict:
+    """The report as a JSON-ready dict (the CLI writes it with its config)."""
+    return {
         "inputs": report.inputs,
         "values": report.values,
         "L": report.l_table,
@@ -748,7 +738,6 @@ def report_to_json(report: SeriesReport) -> str:
         "all_passed": report.all_passed,
         "gated_passed": report.gated_passed,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def report_csv_rows(report: SeriesReport) -> list[list]:

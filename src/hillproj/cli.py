@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, norms, potential, projector
-from .operator import BoundaryCondition, assemble
+from .operator import BoundaryCondition, assemble, majorant_for
 from .potential import FourierPotential, from_config, parse_potential_arg
 
 EXIT_OK = 0
@@ -176,18 +176,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
-def _majorant_for(pot, bc: BoundaryCondition, K: int):
-    if bc.is_periodic_family:
-        return potential.majorant(pot)
-    sp = pot if not isinstance(pot, FourierPotential) else potential.per_to_dir(pot, 2 * K)
-    return potential.majorant_dir(sp)
-
-
 def cmd_decay(cfg: RunConfig) -> int:
     if cfg.n_min < 2:  # the rate rho_n is defined for n >= 2 only
         raise ConfigError(f"decay needs n_min >= 2, got {cfg.n_min}")
     H = assemble(cfg.bc, cfg.pot, cfg.K)
-    r = _majorant_for(cfg.pot, cfg.bc, cfg.K)
+    r = majorant_for(cfg.pot, cfg.bc, 2 * cfg.K)
     records, errors = [], {}
     for n in cfg.levels():
         try:
@@ -226,7 +219,7 @@ def _bounds_levels(cfg: RunConfig) -> list[int]:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    r = _majorant_for(cfg.pot, cfg.bc, cfg.K)
+    r = majorant_for(cfg.pot, cfg.bc, 2 * cfg.K)
     pot = cfg.pot if cfg.bc.is_periodic_family else None
     reports = []
     rows = [["n", "name", "note", "passed", "lhs", "rhs", "margin", "gated"]]
@@ -250,7 +243,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     echo = cfg.echo()
     _write_csv(cfg.out / "bounds_checks.csv", rows, echo)
     _write_json(cfg.out / "bounds_report.json", {
-        "reports": [json.loads(bounds.report_to_json(rep)) for rep in reports],
+        "reports": [bounds.report_to_json(rep) for rep in reports],
         "all_passed": ok,
     }, echo)
     return EXIT_OK if ok else EXIT_VERDICT

@@ -4,12 +4,21 @@ For each boundary condition the operator -y'' + v(x) y acts on an index
 lattice of exponentials (periodic: 2Z, antiperiodic: 1+2Z) or sines
 (Dirichlet: N).  The truncated matrix is
 
-    L[k, m] = k^2 delta_km + v0 delta_km + coupling(k, m),
+    L[k, m] = k^2 delta_km + v0 delta_km + W(k, m).
 
-where the coupling is V(k - m) = (k - m) w(k - m) for Per+- and
-(|k-m| qt(|k-m|) - (k+m) qt(k+m)) / sqrt(2) for Dirichlet.  Note the
-Dirichlet coupling has a nonzero diagonal of its own (-2k qt(2k)/sqrt(2))
-on top of v0.
+This module alone turns a stored potential into the coupling W
+(``coupling``) and into the majorant of it that the bounds read
+(``majorant_for``).  For Per+- the coupling is V(k - m) = (k - m) w(k - m),
+the Fourier coefficients of v - v0.  For Dirichlet it is
+
+    W(k, m) = (|k-m| qt(|k-m|) - (k+m) qt(k+m)) / sqrt(2),
+
+with qt the sine coefficients of the antiderivative Q of v - v0.  Since
+Q' = sum V(m) e^{imx}, a FourierPotential carries Q = -i sum w(m) e^{imx};
+its sine data are those of ``per_to_dir`` (which expands the literal
+series sum w(m) e^{imx}) times -i, so the same potential denotes the same
+v under every boundary condition.  Note the Dirichlet coupling has a
+nonzero diagonal of its own (-2k qt(2k)/sqrt(2)) on top of v0.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .potential import FourierPotential, SinePotential, per_to_dir
+from .potential import (FourierPotential, MajorantSeq, SinePotential, majorant,
+                        majorant_dir, per_to_dir)
 
 __all__ = [
     "BcMismatch",
@@ -29,6 +39,8 @@ __all__ = [
     "BasisSpec",
     "HillMatrix",
     "basis_for",
+    "coupling",
+    "majorant_for",
     "assemble",
 ]
 
@@ -136,15 +148,17 @@ def basis_for(bc: BoundaryCondition, half_width: int) -> BasisSpec:
 
 
 class HillMatrix:
-    """Dense truncated matrix of L_bc, with its free diagonal part.
+    """Dense truncated matrix L = diag(diag0) + V of L_bc, with its free
+    diagonal part diag0 (V holds v0 and the coupling).
 
-    Immutable after assembly (arrays are marked read-only).  Derived data
-    is computed lazily and cached, since several consumers share it:
-    the eigenvalues (localization counts, contour guards), the full
-    eigendecomposition (the dense-eigendecomposition projector) and the
-    unitary Hessenberg form L = U A U^H (every contour quadrature, which
-    solves its shifted systems on A).  ``hermitian`` records whether
-    L == L^H bit for bit, as for every real potential under per+-; then
+    Immutable after assembly: ``L`` and a copy of ``diag0`` are kept,
+    marked read-only.  Derived data is computed lazily and cached, since
+    several consumers share it: the eigenvalues (localization counts,
+    contour guards), the full eigendecomposition (the dense-eigendecomposition
+    projector) and the unitary Hessenberg form L = U A U^H (every contour
+    quadrature, which solves its shifted systems on A).  ``hermitian``
+    records whether L == L^H bit for bit, as for every real potential
+    (v0 real, w(-m) == -conj(w(m))) under every boundary condition; then
     the Hessenberg form is tridiagonal and the eigenvalues come from
     ``np.linalg.eigvalsh``.  Eigenvalues alone skip the eigenvectors
     unless ``eig()`` has already computed them; they never come from the
@@ -157,14 +171,13 @@ class HillMatrix:
     every potential, complex ones included.
     """
 
-    def __init__(self, basis: BasisSpec, diag0: np.ndarray, Vmat: np.ndarray,
+    def __init__(self, basis: BasisSpec, diag0: np.ndarray, V: np.ndarray,
                  coverage: float = 1.0):
         self.basis = basis
-        self.diag0 = np.asarray(diag0, dtype=float)
-        self.Vmat = np.asarray(Vmat, dtype=complex)
-        self.L = np.diag(self.diag0).astype(complex) + self.Vmat
+        self.diag0 = np.array(diag0, dtype=float)  # copies: the caller's arrays stay writable
+        self.L = np.diag(self.diag0) + np.asarray(V, dtype=complex)
         self.coverage = float(coverage)
-        for a in (self.diag0, self.Vmat, self.L):
+        for a in (self.diag0, self.L):
             a.setflags(write=False)
         p = basis.transpose_perm()
         if not np.array_equal(self.L.T, self.L[np.ix_(p, p)]):
@@ -230,25 +243,51 @@ class HillMatrix:
         return self._hess
 
 
-def _per_vmat(pot: FourierPotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
-    idx = np.array(basis.indices)
-    off = idx[:, None] - idx[None, :]
-    D = int(np.abs(off).max())
-    tab = pot.v_table(D)
-    V = tab[off + D]
-    V = V + complex(pot.v0) * np.eye(len(idx))
-    # coverage: the share of the needed coupling indices, with repeats, that are known
-    return V, float(np.mean(pot.covers(np.abs(off[off != 0]))))
+def _fourier_data(pot: FourierPotential | SinePotential) -> FourierPotential:
+    if isinstance(pot, SinePotential):
+        raise BcMismatch("periodic families need exponential coefficients")
+    return pot
 
 
-def _dir_vmat(sp: SinePotential, basis: BasisSpec) -> tuple[np.ndarray, float]:
-    idx = np.array(basis.indices)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :]
+def _sine_data(pot: FourierPotential | SinePotential, max_sine: int) -> SinePotential:
+    """Sine data of the antiderivative Q of v - v0 through ``max_sine``: a
+    FourierPotential, Q = -i sum w(m) e^{imx}, gets -i times its ``per_to_dir``."""
+    if isinstance(pot, SinePotential):
+        return pot
+    sp = per_to_dir(pot, max_sine)
+    return SinePotential(sp.v0, dict(zip(sp.qt.idx.tolist(), -1j * sp.qt.val)),
+                         sp.max_index, complete=sp.complete)
+
+
+def _coupling(pot, bc: BoundaryCondition, k, m) -> tuple[np.ndarray, np.ndarray]:
+    """W(k, m) over the broadcast index arrays k and m, and for each
+    coefficient it reads (with repeats) whether that one is known."""
+    k, m = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(m, dtype=np.int64))
+    if bc.is_periodic_family:
+        pot, off = _fourier_data(pot), k - m
+        D = int(np.abs(off).max(initial=0))
+        return pot.v_table(D)[off + D], pot.covers(np.abs(off[off != 0]))
+    diff, summ = np.abs(k - m), k + m
+    sp = _sine_data(pot, int(summ.max()))
     tab = sp.qt_table(int(summ.max()))
-    V = (diff * tab[diff] - summ * tab[summ]) / math.sqrt(2.0)
-    V = V + complex(sp.v0) * np.eye(len(idx))
-    return V, float(np.mean(sp.covers(np.concatenate([diff[diff != 0], summ.ravel()]))))
+    W = (diff * tab[diff] - summ * tab[summ]) / math.sqrt(2.0)
+    return W, sp.covers(np.concatenate([diff[diff != 0], summ.ravel()]))
+
+
+def coupling(pot: FourierPotential | SinePotential, bc: BoundaryCondition, k, m) -> np.ndarray:
+    """W(k, m), the matrix element of v - v0 between the basis functions of
+    indices m and k (module docstring), for index arrays k, m (broadcast)."""
+    return _coupling(pot, bc, k, m)[0]
+
+
+def majorant_for(pot: FourierPotential | SinePotential, bc: BoundaryCondition,
+                 max_index: int) -> MajorantSeq:
+    """The majorant of the coefficients the coupling of ``bc`` reads:
+    ``majorant`` of w for Per+-, ``majorant_dir`` of the sine data of Q
+    (converted through ``max_index``) for Dirichlet."""
+    if bc.is_periodic_family:
+        return majorant(_fourier_data(pot))
+    return majorant_dir(_sine_data(pot, max_index))
 
 
 def assemble(bc: BoundaryCondition,
@@ -257,26 +296,22 @@ def assemble(bc: BoundaryCondition,
              coverage_floor: float = 0.999) -> HillMatrix:
     """Assemble the truncated matrix of L_bc for the given potential.
 
-    A FourierPotential handed to Dirichlet is converted through
-    ``per_to_dir`` automatically; a SinePotential cannot back a periodic
-    family matrix.  Couplings beyond the potential truncation are zero
-    and lower the reported coverage ratio; below ``coverage_floor`` the
-    assembly is refused.
+    The coupling is ``coupling``'s: a FourierPotential handed to Dirichlet
+    is converted to sine data; a SinePotential cannot back a periodic
+    family matrix.  Couplings beyond the potential truncation are zero and
+    lower the reported coverage ratio (the share of the coefficients read,
+    with repeats, that are known); below ``coverage_floor`` the assembly
+    is refused.
     """
     if half_width < 8:
         raise ValueError("half_width must be >= 8")
     basis = basis_for(bc, half_width)
-    if bc.is_periodic_family:
-        if isinstance(pot, SinePotential):
-            raise BcMismatch("periodic families need exponential coefficients")
-        V, coverage = _per_vmat(pot, basis)
-    else:
-        if isinstance(pot, FourierPotential):
-            pot = per_to_dir(pot, max_sine=2 * half_width)
-        V, coverage = _dir_vmat(pot, basis)
+    idx = np.array(basis.indices)
+    W, known = _coupling(pot, bc, idx[:, None], idx[None, :])
+    coverage = float(np.mean(known))
     if coverage < coverage_floor:
         raise InsufficientCoefficients(
             f"coverage {coverage:.4f} below floor {coverage_floor}; "
             "store more coefficients or shrink the basis")
     diag0 = np.array([float(k * k) for k in basis.indices])
-    return HillMatrix(basis, diag0, V, coverage=coverage)
+    return HillMatrix(basis, diag0, W + complex(pot.v0) * np.eye(basis.size), coverage=coverage)

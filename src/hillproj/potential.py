@@ -1,26 +1,26 @@
 """Fourier-side representations of pi-periodic potentials.
 
-A potential is stored through the coefficient sequence of its zero-mean
-antiderivative: v = v0 + Q' with
+A potential v = v0 + sum_{m even, m != 0} V(m) exp(i m x) is stored
+through v0 and the sequence w(m) = V(m) / m, so that V(m) = m * w(m) are
+the Fourier coefficients of v - v0 that enter every operator matrix and
+every bound downstream.  The zero-mean antiderivative of v - v0 is then
 
-    Q(x) = sum_{m even, m != 0} w(m) exp(i m x),
+    Q(x) = -i sum_{m even, m != 0} w(m) exp(i m x).
 
-and the derived sequence V(m) = m * w(m) is what enters every operator
-matrix and every bound downstream.  Coefficients may be complex; nothing
-here assumes the potential is real.  The assembled operator is
-self-adjoint (at truncation) exactly when v0 is real and
-V(-m) == conj(V(m)), i.e. w(-m) == -conj(w(m)).
+Coefficients may be complex; nothing here assumes the potential is real.
+v is real exactly when V(-m) == conj(V(m)), i.e. w(-m) == -conj(w(m)), and
+even exactly when w(-m) == -w(m).
 
-For Dirichlet boundary conditions the same object Q is carried by its
-sine coefficients,
+For Dirichlet boundary conditions the coupling reads sine coefficients,
 
-    Q(x) = sum_{m >= 1} qt(m) * sqrt(2) sin(m x),
+    Q(x) = sum_{m >= 1} qt(m) * sqrt(2) sin(m x).
 
-and ``per_to_dir`` converts between the two representations in closed
-form.  The sine system only captures Q exactly (with finitely many
-terms) when Q has no cosine component, i.e. w(-m) == -w(m); otherwise
-the odd-index sine coefficients decay like 1/m and the conversion is a
-genuine infinite series, truncated at ``max_sine``.
+``per_to_dir`` expands the literal series sum w(m) exp(i m x) = i Q in
+closed form; ``operator`` multiplies its result by -i to get the sine
+data of Q itself.  The sine system only captures Q exactly (with finitely
+many terms) when Q has no cosine component, i.e. w(-m) == -w(m);
+otherwise the odd-index sine coefficients decay like 1/m and the
+conversion is a genuine infinite series, truncated at ``max_sine``.
 
 The constructors take each coefficient sequence (w, qt and the majorant
 r) as a Mapping {m: value} and store it sparse, as sorted index and value
@@ -130,7 +130,7 @@ def _isclose(a: np.ndarray, b: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class FourierPotential:
-    """Exponential-side data of v = v0 + Q'.
+    """Exponential-side data of v = v0 + Q', Q = -i sum w(m) exp(imx).
 
     ``complete`` marks potentials whose support is exactly known (all
     unstored coefficients are true zeros) as opposed to truncations of
@@ -150,30 +150,15 @@ class FourierPotential:
             raise OddIndex(f"index {w.idx[w.idx % 2 != 0][0]} is odd; the lattice is 2Z")
         object.__setattr__(self, "w", w)
 
-    def wc(self, m: int) -> complex:
-        """Stored coefficient w(m), zero if absent."""
-        return complex(self.w.get(m))
-
-    def V(self, m: int) -> complex:
-        """Interaction coefficient V(m) = m * w(m); V(0) = 0."""
-        return m * self.wc(m)
-
     @property
     def l2_w(self) -> float:
         return math.sqrt(self.w.sumsq())
 
     @property
     def hermitian_w(self) -> bool:
-        """w(-m) == conj(w(m)), i.e. Q is real-valued."""
+        """w(-m) == conj(w(m)): the series sum w(m) e^{imx} = i Q is real-valued,
+        so Q and v - v0 are purely imaginary."""
         return _isclose(self.w.get(-self.w.idx), self.w.val.conj())
-
-    @property
-    def selfadjoint(self) -> bool:
-        """V(-m) == conj(V(m)) and v0 real: the assembled matrix is Hermitian."""
-        if abs(complex(self.v0).imag) > 1e-15:
-            return False
-        m = self.w.idx
-        return _isclose(-m * self.w.get(-m), (m * self.w.val).conj())
 
     def covers(self, m):
         """Whether index m (scalar or array) is in the known range (stored or true zero)."""
@@ -198,10 +183,6 @@ class SinePotential:
         if (qt.idx < 1).any():
             raise ValueError("sine indices start at 1; qt(0) is fixed to 0")
         object.__setattr__(self, "qt", qt)
-
-    def qc(self, m: int) -> complex:
-        """qt(m) with qt(0) = 0 and zero outside the stored range."""
-        return complex(self.qt.get(m))
 
     @property
     def l2_qt(self) -> float:
@@ -334,15 +315,18 @@ def majorant_dir(sp: SinePotential) -> MajorantSeq:
 
 
 def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
-    """Sine coefficients of Q(x) = sum w(m) exp(imx) on [0, pi].
+    """Sine coefficients of the literal series S(x) = sum w(m) exp(imx) on
+    [0, pi].  S = i Q, so ``operator`` multiplies them by -i.
 
-    Closed form of qt(m) = (sqrt(2)/pi) * integral_0^pi Q(x) sin(mx) dx:
+    Closed form of qt(m) = (sqrt(2)/pi) * integral_0^pi S(x) sin(mx) dx:
 
     * even m: only the resonant terms k = +-m contribute,
       qt(m) = i*(w(m) - w(-m))/sqrt(2);
     * odd m: every k contributes through the elementary integral
       int_0^pi e^{ikx} sin(mx) dx = 2m/(m^2-k^2),
-      qt(m) = (2*sqrt(2)*m/pi) * sum_k w(k)/(m^2-k^2).
+      qt(m) = (2*sqrt(2)*m/pi) * sum_{k>0} (w(k) + w(-k))/(m^2-k^2),
+      summed in pairs +-k, so the odd data of a pure sine series
+      (w(-k) == -w(k)) are exact zeros.
     """
     if max_sine < 1:
         raise ValueError("max_sine must be >= 1")
@@ -353,11 +337,13 @@ def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
     # Python complex is divided by a float (numpy multiplies by 1/sqrt(2))
     qt[ev] = ((1j * (w.get(ev) - w.get(-ev))).view(float) / math.sqrt(2.0)).view(complex)
     if len(w.idx):
-        ks = w.idx.astype(float)
+        ks = np.sort(np.abs(w.idx))
+        ks = ks[np.diff(ks, prepend=0) > 0]  # each |k| once (np.unique would import numpy.ma)
+        pairs, ksq = w.get(ks) + w.get(-ks), ks.astype(float) ** 2
         for m in range(1, max_sine + 1, 2):
-            qt[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(w.val / (m * m - ks * ks))
+            qt[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(pairs / (m * m - ksq))
     ms = np.flatnonzero(qt)
-    # The sine expansion terminates exactly only when Q has no cosine part.
+    # The sine expansion terminates exactly only when S has no cosine part.
     pure_sine = bool(np.all(_abs(w.val + w.get(-w.idx)) <= 1e-15))
     return SinePotential(p.v0, _Coeffs(ms, qt[ms]), max_sine,
                          complete=p.complete and pure_sine)

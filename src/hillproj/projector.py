@@ -54,14 +54,12 @@ rectangle must hold the same eigenvalues, exactly that many.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .operator import BasisSpec, BoundaryCondition, HillMatrix
-from .potential import FourierPotential, per_to_dir
+from .operator import BasisSpec, BoundaryCondition, HillMatrix, basis_for, coupling
 
 __all__ = [
     "EigenvalueOnContour",
@@ -402,19 +400,12 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
                           guard_margin=margin)
 
 
-def _coupling_entry(pot, bc: BoundaryCondition, k: int, m: int) -> complex:
-    """Matrix element of the rough interaction (without v0) between e_m and e_k."""
-    if bc.is_periodic_family:
-        return pot.V(k - m)
-    d, s = abs(k - m), k + m
-    return (d * pot.qc(d) - s * pot.qc(s)) / math.sqrt(2.0)
-
-
-def first_order_residue(pot, bc: BoundaryCondition, n: int, k: int, m: int) -> complex:
+def first_order_residue(pot, bc: BoundaryCondition, n: int, k, m):
     """Closed-form contour integral of the first-order perturbation term.
 
-    The integrand W(k, m) / ((z - k^2)(z - m^2)) over |z - n^2| = n picks
-    up a residue only when exactly one of k, m hits a level index:
+    The integrand W(k, m) / ((z - k^2)(z - m^2)) over |z - n^2| = n, with
+    W the ``coupling``, picks up a residue only when exactly one of k, m
+    hits a level index:
 
         m = +-n, k != +-n:  W(k, m) / (n^2 - k^2)
         k = +-n, m != +-n:  W(k, m) / (n^2 - m^2)
@@ -422,51 +413,41 @@ def first_order_residue(pot, bc: BoundaryCondition, n: int, k: int, m: int) -> c
 
     (for k and m both at +-n the pole is double with constant numerator,
     so the integral still vanishes).  For the Dirichlet lattice "+-n"
-    degenerates to {n}.
+    degenerates to {n}.  k and m are indices or index arrays (broadcast).
     """
-    if bc is BoundaryCondition.DIRICHLET and isinstance(pot, FourierPotential):
-        pot = per_to_dir(pot, max_sine=abs(k) + abs(m) + 2)
+    k, m = np.asarray(k), np.asarray(m)
     levels = (n, -n) if bc.is_periodic_family else (n,)
-    k_hits, m_hits = k in levels, m in levels
-    if m_hits and not k_hits:
-        return _coupling_entry(pot, bc, k, m) / (n * n - k * k)
-    if k_hits and not m_hits:
-        return _coupling_entry(pot, bc, k, m) / (n * n - m * m)
-    return 0.0
+    k_hits, m_hits = np.isin(k, levels), np.isin(m, levels)
+    W = coupling(pot, bc, k, m)
+    den = np.where(m_hits, n * n - k * k, n * n - m * m)
+    return np.divide(W, den, out=np.zeros(W.shape, complex), where=k_hits != m_hits)[()]
 
 
 def quadrature_vs_residue_check(pot, bc: BoundaryCondition, n: int,
                                 half_width: int, nodes: int = 64) -> float:
     """Entrywise gap between quadrature and closed form of the first-order term.
 
-    Integrates D(z) W D(z) with D(z) = diag(1/(z - k^2)) over the level-n
-    circle using exactly ``nodes`` trapezoid points and compares against
-    ``first_order_residue`` on every (k, m).
+    Integrates D(z) W D(z) with D(z) = diag(1/(z - k^2)) and W the
+    ``coupling`` on the basis over the level-n circle using exactly
+    ``nodes`` trapezoid points and compares against ``first_order_residue``
+    on every (k, m).
     """
-    from . import operator as _op
-
-    basis = _op.basis_for(bc, half_width)
+    basis = basis_for(bc, half_width)
     if not basis.contains_level(n) and bc is BoundaryCondition.DIRICHLET:
         raise IndexOutOfBasis(f"level {n} outside Dirichlet basis")
-    if bc is BoundaryCondition.DIRICHLET and isinstance(pot, FourierPotential):
-        pot = per_to_dir(pot, max_sine=2 * half_width)
-    H = _op.assemble(bc, pot, half_width)
-    W = H.Vmat - complex(getattr(pot, "v0", 0.0)) * np.eye(H.size)
+    idx = np.array(basis.indices)
+    k, m = idx[:, None], idx[None, :]
+    W = coupling(pot, bc, k, m)
 
-    idx = np.array(basis.indices, dtype=float)
+    sq = (idx * idx).astype(float)
     c, R = float(n * n), float(n)
     quad = np.zeros_like(W)
     for th in 2.0 * np.pi * np.arange(nodes) / nodes:
         z = c + R * np.exp(1j * th)
-        d = 1.0 / (z - idx * idx)
+        d = 1.0 / (z - sq)
         quad += np.exp(1j * th) * (np.outer(d, d) * W)
     quad *= R / nodes
-
-    closed = np.zeros_like(W)
-    for i, k in enumerate(basis.indices):
-        for j, m in enumerate(basis.indices):
-            closed[i, j] = first_order_residue(pot, bc, n, k, m)
-    return float(np.abs(quad - closed).max())
+    return float(np.abs(quad - first_order_residue(pot, bc, n, k, m)).max())
 
 
 def eigen_count_in_disc(H: HillMatrix, n: int) -> int:

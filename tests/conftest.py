@@ -57,11 +57,7 @@ def decay_records(sweeps, gallery):
     """(potential, bc) -> list of DecayRecord over the sweep levels."""
     out = {}
     for (pname, bc), pairs in sweeps.items():
-        pot = gallery[pname]
-        if bc.is_periodic_family:
-            r = hp.majorant(pot)
-        else:
-            r = hp.potential.majorant_dir(hp.per_to_dir(pot, 2 * BIG_K))
+        r = hp.operator.majorant_for(gallery[pname], bc, 2 * BIG_K)
         out[pname, bc] = [norms.decay_record(pairs[n], r) for n in sorted(pairs)]
     return out
 

@@ -122,7 +122,7 @@ def test_criterion_6_combinatorics_oracle(gallery):
 
     p = gallery["delta"]
     r = pot.majorant(p)
-    vabs = lambda d: abs(d * p.wc(d))
+    vabs = lambda d: abs(d * p.w.get(d))
     n = 4
     idx = np.array([-12, -8, -6, -2, 0, 2, 6, 8, 10, 12])       # 10 indices, no +-4
     idx1 = np.array([-12, -8, -6, -4, -2, 0, 2, 6, 8, 10, 12])  # no +4

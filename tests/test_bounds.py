@@ -147,7 +147,7 @@ class TestChainSums:
 
     def test_transfer_equals_enumeration(self):
         p = pot.mathieu(1.0)
-        vabs = lambda d: abs(d * p.wc(d))
+        vabs = lambda d: abs(d * p.w.get(d))
         n, idx = 4, np.array(TINY_IDX)
         for pp in (1, 2, 3):
             for d in (n, -n):
@@ -160,7 +160,7 @@ class TestChainSums:
         p = pot.delta_comb(0.7, max_index=600)
         n, cutoff = 8, 64
         lv = bounds.l_sum(p, 1, n, n, cutoff=cutoff, check_tail=False)
-        direct = sum(abs((n - i) * p.wc(n - i)) / abs(n * n - i * i)
+        direct = sum(abs((n - i) * p.w.get(n - i)) / abs(n * n - i * i)
                      for i in range(-cutoff, cutoff + 1) if i % 2 == 0 and abs(i) != n)
         assert abs(lv - direct) <= 1e-12 * max(1, lv)
 
@@ -341,7 +341,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("step", [1, 2])
     def test_public_sums_on_default_lattice(self, step):
         n = self.N
-        where = dict(cutoff=8 * n, step=step, check_tail=False)
+        where = dict(cutoff=8 * n, check_tail=False)
         self.check_public(step, bounds.lattice(n, 8 * n, step, (n, -n)),
                           bounds.lattice(n, 8 * n, step, (n,)), where, where)
 
@@ -376,6 +376,15 @@ class TestDenseReference:
             p, d = map(int, key.split(","))
             assert_rel(val, dense_L(vabs, p, d, n, idx))
             assert_rel(rep.r_table[key], dense_R(vabs, p, d, n, idx))
+
+    def test_sums_read_the_step_of_their_input(self):
+        # the Dirichlet sawtooth has only odd sine data: on the even lattice
+        # its sigma would be 0; on its own step-1 lattice it is lemma_suite's
+        r = pot.majorant_dir(pot.per_to_dir(pot.sawtooth(1.0), 256))
+        assert r.step == 1
+        got = bounds.sigma(r, 8, 1, cutoff=64, check_tail=False)
+        assert got > 0.09
+        assert got == bounds.lemma_suite(r, 8, 64).sigma_table["1"]
 
 
 class TestNestedVsMatrix:
@@ -463,7 +472,8 @@ class TestLemmaSuite:
         import json
         p = pot.mathieu(1.0)
         rep = bounds.lemma_suite(pot.majorant(p), 32, cutoff=256, potential=p)
-        payload = json.loads(bounds.report_to_json(rep))
+        payload = bounds.report_to_json(rep)
+        assert json.loads(json.dumps(payload, allow_nan=False)) == payload
         assert payload["all_passed"] == rep.all_passed
         assert payload["inputs"]["n"] == 32
         rows = bounds.report_csv_rows(rep)

@@ -13,13 +13,18 @@ import hillproj.potential as pot
 PI = math.pi
 
 
-def quad_w_coeff(q_values, xs, m):
-    """Oracle: w(m) = (1/pi) int_0^pi Q(x) exp(-i m x) dx by trapezoid."""
+def V(p, m):
+    """The per+- coupling W(m, 0) = V(m) that the matrices carry."""
+    return complex(hp.operator.coupling(p, hp.BoundaryCondition.PER_PLUS, m, 0))
+
+
+def quad_fourier_coeff(q_values, xs, m):
+    """Oracle: (1/pi) int_0^pi Q(x) exp(-i m x) dx by trapezoid."""
     return np.trapezoid(q_values * np.exp(-1j * m * xs), xs) / PI
 
 
 def q_grid(p, xs):
-    """Oracle: Q(x) sampled from the exponential coefficients."""
+    """Oracle: the literal series sum w(m) exp(imx) (= i Q) on a grid."""
     return sum(c * np.exp(1j * m * xs) for m, c in zip(p.w.idx, p.w.val))
 
 
@@ -35,16 +40,16 @@ class TestFromCoeffs:
         assert pot.majorant(p).norm == 0.0
 
     def test_sin2x_coefficients_match_quadrature_oracle(self):
-        # Q(x) = sin 2x is the zero-mean antiderivative of 2 cos 2x
+        # Q(x) = sin 2x is the zero-mean antiderivative of v = 2 cos 2x, and
+        # Q = -i sum w(m) e^{imx}: w(m) is i times the Fourier coefficient of Q
         xs = np.linspace(0.0, PI, 20001)
         q = np.sin(2 * xs)
-        assert np.isclose(quad_w_coeff(q, xs, 2), -0.5j, atol=1e-10)
-        assert np.isclose(quad_w_coeff(q, xs, -2), 0.5j, atol=1e-10)
-        assert np.isclose(quad_w_coeff(q, xs, 4), 0.0, atol=1e-10)
-        p = pot.from_coeffs(0, [(2, -0.5j), (-2, 0.5j)])
-        assert p.wc(2) == -0.5j and p.wc(-2) == 0.5j
-        # V(m) = m w(m) twists the honest data by a factor i
-        assert p.V(2) == -2j * 0.5 and p.V(-2) == -1j
+        p = pot.from_coeffs(0, [(2, 0.5), (-2, -0.5)])
+        assert p.w.get(2) == 0.5 and p.w.get(-2) == -0.5
+        for m in (2, -2, 4):
+            assert np.isclose(1j * quad_fourier_coeff(q, xs, m), p.w.get(m), atol=1e-10)
+        # V(m) = m w(m) are the Fourier coefficients of v
+        assert V(p, 2) == 1.0 and V(p, -2) == 1.0
 
     def test_rejects_zero_index(self):
         with pytest.raises(pot.ZeroIndex):
@@ -66,18 +71,19 @@ class TestFromCoeffs:
 class TestGallery:
     def test_mathieu_interaction_is_classical(self):
         p = pot.mathieu(1.0)
-        assert p.V(2) == 1.0 and p.V(-2) == 1.0
-        assert p.selfadjoint and p.complete
+        assert V(p, 2) == 1.0 and V(p, -2) == 1.0
+        assert p.complete
+        assert all(hp.assemble(bc, p, 8).hermitian for bc in hp.BoundaryCondition)
 
     def test_delta_comb_pairing(self):
         # pairing the periodic delta against exp(-imx) gives V(m) = c/pi
         c = 1.0
         p = pot.delta_comb(c, max_index=200)
-        assert np.isclose(p.wc(2), 1.0 / (2 * PI))
-        assert np.isclose(p.wc(-2), -1.0 / (2 * PI))
+        assert np.isclose(p.w.get(2), 1.0 / (2 * PI))
+        assert np.isclose(p.w.get(-2), -1.0 / (2 * PI))
         assert np.isclose(p.v0, c / PI)
         for m in (2, -2, 10, -50, 200):
-            assert np.isclose(p.V(m), c / PI)
+            assert np.isclose(V(p, m), c / PI)
 
     def test_delta_comb_l2_partial_sum(self):
         p = pot.delta_comb(1.0, max_index=200)
@@ -90,14 +96,14 @@ class TestGallery:
 
     def test_sawtooth_is_selfadjoint_l2(self):
         p = pot.sawtooth(1.0, max_index=64)
-        assert p.selfadjoint
+        assert hp.assemble(hp.BoundaryCondition.PER_PLUS, p, 8).hermitian
         # oracle: V(m) must be the Fourier coefficient (1/pi) int s(x) e^{-imx}
         xs = np.linspace(0.0, PI, 40001)
         saw = (PI - 2 * xs) / (2 * PI)
         for m in (2, -2, 6, -10):
             oracle = np.trapezoid(saw * np.exp(-1j * m * xs), xs) / PI
-            assert np.isclose(p.V(m), oracle, atol=1e-8), m
-        assert np.isclose(p.V(2), -1j / (2 * PI))
+            assert np.isclose(V(p, m), oracle, atol=1e-8), m
+        assert np.isclose(V(p, 2), -1j / (2 * PI))
 
 
 class TestMajorant:
@@ -120,7 +126,7 @@ class TestMajorant:
         p = pot.from_coeffs(0, entries)
         r = pot.majorant(p)
         for m, _ in entries:
-            assert r.get(m) >= abs(p.wc(m)) and r.get(m) >= abs(p.wc(-m))
+            assert r.get(m) >= abs(p.w.get(m)) and r.get(m) >= abs(p.w.get(-m))
 
     def test_r_zero_is_zero(self):
         with pytest.raises(ValueError):
@@ -153,10 +159,10 @@ class TestPerToDir:
         assert sp.l2_qt == 0.0
 
     def test_sin2x_gives_inverse_sqrt2(self):
-        p = pot.from_coeffs(0, [(2, -0.5j), (-2, 0.5j)])
+        p = pot.from_coeffs(0, [(2, -0.5j), (-2, 0.5j)])  # the literal series is sin 2x
         sp = pot.per_to_dir(p, 8)
-        assert np.isclose(sp.qc(2), 1.0 / math.sqrt(2), atol=1e-14)
-        assert abs(sp.qc(1)) < 1e-14 and abs(sp.qc(3)) < 1e-14
+        assert np.isclose(sp.qt.get(2), 1.0 / math.sqrt(2), atol=1e-14)
+        assert abs(sp.qt.get(1)) < 1e-14 and abs(sp.qt.get(3)) < 1e-14
 
     def test_generic_coefficients_match_quadrature_oracle(self):
         p = pot.from_coeffs(0, [(2, 0.3 + 0.1j), (-2, -0.2), (4, 0.05j)])
@@ -165,7 +171,7 @@ class TestPerToDir:
         q = q_grid(p, xs)
         for m in range(1, 10):
             oracle = math.sqrt(2) / PI * np.trapezoid(q * np.sin(m * xs), xs)
-            assert np.isclose(sp.qc(m), oracle, atol=1e-8), m
+            assert np.isclose(sp.qt.get(m), oracle, atol=1e-8), m
 
     def test_round_trip_for_pure_sine_potentials(self):
         # exact finite sine expansions exist iff Q has no cosine part
@@ -178,6 +184,7 @@ class TestPerToDir:
         sp = pot.per_to_dir(p, 64)
         xs = np.linspace(0.0, PI, 4096)
         assert np.abs(q_grid(p, xs) - q_grid_sine(sp, xs)).max() < 1e-8
+        assert not sp.qt.get(np.arange(1, 65, 2)).any()  # summed in +-k pairs: exact zeros
 
     def test_gallery_round_trip(self):
         for p in (pot.mathieu(1.0), pot.delta_comb(0.5, max_index=64)):
@@ -188,13 +195,16 @@ class TestPerToDir:
 
 class TestFlags:
     def test_real_q_flag(self):
-        honest_sin = pot.from_coeffs(0, [(2, -0.5j), (-2, 0.5j)])
-        assert honest_sin.hermitian_w          # Q real
-        assert not honest_sin.selfadjoint      # but V anti-Hermitian
+        # w(-m) == conj(w(m)): the literal series sum w(m) e^{imx} is real,
+        # so v is imaginary (V(m) = m w(m) anti-Hermitian)
+        imaginary_v = pot.from_coeffs(0, [(2, -0.5j), (-2, 0.5j)])
+        assert imaginary_v.hermitian_w
+        assert not hp.assemble(hp.BoundaryCondition.PER_PLUS, imaginary_v, 8).hermitian
         assert not pot.mathieu(1.0).hermitian_w
 
     def test_delta_selfadjoint(self):
-        assert pot.delta_comb(1.0, max_index=32).selfadjoint
+        p = pot.delta_comb(1.0, max_index=32)
+        assert all(hp.assemble(bc, p, 8).hermitian for bc in hp.BoundaryCondition)
 
     @pytest.mark.parametrize("gap", [0.5e-15, 1.5e-15, 2.5e-15])
     def test_tolerance_is_cmath_isclose(self, gap):
@@ -203,22 +213,21 @@ class TestFlags:
         a, b = 1e-6, 1e-6 + gap
         expect = cmath.isclose(b, a, abs_tol=1e-15)
         assert pot.from_coeffs(0, [(2, a), (-2, b)]).hermitian_w == expect
-        assert pot.from_coeffs(0, [(2, a), (-2, -b)]).selfadjoint == expect
 
 
 class TestConfig:
     def test_kinds(self, tmp_path):
         assert pot.from_config({"kind": "zero"}).l2_w == 0.0
-        assert pot.from_config({"kind": "mathieu", "coupling": 2.0}).V(2) == 2.0
+        assert V(pot.from_config({"kind": "mathieu", "coupling": 2.0}), 2) == 2.0
         p = pot.from_config({"kind": "delta_comb", "mass": 0.5, "truncation": 64})
-        assert p.max_index == 64 and np.isclose(p.V(2), 0.5 / PI)
+        assert p.max_index == 64 and np.isclose(V(p, 2), 0.5 / PI)
         assert pot.from_config({"kind": "sawtooth", "amplitude": 1.0}).l2_w > 0
 
     def test_custom_triples(self):
         cfg = {"kind": "custom", "v0": [0.5, 0.0],
                "entries": [[2, 0.0, -0.5], [-2, 0.0, 0.5]]}
         p = pot.from_config(cfg)
-        assert p.v0 == 0.5 and p.wc(2) == -0.5j
+        assert p.v0 == 0.5 and p.w.get(2) == -0.5j
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -227,11 +236,11 @@ class TestConfig:
             pot.from_config({})
 
     def test_parse_arg_and_file(self, tmp_path):
-        assert pot.parse_potential_arg("mathieu:2.0").V(2) == 2.0
+        assert V(pot.parse_potential_arg("mathieu:2.0"), 2) == 2.0
         assert pot.parse_potential_arg("zero").l2_w == 0.0
         cfgfile = tmp_path / "potential.json"
         cfgfile.write_text(json.dumps({"kind": "mathieu", "coupling": 3.0}))
-        assert pot.parse_potential_arg(f"file:{cfgfile}").V(2) == 3.0
+        assert V(pot.parse_potential_arg(f"file:{cfgfile}"), 2) == 3.0
         for arg in ("nope:1", "custom:1"):
             with pytest.raises(ValueError, match="cannot parse"):
                 pot.parse_potential_arg(arg)
@@ -302,7 +311,11 @@ class TestSparseStorage:
         p = pot.FourierPotential(0.25, w, 40, complete=complete)
         assert np.array_equal(p.v_table(D), ref_window(w, -D, D, scale_by_index=True))
         assert p.hermitian_w == ref_symmetric(w, lambda c: c.conjugate())
-        assert p.selfadjoint == ref_symmetric(w, lambda c: -c.conjugate())
+        # the assembled matrix is Hermitian bit for bit exactly when every
+        # coupling V(d), |d| <= 16, is the conjugate of V(-d)
+        vt = ref_window(w, -16, 16, scale_by_index=True)
+        assert (hp.assemble(hp.BoundaryCondition.PER_PLUS, p, 8).hermitian
+                == np.array_equal(vt[::-1], vt.conj()))
         ms = np.arange(-130, 131)
         assert np.array_equal(p.covers(ms), [complete or abs(m) <= 40 for m in ms])
         assert p.covers(7) == (complete or 7 <= 40)

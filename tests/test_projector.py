@@ -261,14 +261,13 @@ class TestBandSweep:
         ("delta", BC.PER_PLUS, 1),  # Hermitian: tridiagonal form
         ("tridiagonal", BC.PER_PLUS, 1),  # tridiagonal L: every reflector skipped
         ("complex", BC.PER_PLUS, 48),  # dense non-Hermitian form, b = N - 1
-        ("mathieu", BC.DIRICHLET, None),  # non-Hermitian; its b depends on K (23 here)
+        ("mathieu", BC.DIRICHLET, 1),  # Hermitian: tridiagonal form
     ])
     def test_moments_on_the_band(self, pname, bc, b):
         H = hp.assemble(bc, gallery_potential(pname), 48)
-        assert H.hermitian == (pname == "delta")
+        assert H.hermitian == (pname in ("delta", "mathieu"))
         band = prj._band(H.hessenberg()[0])[0]
-        if b is not None:
-            assert band.shape[1] == b + 1
+        assert band.shape[1] == b + 1
         n = 10
         cols = np.array(sorted(H.basis.position(k) for k in (n, -n)[:bc.rank]))
         zs = n * n + n * np.exp(2j * PI * (np.arange(20) + 0.25) / 20)
@@ -550,6 +549,22 @@ class TestFirstOrderResidue:
         val = prj.first_order_residue(sp, BC.DIRICHLET, 4, 6, 4)
         assert np.isclose(val, 1.0 / (16 - 36))
         assert prj.first_order_residue(sp, BC.DIRICHLET, 4, 4, 4) == 0.0
+        # mathieu(1.0) carries the same Q = sin 2x
+        val = prj.first_order_residue(pot.mathieu(1.0), BC.DIRICHLET, 4, 6, 4)
+        assert np.isclose(val, 1.0 / (16 - 36), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bc,n", LEVELS)
+    @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex"])
+    def test_broadcasts_over_index_arrays(self, pname, bc, n):
+        # one call on the whole (k, m) grid, its masked divisions silent,
+        # equals the scalar calls entry by entry
+        p = gallery_potential(pname)
+        idx = np.array(hp.basis_for(bc, 24).indices)
+        grid = prj.first_order_residue(p, bc, n, idx[:, None], idx[None, :])
+        assert grid.shape == (len(idx), len(idx)) and np.count_nonzero(grid)
+        for i, k in enumerate(idx):
+            for j, m in enumerate(idx):
+                assert grid[i, j] == prj.first_order_residue(p, bc, n, int(k), int(m))
 
 
 class TestQuadratureVsResidue:
