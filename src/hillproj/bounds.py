@@ -557,6 +557,10 @@ class SeriesReport:
         return [c for c in self.checks if not c.passed]
 
 
+_S_MAX = 4  # highest order of the sigma sums in ``lemma_suite``
+_P_MAX = 4  # highest order of the L/R chain sums in ``lemma_suite``
+
+
 def _default_m_samples(n: int, cutoff: int, step: int) -> np.ndarray:
     offs = step * np.array([0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8, 16, -16, 32, -32])
     ms = set()
@@ -569,8 +573,7 @@ def _default_m_samples(n: int, cutoff: int, step: int) -> np.ndarray:
 
 def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
                 potential: FourierPotential | None = None,
-                rho_constant: float = 8.0, s_max: int = 4, p_max: int = 4,
-                m_samples=None) -> SeriesReport:
+                rho_constant: float = 8.0) -> SeriesReport:
     """Evaluate the inequality suite for one majorant and level.
 
     All left-hand sides are truncated sums (which only under-count), so a
@@ -590,9 +593,7 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         cutoff = max(8 * n, 4096)
     if cutoff < 8 * n:
         raise ValueError("cutoff must be at least 8*n")
-    if m_samples is None:
-        m_samples = _default_m_samples(n, cutoff, step)
-    ms = np.asarray(m_samples)
+    ms = _default_m_samples(n, cutoff, step)
 
     norm = r.norm
     rt = rho_tilde(r, n)
@@ -615,9 +616,9 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         return dict(enumerate(full, first))
 
     pm = (n, -n)
-    sig = swept("sigma[s={}]", 1, lambda idx: _sigma_orders(r, n, idx, s_max), pm)
-    s1 = swept("sigma1[s={}]", 1, lambda idx: _sigma1_orders(r, n, idx, s_max + 2, ms), (n,))
-    s2 = swept("sigma2[s={}]", 2, lambda idx: _sigma2_orders(r, n, idx, s_max, ms), pm)
+    sig = swept("sigma[s={}]", 1, lambda idx: _sigma_orders(r, n, idx, _S_MAX), pm)
+    s1 = swept("sigma1[s={}]", 1, lambda idx: _sigma1_orders(r, n, idx, _S_MAX + 2, ms), (n,))
+    s2 = swept("sigma2[s={}]", 2, lambda idx: _sigma2_orders(r, n, idx, _S_MAX, ms), pm)
 
     checks: list[CheckResult] = []
 
@@ -630,17 +631,17 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         add("sigma1_single_near", s1[1][near].max(), rt, "|m-n| <= n/2")
     add("sigma1_single_global", s1[1].max(), norm)
 
-    for p in range(1, s_max // 2 + 1):
+    for p in range(1, _S_MAX // 2 + 1):
         add("sigma1_even_power", s1[2 * p].max(), (2.0 * norm * rt) ** p, f"s=2p={2 * p}")
         add("sigma1_odd_power", s1[2 * p + 1].max(), norm * (2.0 * norm * rt) ** p,
             f"s=2p+1={2 * p + 1}")
 
-    for s in range(1, min(s_max, 2) + 1):
+    for s in range(1, min(_S_MAX, 2) + 1):
         lhs = s1[s + 2] - s1[s] * (2.0 * norm * rt)
         add("sigma1_two_step_recursion", lhs.max(), 0.0, f"s={s} -> s+2")
 
     add("sigma2_pair", s2[2].max(), norm * norm * logw)
-    for s in range(3, s_max + 1):
+    for s in range(3, _S_MAX + 1):
         add("sigma2_chain", s2[s].max(), norm * norm * logw * s1[s - 2].max(), f"s={s}")
 
     idx_w = lattice(n, max(cutoff, 10 ** 5), step, (n, -n))
@@ -651,22 +652,22 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     add("sigma_one_equals_profile", abs(sig[1] - float(s1[1][pos_n])),
         1e-12 * max(1.0, sig[1]), "identity")
 
-    for s in range(1, s_max + 1):
+    for s in range(1, _S_MAX + 1):
         add("sigma_le_eps_power", sig[s], eps ** s, f"s={s}")
 
     # signed-kernel split: exact resummation and the per-piece bound
     idx_pm = lattice(n, cutoff, step, pm)
-    for s in range(2, s_max + 1):
+    for s in range(2, _S_MAX + 1):
         pieces = _sigma_tilde_pieces(r, n, idx_pm, itertools.product((-1, 1), repeat=s - 1))
         add("sigma_splits_exact", abs(sum(pieces) - sig[s]),
             1e-10 * max(1.0, sig[s]), f"s={s}")
         add("signed_kernel_bound", max(pieces), (eps / 2.0) ** s, f"s={s}")
 
-    for p in range(1, s_max // 2 + 1):
+    for p in range(1, _S_MAX // 2 + 1):
         add("sigma1_even_half_eps", s1[2 * p].max(), (eps / 2.0) ** (2 * p), f"s={2 * p}")
         add("sigma1_odd_half_eps", s1[2 * p + 1].max(), norm * (eps / 2.0) ** (2 * p),
             f"s={2 * p + 1}")
-    for s in range(2, s_max + 1):
+    for s in range(2, _S_MAX + 1):
         add("sigma2_half_eps", s2[s].max(), (eps / 2.0) ** (s + 1) / m_const, f"s={s}")
 
     l_table: dict[str, float] = {}
@@ -674,16 +675,16 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     if potential is not None:
         for d in pm:
             ls = swept(f"L({{}},{d:+d})", 1,
-                       lambda idx: _chain_orders(potential, n, idx, p_max, d)[0], pm)
-            rs = _chain_orders(potential, n, idx_pm, p_max, d)[1]
+                       lambda idx: _chain_orders(potential, n, idx, _P_MAX, d)[0], pm)
+            rs = _chain_orders(potential, n, idx_pm, _P_MAX, d)[1]
             for p in ls:
                 l_table[f"{p},{d:+d}"], r_table[f"{p},{d:+d}"] = ls[p], rs[p - 1]
-        for p in range(1, p_max + 1):
+        for p in range(1, _P_MAX + 1):
             for d in (n, -n):
                 rv = r_table[f"{p},{d:+d}"]
                 add("reflection_identity", abs(rv - l_table[f"{p},{-d:+d}"]),
                     1e-12 * max(1.0, rv), f"R({p},{d:+d}) = L({p},{-d:+d})")
-        for s in range(1, min(p_max, s_max) + 1):
+        for s in range(1, min(_P_MAX, _S_MAX) + 1):
             for d in (n, -n):
                 lv = l_table[f"{s},{d:+d}"]
                 add("chain_le_sigma", lv, sig[s], f"L({s},{d:+d})")
@@ -695,7 +696,7 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         inputs={
             "n": n, "cutoff": cutoff, "step": step, "rho_constant": rho_constant,
             "r_norm": norm, "r_max_index": r.max_index, "m_const": m_const,
-            "s_max": s_max, "p_max": p_max,
+            "s_max": _S_MAX, "p_max": _P_MAX,
             "m_samples": [int(m) for m in ms],
             "potential": getattr(potential, "__class__", type(None)).__name__
             if potential is not None else None,

@@ -1,4 +1,4 @@
-"""Deviation-matrix norms, grid synthesis, and L^p-equivalence checks.
+"""Deviation-matrix norms and L^p-equivalence checks.
 
 The deviation matrix B(n) = P_n - P_n^0 is measured in three finite-
 section norms, chained as ||B||_2 <= ||B||_F <= sum |B_km|:
@@ -13,12 +13,12 @@ The L^1 -> L^infinity proxy carries the basis constant D = sup |e_k|:
 D = 1 for the exponential bases, sqrt(2) for the sine basis, entering as
 D^2 * sum_abs_B.
 
-Norm conventions on [0, pi]: ``lp_norms`` returns plain Lebesgue values
-(integral of |f|, its square root analogue, and the grid max).  The
-equivalence ratios, however, use the mean-normalized L^1 norm
-(1/pi) int |f| dx -- the normalization under which the Fourier
-coefficients satisfy |f_k| <= D ||f||_1 and the constant-3 comparison on
-the Riesz subspaces is meaningful.
+The L^p-equivalence checks compare pi ||f||_inf / ||f||_1 on an M-point
+grid of [0, pi]: the grid max against the composite-trapezoid integral of
+|f|, i.e. the sup against the mean-normalized L^1 norm (1/pi) int |f| dx,
+the normalization under which the Fourier coefficients satisfy
+|f_k| <= D ||f||_1 and the constant-3 comparison on the Riesz subspaces
+is meaningful.  One sampler, ``_max_ratio``, evaluates every such ratio.
 """
 
 from __future__ import annotations
@@ -36,12 +36,9 @@ from .projector import BlockProjection, ProjectionPair
 __all__ = [
     "TooFewRecords",
     "DecayRecord",
-    "GridFunction",
     "decay_record",
     "bari_markus_partial",
     "BariMarkusReport",
-    "synthesize",
-    "lp_norms",
     "equivalence_check",
     "sn_equivalence",
     "EquivalenceReport",
@@ -133,23 +130,10 @@ def bari_markus_partial(t_values) -> BariMarkusReport:
 
 
 # ---------------------------------------------------------------------------
-# grid synthesis and norms
+# equivalence of norms on the Riesz subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples on M equispaced points of [0, pi] (endpoints included)."""
-
-    values: np.ndarray
-    M: int
-
-    def __post_init__(self):
-        if len(self.values) != self.M:
-            raise ValueError("values length must equal M")
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(0.0, math.pi, self.M)
+_COL_BLOCK = 32  # columns per block of ``_max_ratio``: O(_COL_BLOCK * M) memory
 
 
 def _basis_grid(basis: BasisSpec, M: int) -> np.ndarray:
@@ -161,23 +145,6 @@ def _basis_grid(basis: BasisSpec, M: int) -> np.ndarray:
     return math.sqrt(2.0) * np.sin(np.outer(xs, idx))
 
 
-def synthesize(basis: BasisSpec, coeffs, M: int = 8192) -> GridFunction:
-    """Pointwise sum of coefficients against the basis on the grid.
-
-    ``coeffs`` is either a vector aligned with ``basis.indices`` or a
-    mapping index -> coefficient.
-    """
-    if isinstance(coeffs, dict):
-        vec = np.zeros(basis.size, dtype=complex)
-        for k, c in coeffs.items():
-            vec[basis.position(k)] = c
-    else:
-        vec = np.asarray(coeffs, dtype=complex)
-        if vec.shape != (basis.size,):
-            raise ValueError("coefficient vector does not match the basis")
-    return GridFunction(values=_basis_grid(basis, M) @ vec, M=M)
-
-
 def _trapezoid_weights(M: int) -> np.ndarray:
     w = np.full(M, math.pi / (M - 1))
     w[0] *= 0.5
@@ -185,18 +152,30 @@ def _trapezoid_weights(M: int) -> np.ndarray:
     return w
 
 
-def lp_norms(f: GridFunction) -> tuple[float, float, float]:
-    """(L^1, L^2, L^inf) on [0, pi]: composite trapezoid, exact grid max."""
-    if f.M < 1024:
+def _draws(basis: BasisSpec, samples: int, seed: int) -> np.ndarray:
+    """size x samples standard complex Gaussian coefficient columns."""
+    rng = np.random.default_rng(seed)
+    shape = (basis.size, samples)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _max_ratio(basis: BasisSpec, coeffs: np.ndarray, M: int) -> float:
+    """Max of pi ||f||_inf / ||f||_1 over the nonzero columns of ``coeffs``
+    (coefficients of f against ``basis.indices``), with f on M equispaced
+    points of [0, pi]: the grid max over the composite trapezoid L^1."""
+    if M < 1024:
         raise ValueError("norm evaluation needs M >= 1024")
-    w = _trapezoid_weights(f.M)
-    a = np.abs(f.values)
-    return float(w @ a), float(math.sqrt(w @ (a * a))), float(a.max())
+    coeffs = coeffs[:, np.linalg.norm(coeffs, axis=0) > 1e-12]
+    if not coeffs.shape[1]:
+        raise ValueError("every coefficient column is zero")
+    grid = _basis_grid(basis, M)
+    w = _trapezoid_weights(M)
+    best = []
+    for j in range(0, coeffs.shape[1], _COL_BLOCK):
+        mod = np.abs(grid @ coeffs[:, j:j + _COL_BLOCK])
+        best.append((math.pi * mod.max(axis=0) / (w @ mod)).max())
+    return float(max(best))
 
-
-# ---------------------------------------------------------------------------
-# equivalence of norms on the Riesz subspaces
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -214,22 +193,6 @@ class EquivalenceReport:
     note: str = ""
 
 
-def _sample_ratios(project, basis: BasisSpec, samples: int, M: int,
-                   seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    dim = basis.size
-    g = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
-    coeffs = project(g)
-    keep = np.linalg.norm(coeffs, axis=0) > 1e-12
-    coeffs = coeffs[:, keep]
-    vals = _basis_grid(basis, M) @ coeffs
-    mod = np.abs(vals)
-    l1 = _trapezoid_weights(M) @ mod
-    linf = mod.max(axis=0)
-    # mean-normalized L^1: ratio = ||f||_inf / ((1/pi) ||f||_1)
-    return float((math.pi * linf / l1).max())
-
-
 def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
                       seed: int = 20240801) -> EquivalenceReport:
     """Sup-versus-mean-L^1 comparison for random elements of Ran P_n.
@@ -242,7 +205,8 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
     proxy = d * d * pair.sum_abs_B
     regime_ok = proxy <= 0.5
     X, G, Y = pair.X, pair.G, pair.Y
-    ratio = _sample_ratios(lambda g: X @ (G @ (Y.T @ g)), pair.basis, samples, M, seed)
+    g = _draws(pair.basis, samples, seed)
+    ratio = _max_ratio(pair.basis, X @ (G @ (Y.T @ g)), M)
     bound = 3.0 + 0.05
     return EquivalenceReport(
         level=pair.n, samples=samples, max_ratio=ratio, bound=bound,
@@ -257,17 +221,12 @@ def sn_equivalence(block: BlockProjection, basis: BasisSpec, samples: int = 200,
     """Same comparison for Ran S_N against the 50 N ln N envelope.
 
     Alongside random samples, an explicit near-extremal trial (all basis
-    coefficients equal, the concentrated spike) is always included.
+    coefficients equal, the concentrated spike) is always included, as
+    the last column.
     """
     N = block.N
-    ratio = _sample_ratios(lambda g: block.S @ g, basis, samples, M, seed)
-    spike = np.array([1.0 if k * k < N * N + N else 0.0 for k in basis.indices],
-                     dtype=complex)
-    coeffs = block.S @ spike
-    if np.linalg.norm(coeffs) > 1e-12:
-        f = synthesize(basis, coeffs, M)
-        l1, _, linf = lp_norms(f)
-        ratio = max(ratio, math.pi * linf / l1)
+    spike = np.array([[1.0 if k * k < N * N + N else 0.0] for k in basis.indices])
+    ratio = _max_ratio(basis, block.S @ np.hstack([_draws(basis, samples, seed), spike]), M)
     bound = 50.0 * N * math.log(N)
     return EquivalenceReport(
         level=N, samples=samples + 1, max_ratio=ratio, bound=bound,

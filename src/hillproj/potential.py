@@ -338,7 +338,8 @@ def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
     qt[ev] = ((1j * (w.get(ev) - w.get(-ev))).view(float) / math.sqrt(2.0)).view(complex)
     if len(w.idx):
         ks = np.sort(np.abs(w.idx))
-        ks = ks[np.diff(ks, prepend=0) > 0]  # each |k| once (np.unique would import numpy.ma)
+        # each |k| once: np.unique(ks) imports numpy.ma (with return_inverse it does not)
+        ks = ks[np.diff(ks, prepend=0) > 0]
         pairs, ksq = w.get(ks) + w.get(-ks), ks.astype(float) ** 2
         for m in range(1, max_sine + 1, 2):
             qt[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(pairs / (m * m - ksq))

@@ -195,20 +195,18 @@ class ProjectionPair:
         return self.P - free_projection(self.basis, self.n)
 
 
-def _contour_guard(H: HillMatrix, center: complex, radius: float,
-                   guard_frac: float) -> tuple[np.ndarray, float]:
+def _contour_guard(H: HillMatrix, center: complex, radius: float) -> tuple[np.ndarray, float]:
     """Raise if an eigenvalue is near the circle; return the eigenvalues and
     the guard margin (nearest eigenvalue-to-circle distance / radius)."""
     vals = H.eigenvalues()
     dist = np.abs(np.abs(vals - center) - radius)
-    if dist.min() < guard_frac * radius:
+    if dist.min() < GUARD_FRACTION * radius:
         raise EigenvalueOnContour(
-            f"eigenvalue within {guard_frac:.2f}*radius of |z-{center}|={radius}")
+            f"eigenvalue within {GUARD_FRACTION:.2f}*radius of |z-{center}|={radius}")
     return vals, float(dist.min()) / radius
 
 
-def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
-                guard_frac: float) -> tuple[np.ndarray, float]:
+def _level_cols(H: HillMatrix, n: int, contour: ContourSpec) -> tuple[np.ndarray, float]:
     """Check the preconditions of ``riesz_projection``; return the positions
     of e_{+-n} and the guard margin."""
     bc, basis = H.basis.bc, H.basis
@@ -221,7 +219,7 @@ def _level_cols(H: HillMatrix, n: int, contour: ContourSpec,
             f"half-width {basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
             "degrades when the contour approaches the truncation edge")
     c, R = contour.center, contour.radius
-    vals, margin = _contour_guard(H, c, R, guard_frac)
+    vals, margin = _contour_guard(H, c, R)
     inside = int(np.count_nonzero(np.abs(vals - c) < R))
     if inside != bc.rank:
         raise RankMismatch(
@@ -381,8 +379,7 @@ def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: flo
 
 
 def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
-                     *, tol: float = _TOL, max_nodes: int = _MAX_NODES,
-                     guard_frac: float = GUARD_FRACTION) -> ProjectionPair:
+                     *, tol: float = _TOL, max_nodes: int = _MAX_NODES) -> ProjectionPair:
     """Contour-quadrature Riesz projection for the level n disc.
 
     Preconditions: n is a level of the basis lattice (its parity, with
@@ -393,7 +390,7 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
     """
     if contour is None:
         contour = ContourSpec.for_level(n)
-    cols, margin = _level_cols(H, n, contour, guard_frac)
+    cols, margin = _level_cols(H, n, contour)
     (X, G, Y), est, Q = _circle_rule(H, cols, contour, tol, max_nodes)
     return ProjectionPair(n=n, basis=H.basis, X=X, G=G, Y=Y, cols=cols,
                           quad_error_est=est, nodes_used=Q, converged=est < tol,
@@ -467,8 +464,7 @@ def spectral_projector_dense(H: HillMatrix, n: int) -> np.ndarray:
     return vecs[:, inside] @ vinv[inside, :]
 
 
-def rectangle_projection(H: HillMatrix, N: int,
-                         guard_frac: float = GUARD_FRACTION) -> tuple[np.ndarray, float]:
+def rectangle_projection(H: HillMatrix, N: int) -> tuple[np.ndarray, float]:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
     Any contour that encloses exactly the rectangle's eigenvalues gives
@@ -480,7 +476,7 @@ def rectangle_projection(H: HillMatrix, N: int,
     ``RankMismatch``).  Returns P and its quadrature error estimate.
     """
     contour = ContourSpec(center=complex(N * N / 2), radius=N * N / 2 + N)
-    vals, _ = _contour_guard(H, contour.center, contour.radius, guard_frac)
+    vals, _ = _contour_guard(H, contour.center, contour.radius)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
     in_circle = np.abs(vals - contour.center) < contour.radius
@@ -542,7 +538,7 @@ def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> BlockPr
                            converged=converged)
 
 
-def validated_levels(H: HillMatrix, candidates, guard_frac: float = GUARD_FRACTION):
+def validated_levels(H: HillMatrix, candidates):
     """Levels passing the preconditions of ``riesz_projection``.
 
     The smallest returned level is the empirical onset of the asymptotic
@@ -552,7 +548,7 @@ def validated_levels(H: HillMatrix, candidates, guard_frac: float = GUARD_FRACTI
     good = []
     for n in candidates:
         try:
-            _level_cols(H, n, ContourSpec.for_level(n), guard_frac)
+            _level_cols(H, n, ContourSpec.for_level(n))
         except (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch):
             continue
         good.append(n)

@@ -263,6 +263,29 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "[]"
 
+    SMALL = ["--potential", "mathieu:1.0", "--K", "48", "--n-min", "8", "--n-max", "10"]
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--bc", "per+", *SMALL],
+        ["decay", "--bc", "per+", *SMALL],
+        ["decay", "--bc", "dir", *SMALL],
+        ["bounds", "--bc", "per+", *SMALL],
+        ["lpnorms", "--bc", "per+", *SMALL, "--samples", "20"],
+        ["verify", "--seed", "1"],
+    ], ids=["spectrum", "decay-per", "decay-dir", "bounds", "lpnorms", "verify"])
+    def test_commands_load_no_scipy_and_no_numpy_ma(self, argv, tmp_path):
+        # numpy.ma costs about 10 ms on first import; a flagless np.unique loads it
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys; from hillproj import cli; "
+                f"code = cli.main({[*argv, '--out', str(tmp_path)]!r}); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m.split('.')[:2] == ['numpy', 'ma']))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
 
 class TestVerify:
     def test_no_arguments_is_usage_error(self):

@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,59 +62,89 @@ class TestBariMarkus:
             norms.bari_markus_partial([1.0] * 7)
 
 
-class TestSynthesize:
-    def test_constant_function(self):
-        basis = hp.basis_for(BC.PER_PLUS, 8)
-        f = norms.synthesize(basis, {0: 1.0}, M=2048)
-        assert np.abs(f.values - 1.0).max() < 1e-12
+def oracle_ratio(basis, coeffs, M):
+    """pi max|f| / int |f| with f summed point by point and an explicit
+    trapezoid sum: no array synthesis, no shared weights."""
+    h = PI / (M - 1)
+    peak, l1 = 0.0, 0.0
+    for j in range(M):
+        x = j * h
+        if basis.bc.is_periodic_family:
+            f = sum(c * cmath.exp(1j * k * x) for k, c in zip(basis.indices, coeffs))
+        else:
+            f = sum(c * math.sqrt(2) * math.sin(k * x) for k, c in zip(basis.indices, coeffs))
+        peak = max(peak, abs(f))
+        l1 += abs(f) * (h / 2 if j in (0, M - 1) else h)
+    return PI * peak / l1
 
-    def test_dirichlet_unit(self):
+
+def unit(basis, k):
+    c = np.zeros((basis.size, 1), dtype=complex)
+    c[basis.position(k)] = 1.0
+    return c
+
+
+class TestSampler:
+    """``norms._max_ratio``, the one evaluation of pi ||f||_inf / ||f||_1."""
+
+    @pytest.mark.parametrize("bc", list(BC))
+    def test_against_pointwise_oracle(self, bc):
+        basis = hp.basis_for(bc, 5 if bc is BC.PER_MINUS else 4)
+        rng = np.random.default_rng(3)
+        cols = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
+        want = [oracle_ratio(basis, cols[:, j], 1024) for j in range(3)]
+        for j in range(3):
+            assert abs(norms._max_ratio(basis, cols[:, j:j + 1], 1024) - want[j]) < 1e-12
+        # an all-zero column is dropped, not divided by
+        cols = np.hstack([cols, np.zeros((basis.size, 1))])
+        assert abs(norms._max_ratio(basis, cols, 1024) - max(want)) < 1e-12
+
+    def test_constant_has_ratio_one(self):
+        basis = hp.basis_for(BC.PER_PLUS, 8)
+        assert abs(norms._max_ratio(basis, unit(basis, 0), 8192) - 1.0) < 1e-12
+
+    def test_dirichlet_unit_has_ratio_pi_over_two(self):
+        # sqrt(2) sin 3x: grid max and trapezoid L^1 both within O(h^2)
         basis = hp.basis_for(BC.DIRICHLET, 8)
-        f = norms.synthesize(basis, {3: 1.0}, M=2048)
-        expect = math.sqrt(2) * np.sin(3 * f.xs)
-        assert np.abs(f.values - expect).max() < 1e-12
+        assert abs(norms._max_ratio(basis, unit(basis, 3), 8192) - PI / 2) < 1e-6
 
-    def test_parseval(self):
-        basis = hp.basis_for(BC.PER_PLUS, 32)
-        rng = np.random.default_rng(5)
-        c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        f = norms.synthesize(basis, c, M=8192)
-        _, l2, _ = norms.lp_norms(f)
-        assert abs(l2 - math.sqrt(PI) * np.linalg.norm(c)) < 1e-6
-
-    def test_vector_length_checked(self):
-        basis = hp.basis_for(BC.PER_PLUS, 8)
-        with pytest.raises(ValueError):
-            norms.synthesize(basis, np.ones(3), M=2048)
-
-
-class TestLpNorms:
-    def test_constant(self):
-        basis = hp.basis_for(BC.PER_PLUS, 8)
-        f = norms.synthesize(basis, {0: 1.0}, M=8192)
-        l1, l2, linf = norms.lp_norms(f)
-        assert abs(l1 - PI) < 1e-10
-        assert abs(l2 - math.sqrt(PI)) < 1e-10
-        assert abs(linf - 1.0) < 1e-12
-
-    def test_sine(self):
-        f = norms.GridFunction(np.sin(np.linspace(0, PI, 8192)), 8192)
-        l1, l2, linf = norms.lp_norms(f)
-        assert abs(l1 - 2.0) < 1e-6
-        assert abs(l2 - math.sqrt(PI / 2)) < 1e-6
-        assert abs(linf - 1.0) < 1e-6
-
-    @given(st.floats(min_value=0.01, max_value=50.0))
+    @given(st.floats(min_value=0.01, max_value=50.0), st.floats(min_value=0.0, max_value=2 * PI))
     @settings(max_examples=25, deadline=None)
-    def test_homogeneity(self, c):
-        vals = np.sin(np.linspace(0, PI, 1024)) + 0.3
-        a = norms.lp_norms(norms.GridFunction(vals, 1024))
-        b = norms.lp_norms(norms.GridFunction(c * vals, 1024))
-        assert np.allclose(b, [c * x for x in a], rtol=1e-12)
+    def test_scale_invariance(self, c, phase):
+        basis = hp.basis_for(BC.PER_MINUS, 9)
+        cols = np.random.default_rng(1).standard_normal((basis.size, 1)) + 0.3j
+        a = norms._max_ratio(basis, cols, 1024)
+        b = norms._max_ratio(basis, c * cmath.exp(1j * phase) * cols, 1024)
+        assert abs(b - a) <= 1e-12 * a
 
     def test_grid_floor(self):
+        basis = hp.basis_for(BC.PER_PLUS, 8)
         with pytest.raises(ValueError):
-            norms.lp_norms(norms.GridFunction(np.ones(512), 512))
+            norms._max_ratio(basis, unit(basis, 0), 512)
+
+    def test_all_zero_columns_refused(self):
+        basis = hp.basis_for(BC.PER_PLUS, 8)
+        with pytest.raises(ValueError):
+            norms._max_ratio(basis, np.zeros((basis.size, 4)), 1024)
+
+    @pytest.mark.parametrize("block", [1, 10 ** 6])
+    def test_block_size_invariance(self, monkeypatch, block):
+        basis = hp.basis_for(BC.DIRICHLET, 24)
+        cols = norms._draws(basis, 70, 11)
+        want = norms._max_ratio(basis, cols, 2048)
+        monkeypatch.setattr(norms, "_COL_BLOCK", block)
+        assert abs(norms._max_ratio(basis, cols, 2048) - want) <= 1e-14 * want
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # the whole M x samples array of values would take 131 MB here
+        pair = hp.riesz_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 64), 12)
+        tracemalloc.start()
+        try:
+            norms.equivalence_check(pair, samples=1000, M=8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestDecayRecord:
