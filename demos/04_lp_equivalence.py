@@ -25,8 +25,8 @@ for n in (10, 16, 24):
 print("\nblock projections S_N (base block + level circles):")
 for N in (8, 16):
     blk = projector.block_projection(H, 4, N)
-    rep = norms.sn_equivalence(blk, H.basis, samples=200, M=8192)
-    print(f"  N={N:3d}: trace {blk.trace.real:.2f} (free dim {blk.free_dimension}), "
+    rep = norms.sn_equivalence(blk, samples=200, M=8192)
+    print(f"  N={N:3d}: trace {blk.trace.real:.2f} (free dim {len(blk.cols)}), "
           f"max ratio {rep.max_ratio:.2f} vs envelope {50 * N * math.log(N):.0f}")
 
 print("\nfor comparison, the extreme free-case element (all coefficients "

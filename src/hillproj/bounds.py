@@ -87,6 +87,7 @@ __all__ = [
     "sigma_nested_vs_matrix",
     "a0_sum",
     "a0_bound_check",
+    "default_cutoff",
     "lemma_suite",
     "GATED_CHECKS",
     "report_to_json",
@@ -480,11 +481,11 @@ def a0_sum(pot, bc: BoundaryCondition, n: int, cutoff: int) -> float:
     the ``coupling``, over the lattice of ``bc`` through n (Dirichlet: the
     indices k >= 1, and m = n only).
     """
-    periodic = bc.is_periodic_family
-    ks = lattice(n, cutoff, 2 if periodic else 1, (n, -n))
+    periodic, levels = bc.is_periodic_family, bc.level_indices(n)
+    ks = lattice(n, cutoff, 2 if periodic else 1, levels)
     if not periodic:
         ks = ks[ks >= 1]
-    mass = sum(np.abs(coupling(pot, bc, ks, m)) for m in (n, -n)[:bc.rank])
+    mass = sum(np.abs(coupling(pot, bc, ks, m)) for m in levels)
     return float(2.0 * (mass / np.abs(n * n - ks.astype(float) ** 2)).sum())
 
 
@@ -571,6 +572,11 @@ def _default_m_samples(n: int, cutoff: int, step: int) -> np.ndarray:
     return np.array(sorted(ms))
 
 
+def default_cutoff(n: int) -> int:
+    """Index cutoff of ``lemma_suite`` at level n when none is given."""
+    return max(8 * n, 4096)
+
+
 def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
                 potential: FourierPotential | None = None,
                 rho_constant: float = 8.0) -> SeriesReport:
@@ -590,7 +596,7 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     if n < 4:
         raise ValueError("the single-step bounds need n >= 4")
     if cutoff is None:
-        cutoff = max(8 * n, 4096)
+        cutoff = default_cutoff(n)
     if cutoff < 8 * n:
         raise ValueError("cutoff must be at least 8*n")
     ms = _default_m_samples(n, cutoff, step)

@@ -89,12 +89,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             merged[key] = val
 
-    spec = merged["potential"]
-    trunc = 4 * int(merged["K"])
-    if merged.get("cutoff"):
-        trunc = max(trunc, 2 * int(merged["cutoff"]) + 2 * int(merged["n_max"]))
-    else:
-        trunc = max(trunc, 2 * max(8 * int(merged["n_max"]), 4096) + 2 * int(merged["n_max"]))
+    spec, n_max = merged["potential"], int(merged["n_max"])
+    cutoff = int(merged["cutoff"]) if merged.get("cutoff") else bounds.default_cutoff(n_max)
+    trunc = max(4 * int(merged["K"]), 2 * cutoff + 2 * n_max)  # coefficients the sums read
     try:
         if isinstance(spec, str):
             pot = parse_potential_arg(spec, default_truncation=trunc)
@@ -253,16 +250,11 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
     H = assemble(cfg.bc, cfg.pot, cfg.K)
     levels = projector.validated_levels(H, cfg.levels())
     picks = levels[:: max(1, len(levels) // 3)][:3]
-    results, unconverged = [], []
-    ok = True
+    runs = []  # (type, pair, report): the levels, then the blocks S_N
     for n in picks:
         pair = projector.riesz_projection(H, n, projector.ContourSpec.for_level(n, cfg.nodes))
-        rep = norms.equivalence_check(pair, samples=cfg.samples, seed=cfg.seed)
-        ok &= rep.passed
-        if not pair.converged:
-            unconverged.append(n)
-        results.append({"type": "level", **rep.__dict__,
-                        "quad_error_est": pair.quad_error_est, "converged": pair.converged})
+        runs.append(("level", pair,
+                     norms.equivalence_check(pair, samples=cfg.samples, seed=cfg.seed)))
     for N in (10, 20):
         if N > cfg.n_max or not levels:
             continue
@@ -270,11 +262,13 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
         if N <= N0:
             continue
         block = projector.block_projection(H, N0, N, nodes=cfg.nodes)
-        rep = norms.sn_equivalence(block, H.basis, samples=cfg.samples, seed=cfg.seed)
-        ok &= rep.passed
-        if not block.converged:
-            unconverged.append(f"S_{N}")
-        results.append({"type": "block", **rep.__dict__, "converged": block.converged})
+        runs.append(("block", block,
+                     norms.sn_equivalence(block, samples=cfg.samples, seed=cfg.seed)))
+    results = [{"type": kind, **rep.__dict__, "quad_error_est": pair.quad_error_est,
+                "converged": pair.converged} for kind, pair, rep in runs]
+    ok = all(rep.passed for _, _, rep in runs)
+    unconverged = [pair.n if kind == "level" else f"S_{pair.n}"
+                   for kind, pair, _ in runs if not pair.converged]
     echo = cfg.echo()
     rows = [["type", "level", "samples", "max_ratio", "bound", "passed", "regime_ok"]]
     for res in results:
@@ -320,8 +314,7 @@ def _verify_rows(seed: int) -> list[dict]:
                 pair = projector.riesz_projection(H, n)
                 add("algebra", f"{pname}/{bc.value}/n={n}/idempotency",
                     pair.idempotency, 1e-8)
-                add("algebra", f"{pname}/{bc.value}/n={n}/trace",
-                    abs(pair.trace - bc.rank), 1e-6)
+                add("algebra", f"{pname}/{bc.value}/n={n}/trace", pair.trace_defect, 1e-6)
                 dense = projector.spectral_projector_dense(H, n)
                 add("algebra", f"{pname}/{bc.value}/n={n}/vs_dense",
                     float(np.linalg.norm(pair.P - dense, "fro")), 1e-7)
@@ -364,7 +357,7 @@ def _verify_rows(seed: int) -> list[dict]:
             add("lpnorms", f"{pname}/n=12/ratio", rep.max_ratio, rep.bound)
         block = projector.block_projection(H, 4, 8)
         add("lpnorms", f"{pname}/S_8/idempotency", block.idempotency, 1e-7)
-        srep = norms.sn_equivalence(block, H.basis, samples=100, M=4096, seed=seed)
+        srep = norms.sn_equivalence(block, samples=100, M=4096, seed=seed)
         add("lpnorms", f"{pname}/S_8/ratio", srep.max_ratio, srep.bound)
     return rows
 

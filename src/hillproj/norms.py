@@ -31,7 +31,7 @@ import numpy as np
 from . import bounds as _bounds
 from .operator import BasisSpec
 from .potential import MajorantSeq
-from .projector import BlockProjection, ProjectionPair
+from .projector import ProjectionPair
 
 __all__ = [
     "TooFewRecords",
@@ -137,12 +137,12 @@ _COL_BLOCK = 32  # columns per block of ``_max_ratio``: O(_COL_BLOCK * M) memory
 
 
 def _basis_grid(basis: BasisSpec, M: int) -> np.ndarray:
-    """M x size matrix of basis functions sampled on the grid."""
+    """M x size matrix of basis functions on the grid, complex for every basis."""
     xs = np.linspace(0.0, math.pi, M)
     idx = np.array(basis.indices, dtype=float)
     if basis.bc.is_periodic_family:
         return np.exp(1j * np.outer(xs, idx))
-    return math.sqrt(2.0) * np.sin(np.outer(xs, idx))
+    return (math.sqrt(2.0) * np.sin(np.outer(xs, idx))).astype(complex)
 
 
 def _trapezoid_weights(M: int) -> np.ndarray:
@@ -216,17 +216,19 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
     )
 
 
-def sn_equivalence(block: BlockProjection, basis: BasisSpec, samples: int = 200,
-                   M: int = 8192, seed: int = 20240801) -> EquivalenceReport:
-    """Same comparison for Ran S_N against the 50 N ln N envelope.
+def sn_equivalence(block: ProjectionPair, samples: int = 200, M: int = 8192,
+                   seed: int = 20240801) -> EquivalenceReport:
+    """Same comparison for Ran S_N (``block_projection``) against 50 N ln N.
 
-    Alongside random samples, an explicit near-extremal trial (all basis
-    coefficients equal, the concentrated spike) is always included, as
-    the last column.
+    Alongside random samples, an explicit near-extremal trial (every
+    coefficient of the block's columns equal, the concentrated spike) is
+    always included, as the last column.
     """
-    N = block.N
-    spike = np.array([[1.0 if k * k < N * N + N else 0.0] for k in basis.indices])
-    ratio = _max_ratio(basis, block.S @ np.hstack([_draws(basis, samples, seed), spike]), M)
+    N, basis, X, G, Y = block.n, block.basis, block.X, block.G, block.Y
+    spike = np.zeros((basis.size, 1))
+    spike[block.cols] = 1.0
+    g = np.hstack([_draws(basis, samples, seed), spike])
+    ratio = _max_ratio(basis, X @ (G @ (Y.T @ g)), M)
     bound = 50.0 * N * math.log(N)
     return EquivalenceReport(
         level=N, samples=samples + 1, max_ratio=ratio, bound=bound,

@@ -99,6 +99,10 @@ class BoundaryCondition(Enum):
             return False
         return self.parity in (-1, n % 2)
 
+    def level_indices(self, n: int) -> tuple[int, ...]:
+        """Free indices of the level n^2: (n, -n) for Per+-, (n,) for Dirichlet."""
+        return (n, -n)[:self.rank]
+
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -119,9 +123,7 @@ class BasisSpec:
             raise KeyError(f"index {k} not in basis") from None
 
     def contains_level(self, n: int) -> bool:
-        if self.bc.is_periodic_family:
-            return n in self.indices and -n in self.indices
-        return n in self.indices
+        return all(k in self.indices for k in self.bc.level_indices(n))
 
     def transpose_perm(self) -> np.ndarray:
         """Positions p with L^T = L[p][:, p] for every Hill matrix on this basis.

@@ -19,7 +19,7 @@ so (z - L)^(-T) = (z - L)^(-1)[p][:, p] node by node, for every contour,
 weight and potential.  The columns of every contour here are closed
 under p, p[cols] = cols[s], hence Y = X[p][:, s].
 
-No level quantity forms P densely: B = P - E E^T = [X G, -E] [Y, E]^T,
+No quantity forms P densely: B = P - E E^T = [X G, -E] [Y, E]^T,
 P^2 - P and the change of P between node counts take their norms from a
 2r x 2r core of thin QRs of two N x 2r factors (``_core``), in O(N r^2).
 Only sum |B_km| visits every entry of B, over row blocks.
@@ -40,7 +40,8 @@ around the circle.  Node counts are doubled (reusing the moments of
 previous nodes) until the Frobenius change of P drops below a tolerance;
 the last change is reported as the quadrature error estimate.  The free
 projection is never computed by quadrature: it is the exact coordinate
-projection onto the indices {+-n} (periodic families) or {n} (Dirichlet).
+projection onto the indices {+-n} (periodic families) or {n} (Dirichlet),
+``BoundaryCondition.level_indices``.
 
 Block projections S_N onto all spectrum in the rectangle
 {-N < Re z < N^2 + N, |Im z| < N} are a base block for a small N0 plus a
@@ -49,7 +50,9 @@ encloses exactly the rectangle's eigenvalues gives the base block, so it
 uses the same trapezoidal rule and node doubling on the circle
 |z - N0^2/2| = N0^2/2 + N0 through the rectangle's real endpoints, with
 E the columns of every index k^2 < N0^2 + N0: the circle and the
-rectangle must hold the same eigenvalues, exactly that many.
+rectangle must hold the same eigenvalues, exactly that many.  The parts
+have disjoint columns, so S_N = [X_i G_i] I [Y_i]^T is one more
+``ProjectionPair``, on the columns of every index k^2 < N^2 + N.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ __all__ = [
     "spectral_projector_dense",
     "rectangle_projection",
     "block_projection",
-    "BlockProjection",
     "validated_levels",
 ]
 
@@ -129,11 +131,12 @@ def _core(left: np.ndarray, right: np.ndarray, mid: np.ndarray | None = None) ->
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Riesz projection P = X G Y^T (X, Y: N x r, G: r x r), free projection
-    P0 = E E^T (E = I[:, cols]) and B = P - P0.  Norms come from ``_core``s
-    and row blocks (``sum_abs_B``); dense N x N ``P`` and ``B`` on access only."""
+    """Riesz projection P = X G Y^T (X, Y: N x r, G: r x r, r = len(cols)),
+    P0 = E E^T (E = I[:, cols]) and B = P - P0; G = (E^T X)^-1 for a circle,
+    I for a block S_N.  Norms come from ``_core``s and row blocks
+    (``sum_abs_B``); dense N x N ``P`` and ``B`` on access only."""
 
-    n: int
+    n: int  # the level, or N of a block S_N
     basis: BasisSpec
     X: np.ndarray
     G: np.ndarray
@@ -169,7 +172,7 @@ class ProjectionPair:
     @property
     def trace_defect(self) -> float:
         """|trace P - r|: a projection of rank r has trace exactly r."""
-        return abs(self.trace - self.bc.rank)
+        return abs(self.trace - len(self.cols))
 
     @cached_property
     def sum_abs_B(self) -> float:
@@ -184,15 +187,17 @@ class ProjectionPair:
 
     @cached_property
     def P(self) -> np.ndarray:
-        """Dense P, N x N: for the oracles, the tests and block sums."""
+        """Dense P, N x N: for the oracles and the tests."""
         P = self.X @ (self.G @ self.Y.T)
         P.setflags(write=False)
         return P
 
     @property
     def B(self) -> np.ndarray:
-        """Dense B = P - P0, N x N: for the oracles and the tests."""
-        return self.P - free_projection(self.basis, self.n)
+        """Dense B = P - E E^T, N x N: for the oracles and the tests."""
+        B = self.P.copy()
+        B[self.cols, self.cols] -= 1.0
+        return B
 
 
 def _contour_guard(H: HillMatrix, center: complex, radius: float) -> tuple[np.ndarray, float]:
@@ -224,7 +229,7 @@ def _level_cols(H: HillMatrix, n: int, contour: ContourSpec) -> tuple[np.ndarray
     if inside != bc.rank:
         raise RankMismatch(
             f"{inside} eigenvalue(s) in |z-{c}|<{R}, expected {bc.rank} for {bc.value}")
-    return np.array(sorted(basis.position(k) for k in (n, -n)[:bc.rank])), margin
+    return np.array(sorted(basis.position(k) for k in bc.level_indices(n))), margin
 
 
 _NODE_BLOCK = 128  # nodes per sweep: bounds the work arrays at O(_NODE_BLOCK * N * r)
@@ -334,19 +339,20 @@ def _change(f1, f0) -> float:
 
 
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
-    """Coordinate projection onto {+-n} (Per+-) or {n} (Dirichlet)."""
+    """Dense coordinate projection onto the ``level_indices`` of n, for the oracles."""
     if not basis.contains_level(n):
         raise IndexOutOfBasis(f"level {n} not in basis for {basis.bc.value}")
     P0 = np.zeros((basis.size, basis.size), dtype=complex)
-    for k in {n, -n} if basis.bc.is_periodic_family else {n}:
+    for k in basis.bc.level_indices(n):
         P0[basis.position(k), basis.position(k)] = 1.0
     return P0
 
 
-def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: float,
-                 max_nodes: int) -> tuple[tuple, float, int]:
+def _circle_rule(H: HillMatrix, n: int, cols: np.ndarray, contour: ContourSpec,
+                 margin: float, tol: float, max_nodes: int) -> ProjectionPair:
     """Rank-len(cols) projection over the circle of ``contour`` by the
-    trapezoidal rule: its ``_factors``, error estimate and nodes used.
+    trapezoidal rule, as the pair of level (or block) n whose guard gave
+    ``margin``.
 
     Node counts start at ``contour.nodes`` and are doubled, reusing the
     moments of earlier nodes, until the Frobenius change of P drops below
@@ -375,7 +381,8 @@ def _circle_rule(H: HillMatrix, cols: np.ndarray, contour: ContourSpec, tol: flo
         f_new = _factors(M, cols, p, R / Q)
         est = _change(f_new, f)
         f = f_new
-    return f, est, Q
+    return ProjectionPair(n, H.basis, *f, cols, quad_error_est=est, nodes_used=Q,
+                          converged=est < tol, guard_margin=margin)
 
 
 def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
@@ -391,10 +398,7 @@ def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
     if contour is None:
         contour = ContourSpec.for_level(n)
     cols, margin = _level_cols(H, n, contour)
-    (X, G, Y), est, Q = _circle_rule(H, cols, contour, tol, max_nodes)
-    return ProjectionPair(n=n, basis=H.basis, X=X, G=G, Y=Y, cols=cols,
-                          quad_error_est=est, nodes_used=Q, converged=est < tol,
-                          guard_margin=margin)
+    return _circle_rule(H, n, cols, contour, margin, tol, max_nodes)
 
 
 def first_order_residue(pot, bc: BoundaryCondition, n: int, k, m):
@@ -412,8 +416,7 @@ def first_order_residue(pot, bc: BoundaryCondition, n: int, k, m):
     so the integral still vanishes).  For the Dirichlet lattice "+-n"
     degenerates to {n}.  k and m are indices or index arrays (broadcast).
     """
-    k, m = np.asarray(k), np.asarray(m)
-    levels = (n, -n) if bc.is_periodic_family else (n,)
+    k, m, levels = np.asarray(k), np.asarray(m), bc.level_indices(n)
     k_hits, m_hits = np.isin(k, levels), np.isin(m, levels)
     W = coupling(pot, bc, k, m)
     den = np.where(m_hits, n * n - k * k, n * n - m * m)
@@ -464,7 +467,7 @@ def spectral_projector_dense(H: HillMatrix, n: int) -> np.ndarray:
     return vecs[:, inside] @ vinv[inside, :]
 
 
-def rectangle_projection(H: HillMatrix, N: int) -> tuple[np.ndarray, float]:
+def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
     Any contour that encloses exactly the rectangle's eigenvalues gives
@@ -473,10 +476,10 @@ def rectangle_projection(H: HillMatrix, N: int) -> tuple[np.ndarray, float]:
     of the rectangle.  Besides the circle guard, the eigenvalues inside
     the circle must be exactly those inside the rectangle, and their
     number the count of free indices k with k^2 < N^2 + N (else
-    ``RankMismatch``).  Returns P and its quadrature error estimate.
+    ``RankMismatch``).  Returns the pair of the circle, with n = N.
     """
     contour = ContourSpec(center=complex(N * N / 2), radius=N * N / 2 + N)
-    vals, _ = _contour_guard(H, contour.center, contour.radius)
+    vals, margin = _contour_guard(H, contour.center, contour.radius)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
     in_circle = np.abs(vals - contour.center) < contour.radius
@@ -487,55 +490,31 @@ def rectangle_projection(H: HillMatrix, N: int) -> tuple[np.ndarray, float]:
             f"{np.count_nonzero(in_circle)} in its circle "
             f"({np.count_nonzero(in_rect != in_circle)} in only one), "
             f"expected the same {len(cols)} in both")
-    (X, G, Y), est, _ = _circle_rule(H, cols, contour, _TOL, _MAX_NODES)
-    return X @ (G @ Y.T), est
+    return _circle_rule(H, N, cols, contour, margin, _TOL, _MAX_NODES)
 
 
-@dataclass(frozen=True)
-class BlockProjection:
-    """S_N assembled as a base block plus level projections."""
-
-    S: np.ndarray
-    N: int
-    N0: int
-    rect_error_est: float
-    level_errors: dict
-    free_dimension: int
-    converged: bool  # every level and the base block converged (rect_error_est < 1e-10)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.S))
-
-    @property
-    def idempotency(self) -> float:
-        return float(np.linalg.norm(self.S @ self.S - self.S, "fro"))
-
-
-def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> BlockProjection:
-    """S_N = S_{N0} + sum of level projections for N0 < k <= N.
+def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> ProjectionPair:
+    """S_N = S_{N0} + sum of level projections for N0 < k <= N, as one pair.
 
     S_{N0} comes from ``rectangle_projection``, each remaining level from
     ``riesz_projection`` with ``nodes`` starting nodes: one circle rule
-    throughout.  Levels follow the boundary-condition parity.
+    throughout.  Levels follow the boundary-condition parity.  X = [X_i G_i],
+    G = I, Y = [Y_i]; the evidence is the worst part's (largest estimate,
+    smallest margin, every part converged) and ``nodes_used`` sums the parts'.
     """
     if N < N0:
         raise ValueError("N must be >= N0")
-    bc = H.basis.bc
-    S, rect_est = rectangle_projection(H, N0)
-    converged = rect_est < _TOL
-    level_errors: dict[int, float] = {}
-    for k in range(N0 + 1, N + 1):
-        if not bc.level_ok(k):
-            continue
-        pair = riesz_projection(H, k, ContourSpec.for_level(k, nodes))
-        S = S + pair.P
-        level_errors[k] = pair.quad_error_est
-        converged &= pair.converged
-    free_dim = sum(1 for k in H.basis.indices if k * k < N * N + N)
-    return BlockProjection(S=S, N=N, N0=N0, rect_error_est=rect_est,
-                           level_errors=level_errors, free_dimension=free_dim,
-                           converged=converged)
+    parts = [rectangle_projection(H, N0)] + [
+        riesz_projection(H, k, ContourSpec.for_level(k, nodes))
+        for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)]
+    cols = np.concatenate([p.cols for p in parts])
+    return ProjectionPair(
+        N, H.basis, np.hstack([p.X @ p.G for p in parts]), np.eye(len(cols)),
+        np.hstack([p.Y for p in parts]), cols,
+        quad_error_est=max(p.quad_error_est for p in parts),
+        nodes_used=sum(p.nodes_used for p in parts),
+        converged=all(p.converged for p in parts),
+        guard_margin=min(p.guard_margin for p in parts))
 
 
 def validated_levels(H: HillMatrix, candidates):

@@ -479,6 +479,11 @@ class TestLemmaSuite:
         rows = bounds.report_csv_rows(rep)
         assert rows[0][0] == "name" and len(rows) == len(rep.checks) + 1
 
+    def test_default_cutoff(self):
+        assert bounds.default_cutoff(32) == 4096 and bounds.default_cutoff(1000) == 8000
+        rep = bounds.lemma_suite(zero_majorant(), 32)
+        assert bounds.report_to_json(rep)["inputs"]["cutoff"] == bounds.default_cutoff(32)
+
     def test_needs_n_at_least_4(self):
         with pytest.raises(ValueError):
             bounds.lemma_suite(zero_majorant(), 3)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hillproj import cli
+from hillproj import bounds, cli
 
 
 def run(argv):
@@ -157,6 +157,13 @@ class TestBounds:
         payload = json.loads((tmp_path / "bounds_report.json").read_text())
         assert payload["all_passed"]
 
+    def test_coefficients_reach_the_default_cutoff(self):
+        # with no --cutoff, lemma_suite sums to bounds.default_cutoff(n)
+        args = cli._build_parser().parse_args(
+            ["bounds", "--potential", "delta_comb:0.5", "--n-max", "14"])
+        cfg = cli._resolve_config(args)
+        assert cfg.pot.max_index == 2 * bounds.default_cutoff(14) + 2 * 14
+
     def test_small_cutoff_is_config_error(self, tmp_path):
         code = run(["bounds", "--potential", "zero", "--bc", "per+",
                     "--K", "64", "--n-min", "8", "--n-max", "16",
@@ -201,10 +208,9 @@ class TestLpNorms:
         assert code == 0
         payload = json.loads((tmp_path / "lpnorms.json").read_text())
         assert payload["all_passed"] and payload["results"]
-        for res in payload["results"]:
-            assert res["converged"] is True
-            if res["type"] == "level":
-                assert res["quad_error_est"] < 1e-10
+        assert {res["type"] for res in payload["results"]} == {"level", "block"}
+        for res in payload["results"]:  # the same evidence for levels and blocks
+            assert res["converged"] is True and res["quad_error_est"] < 1e-10
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch, capsys):
         import hillproj.projector as prj

@@ -99,6 +99,17 @@ class TestSampler:
         cols = np.hstack([cols, np.zeros((basis.size, 1))])
         assert abs(norms._max_ratio(basis, cols, 1024) - max(want)) < 1e-12
 
+    @pytest.mark.parametrize("bc", list(BC))
+    def test_basis_grid_is_complex(self, bc):
+        # built complex once, so no block of ``_max_ratio`` recasts it
+        basis = hp.basis_for(bc, 5 if bc is BC.PER_MINUS else 4)
+        grid = norms._basis_grid(basis, 1024)
+        assert grid.dtype == complex and grid.shape == (1024, basis.size)
+        if bc is BC.DIRICHLET:
+            xs = np.linspace(0.0, PI, 1024)
+            assert np.array_equal(grid.real, math.sqrt(2.0) * np.sin(np.outer(xs, basis.indices)))
+            assert not grid.imag.any()
+
     def test_constant_has_ratio_one(self):
         basis = hp.basis_for(BC.PER_PLUS, 8)
         assert abs(norms._max_ratio(basis, unit(basis, 0), 8192) - 1.0) < 1e-12
@@ -209,10 +220,20 @@ class TestBlockEquivalence:
     def test_zero_potential_dirichlet_kernel_scale(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
         blk = prj.block_projection(H, 4, 10)
-        rep = norms.sn_equivalence(blk, H.basis, samples=100, M=4096)
+        rep = norms.sn_equivalence(blk, samples=100, M=4096)
         assert rep.passed
         # the concentrated spike has ratio of order N, far below 50 N ln N
         assert 1.0 <= rep.max_ratio <= 50 * 10 * math.log(10) / 10
+
+    @pytest.mark.parametrize("bc", list(BC))
+    def test_spike_is_the_block_kernel(self, bc):
+        # zero potential: S_10 is the coordinate projection onto k^2 < 110,
+        # and the spike alone (no samples) sums exactly those basis functions
+        H = hp.assemble(bc, pot.zero(), 40)
+        rep = norms.sn_equivalence(prj.block_projection(H, 4, 10), samples=0, M=1024)
+        ones = [1.0 if k * k < 110 else 0.0 for k in H.basis.indices]
+        assert rep.samples == 1
+        assert abs(rep.max_ratio - oracle_ratio(H.basis, ones, 1024)) <= 1e-10 * rep.max_ratio
 
 
 class TestSerialization:

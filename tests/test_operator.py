@@ -39,6 +39,16 @@ class TestBasis:
         assert BC.PER_MINUS.level_ok(9) and not BC.PER_MINUS.level_ok(8)
         assert BC.DIRICHLET.level_ok(8) and BC.DIRICHLET.level_ok(9)
 
+    def test_level_indices(self):
+        assert BC.PER_PLUS.level_indices(8) == (8, -8)
+        assert BC.PER_MINUS.level_indices(9) == (9, -9)
+        assert BC.DIRICHLET.level_indices(8) == (8,)
+        # a basis holds a level when it holds every one of its indices
+        assert op.basis_for(BC.PER_PLUS, 8).contains_level(8)
+        assert not op.basis_for(BC.PER_PLUS, 8).contains_level(10)
+        assert op.basis_for(BC.DIRICHLET, 8).contains_level(8)
+        assert not op.basis_for(BC.DIRICHLET, 8).contains_level(9)
+
 
 class TestFreeMatrix:
     def test_diagonals(self):

@@ -412,11 +412,11 @@ class TestFactoredPair:
         assert abs(prj._change((pair.X, pair.G, pair.Y), (bad.X, bad.G, bad.Y)) - dense) <= 1e-13
         # the estimate of the circle rule: 16 nodes, doubled once to 32
         contour = prj.ContourSpec.for_level(pair.n, 16)
-        f16, _, _ = prj._circle_rule(H, pair.cols, contour, 0.0, 16)
-        f32, est, q = prj._circle_rule(H, pair.cols, contour, 0.0, 32)
-        P16, P32 = (X @ G @ Y.T for X, G, Y in (f16, f32))
-        assert q == 32 and est > 1e-12
-        assert abs(est - np.linalg.norm(P32 - P16, "fro")) <= 1e-13
+        p16 = prj._circle_rule(H, pair.n, pair.cols, contour, pair.guard_margin, 0.0, 16)
+        p32 = prj._circle_rule(H, pair.n, pair.cols, contour, pair.guard_margin, 0.0, 32)
+        est = p32.quad_error_est
+        assert p32.nodes_used == 32 and est > 1e-12 and not p32.converged
+        assert abs(est - np.linalg.norm(p32.P - p16.P, "fro")) <= 1e-13
 
 
 def dense_rect_quadrature(H, N, panels_scale, panel_nodes=20):
@@ -464,18 +464,18 @@ class TestRectangleVsDenseInverse:
     def test_gallery(self, pname, bc):
         p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
         H = hp.assemble(bc, p, 48)
-        S, est = prj.rectangle_projection(H, 4)
+        rect = prj.rectangle_projection(H, 4)
         S_ref, est_ref = dense_rectangle_projection(H, 4)
-        assert np.linalg.norm(S - S_ref, "fro") <= 1e-13
-        assert est < 1e-9 and est_ref < 1e-9
+        assert np.linalg.norm(rect.P - S_ref, "fro") <= 1e-13
+        assert rect.quad_error_est < 1e-9 and est_ref < 1e-9
 
     def test_non_hermitian_potential(self):
         p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)])
         H = hp.assemble(BC.PER_PLUS, p, 48)
         assert np.abs(H.L - H.L.T).max() > 0.1
-        S, _ = prj.rectangle_projection(H, 4)
+        rect = prj.rectangle_projection(H, 4)
         S_ref, _ = dense_rectangle_projection(H, 4)
-        assert np.linalg.norm(S - S_ref, "fro") <= 1e-13
+        assert np.linalg.norm(rect.P - S_ref, "fro") <= 1e-13
 
     def test_count_mismatch_raises(self):
         # v0 = 10 leaves 3 eigenvalues in the N = 4 rectangle against the
@@ -515,16 +515,18 @@ class TestLargestBaseBlock:
     def test_converges(self, pname, bc):
         p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
         H = hp.assemble(bc, p, 96)
-        S, est = prj.rectangle_projection(H, 19)
-        assert est < 1e-10
-        assert abs(np.trace(S) - np.count_nonzero(np.array(H.basis.indices) ** 2 < 380)) < 1e-10
+        rect = prj.rectangle_projection(H, 19)
+        assert rect.quad_error_est < 1e-10 and rect.converged and rect.n == 19
+        free_dim = np.count_nonzero(np.array(H.basis.indices) ** 2 < 380)
+        assert len(rect.cols) == free_dim
+        assert abs(np.trace(rect.P) - free_dim) < 1e-10
 
     def test_against_dense_panel_sum(self):
         H = hp.assemble(BC.PER_MINUS, pot.mathieu(1.0), 96)
-        S, _ = prj.rectangle_projection(H, 19)
+        rect = prj.rectangle_projection(H, 19)
         S_ref, est_ref = dense_rectangle_projection(H, 19)
         assert est_ref < 1e-9
-        assert np.linalg.norm(S - S_ref, "fro") <= 1e-13
+        assert np.linalg.norm(rect.P - S_ref, "fro") <= 1e-13
 
 
 class TestFirstOrderResidue:
@@ -601,26 +603,58 @@ class TestEigenCount:
         assert levels == [2, 4, 6, 8, 10, 12, 14, 16]
 
 
-class TestBlockProjection:
+class TestBlockPair:
+    """block_projection: S_N as one factored ProjectionPair."""
+
     def test_zero_potential_coordinate_projection(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
         blk = prj.block_projection(H, 4, 8)
         expect = np.diag([1.0 if k * k < 72 else 0.0 for k in H.basis.indices])
-        assert np.abs(blk.S - expect).max() < 1e-10
-        assert blk.free_dimension == 9 and blk.converged
+        assert np.abs(blk.P - expect).max() < 1e-10
+        assert len(blk.cols) == 9 and blk.converged and blk.n == 8
+        assert blk.frob < 1e-10 and blk.sum_abs_B < 1e-10
 
     def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
         real = prj.rectangle_projection
-        monkeypatch.setattr(prj, "rectangle_projection",
-                            lambda H, N: (real(H, N)[0], 1e-3))
+        monkeypatch.setattr(prj, "rectangle_projection", lambda H, N: dataclasses.replace(
+            real(H, N), quad_error_est=1e-3, converged=False))
         blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
-        assert blk.rect_error_est == 1e-3 and not blk.converged
+        assert blk.quad_error_est == 1e-3 and not blk.converged
 
     def test_mathieu_trace_and_idempotency(self):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
         blk = prj.block_projection(H, 4, 10)
-        assert abs(blk.trace - blk.free_dimension) < 1e-6
+        assert abs(blk.trace - len(blk.cols)) < 1e-6
         assert blk.idempotency < 1e-7
+
+    @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex"])
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    def test_against_eigendecomposition(self, pname, bc):
+        # independent of every contour: the eigenprojectors of the
+        # eigenvalues in the N = 10 rectangle, from a dense eigendecomposition
+        H = hp.assemble(bc, gallery_potential(pname), 48)
+        blk = prj.block_projection(H, 4, 10)
+        vals, vecs, vinv = H.eig()
+        in_rect = (vals.real > -10) & (vals.real < 110) & (np.abs(vals.imag) < 10)
+        assert len(blk.cols) == np.count_nonzero(in_rect)
+        assert np.linalg.norm(blk.P - vecs[:, in_rect] @ vinv[in_rect], "fro") <= 1e-10
+
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    def test_evidence_is_the_worst_part(self, bc):
+        H = hp.assemble(bc, gallery_potential("complex"), 48)
+        blk = prj.block_projection(H, 4, 10, nodes=32)
+        parts = [prj.rectangle_projection(H, 4)] + [
+            hp.riesz_projection(H, k, prj.ContourSpec.for_level(k, 32))
+            for k in range(5, 11) if bc.level_ok(k)]
+        assert blk.trace_defect < 1e-10
+        assert blk.guard_margin == min(p.guard_margin for p in parts)
+        assert blk.quad_error_est == max(p.quad_error_est for p in parts)
+        assert blk.nodes_used == sum(p.nodes_used for p in parts)
+        assert blk.converged and all(p.converged for p in parts)
+        idx = np.array(H.basis.indices)
+        assert np.array_equal(np.sort(blk.cols), np.flatnonzero(idx * idx < 110))
+        # the factored block is the sum of its dense parts
+        assert np.linalg.norm(blk.P - sum(p.P for p in parts), "fro") <= 1e-12
 
     def test_rejects_reversed_range(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
