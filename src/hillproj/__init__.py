@@ -17,7 +17,6 @@ from .potential import (  # noqa: F401
     zero,
 )
 from .projector import (  # noqa: F401
-    ContourSpec,
     ProjectionPair,
     block_projection,
     eigen_count_in_disc,

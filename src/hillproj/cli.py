@@ -181,8 +181,7 @@ def cmd_decay(cfg: RunConfig) -> int:
     records, errors = [], {}
     for n in cfg.levels():
         try:
-            pair = projector.riesz_projection(
-                H, n, projector.ContourSpec.for_level(n, cfg.nodes))
+            pair = projector.riesz_projection(H, n, nodes=cfg.nodes)
             records.append(norms.decay_record(pair, r, cfg.rho_constant))
         except (projector.EigenvalueOnContour, projector.RankMismatch,
                 projector.TruncationTooSmall,
@@ -204,15 +203,14 @@ def cmd_decay(cfg: RunConfig) -> int:
 
 def _bounds_levels(cfg: RunConfig) -> list[int]:
     """Up to four log-spaced levels in range, parity-adjusted, all >= 4."""
-    raw = np.geomspace(max(cfg.n_min, 4), max(cfg.n_max, 4), num=4)
-    levels = []
-    for x in raw:
+    levels = set()
+    for x in np.geomspace(max(cfg.n_min, 4), max(cfg.n_max, 4), num=4):
         n = int(round(x))
-        if cfg.bc.parity >= 0 and n % 2 != cfg.bc.parity:
+        if not cfg.bc.level_ok(n):
             n += 1
-        if n >= 4 and cfg.bc.level_ok(n) and n <= cfg.n_max + 1:
-            levels.append(n)
-    return sorted(set(levels))
+        if n <= cfg.n_max + 1:
+            levels.add(n)
+    return sorted(levels)
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
@@ -252,7 +250,7 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
     picks = levels[:: max(1, len(levels) // 3)][:3]
     runs = []  # (type, pair, report): the levels, then the blocks S_N
     for n in picks:
-        pair = projector.riesz_projection(H, n, projector.ContourSpec.for_level(n, cfg.nodes))
+        pair = projector.riesz_projection(H, n, nodes=cfg.nodes)
         runs.append(("level", pair,
                      norms.equivalence_check(pair, samples=cfg.samples, seed=cfg.seed)))
     for N in (10, 20):
@@ -298,10 +296,10 @@ def _verify_rows(seed: int) -> list[dict]:
                      "tolerance": float(tol), "passed": bool(value <= tol),
                      "note": note})
 
-    # residue quadrature against the closed form
+    # residue quadrature against the closed form, on levels of each lattice
     for pname, pot in gallery.items():
         for bc in BoundaryCondition:
-            for n in (8, 16):
+            for n in ((9, 17) if bc is BoundaryCondition.PER_MINUS else (8, 16)):
                 dev = projector.quadrature_vs_residue_check(pot, bc, n, 4 * n, nodes=64)
                 add("residue", f"{pname}/{bc.value}/n={n}", dev, 1e-10)
 
@@ -418,8 +416,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(cfg)
-    except (bounds.CutoffTooSmall, projector.EigenvalueOnContour,
-            projector.RankMismatch) as exc:
+    except (projector.EigenvalueOnContour, projector.RankMismatch) as exc:
         print(f"verdict failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except ValueError as exc:

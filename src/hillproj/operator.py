@@ -85,19 +85,11 @@ class BoundaryCondition(Enum):
         """Sup norm of the basis functions: 1 for exponentials, sqrt(2) for sines."""
         return 1.0 if self.is_periodic_family else math.sqrt(2.0)
 
-    @property
-    def parity(self) -> int:
-        """Residue of valid level indices n mod 2 (Dirichlet accepts both)."""
-        if self is BoundaryCondition.PER_PLUS:
-            return 0
-        if self is BoundaryCondition.PER_MINUS:
-            return 1
-        return -1
-
     def level_ok(self, n: int) -> bool:
-        if n < 1:
-            return False
-        return self.parity in (-1, n % 2)
+        """n >= 1 is a level of the lattice: even for Per+, odd for Per-, any for Dirichlet."""
+        if self is BoundaryCondition.DIRICHLET:
+            return n >= 1
+        return n >= 1 and n % 2 == (self is BoundaryCondition.PER_MINUS)
 
     def level_indices(self, n: int) -> tuple[int, ...]:
         """Free indices of the level n^2: (n, -n) for Per+-, (n,) for Dirichlet."""

@@ -9,8 +9,11 @@ nodes z_j and weights w_j gives the moments (``_moments``)
 and ``_factors`` keeps P = X G Y^T, G = (E^T X)^(-1), Y = P^T E, which
 is exact for a rank-r projection whenever E^T P E is invertible.  The
 formula forces rank r, so every contour must enclose exactly r
-eigenvalues: the guards check that count (``RankMismatch``) on the
-eigenvalues they compute.
+eigenvalues.  One guard, ``_gate``, refuses every circle (level, base
+block) with an eigenvalue near it (``EigenvalueOnContour``) or without
+exactly r eigenvalues inside (``RankMismatch``), and one lattice check,
+``_check_level``, refuses a level off the basis lattice
+(``IndexOutOfBasis``).
 
 Y needs no second set of solves.  Every Hill matrix has the transpose
 symmetry of its lattice, L^T = L[p][:, p] (``BasisSpec.transpose_perm``:
@@ -33,12 +36,13 @@ and O(N r) memory.  A dense A has b = N - 1; for Hermitian L the form is
 tridiagonal (b = 1).
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
-families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  It uses the
-trapezoidal rule in angle, w_j = exp(i theta_j) and z_j = n^2 + n w_j,
-which converges exponentially in Q for integrands analytic in an annulus
-around the circle.  Node counts are doubled (reusing the moments of
-previous nodes) until the Frobenius change of P drops below a tolerance;
-the last change is reported as the quadrature error estimate.  The free
+families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); n alone fixes
+its circle.  It uses the trapezoidal rule in angle, w_j = exp(i theta_j)
+and z_j = n^2 + n w_j, which converges exponentially in Q for integrands
+analytic in an annulus around the circle.  Node counts are doubled
+(reusing the moments of previous nodes) until the Frobenius change of P
+drops below ``_TOL`` or the count reaches ``_MAX_NODES``; the last change
+is reported as the quadrature error estimate.  The free
 projection is never computed by quadrature: it is the exact coordinate
 projection onto the indices {+-n} (periodic families) or {n} (Dirichlet),
 ``BoundaryCondition.level_indices``.
@@ -69,7 +73,6 @@ __all__ = [
     "TruncationTooSmall",
     "IndexOutOfBasis",
     "RankMismatch",
-    "ContourSpec",
     "ProjectionPair",
     "riesz_projection",
     "free_projection",
@@ -83,7 +86,7 @@ __all__ = [
 ]
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
-_TOL, _MAX_NODES = 1e-10, 512  # default stopping rule of every contour
+_TOL, _MAX_NODES = 1e-10, 512  # the stopping rule of every contour
 _ROW_BLOCK = 512  # rows of B per block of ``sum_abs_B``: O(_ROW_BLOCK * N) memory
 
 
@@ -100,26 +103,7 @@ class IndexOutOfBasis(ValueError):
 
 
 class RankMismatch(RuntimeError):
-    """The disc does not hold exactly bc.rank eigenvalues."""
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle |z - center| = radius sampled at ``nodes`` equispaced angles."""
-
-    center: complex
-    radius: float
-    nodes: int = 64
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.nodes < 16 or self.nodes % 2 != 0:
-            raise ValueError("nodes must be an even integer >= 16")
-
-    @classmethod
-    def for_level(cls, n: int, nodes: int = 64) -> "ContourSpec":
-        return cls(center=complex(n * n), radius=float(n), nodes=nodes)
+    """The circle does not hold exactly the eigenvalues it must enclose."""
 
 
 def _core(left: np.ndarray, right: np.ndarray, mid: np.ndarray | None = None) -> np.ndarray:
@@ -144,7 +128,7 @@ class ProjectionPair:
     cols: np.ndarray
     quad_error_est: float
     nodes_used: int
-    converged: bool  # quad_error_est fell below the requested tolerance
+    converged: bool  # quad_error_est fell below _TOL
     guard_margin: float  # nearest eigenvalue-to-circle distance / radius
     idempotency: float = field(init=False)  # ||P^2 - P||_F
     t_n: float = field(init=False)  # ||B||_2, the L^2 -> L^2 deviation
@@ -200,36 +184,48 @@ class ProjectionPair:
         return B
 
 
-def _contour_guard(H: HillMatrix, center: complex, radius: float) -> tuple[np.ndarray, float]:
-    """Raise if an eigenvalue is near the circle; return the eigenvalues and
-    the guard margin (nearest eigenvalue-to-circle distance / radius)."""
+def _gate(H: HillMatrix, center: complex, radius: float, rank: int,
+          region: np.ndarray | None = None) -> float:
+    """Refuse the circle |z - center| = radius unless every eigenvalue keeps
+    GUARD_FRACTION * radius away from it (else ``EigenvalueOnContour``) and
+    it holds exactly ``rank`` of them, the same ones as the mask ``region``
+    over ``H.eigenvalues()`` when given (else ``RankMismatch``).  Returns
+    the guard margin: nearest eigenvalue-to-circle distance / radius."""
     vals = H.eigenvalues()
     dist = np.abs(np.abs(vals - center) - radius)
     if dist.min() < GUARD_FRACTION * radius:
         raise EigenvalueOnContour(
             f"eigenvalue within {GUARD_FRACTION:.2f}*radius of |z-{center}|={radius}")
-    return vals, float(dist.min()) / radius
+    inside = np.abs(vals - center) < radius
+    count = int(np.count_nonzero(inside))
+    if count != rank:
+        raise RankMismatch(f"{count} eigenvalue(s) in |z-{center}|<{radius}, "
+                           f"expected {rank} for {H.basis.bc.value}")
+    if region is not None and not np.array_equal(inside, region):
+        raise RankMismatch(f"{np.count_nonzero(inside != region)} eigenvalue(s) in only "
+                           f"one of |z-{center}|<{radius} and its region")
+    return float(dist.min()) / radius
 
 
-def _level_cols(H: HillMatrix, n: int, contour: ContourSpec) -> tuple[np.ndarray, float]:
-    """Check the preconditions of ``riesz_projection``; return the positions
-    of e_{+-n} and the guard margin."""
-    bc, basis = H.basis.bc, H.basis
-    if not bc.level_ok(n):
-        raise IndexOutOfBasis(f"level {n} has wrong parity for {bc.value}")
-    if not basis.contains_level(n):
-        raise IndexOutOfBasis(f"level {n} outside basis of half-width {basis.half_width}")
+def _check_level(basis: BasisSpec, n: int) -> None:
+    """Raise ``IndexOutOfBasis`` unless n is a level of the basis lattice:
+    the parity of its boundary condition, with every level index in the basis."""
+    if not (basis.bc.level_ok(n) and basis.contains_level(n)):
+        raise IndexOutOfBasis(
+            f"level {n} is not a level of the {basis.bc.value} basis "
+            f"of half-width {basis.half_width}")
+
+
+def _level_cols(H: HillMatrix, n: int) -> np.ndarray:
+    """Check the lattice and truncation preconditions of ``riesz_projection``;
+    return the positions of e_{+-n}."""
+    basis = H.basis
+    _check_level(basis, n)
     if basis.half_width < 4 * n:
         raise TruncationTooSmall(
             f"half-width {basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
             "degrades when the contour approaches the truncation edge")
-    c, R = contour.center, contour.radius
-    vals, margin = _contour_guard(H, c, R)
-    inside = int(np.count_nonzero(np.abs(vals - c) < R))
-    if inside != bc.rank:
-        raise RankMismatch(
-            f"{inside} eigenvalue(s) in |z-{c}|<{R}, expected {bc.rank} for {bc.value}")
-    return np.array(sorted(basis.position(k) for k in bc.level_indices(n))), margin
+    return np.array(sorted(basis.position(k) for k in basis.bc.level_indices(n)))
 
 
 _NODE_BLOCK = 128  # nodes per sweep: bounds the work arrays at O(_NODE_BLOCK * N * r)
@@ -340,25 +336,25 @@ def _change(f1, f0) -> float:
 
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     """Dense coordinate projection onto the ``level_indices`` of n, for the oracles."""
-    if not basis.contains_level(n):
-        raise IndexOutOfBasis(f"level {n} not in basis for {basis.bc.value}")
+    _check_level(basis, n)
     P0 = np.zeros((basis.size, basis.size), dtype=complex)
     for k in basis.bc.level_indices(n):
         P0[basis.position(k), basis.position(k)] = 1.0
     return P0
 
 
-def _circle_rule(H: HillMatrix, n: int, cols: np.ndarray, contour: ContourSpec,
-                 margin: float, tol: float, max_nodes: int) -> ProjectionPair:
-    """Rank-len(cols) projection over the circle of ``contour`` by the
-    trapezoidal rule, as the pair of level (or block) n whose guard gave
-    ``margin``.
+def _circle_rule(H: HillMatrix, n: int, cols: np.ndarray, c: complex, R: float,
+                 nodes: int, margin: float) -> ProjectionPair:
+    """Rank-len(cols) projection over |z - c| = R by the trapezoidal rule,
+    as the pair of level (or block) n whose ``_gate`` gave ``margin``.
 
-    Node counts start at ``contour.nodes`` and are doubled, reusing the
-    moments of earlier nodes, until the Frobenius change of P drops below
-    ``tol`` or ``max_nodes`` is hit.
+    Node counts start at ``nodes`` (an even integer >= 16, else
+    ``ValueError``) and are doubled, reusing the moments of earlier nodes,
+    until the Frobenius change of P drops below ``_TOL`` or ``_MAX_NODES``
+    is hit.
     """
-    c, R = contour.center, contour.radius
+    if nodes < 16 or nodes % 2 != 0:
+        raise ValueError("nodes must be an even integer >= 16")
     p = H.basis.transpose_perm()
     assert np.array_equal(np.sort(p[cols]), cols), "cols not closed under the transpose symmetry"
 
@@ -369,12 +365,12 @@ def _circle_rule(H: HillMatrix, n: int, cols: np.ndarray, contour: ContourSpec,
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
     # error estimate costs no extra resolvent solves: one sweep over the
     # Q-grid gives both the even-node sum and the full sum
-    Q = contour.nodes
+    Q = nodes
     even = np.arange(Q) % 2 == 0
     M_even, M = moments(2.0 * np.pi * np.arange(Q) / Q, np.stack([even, np.ones_like(even)]))
     f = _factors(M, cols, p, R / Q)
     est = _change(f, _factors(M_even, cols, p, R / (Q // 2)))
-    while est >= tol and Q < max_nodes:
+    while est >= _TOL and Q < _MAX_NODES:
         # midpoints of the current grid are the odd nodes of the doubled grid
         M = M + moments(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
@@ -382,23 +378,21 @@ def _circle_rule(H: HillMatrix, n: int, cols: np.ndarray, contour: ContourSpec,
         est = _change(f_new, f)
         f = f_new
     return ProjectionPair(n, H.basis, *f, cols, quad_error_est=est, nodes_used=Q,
-                          converged=est < tol, guard_margin=margin)
+                          converged=est < _TOL, guard_margin=margin)
 
 
-def riesz_projection(H: HillMatrix, n: int, contour: ContourSpec | None = None,
-                     *, tol: float = _TOL, max_nodes: int = _MAX_NODES) -> ProjectionPair:
-    """Contour-quadrature Riesz projection for the level n disc.
+def riesz_projection(H: HillMatrix, n: int, *, nodes: int = 64) -> ProjectionPair:
+    """Contour-quadrature Riesz projection for the level n disc |z - n^2| < n.
 
     Preconditions: n is a level of the basis lattice (its parity, with
     +-n in the basis), the half-width is at least 4n (so the contour stays
     well inside the truncated spectrum), no eigenvalue approaches the
     contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Nodes
-    are doubled from ``contour.nodes`` as in ``_circle_rule``.
+    are doubled from ``nodes`` as in ``_circle_rule``.
     """
-    if contour is None:
-        contour = ContourSpec.for_level(n)
-    cols, margin = _level_cols(H, n, contour)
-    return _circle_rule(H, n, cols, contour, margin, tol, max_nodes)
+    c, R = complex(n * n), float(n)
+    cols = _level_cols(H, n)
+    return _circle_rule(H, n, cols, c, R, nodes, _gate(H, c, R, len(cols)))
 
 
 def first_order_residue(pot, bc: BoundaryCondition, n: int, k, m):
@@ -433,8 +427,7 @@ def quadrature_vs_residue_check(pot, bc: BoundaryCondition, n: int,
     on every (k, m).
     """
     basis = basis_for(bc, half_width)
-    if not basis.contains_level(n) and bc is BoundaryCondition.DIRICHLET:
-        raise IndexOutOfBasis(f"level {n} outside Dirichlet basis")
+    _check_level(basis, n)
     idx = np.array(basis.indices)
     k, m = idx[:, None], idx[None, :]
     W = coupling(pot, bc, k, m)
@@ -473,24 +466,17 @@ def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
     Any contour that encloses exactly the rectangle's eigenvalues gives
     the same projection, so the circle rule of ``riesz_projection`` runs
     on |z - N^2/2| = N^2/2 + N, which passes through both real endpoints
-    of the rectangle.  Besides the circle guard, the eigenvalues inside
-    the circle must be exactly those inside the rectangle, and their
-    number the count of free indices k with k^2 < N^2 + N (else
+    of the rectangle, from 64 nodes.  ``_gate`` guards the circle, and the
+    eigenvalues inside it must be exactly those inside the rectangle, and
+    their number the count of free indices k with k^2 < N^2 + N (else
     ``RankMismatch``).  Returns the pair of the circle, with n = N.
     """
-    contour = ContourSpec(center=complex(N * N / 2), radius=N * N / 2 + N)
-    vals, margin = _contour_guard(H, contour.center, contour.radius)
+    c, R = complex(N * N / 2), N * N / 2 + N
+    vals = H.eigenvalues()
+    in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
-    in_circle = np.abs(vals - contour.center) < contour.radius
-    in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
-    if not np.array_equal(in_circle, in_rect) or len(cols) != np.count_nonzero(in_rect):
-        raise RankMismatch(
-            f"{np.count_nonzero(in_rect)} eigenvalue(s) in the N={N} rectangle and "
-            f"{np.count_nonzero(in_circle)} in its circle "
-            f"({np.count_nonzero(in_rect != in_circle)} in only one), "
-            f"expected the same {len(cols)} in both")
-    return _circle_rule(H, N, cols, contour, margin, _TOL, _MAX_NODES)
+    return _circle_rule(H, N, cols, c, R, 64, _gate(H, c, R, len(cols), in_rect))
 
 
 def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> ProjectionPair:
@@ -505,7 +491,7 @@ def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> Project
     if N < N0:
         raise ValueError("N must be >= N0")
     parts = [rectangle_projection(H, N0)] + [
-        riesz_projection(H, k, ContourSpec.for_level(k, nodes))
+        riesz_projection(H, k, nodes=nodes)
         for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)]
     cols = np.concatenate([p.cols for p in parts])
     return ProjectionPair(
@@ -527,7 +513,7 @@ def validated_levels(H: HillMatrix, candidates):
     good = []
     for n in candidates:
         try:
-            _level_cols(H, n, ContourSpec.for_level(n))
+            _gate(H, complex(n * n), float(n), len(_level_cols(H, n)))
         except (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch):
             continue
         good.append(n)

@@ -30,10 +30,8 @@ def test_criterion_1_residue_oracle(gallery):
     worst = 0.0
     for pname, p in gallery.items():
         for bc in BC:
-            levels = [8, 16, 32]
-            if bc is BC.PER_MINUS:
-                levels += [9, 17, 33]  # lattice-matching levels are odd here
-            for n in levels:
+            # levels of each lattice: the per- levels are odd
+            for n in ([9, 17, 33] if bc is BC.PER_MINUS else [8, 16, 32]):
                 dev = prj.quadrature_vs_residue_check(p, bc, n, 4 * n, nodes=64)
                 worst = max(worst, dev)
                 assert dev <= 1e-10, (pname, bc.value, n, dev)

@@ -117,10 +117,8 @@ class TestDecay:
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch):
         import hillproj.projector as prj
-        real = prj.riesz_projection
-        monkeypatch.setattr(prj, "riesz_projection",
-                            lambda H, n, contour: real(H, n, contour, tol=1e-30,
-                                                       max_nodes=64))
+        monkeypatch.setattr(prj, "_TOL", 1e-30)
+        monkeypatch.setattr(prj, "_MAX_NODES", 64)
         code = run(["decay", "--potential", "mathieu:1.0", "--bc", "per+",
                     "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])
         assert code == 1
@@ -214,10 +212,8 @@ class TestLpNorms:
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch, capsys):
         import hillproj.projector as prj
-        real = prj.riesz_projection
-        monkeypatch.setattr(prj, "riesz_projection",
-                            lambda H, n, contour: real(H, n, contour, tol=1e-30,
-                                                       max_nodes=64))
+        monkeypatch.setattr(prj, "_TOL", 1e-30)
+        monkeypatch.setattr(prj, "_MAX_NODES", 64)
         code = run(["lpnorms", "--potential", "mathieu:1.0", "--bc", "per+",
                     "--K", "48", "--n-min", "8", "--n-max", "12",
                     "--samples", "50", "--out", str(tmp_path)])

@@ -14,18 +14,16 @@ BC = hp.BoundaryCondition
 PI = math.pi
 
 
-class TestContourSpec:
-    def test_for_level(self):
-        c = prj.ContourSpec.for_level(8)
-        assert c.center == 64.0 and c.radius == 8.0 and c.nodes == 64
-
+class TestNodeCount:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            prj.ContourSpec(4.0, 0.0)
-        with pytest.raises(ValueError):
-            prj.ContourSpec(4.0, 2.0, nodes=15)
-        with pytest.raises(ValueError):
-            prj.ContourSpec(4.0, 2.0, nodes=8)
+        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32)
+        for nodes in (15, 8):
+            with pytest.raises(ValueError, match="even integer >= 16"):
+                hp.riesz_projection(H, 8, nodes=nodes)
+        with pytest.raises(TypeError):  # nodes is keyword-only
+            hp.riesz_projection(H, 8, 64)
+        with pytest.raises(prj.IndexOutOfBasis):  # the radius-0 circle is no level
+            hp.riesz_projection(H, 0)
 
 
 class TestFreeProjection:
@@ -97,19 +95,30 @@ class TestRieszProjection:
         with pytest.raises(prj.IndexOutOfBasis):
             hp.riesz_projection(H, 40)
 
-    def test_eigenvalue_on_contour_guard(self):
+    def test_eigenvalue_near_contour_refused(self):
         # v0 = 10 shifts the level-10 cluster onto the contour |z - 100| = 10
         bad = pot.from_coeffs(10.0, [(2, 0.25), (-2, -0.25)])
         H = hp.assemble(BC.PER_PLUS, bad, 64)
         with pytest.raises(prj.EigenvalueOnContour):
             hp.riesz_projection(H, 10)
 
+    def test_gate_messages_of_a_level(self):
+        # decay.json lists these texts under its errors map
+        p = pot.from_coeffs(10.0, [(2, 0.25), (-2, -0.25)])
+        with pytest.raises(prj.EigenvalueOnContour) as on:
+            hp.riesz_projection(hp.assemble(BC.PER_PLUS, p, 64), 10)
+        assert str(on.value) == "eigenvalue within 0.05*radius of |z-(100+0j)|=10.0"
+        with pytest.raises(prj.RankMismatch) as count:
+            hp.riesz_projection(hp.assemble(BC.PER_PLUS, p, 48), 8)
+        assert str(count.value) == "0 eigenvalue(s) in |z-(64+0j)|<8.0, expected 2 for per+"
 
-def full_inverse_projection(H, n, nodes=64, tol=1e-10, max_nodes=512):
+
+def full_inverse_projection(H, n, nodes=64):
     """Reference: trapezoid node sum of the full resolvent inverse.
 
-    Same contour, node doubling and error estimate as riesz_projection,
-    but every node inverts z - L densely; returns (P, nodes_used).
+    Same contour, node doubling, stopping rule and error estimate as
+    riesz_projection, but every node inverts z - L densely; returns
+    (P, nodes_used).
     """
     c, R = complex(n * n), float(n)
     ident = np.eye(H.size, dtype=complex)
@@ -127,7 +136,7 @@ def full_inverse_projection(H, n, nodes=64, tol=1e-10, max_nodes=512):
     S = S_even + node_sum(thetas[1::2])
     P = (R / Q) * S
     est = np.linalg.norm(P - (R / (Q // 2)) * S_even, "fro")
-    while est >= tol and Q < max_nodes:
+    while est >= prj._TOL and Q < prj._MAX_NODES:
         S = S + node_sum(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
         P_new = (R / Q) * S
@@ -292,7 +301,9 @@ class TestBandSweep:
         # which holds node by node, not on the symmetry of the contour: a
         # circle centred off the real axis has no conjugate node pairs
         H = hp.assemble(bc, p, 64)
-        pair = hp.riesz_projection(H, 10, prj.ContourSpec(100 + 4j, 10.0))
+        cols = prj._level_cols(H, 10)
+        margin = prj._gate(H, 100 + 4j, 10.0, len(cols))
+        pair = prj._circle_rule(H, 10, cols, 100 + 4j, 10.0, 64, margin)
         dense = prj.spectral_projector_dense(H, 10)
         assert pair.converged
         assert np.linalg.norm(pair.P - dense, "fro") <= tol
@@ -335,11 +346,13 @@ class TestRankEngineVsFullInverse:
         with pytest.raises(prj.RankMismatch):
             hp.riesz_projection(H, 8)
 
-    def test_unconverged_flag(self):
+    def test_unconverged_flag(self, monkeypatch):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 64)
-        pair = hp.riesz_projection(H, 8, tol=1e-30, max_nodes=64)
-        assert pair.converged is False and pair.nodes_used == 64
         assert hp.riesz_projection(H, 8).converged is True
+        monkeypatch.setattr(prj, "_TOL", 1e-30)
+        monkeypatch.setattr(prj, "_MAX_NODES", 64)
+        pair = hp.riesz_projection(H, 8)
+        assert pair.converged is False and pair.nodes_used == 64
 
 
 # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
@@ -406,14 +419,18 @@ class TestFactoredPair:
         fresh = dataclasses.replace(pair)  # sum_abs_B is cached per pair
         assert abs(fresh.sum_abs_B - np.abs(pair.B).sum()) <= 1e-14 * fresh.sum_abs_B
 
-    def test_doubling_estimate(self, level):
+    def test_doubling_estimate(self, level, monkeypatch):
         H, pair, bad = level
         dense = np.linalg.norm(pair.P - bad.P, "fro")
         assert abs(prj._change((pair.X, pair.G, pair.Y), (bad.X, bad.G, bad.Y)) - dense) <= 1e-13
         # the estimate of the circle rule: 16 nodes, doubled once to 32
-        contour = prj.ContourSpec.for_level(pair.n, 16)
-        p16 = prj._circle_rule(H, pair.n, pair.cols, contour, pair.guard_margin, 0.0, 16)
-        p32 = prj._circle_rule(H, pair.n, pair.cols, contour, pair.guard_margin, 0.0, 32)
+        monkeypatch.setattr(prj, "_TOL", 0.0)
+        circle = (H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n), 16,
+                  pair.guard_margin)
+        monkeypatch.setattr(prj, "_MAX_NODES", 16)
+        p16 = prj._circle_rule(*circle)
+        monkeypatch.setattr(prj, "_MAX_NODES", 32)
+        p32 = prj._circle_rule(*circle)
         est = p32.quad_error_est
         assert p32.nodes_used == 32 and est > 1e-12 and not p32.converged
         assert abs(est - np.linalg.norm(p32.P - p16.P, "fro")) <= 1e-13
@@ -578,6 +595,17 @@ class TestQuadratureVsResidue:
         dev = prj.quadrature_vs_residue_check(pot.mathieu(1.0), BC.PER_PLUS, 8, 64, 64)
         assert dev <= 1e-10
 
+    @pytest.mark.parametrize("bc,n", [
+        (BC.PER_PLUS, 9),  # odd on the even lattice
+        (BC.PER_PLUS, 60),  # outside the basis
+        (BC.PER_MINUS, 8),  # even on the odd lattice
+        (BC.DIRICHLET, 60),
+    ])
+    def test_off_lattice_level_raises(self, bc, n):
+        # an off-lattice level has an all-zero closed form: refused, not passed
+        with pytest.raises(prj.IndexOutOfBasis):
+            prj.quadrature_vs_residue_check(pot.mathieu(1.0), bc, n, 40)
+
     def test_node_count_monotone(self):
         p = pot.delta_comb(0.5, max_index=512)
         devs = [prj.quadrature_vs_residue_check(p, BC.PER_PLUS, 8, 32, q)
@@ -644,7 +672,7 @@ class TestBlockPair:
         H = hp.assemble(bc, gallery_potential("complex"), 48)
         blk = prj.block_projection(H, 4, 10, nodes=32)
         parts = [prj.rectangle_projection(H, 4)] + [
-            hp.riesz_projection(H, k, prj.ContourSpec.for_level(k, 32))
+            hp.riesz_projection(H, k, nodes=32)
             for k in range(5, 11) if bc.level_ok(k)]
         assert blk.trace_defect < 1e-10
         assert blk.guard_margin == min(p.guard_margin for p in parts)
