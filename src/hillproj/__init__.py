@@ -22,4 +22,5 @@ from .projector import (  # noqa: F401
     eigen_count_in_disc,
     free_projection,
     riesz_projection,
+    riesz_projections,
 )

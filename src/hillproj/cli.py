@@ -178,15 +178,10 @@ def cmd_decay(cfg: RunConfig) -> int:
         raise ConfigError(f"decay needs n_min >= 2, got {cfg.n_min}")
     H = assemble(cfg.bc, cfg.pot, cfg.K)
     r = majorant_for(cfg.pot, cfg.bc, 2 * cfg.K)
-    records, errors = [], {}
-    for n in cfg.levels():
-        try:
-            pair = projector.riesz_projection(H, n, nodes=cfg.nodes)
-            records.append(norms.decay_record(pair, r, cfg.rho_constant))
-        except (projector.EigenvalueOnContour, projector.RankMismatch,
-                projector.TruncationTooSmall,
-                projector.IndexOutOfBasis) as exc:  # one bad level must not kill the sweep
-            errors[str(n)] = f"{type(exc).__name__}: {exc}"
+    # a level that fails its preconditions is listed, and the sweep goes on
+    pairs, failed = projector.riesz_projections(H, cfg.levels(), nodes=cfg.nodes)
+    records = [norms.decay_record(pair, r, cfg.rho_constant) for pair in pairs.values()]
+    errors = {str(n): f"{type(exc).__name__}: {exc}" for n, exc in failed.items()}
     echo = cfg.echo()
     _write_csv(cfg.out / "decay_records.csv", norms.records_to_csv_rows(records), echo)
     _write_json(cfg.out / "decay.json", {
@@ -249,8 +244,7 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
     levels = projector.validated_levels(H, cfg.levels())
     picks = levels[:: max(1, len(levels) // 3)][:3]
     runs = []  # (type, pair, report): the levels, then the blocks S_N
-    for n in picks:
-        pair = projector.riesz_projection(H, n, nodes=cfg.nodes)
+    for pair in projector.riesz_projections(H, picks, nodes=cfg.nodes)[0].values():
         runs.append(("level", pair,
                      norms.equivalence_check(pair, samples=cfg.samples, seed=cfg.seed)))
     for N in (10, 20):
@@ -307,9 +301,8 @@ def _verify_rows(seed: int) -> list[dict]:
     for pname, pot in gallery.items():
         for bc in (BoundaryCondition.PER_PLUS, BoundaryCondition.DIRICHLET):
             H = assemble(bc, pot, 64)
-            ns = [n for n in range(6, 15) if bc.level_ok(n)]
-            for n in projector.validated_levels(H, ns):
-                pair = projector.riesz_projection(H, n)
+            # the levels that fail a precondition are skipped
+            for n, pair in projector.riesz_projections(H, range(6, 15))[0].items():
                 add("algebra", f"{pname}/{bc.value}/n={n}/idempotency",
                     pair.idempotency, 1e-8)
                 add("algebra", f"{pname}/{bc.value}/n={n}/trace", pair.trace_defect, 1e-6)
@@ -321,10 +314,10 @@ def _verify_rows(seed: int) -> list[dict]:
     for pname, pot in gallery.items():
         H = assemble(BoundaryCondition.PER_PLUS, pot, 96)
         r = potential.majorant(pot)
-        sums = []
-        for n in range(8, 25, 2):
-            pair = projector.riesz_projection(H, n)
-            sums.append(norms.decay_record(pair, r).sum_abs_B)
+        pairs, errors = projector.riesz_projections(H, range(8, 25, 2))
+        if errors:
+            raise next(iter(errors.values()))
+        sums = [norms.decay_record(pair, r).sum_abs_B for pair in pairs.values()]
         third = len(sums) // 3
         add("decay", f"{pname}/trend", max(sums[-third:]), min(sums[:third]),
             "max of last third vs min of first third")

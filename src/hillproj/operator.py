@@ -149,14 +149,16 @@ class HillMatrix:
     marked read-only.  Derived data is computed lazily and cached, since
     several consumers share it: the eigenvalues (localization counts,
     contour guards), the full eigendecomposition (the dense-eigendecomposition
-    projector) and the unitary Hessenberg form L = U A U^H (every contour
-    quadrature, which solves its shifted systems on A).  ``hermitian``
+    projector) and the Hessenberg form L = Q A Q^H (every contour
+    quadrature, which solves its shifted systems on A): the band of A and
+    the reflectors whose product is Q, never an N x N Q.  ``hermitian``
     records whether L == L^H bit for bit, as for every real potential
     (v0 real, w(-m) == -conj(w(m))) under every boundary condition; then
-    the Hessenberg form is tridiagonal and the eigenvalues come from
-    ``np.linalg.eigvalsh``.  Eigenvalues alone skip the eigenvectors
-    unless ``eig()`` has already computed them; they never come from the
-    Hessenberg form, so the guards stay independent of the quadrature.
+    the Hessenberg form is tridiagonal, reduced blockwise, and the
+    eigenvalues come from ``np.linalg.eigvalsh``.  Eigenvalues alone skip
+    the eigenvectors unless ``eig()`` has already computed them; they
+    never come from the Hessenberg form, so the guards stay independent
+    of the quadrature.
 
     Every matrix must satisfy the transpose symmetry of its lattice,
     L^T = L[p][:, p] for p = ``basis.transpose_perm()``, bit for bit
@@ -205,36 +207,155 @@ class HillMatrix:
                           else np.linalg.eigvals(self.L))
         return self._vals
 
-    def hessenberg(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (A, U) with L = U A U^H, A upper Hessenberg and U unitary.
+    def hessenberg(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Cached (band, h, panels): the sweep operands of the Hessenberg form
+        A of L = Q A Q^H, and Q as compact-WY panels.
 
-        Householder reflections I - v v^H (|v|^2 = 2) zero column k below
-        its subdiagonal; a column that is already zero there (every
-        column of a diagonal L) is skipped.  The entries of A below the
-        subdiagonal are set to exact zeros, and for Hermitian L so are
-        those above the superdiagonal, which leaves A tridiagonal.  Both
-        truncations drop entries of size O(eps ||L||).
+        ``band`` and ``h`` are those of ``_band`` for A.  Q = H_1 H_2 ...
+        is the product of the reflectors H_k = I - tau_k v_k v_k^H, each
+        zeroing column k of the partly reduced L below its subdiagonal; a
+        column already zero there keeps no reflector (tau_k = 0).
+        ``panels`` holds them ``_PANEL`` at a time as (o, V, T), with
+        H_k ... H_{k+nb-1} = I - V T V^H acting on rows o onward, and
+        drops a panel with no reflector, so a diagonal L keeps none.  ``apply_q`` applies Q or
+        Q^H: Q is never formed, and A is kept only as its band (N x 2 for
+        Hermitian L).
+
+        Hermitian L is reduced to tridiagonal A by ``_tridiagonalize``;
+        any other L by an unblocked Householder loop to upper Hessenberg
+        A, whose entries below the subdiagonal are set to exact zeros
+        (they are O(eps ||L||)).
         """
         if self._hess is None:
-            A = self.L.copy()
-            U = np.eye(self.size, dtype=complex)
-            for k in range(self.size - 2):
-                x = A[k + 1:, k]
-                if not x[1:].any():
-                    continue
-                v = x.copy()
-                v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
-                v *= math.sqrt(2.0) / np.linalg.norm(v)
-                A[k + 1:, k:] -= np.outer(v, v.conj() @ A[k + 1:, k:])
-                A[:, k + 1:] -= np.outer(A[:, k + 1:] @ v, v.conj())
-                U[:, k + 1:] -= np.outer(U[:, k + 1:] @ v, v.conj())
-                A[k + 2:, k] = 0.0
             if self.hermitian:
-                A[np.triu_indices(self.size, 2)] = 0.0
-            for a in (A, U):
+                d, e, reflectors = _tridiagonalize(self.L)
+                band = np.zeros((self.size, 2), dtype=complex)
+                band[1:, 0], band[:, 1], h = -e.conj(), -d, -e
+            else:
+                A, reflectors = _hessenberg_reduce(self.L)
+                band, h = _band(A)
+            panels = tuple((o, V, _wy_factor(V, tau)) for o, V, tau in reflectors if tau.any())
+            for a in (band, h, *(a for _, V, T in panels for a in (V, T))):
                 a.setflags(write=False)
-            self._hess = (A, U)
+            self._hess = (band, h, panels)
         return self._hess
+
+    def apply_q(self, X: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
+        """Q X, or Q^H X with ``adjoint``, for the Q of ``hessenberg()``
+        and X with N rows: one compact-WY block product per panel."""
+        X = np.array(X, dtype=complex)
+        panels = self.hessenberg()[2]
+        for o, V, T in (panels if adjoint else reversed(panels)):
+            X[o:] -= V @ ((T.conj().T if adjoint else T) @ (V.conj().T @ X[o:]))
+        return X
+
+
+_PANEL = 32  # reflectors per panel of the blocked reduction and of Q's compact-WY blocks
+
+
+def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex, complex]:
+    """(v, tau, beta) with (I - tau v v^H)^H x = beta e_1, v[0] = 1 and beta
+    real, as LAPACK's zlarfg; (None, 0, x[0]) when x[1:] is already zero."""
+    if not x[1:].any():
+        return None, 0.0, x[0]
+    alpha = x[0]
+    beta = -math.copysign(float(np.linalg.norm(x)), alpha.real)
+    v = x / (alpha - beta)
+    v[0] = 1.0
+    return v, (beta - alpha) / beta, beta
+
+
+def _tridiagonalize(L: np.ndarray):
+    """(d, e, reflectors): Hermitian L = Q A Q^H with A tridiagonal, diagonal
+    d and subdiagonal e, blocked as LAPACK's zhetrd/zlatrd.
+
+    Each panel of ``_PANEL`` columns forms its reflectors from the columns
+    as updated by the panel's earlier reflectors, kept as V and W with the
+    trailing block S of the panel's start standing for S - V W^H - W V^H,
+    and ends with that one rank-2k update of S.  ``reflectors`` holds each
+    panel's (o, V, tau), V's rows starting at row o of L.
+    """
+    N = len(L)
+    A = np.array(L, dtype=complex)
+    d, e = np.empty(N), np.empty(N - 1, dtype=complex)
+    reflectors = []
+    for k0 in range(0, N - 1, _PANEL):
+        nb = min(_PANEL, N - 1 - k0)
+        V = np.zeros((N - k0, nb), dtype=complex)  # row k0 + j at V[j]
+        W = np.zeros_like(V)
+        tau = np.zeros(nb, dtype=complex)
+        for i in range(nb):
+            k = k0 + i
+            col = A[k:, k] - V[i:, :i] @ W[i, :i].conj() - W[i:, :i] @ V[i, :i].conj()
+            d[k] = col[0].real
+            v, tau[i], e[k] = _reflector(col[1:])
+            if tau[i] == 0:
+                continue
+            V[i + 1:, i] = v
+            Vr, Wr = V[i + 1:, :i], W[i + 1:, :i]
+            w = tau[i] * (A[k + 1:, k + 1:] @ v - Vr @ (Wr.conj().T @ v) - Wr @ (Vr.conj().T @ v))
+            W[i + 1:, i] = w - (0.5 * tau[i] * np.vdot(w, v)) * v
+        k1 = k0 + nb
+        A[k1:, k1:] -= np.hstack([V[nb:], W[nb:]]) @ np.hstack([W[nb:], V[nb:]]).conj().T
+        reflectors.append((k0 + 1, V[1:], tau))
+    d[N - 1] = A[N - 1, N - 1].real
+    return d, e, reflectors
+
+
+def _hessenberg_reduce(L: np.ndarray):
+    """(A, reflectors): L = Q A Q^H with A upper Hessenberg, by Householder
+    reflections I - v v^H (|v|^2 = 2, so tau = 1) one column at a time,
+    grouped into panels of ``_PANEL`` as for ``_tridiagonalize``."""
+    N = len(L)
+    A = np.array(L, dtype=complex)
+    reflectors = []
+    for k0 in range(0, N - 1, _PANEL):
+        nb = min(_PANEL, N - 1 - k0)
+        V = np.zeros((N - k0 - 1, nb), dtype=complex)  # row k0 + 1 + j at V[j]
+        tau = np.zeros(nb)
+        for i in range(nb):
+            k = k0 + i
+            x = A[k + 1:, k]
+            if not x[1:].any():
+                continue
+            v = x.copy()
+            v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
+            v *= math.sqrt(2.0) / np.linalg.norm(v)
+            A[k + 1:, k:] -= np.outer(v, v.conj() @ A[k + 1:, k:])
+            A[:, k + 1:] -= np.outer(A[:, k + 1:] @ v, v.conj())
+            A[k + 2:, k] = 0.0
+            V[i:, i], tau[i] = v, 1.0
+        reflectors.append((k0 + 1, V, tau))
+    return A, reflectors
+
+
+def _wy_factor(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Upper triangular T with H_1 ... H_nb = I - V T V^H for the reflectors
+    H_i = I - tau_i v_i v_i^H of the columns of V, as LAPACK's zlarft."""
+    G = V.conj().T @ V
+    T = np.zeros((len(tau), len(tau)), dtype=complex)
+    for i, t in enumerate(tau):
+        T[:i, i] = -t * (T[:i, :i] @ G[:i, i])
+        T[i, i] = t
+    return T
+
+
+def _band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep operands of an upper Hessenberg matrix A (N x N).
+
+    The upper bandwidth b is read from the exact zeros of A (A[i, j] == 0
+    for j - i > b).  Returns ``band``, N x (b+1) with band[k, t] =
+    -A[k - b + t, k] (zero above row 0), and the subdiagonal h, N-1 long
+    with h[k - 1] the entry (k, k-1) of z - A, the same for every z.
+    Index-major, so every update of the sweep is one contiguous block of
+    rows.
+    """
+    N = len(A)
+    i, j = np.nonzero(A)
+    b = int((j - i).max(initial=0))
+    rows = np.arange(N)[:, None] + np.arange(-b, 1)
+    band = np.where(rows >= 0, -A[np.maximum(rows, 0), np.arange(N)[:, None]], 0)
+    return band, -np.diagonal(A, offset=-1)
 
 
 def _fourier_data(pot: FourierPotential | SinePotential) -> FourierPotential:

@@ -28,12 +28,17 @@ P^2 - P and the change of P between node counts take their norms from a
 Only sum |B_km| visits every entry of B, over row blocks.
 
 The shifted solves never factor z - L.  Each matrix is reduced once to
-the unitary Hessenberg form L = U A U^H (``HillMatrix.hessenberg``), and
-``_hessenberg_sweep`` solves z - A with one bottom-up Givens sweep per
-node, vectorised over the nodes, on the band of A: with A[i, j] = 0 for
-j - i > b, read from the exact zeros of A, a node costs O(N b r) work
-and O(N r) memory.  A dense A has b = N - 1; for Hermitian L the form is
-tridiagonal (b = 1).
+the Hessenberg form L = Q A Q^H (``HillMatrix.hessenberg``), with Q kept
+as compact-WY reflector panels and never formed: ``HillMatrix.apply_q``
+takes the free columns in (Q^H E) and the node sums out (Q X), once for
+all the levels of a call.  ``_hessenberg_sweep`` solves z - A with one
+bottom-up Givens sweep per node, vectorised over the nodes, on the band
+of A: with A[i, j] = 0 for j - i > b, a node costs O(N b r) work and
+O(N r) memory.  A dense A has b = N - 1; for Hermitian L the form is
+tridiagonal (b = 1).  Each node carries its own right-hand sides, so the
+nodes of many contours share a sweep: ``riesz_projections`` gates every
+level first, then sweeps the nodes of all its levels together in chunks
+of ``_NODE_BLOCK``, and doubles the unconverged levels together.
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); n alone fixes
@@ -75,6 +80,7 @@ __all__ = [
     "RankMismatch",
     "ProjectionPair",
     "riesz_projection",
+    "riesz_projections",
     "free_projection",
     "first_order_residue",
     "quadrature_vs_residue_check",
@@ -231,34 +237,17 @@ def _level_cols(H: HillMatrix, n: int) -> np.ndarray:
 _NODE_BLOCK = 128  # nodes per sweep: bounds the work arrays at O(_NODE_BLOCK * N * r)
 
 
-def _band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep operands of an upper Hessenberg matrix A (N x N).
-
-    The upper bandwidth b is read from the exact zeros of A (A[i, j] == 0
-    for j - i > b).  Returns ``band``, N x (b+1) with band[k, t] =
-    -A[k - b + t, k] (zero above row 0), and the subdiagonal h, N-1 long
-    with h[k - 1] the entry (k, k-1) of z - A, the same for every z.
-    Index-major, so every update of the sweep is one contiguous block of
-    rows.
-    """
-    N = len(A)
-    i, j = np.nonzero(A)
-    b = int((j - i).max(initial=0))
-    rows = np.arange(N)[:, None] + np.arange(-b, 1)
-    band = np.where(rows >= 0, -A[np.maximum(rows, 0), np.arange(N)[:, None]], 0)
-    return band, -np.diagonal(A, offset=-1)
-
-
-def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
+def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, y: np.ndarray,
                       zs: np.ndarray) -> np.ndarray:
-    """Solutions x[j] of (z_j - A) x = rhs for the operands of ``_band``.
+    """Solutions of (z_j - A) x = y[:, :, j] for the operands of
+    ``HillMatrix.hessenberg``, written over ``y``.
 
-    ``rhs`` is r x N (right-hand sides as rows) and the result is
-    Q x r x N for the Q shifts ``zs``.  A bottom-up Givens RQ of z - A:
-    step k rotates columns k-1 and k to zero the subdiagonal entry
-    (k, k-1), which completes column k of the triangular factor, so it
-    fixes y_k and updates the right-hand sides.  Column k of the partly
-    reduced matrix has the band of A, so step k touches only rows
+    ``y`` is N x r x Q, one set of r right-hand sides per shift in ``zs``,
+    index-major like ``band``.  A bottom-up Givens RQ of z - A: step k
+    rotates columns k-1 and k to zero the subdiagonal entry (k, k-1),
+    which completes column k of the triangular factor, so it fixes y_k
+    and updates the right-hand sides.  Column k of the partly reduced
+    matrix has the band of A, so step k touches only rows
     max(0, k-1-b) .. k: each shift costs O(N b r) work and O(N r) memory.
     A second pass applies the stored rotations to y.
     """
@@ -269,16 +258,15 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
     top = max(0, N - 1 - b)
     v[top:] = band[N - 1, top - (N - 1 - b):, None]
     v[N - 1] += zs
-    y = np.empty((N, len(rhs), Q), dtype=complex)  # right-hand sides, then y
-    y[:] = rhs.T[..., None]
     cs = np.empty((N, Q), dtype=complex)
     ss = np.empty((N, Q), dtype=complex)
     habs = np.abs(h)
     for k in range(N - 1, 0, -1):
         rho = np.hypot(habs[k - 1], np.abs(v[k]))
-        c = cs[k] = v[k] / rho
-        s = ss[k] = h[k - 1] / rho
-        yk = y[k] = y[k] / rho
+        c, s, yk = cs[k], ss[k], y[k]
+        np.divide(v[k], rho, out=c)
+        np.divide(h[k - 1], rho, out=s)
+        yk /= rho
         top = max(0, k - 1 - b)  # rows top .. k-1 of columns k-1 and k are in the band
         u, vk = band[k - 1, top - (k - 1 - b):, None], v[top:k]
         # [column k-1, column k] <- [u, v] [[c, conj(s)], [-s, conj(c)]]
@@ -289,32 +277,46 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, rhs: np.ndarray,
         np.subtract(c * u, s * vk, out=vk)
         vk[-1] += c * zs
     y[0] /= v[0]
-    ccs, scs = cs.conj(), ss.conj()
     for k in range(1, N):
         lo, hi = y[k - 1].copy(), y[k]
-        y[k - 1] = cs[k] * lo + scs[k] * hi
-        y[k] = ccs[k] * hi - ss[k] * lo
-    return np.transpose(y, (2, 1, 0))
+        c, s = cs[k], ss[k]
+        y[k - 1] *= c
+        y[k - 1] += s.conj() * hi
+        hi *= c.conj()
+        hi -= s * lo
+    return y
 
 
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
              ws: np.ndarray) -> np.ndarray:
-    """sum_j w_j (z_j - L)^-1 E for E = I[:, cols], N x r.
+    """sum_j w_gj (z_gj - L)^-1 E_g for E_g = I[:, cols[g]], N x r, for
+    every group g of the G x r ``cols``, with G x Q nodes ``zs``.
 
-    Each leading axis of ``ws`` (one weight row per sum) is a leading axis
-    of the result.  With L = U A U^H from ``H.hessenberg()``,
-    (z - L)^-1 E = U (z - A)^-1 U^H E.  Nodes go through in blocks of
-    ``_NODE_BLOCK``.
+    ``ws`` broadcasts to (..., G, Q): each leading axis (one weight row
+    per sum) is a leading axis of the (..., G, N, r) result.  With
+    L = Q A Q^H from ``H.hessenberg()``, (z - L)^-1 E = Q (z - A)^-1 Q^H E:
+    one ``apply_q`` takes every E_g in, the nodes of all groups go
+    through the sweep together in chunks of ``_NODE_BLOCK`` (a chunk may
+    hold nodes of several groups), and one ``apply_q`` takes every sum
+    back.
     """
-    A, U = H.hessenberg()
-    band, h = _band(A)
-    rhs = U[cols].conj()
-    acc = 0.0
-    for i in range(0, len(zs), _NODE_BLOCK):
-        blk = slice(i, i + _NODE_BLOCK)
-        x = _hessenberg_sweep(band, h, rhs, zs[blk])
-        acc = acc + np.einsum("...j,jrn->...rn", ws[..., blk], x)
-    return np.swapaxes(acc @ U.T, -1, -2)
+    band, h, _ = H.hessenberg()
+    (G, r), N, Qn = cols.shape, H.size, zs.shape[1]
+    E = np.zeros((N, G * r))
+    E[cols.ravel(), np.arange(G * r)] = 1.0
+    rhs = H.apply_q(E, adjoint=True).reshape(N, G, r).transpose(0, 2, 1)  # N x r x G
+    ws = np.broadcast_to(ws, ws.shape[:-2] + (G, Qn))
+    wf, zf = ws.reshape(ws.shape[:-2] + (G * Qn,)), zs.ravel()
+    acc = np.zeros(ws.shape[:-1] + (r, N), dtype=complex)
+    for i in range(0, G * Qn, _NODE_BLOCK):
+        j = np.arange(i, min(i + _NODE_BLOCK, G * Qn))
+        x = _hessenberg_sweep(band, h, rhs[:, :, j // Qn], zf[j])
+        for g in range(j[0] // Qn, j[-1] // Qn + 1):
+            lo, hi = max(g * Qn, i), min((g + 1) * Qn, j[-1] + 1)
+            acc[..., g, :, :] += np.einsum("...j,nrj->...rn", wf[..., lo:hi],
+                                           x[..., lo - i:hi - i])
+    X = H.apply_q(acc.reshape(-1, N).T)
+    return np.swapaxes(X.T.reshape(acc.shape), -1, -2)
 
 
 def _factors(M: np.ndarray, cols: np.ndarray, p: np.ndarray, scale: complex):
@@ -343,56 +345,102 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     return P0
 
 
-def _circle_rule(H: HillMatrix, n: int, cols: np.ndarray, c: complex, R: float,
-                 nodes: int, margin: float) -> ProjectionPair:
-    """Rank-len(cols) projection over |z - c| = R by the trapezoidal rule,
-    as the pair of level (or block) n whose ``_gate`` gave ``margin``.
+def _circle_rules(H: HillMatrix, circles: list, nodes: int) -> list[ProjectionPair]:
+    """Rank-r projections over the circles (n, cols, c, R, margin), each
+    |z - c| = R with r = len(cols) for all, by the trapezoidal rule, as the
+    pairs of level (or block) n whose ``_gate`` gave ``margin``.
 
     Node counts start at ``nodes`` (an even integer >= 16, else
     ``ValueError``) and are doubled, reusing the moments of earlier nodes,
     until the Frobenius change of P drops below ``_TOL`` or ``_MAX_NODES``
-    is hit.
+    is hit.  Every round sweeps the nodes of all circles still running
+    in one ``_moments`` call.
     """
     if nodes < 16 or nodes % 2 != 0:
         raise ValueError("nodes must be an even integer >= 16")
+    if not circles:
+        return []
+    ns, cols, c, R, margins = zip(*circles)
+    cols, c, R = np.array(cols), np.array(c, dtype=complex), np.array(R, dtype=float)
     p = H.basis.transpose_perm()
-    assert np.array_equal(np.sort(p[cols]), cols), "cols not closed under the transpose symmetry"
+    for cl in cols:
+        assert np.array_equal(np.sort(p[cl]), cl), "cols not closed under the transpose symmetry"
 
-    def moments(thetas: np.ndarray, masks=True) -> np.ndarray:
+    def moments(g, thetas: np.ndarray, masks=True) -> np.ndarray:
         w = np.exp(1j * thetas)
-        return _moments(H, cols, c + R * w, masks * w)
+        return _moments(H, cols[g], c[g, None] + R[g, None] * w, (masks * w)[..., None, :])
+
+    def factors(M: np.ndarray, g: int, Q: int):
+        return _factors(M, cols[g], p, R[g] / Q)
 
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
     # error estimate costs no extra resolvent solves: one sweep over the
     # Q-grid gives both the even-node sum and the full sum
-    Q = nodes
+    Q, every = nodes, range(len(cols))
     even = np.arange(Q) % 2 == 0
-    M_even, M = moments(2.0 * np.pi * np.arange(Q) / Q, np.stack([even, np.ones_like(even)]))
-    f = _factors(M, cols, p, R / Q)
-    est = _change(f, _factors(M_even, cols, p, R / (Q // 2)))
-    while est >= _TOL and Q < _MAX_NODES:
+    M_even, M = moments(every, 2.0 * np.pi * np.arange(Q) / Q,
+                        np.stack([even, np.ones_like(even)]))
+    f = [factors(M[g], g, Q) for g in every]
+    est = [_change(f[g], factors(M_even[g], g, Q // 2)) for g in every]
+    used = [Q] * len(cols)
+    while Q < _MAX_NODES and (run := [g for g in every if est[g] >= _TOL]):
         # midpoints of the current grid are the odd nodes of the doubled grid
-        M = M + moments(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
+        M[run] += moments(run, 2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
         Q *= 2
-        f_new = _factors(M, cols, p, R / Q)
-        est = _change(f_new, f)
-        f = f_new
-    return ProjectionPair(n, H.basis, *f, cols, quad_error_est=est, nodes_used=Q,
-                          converged=est < _TOL, guard_margin=margin)
+        for g in run:
+            f_new = factors(M[g], g, Q)
+            est[g], f[g], used[g] = _change(f_new, f[g]), f_new, Q
+    return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=est[g],
+                           nodes_used=used[g], converged=est[g] < _TOL,
+                           guard_margin=margins[g]) for g in every]
+
+
+_LEVEL_ERRORS = (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch)
+
+
+def _level_circles(H: HillMatrix, levels) -> tuple[list, dict]:
+    """The circles of ``_circle_rules`` for the levels that pass
+    ``_level_cols`` and ``_gate``, and {n: error} for the others."""
+    circles, errors = [], {}
+    for n in levels:
+        try:
+            cols = _level_cols(H, n)
+            c, R = complex(n * n), float(n)
+            circles.append((n, cols, c, R, _gate(H, c, R, len(cols))))
+        except _LEVEL_ERRORS as exc:
+            errors[n] = exc
+    return circles, errors
+
+
+def riesz_projections(H: HillMatrix, levels, *, nodes: int = 64
+                      ) -> tuple[dict[int, ProjectionPair], dict[int, Exception]]:
+    """Contour-quadrature Riesz projections of ``levels``, each over its
+    level disc |z - n^2| < n: ({n: pair}, {n: error}) in level order.
+
+    Every level passes the preconditions of ``riesz_projection`` or gets
+    its error (``IndexOutOfBasis``, ``TruncationTooSmall``,
+    ``EigenvalueOnContour``, ``RankMismatch``) before any node is swept;
+    the nodes of the others go through ``_circle_rules`` together.
+    """
+    circles, errors = _level_circles(H, levels)
+    pairs = _circle_rules(H, circles, nodes)
+    return {pair.n: pair for pair in pairs}, errors
 
 
 def riesz_projection(H: HillMatrix, n: int, *, nodes: int = 64) -> ProjectionPair:
-    """Contour-quadrature Riesz projection for the level n disc |z - n^2| < n.
+    """Contour-quadrature Riesz projection for the level n disc |z - n^2| < n:
+    ``riesz_projections`` of the one level, raising its error.
 
     Preconditions: n is a level of the basis lattice (its parity, with
     +-n in the basis), the half-width is at least 4n (so the contour stays
     well inside the truncated spectrum), no eigenvalue approaches the
     contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Nodes
-    are doubled from ``nodes`` as in ``_circle_rule``.
+    are doubled from ``nodes`` as in ``_circle_rules``.
     """
-    c, R = complex(n * n), float(n)
-    cols = _level_cols(H, n)
-    return _circle_rule(H, n, cols, c, R, nodes, _gate(H, c, R, len(cols)))
+    pairs, errors = riesz_projections(H, [n], nodes=nodes)
+    if errors:
+        raise errors[n]
+    return pairs[n]
 
 
 def first_order_residue(pot, bc: BoundaryCondition, n: int, k, m):
@@ -460,39 +508,44 @@ def spectral_projector_dense(H: HillMatrix, n: int) -> np.ndarray:
     return vecs[:, inside] @ vinv[inside, :]
 
 
-def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
+def rectangle_projection(H: HillMatrix, N: int, *, nodes: int = 64) -> ProjectionPair:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
     Any contour that encloses exactly the rectangle's eigenvalues gives
     the same projection, so the circle rule of ``riesz_projection`` runs
     on |z - N^2/2| = N^2/2 + N, which passes through both real endpoints
-    of the rectangle, from 64 nodes.  ``_gate`` guards the circle, and the
-    eigenvalues inside it must be exactly those inside the rectangle, and
-    their number the count of free indices k with k^2 < N^2 + N (else
-    ``RankMismatch``).  Returns the pair of the circle, with n = N.
+    of the rectangle, from ``nodes`` nodes.  ``_gate`` guards the circle,
+    and the eigenvalues inside it must be exactly those inside the
+    rectangle, and their number the count of free indices k with
+    k^2 < N^2 + N (else ``RankMismatch``).  Returns the pair of the
+    circle, with n = N.
     """
     c, R = complex(N * N / 2), N * N / 2 + N
     vals = H.eigenvalues()
     in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
-    return _circle_rule(H, N, cols, c, R, 64, _gate(H, c, R, len(cols), in_rect))
+    return _circle_rules(H, [(N, cols, c, R, _gate(H, c, R, len(cols), in_rect))], nodes)[0]
 
 
 def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> ProjectionPair:
     """S_N = S_{N0} + sum of level projections for N0 < k <= N, as one pair.
 
-    S_{N0} comes from ``rectangle_projection``, each remaining level from
-    ``riesz_projection`` with ``nodes`` starting nodes: one circle rule
-    throughout.  Levels follow the boundary-condition parity.  X = [X_i G_i],
+    S_{N0} comes from ``rectangle_projection``, the remaining levels from
+    ``riesz_projections``, all from ``nodes`` starting nodes: one circle
+    rule throughout.  Levels follow the boundary-condition parity, and the
+    first level that fails its preconditions raises its error.  X = [X_i G_i],
     G = I, Y = [Y_i]; the evidence is the worst part's (largest estimate,
     smallest margin, every part converged) and ``nodes_used`` sums the parts'.
     """
     if N < N0:
         raise ValueError("N must be >= N0")
-    parts = [rectangle_projection(H, N0)] + [
-        riesz_projection(H, k, nodes=nodes)
-        for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)]
+    parts = [rectangle_projection(H, N0, nodes=nodes)]
+    pairs, errors = riesz_projections(
+        H, [k for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)], nodes=nodes)
+    if errors:
+        raise next(iter(errors.values()))
+    parts += pairs.values()
     cols = np.concatenate([p.cols for p in parts])
     return ProjectionPair(
         N, H.basis, np.hstack([p.X @ p.G for p in parts]), np.eye(len(cols)),
@@ -510,11 +563,4 @@ def validated_levels(H: HillMatrix, candidates):
     regime for this potential and truncation (it is potential-dependent
     and is reported, never assumed).
     """
-    good = []
-    for n in candidates:
-        try:
-            _gate(H, complex(n * n), float(n), len(_level_cols(H, n)))
-        except (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch):
-            continue
-        good.append(n)
-    return good
+    return [circle[0] for circle in _level_circles(H, candidates)[0]]

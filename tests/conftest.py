@@ -47,7 +47,10 @@ def sweeps(big_matrices):
     t0 = time.time()
     out = {}
     for (pname, bc), H in big_matrices.items():
-        out[pname, bc] = {n: hp.riesz_projection(H, n) for n in SWEEP_LEVELS[bc]}
+        pairs, errors = hp.riesz_projections(H, SWEEP_LEVELS[bc])
+        if errors:
+            raise next(iter(errors.values()))
+        out[pname, bc] = pairs
     TIMINGS["sweeps"] = time.time() - t0
     return out
 

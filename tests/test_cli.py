@@ -140,7 +140,7 @@ class TestDecay:
         def broken(*args, **kwargs):
             raise TypeError("broken projector")
 
-        monkeypatch.setattr(prj, "riesz_projection", broken)
+        monkeypatch.setattr(prj, "riesz_projections", broken)
         with pytest.raises(TypeError, match="broken projector"):
             run(["decay", "--potential", "mathieu:1.0", "--bc", "per+",
                  "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])

@@ -8,7 +8,7 @@ from scipy.special import roots_legendre
 import hillproj as hp
 from hillproj import potential as pot
 from hillproj import projector as prj
-from hillproj.operator import HillMatrix
+from hillproj.operator import HillMatrix, _band
 
 BC = hp.BoundaryCondition
 PI = math.pi
@@ -181,25 +181,65 @@ def check_moments(H, M, M_ref, r):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def band_matrix(band, h):
+    """Dense A from the sweep operands of ``operator._band``."""
+    N, b1 = band.shape
+    A = np.zeros((N, N), dtype=complex)
+    for t in range(b1):  # band[k, t] = -A[k - b + t, k]
+        k = np.arange(max(0, b1 - 1 - t), N)
+        A[k - (b1 - 1) + t, k] = -band[k, t]
+    A[np.arange(1, N), np.arange(N - 1)] = -h
+    return A
+
+
 class TestHessenbergResolvent:
     """The Hessenberg reduction and the shifted Givens sweep of ``_moments``."""
 
     @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex", "zero"])
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
     def test_reduction(self, pname, bc):
+        # Q is checked only through the reflector apply: no N x N Q is kept
         H = hp.assemble(bc, gallery_potential(pname), 48)
-        A, U = H.hessenberg()
-        assert H.hessenberg()[0] is A  # cached
-        assert not np.tril(A, -2).any()
+        band, h, panels = H.hessenberg()
+        assert H.hessenberg()[0] is band  # cached
+        A = band_matrix(band, h)
         if H.hermitian:
-            # the form of a Hermitian L is tridiagonal, with exact zeros
-            assert not np.triu(A, 2).any()
-        assert np.linalg.norm(U.conj().T @ U - np.eye(H.size)) <= 1e-13
-        L_norm = np.linalg.norm(H.L)
-        assert np.linalg.norm(U @ A @ U.conj().T - H.L) <= 1e-13 * L_norm
+            # the form of a Hermitian L is tridiagonal, and every array the
+            # reduction keeps has at most a panel's columns
+            assert band.shape == (H.size, 2)
+            assert all(a.shape[1] <= 32 for _, V, T in panels for a in (V, T))
+        eye = np.eye(H.size)
+        Q = H.apply_q(eye)
+        assert np.linalg.norm(H.apply_q(Q, adjoint=True) - eye) <= 1e-13  # Q^H Q = I
+        QAQh = H.apply_q(H.apply_q(A.conj().T).conj().T)  # Q (Q A^H)^H
+        assert np.linalg.norm(QAQh - H.L) <= 1e-13 * np.linalg.norm(H.L)
         if pname == "zero":
-            # L is diagonal: every reflector is skipped
-            assert np.array_equal(U, np.eye(H.size)) and np.array_equal(A, H.L)
+            # L is diagonal: every reflector is skipped, and none is kept
+            assert panels == () and np.array_equal(A, H.L)
+            assert np.array_equal(Q, eye)
+
+    @pytest.mark.parametrize("N", [33, 70, 97])
+    def test_blocked_tridiagonalization_across_panels(self, N):
+        # a dense Hermitian L spans several 32-column panels, and the last
+        # panel can be short; the tridiagonal form keeps L's eigenvalues
+        rng = np.random.default_rng(N)
+        M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        L = M + M.conj().T
+        d, e, reflectors = hp.operator._tridiagonalize(L)
+        A = np.diag(d) + np.diag(e, -1) + np.diag(e.conj(), 1)
+        ev = np.linalg.eigvalsh(L)
+        assert np.abs(np.linalg.eigvalsh(A) - ev).max() <= 1e-13 * np.abs(ev).max()
+        # every reflector leaves a real beta; the last entry needs no reflector
+        assert not e[:-1].imag.any()
+        assert [o for o, _, _ in reflectors] == list(range(1, N - 1, 32))
+
+    def test_guard_never_reads_the_reduction(self):
+        # the guard counts eigenvalues of L itself (eigvalsh/eigvals), so it
+        # stays independent of the quadrature's reduction
+        for p in (gallery_potential("delta"), gallery_potential("complex")):
+            H = hp.assemble(BC.PER_PLUS, p, 48)
+            assert prj.validated_levels(H, range(2, 13)) == [2, 4, 6, 8, 10, 12]
+            assert H._hess is None
 
     @pytest.mark.parametrize("count", [1, prj._NODE_BLOCK + 3])
     @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex", "zero"])
@@ -210,19 +250,37 @@ class TestHessenbergResolvent:
         rng = np.random.default_rng(count)
         zs = n * n + n * np.exp(2j * PI * (np.arange(count) + 0.25) / count)
         ws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        M = prj._moments(H, cols, zs, ws)
+        M = prj._moments(H, cols[None], zs[None], ws)
+        assert M.shape == (1, H.size, len(cols))
         M_ref = solve_moments(H, cols, zs, ws)
-        check_moments(H, M, M_ref, len(cols))
+        check_moments(H, M[0], M_ref, len(cols))
+
+    @pytest.mark.parametrize("pname", ["delta", "complex"])
+    @pytest.mark.parametrize("count", [50, prj._NODE_BLOCK])
+    def test_groups_share_the_sweep(self, pname, count):
+        # three levels' nodes in one call: with 50 nodes each, the first
+        # chunk of 128 ends inside the third level
+        H = hp.assemble(BC.PER_PLUS, gallery_potential(pname), 48)
+        ns = (6, 8, 10)
+        cols = np.array([sorted(H.basis.position(k) for k in (n, -n)) for n in ns])
+        theta = 2j * PI * (np.arange(count) + 0.25) / count
+        zs = np.array([n * n + n * np.exp(theta) for n in ns])
+        ws = np.random.default_rng(5).standard_normal((2, 3, count)) + 0j
+        M = prj._moments(H, cols, zs, ws)
+        assert M.shape == (2, 3, H.size, 2)
+        for row in range(2):
+            for g in range(3):
+                check_moments(H, M[row, g], solve_moments(H, cols[g], zs[g], ws[row, g]), 2)
 
     def test_weight_rows_share_one_sweep(self):
         # leading axes of the weights give one sum per row, as the level
         # projection uses for its even-node and full sums
         H = hp.assemble(BC.PER_PLUS, gallery_potential("complex"), 48)
-        cols = np.array([H.basis.position(-8), H.basis.position(8)])
-        zs = 64 + 8 * np.exp(2j * PI * (np.arange(16) + 0.25) / 16)
+        cols = np.array([[H.basis.position(-8), H.basis.position(8)]])
+        zs = 64 + 8 * np.exp(2j * PI * (np.arange(16) + 0.25) / 16)[None]
         ws = np.stack([np.arange(16) % 2 == 0, np.ones(16)]) * np.exp(1j * np.arange(16))
-        M = prj._moments(H, cols, zs, ws)
-        assert M.shape == (2, H.size, 2)
+        M = prj._moments(H, cols, zs, ws[:, None])
+        assert M.shape == (2, 1, H.size, 2)
         for row in range(2):
             assert np.allclose(M[row], prj._moments(H, cols, zs, ws[row]), rtol=0, atol=1e-15)
 
@@ -243,15 +301,16 @@ class TestBandSweep:
         N, r, Q = 12, 2, 5
         rng = np.random.default_rng(b)
         A = banded_hessenberg(rng, N, b)
-        band, h = prj._band(A)
+        band, h = _band(A)
         assert band.shape == (N, b + 1)  # b read from the exact zeros
-        rhs = rng.standard_normal((r, N)) + 1j * rng.standard_normal((r, N))
+        # one set of right-hand sides per shift, index-major: N x r x Q
+        rhs = rng.standard_normal((N, r, Q)) + 1j * rng.standard_normal((N, r, Q))
         zs = 3.0 * np.exp(2j * PI * (np.arange(Q) + 0.25) / Q)
-        x = prj._hessenberg_sweep(band, h, rhs, zs)
-        assert x.shape == (Q, r, N)
+        x = prj._hessenberg_sweep(band, h, rhs.copy(), zs)
+        assert x.shape == (N, r, Q)
         for j, z in enumerate(zs):
-            ref = np.linalg.solve(z * np.eye(N) - A, rhs.T).T
-            assert np.linalg.norm(x[j] - ref) <= 1e-12 * np.linalg.norm(ref)
+            ref = np.linalg.solve(z * np.eye(N) - A, rhs[:, :, j])
+            assert np.linalg.norm(x[:, :, j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("b", [0, 1, 3])
     def test_band_keeps_the_dense_arithmetic(self, b):
@@ -259,12 +318,12 @@ class TestBandSweep:
         # band to the dense width b = N - 1 changes no bit of the result
         N = 12
         rng = np.random.default_rng(10 + b)
-        band, h = prj._band(banded_hessenberg(rng, N, b))
+        band, h = _band(banded_hessenberg(rng, N, b))
         dense = np.pad(band, ((0, 0), (N - 1 - b, 0)))
-        rhs = rng.standard_normal((1, N)) + 0j
+        rhs = rng.standard_normal((N, 1, 4)) + 0j
         zs = 2.0 + np.exp(2j * PI * np.arange(4) / 4)
-        assert np.array_equal(prj._hessenberg_sweep(band, h, rhs, zs),
-                              prj._hessenberg_sweep(dense, h, rhs, zs))
+        assert np.array_equal(prj._hessenberg_sweep(band, h, rhs.copy(), zs),
+                              prj._hessenberg_sweep(dense, h, rhs.copy(), zs))
 
     @pytest.mark.parametrize("pname,bc,b", [
         ("delta", BC.PER_PLUS, 1),  # Hermitian: tridiagonal form
@@ -275,14 +334,14 @@ class TestBandSweep:
     def test_moments_on_the_band(self, pname, bc, b):
         H = hp.assemble(bc, gallery_potential(pname), 48)
         assert H.hermitian == (pname in ("delta", "mathieu"))
-        band = prj._band(H.hessenberg()[0])[0]
+        band = H.hessenberg()[0]  # cached with the reflectors, once per matrix
         assert band.shape[1] == b + 1
         n = 10
         cols = np.array(sorted(H.basis.position(k) for k in (n, -n)[:bc.rank]))
         zs = n * n + n * np.exp(2j * PI * (np.arange(20) + 0.25) / 20)
         ws = np.random.default_rng(3).standard_normal(20) + 0j
-        check_moments(H, prj._moments(H, cols, zs, ws), solve_moments(H, cols, zs, ws),
-                      len(cols))
+        check_moments(H, prj._moments(H, cols[None], zs[None], ws)[0],
+                      solve_moments(H, cols, zs, ws), len(cols))
 
     @pytest.mark.parametrize("p,bc,tol", [
         (pot.delta_comb(0.5, max_index=512), BC.PER_PLUS, 1e-12),
@@ -303,7 +362,7 @@ class TestBandSweep:
         H = hp.assemble(bc, p, 64)
         cols = prj._level_cols(H, 10)
         margin = prj._gate(H, 100 + 4j, 10.0, len(cols))
-        pair = prj._circle_rule(H, 10, cols, 100 + 4j, 10.0, 64, margin)
+        pair, = prj._circle_rules(H, [(10, cols, 100 + 4j, 10.0, margin)], 64)
         dense = prj.spectral_projector_dense(H, 10)
         assert pair.converged
         assert np.linalg.norm(pair.P - dense, "fro") <= tol
@@ -353,6 +412,65 @@ class TestRankEngineVsFullInverse:
         monkeypatch.setattr(prj, "_MAX_NODES", 64)
         pair = hp.riesz_projection(H, 8)
         assert pair.converged is False and pair.nodes_used == 64
+
+
+class TestRieszProjections:
+    """The plural form against the one-level form, level by level."""
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    @pytest.mark.parametrize("pname,bc,levels", [
+        ("delta", BC.PER_PLUS, range(2, 13, 2)),
+        ("delta", BC.PER_MINUS, range(1, 12, 2)),
+        ("mathieu", BC.DIRICHLET, range(1, 13)),
+        ("complex", BC.PER_PLUS, range(2, 13, 2)),  # NON_HERMITIAN
+    ])
+    def test_matches_the_one_level_form(self, pname, bc, levels, nodes):
+        H = hp.assemble(bc, gallery_potential(pname), 48)
+        pairs, errors = hp.riesz_projections(H, levels, nodes=nodes)
+        assert list(pairs) == [n for n in levels if n not in errors] and len(pairs) >= 6
+        for n, pair in pairs.items():
+            one = hp.riesz_projection(H, n, nodes=nodes)
+            for got, ref in ((pair.X, one.X), (pair.G, one.G), (pair.Y, one.Y)):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(pair.cols, one.cols)
+            assert (pair.nodes_used, pair.converged, pair.guard_margin) == (
+                one.nodes_used, one.converged, one.guard_margin)
+        if nodes == 16:  # the levels double from 16 nodes, not all to the same count
+            assert len({pair.nodes_used for pair in pairs.values()}) > 1
+
+    def test_bad_levels_stay_per_level(self):
+        # v0 = 10 puts level 10 on its contour; 18 needs half-width 72
+        p = pot.from_coeffs(10.0, [(2, 0.25), (-2, -0.25)])
+        H = hp.assemble(BC.PER_PLUS, p, 64)
+        pairs, errors = hp.riesz_projections(H, [10, 12, 14, 16, 18])
+        assert list(pairs) == [12, 14, 16] and list(errors) == [10, 18]
+        assert {n: f"{type(e).__name__}: {e}" for n, e in errors.items()} == {
+            10: "EigenvalueOnContour: eigenvalue within 0.05*radius of |z-(100+0j)|=10.0",
+            18: "TruncationTooSmall: half-width 64 < 4*n = 72; resolvent accuracy "
+                "degrades when the contour approaches the truncation edge"}
+        for n, pair in pairs.items():
+            one = hp.riesz_projection(H, n)
+            assert np.linalg.norm(pair.X - one.X) <= 1e-12 * np.linalg.norm(one.X)
+            assert pair.converged and pair.nodes_used == one.nodes_used
+        with pytest.raises(prj.EigenvalueOnContour):
+            hp.riesz_projection(H, 10)
+        assert hp.riesz_projections(H, [], nodes=64) == ({}, {})
+
+    def test_levels_share_the_sweeps(self, monkeypatch):
+        # the decay-per matrix: 26 levels of 64 nodes go through in
+        # ceil(1664 / 128) = 13 sweeps, not one (or more) per level
+        H = hp.assemble(BC.PER_PLUS, pot.delta_comb(0.5, max_index=1024), 256)
+        real, calls = prj._hessenberg_sweep, []
+
+        def counted(band, h, rhs, zs):
+            calls.append(len(zs))
+            return real(band, h, rhs, zs)
+
+        monkeypatch.setattr(prj, "_hessenberg_sweep", counted)
+        pairs, errors = hp.riesz_projections(H, range(10, 61, 2))
+        assert len(pairs) == 26 and not errors
+        assert all(pair.nodes_used == 64 for pair in pairs.values())
+        assert calls == [prj._NODE_BLOCK] * 13
 
 
 # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
@@ -425,12 +543,11 @@ class TestFactoredPair:
         assert abs(prj._change((pair.X, pair.G, pair.Y), (bad.X, bad.G, bad.Y)) - dense) <= 1e-13
         # the estimate of the circle rule: 16 nodes, doubled once to 32
         monkeypatch.setattr(prj, "_TOL", 0.0)
-        circle = (H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n), 16,
-                  pair.guard_margin)
+        circle = (pair.n, pair.cols, complex(pair.n ** 2), float(pair.n), pair.guard_margin)
         monkeypatch.setattr(prj, "_MAX_NODES", 16)
-        p16 = prj._circle_rule(*circle)
+        p16, = prj._circle_rules(H, [circle], 16)
         monkeypatch.setattr(prj, "_MAX_NODES", 32)
-        p32 = prj._circle_rule(*circle)
+        p32, = prj._circle_rules(H, [circle], 16)
         est = p32.quad_error_est
         assert p32.nodes_used == 32 and est > 1e-12 and not p32.converged
         assert abs(est - np.linalg.norm(p32.P - p16.P, "fro")) <= 1e-13
@@ -644,8 +761,8 @@ class TestBlockPair:
 
     def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
         real = prj.rectangle_projection
-        monkeypatch.setattr(prj, "rectangle_projection", lambda H, N: dataclasses.replace(
-            real(H, N), quad_error_est=1e-3, converged=False))
+        monkeypatch.setattr(prj, "rectangle_projection", lambda H, N, **kw: dataclasses.replace(
+            real(H, N, **kw), quad_error_est=1e-3, converged=False))
         blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
         assert blk.quad_error_est == 1e-3 and not blk.converged
 
@@ -671,9 +788,9 @@ class TestBlockPair:
     def test_evidence_is_the_worst_part(self, bc):
         H = hp.assemble(bc, gallery_potential("complex"), 48)
         blk = prj.block_projection(H, 4, 10, nodes=32)
-        parts = [prj.rectangle_projection(H, 4)] + [
-            hp.riesz_projection(H, k, nodes=32)
-            for k in range(5, 11) if bc.level_ok(k)]
+        pairs, errors = hp.riesz_projections(H, range(5, 11), nodes=32)
+        assert sorted(errors) == [k for k in range(5, 11) if not bc.level_ok(k)]
+        parts = [prj.rectangle_projection(H, 4, nodes=32), *pairs.values()]
         assert blk.trace_defect < 1e-10
         assert blk.guard_margin == min(p.guard_margin for p in parts)
         assert blk.quad_error_est == max(p.quad_error_est for p in parts)
@@ -683,6 +800,15 @@ class TestBlockPair:
         assert np.array_equal(np.sort(blk.cols), np.flatnonzero(idx * idx < 110))
         # the factored block is the sum of its dense parts
         assert np.linalg.norm(blk.P - sum(p.P for p in parts), "fro") <= 1e-12
+
+    def test_nodes_reach_the_base_block(self, monkeypatch):
+        # with no doubling, every part stops at its starting count
+        monkeypatch.setattr(prj, "_TOL", math.inf)
+        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
+        assert prj.rectangle_projection(H, 4, nodes=32).nodes_used == 32
+        assert prj.rectangle_projection(H, 4).nodes_used == 64
+        blk = prj.block_projection(H, 4, 10, nodes=32)
+        assert blk.nodes_used == 32 * 4  # the base block and the levels 6, 8, 10
 
     def test_rejects_reversed_range(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
