@@ -40,7 +40,7 @@ Chain sums over a truncated index lattice (j = n mod step, |j| <= cutoff):
                      * ... * r(j_{s-1}+j_s)/|n^2-j_s^2|   (s >= 2)
     sigma_tilde(deltas) = the signed-kernel pieces of sigma obtained by
                      expanding the parenthesised brackets; they sum back
-                     to sigma(n, s) exactly.
+                     to sigma(n, s) exactly (``_sigma_tilde_pieces``).
 
 Everything is computed in transfer form.  An index set is held as a mask
 on its enclosing arithmetic progression, where every chain operator is
@@ -77,7 +77,6 @@ __all__ = [
     "rho_tilde",
     "rho_n",
     "eps_n",
-    "kappa_and_bound",
     "kappa_for",
     "lattice",
     "l_sum",
@@ -87,7 +86,6 @@ __all__ = [
     "sigma1_profile",
     "sigma2",
     "sigma2_profile",
-    "sigma_tilde",
     "sigma_nested_vs_matrix",
     "a0_sum",
     "a0_bound_check",
@@ -95,7 +93,6 @@ __all__ = [
     "lemma_suite",
     "GATED_CHECKS",
     "report_to_json",
-    "report_csv_rows",
 ]
 
 TAIL_RTOL = 0.01  # tail estimate above this fraction of the value trips the guard
@@ -133,19 +130,12 @@ def eps_n(r: MajorantSeq, n: int) -> float:
     return m_const * ((2.0 * math.log(6.0 * n) / n) ** 0.25
                       + math.sqrt(rho_tilde(r, n)))
 
-def kappa_and_bound(rho: float, eps: float) -> tuple[float, float, bool]:
-    """kappa = max(rho, eps), the 64*kappa estimate, and its validity flag."""
-    if rho < 0 or eps < 0:
-        raise ValueError("rates must be nonnegative")
-    kappa = max(rho, eps)
-    return kappa, 64.0 * kappa, kappa < 0.25
-
 def kappa_for(r: MajorantSeq, n: int, rho_constant: float = 8.0):
-    """Convenience: (rho, eps, kappa, 64*kappa, valid) for one majorant/level."""
+    """(rho, eps, kappa, 64*kappa, valid) with kappa = max(rho, eps), valid iff kappa < 1/4."""
     rho = rho_n(r, n, rho_constant)
     eps = eps_n(r, n)
-    kappa, bound64, valid = kappa_and_bound(rho, eps)
-    return rho, eps, kappa, bound64, valid
+    kappa = max(rho, eps)
+    return rho, eps, kappa, 64.0 * kappa, kappa < 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +405,6 @@ def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, sign_vectors) -> list[float
                 raise ValueError("deltas entries must be +-1")
         out.append(float(a @ v))
     return out
-
-
-def sigma_tilde(r: MajorantSeq, n: int, deltas, cutoff: int | None = None,
-                indices=None) -> float:
-    """One signed-kernel piece of sigma(n, s) for s = len(deltas) + 1.
-
-    delta = -1 attaches the weight 1/|n - j_left| to the kernel, delta = +1
-    attaches 1/|n + j_right|; summing over all sign vectors recovers
-    sigma(n, s) exactly.
-    """
-    return _truncated(lambda idx: _sigma_tilde_pieces(r, n, idx, [deltas]), "sigma_tilde",
-                      n, cutoff, r.step, (n, -n), indices, check_tail=False)
 
 
 # ---------------------------------------------------------------------------
@@ -750,13 +728,3 @@ def report_to_json(report: SeriesReport) -> dict:
         "all_passed": report.all_passed,
         "gated_passed": report.gated_passed,
     }
-
-
-def report_csv_rows(report: SeriesReport) -> list[list]:
-    """One row per inequality: name, note, passed, lhs, rhs, margin, gated."""
-    rows = [["name", "note", "passed", "lhs", "rhs", "margin", "gated"]]
-    for c in report.checks:
-        rows.append([c.name, c.note, int(c.passed), f"{c.lhs:.12e}",
-                     f"{c.rhs:.12e}", f"{c.margin:.12e}",
-                     int(c.name in GATED_CHECKS)])
-    return rows

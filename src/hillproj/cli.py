@@ -8,9 +8,10 @@ Subcommands:
   verify    run every property suite on the default gallery; exit 0/1
 
 A JSON config file supplies base values; explicitly passed flags override
-the file.  Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config
-error.  Outputs are deterministic for a fixed config and seed (no
-timestamps); every file embeds the tool version and the resolved config.
+the file, and a file key that names no option is a config error.  Exit
+codes: 0 all verdicts pass, 1 verdict failure, 2 config error.  Outputs are
+deterministic for a fixed config and seed (no timestamps); every file
+embeds the tool version and the resolved config.
 """
 
 from __future__ import annotations
@@ -33,18 +34,21 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 
-DEFAULTS = {
-    "potential": "mathieu:1.0",
-    "bc": "per+",
-    "K": 64,
-    "n_min": 8,
-    "n_max": 14,
-    "nodes": 64,
-    "rho_constant": 8.0,
-    "cutoff": None,
-    "seed": 20240801,
-    "out": "out",
-    "samples": 200,
+# every run option, once: key -> (default, type, help).  The flag is
+# "--" + key with "_" as "-"; a type of None keeps the value as given (a
+# potential spec in a config file may be a dict).
+OPTIONS = {
+    "potential": ("mathieu:1.0", None, "zero, mathieu:C, delta_comb:M, sawtooth:A or file:<json>"),
+    "bc": ("per+", str, "per+, per- or dir"),
+    "K": (64, int, "basis half-width (>= 4*n_max)"),
+    "n_min": (8, int, "lowest level"),
+    "n_max": (14, int, "highest level"),
+    "nodes": (64, int, "contour quadrature nodes"),
+    "rho_constant": (8.0, float, "the constant C of the rate rho_n"),
+    "cutoff": (None, int, "index cutoff for the sums"),
+    "seed": (20240801, int, "seed of the L^p sampling"),
+    "samples": (200, int, "L^p samples per level"),
+    "out": ("out", Path, "output directory"),
 }
 
 
@@ -55,7 +59,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     pot: FourierPotential
-    pot_spec: object
+    potential: object  # the spec as given, echoed into every file
     bc: BoundaryCondition
     K: int
     n_min: int
@@ -64,55 +68,46 @@ class RunConfig:
     rho_constant: float
     cutoff: int | None
     seed: int
-    out: Path
     samples: int
+    out: Path
 
     def echo(self) -> dict:
-        return {
-            "potential": self.pot_spec, "bc": self.bc.value, "K": self.K,
-            "n_min": self.n_min, "n_max": self.n_max, "nodes": self.nodes,
-            "rho_constant": self.rho_constant, "cutoff": self.cutoff,
-            "seed": self.seed, "samples": self.samples,
-        }
+        return {**{key: getattr(self, key) for key in OPTIONS if key != "out"},
+                "bc": self.bc.value}
 
     def levels(self) -> list[int]:
         return [n for n in range(self.n_min, self.n_max + 1) if self.bc.level_ok(n)]
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            merged.update(json.load(fh))
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-
-    spec, n_max = merged["potential"], int(merged["n_max"])
-    cutoff = int(merged["cutoff"]) if merged.get("cutoff") else bounds.default_cutoff(n_max)
-    trunc = max(4 * int(merged["K"]), 2 * cutoff + 2 * n_max)  # coefficients the sums read
+    merged = {key: default for key, (default, _, _) in OPTIONS.items()}
     try:
-        if isinstance(spec, str):
-            pot = parse_potential_arg(spec, default_truncation=trunc)
-        else:
-            pot = from_config(spec, default_truncation=trunc)
-        bc = BoundaryCondition.parse(merged["bc"])
-    except (ValueError, OSError) as exc:
+        if getattr(args, "config", None):
+            with open(args.config) as fh:
+                given = json.load(fh)
+            if not isinstance(given, dict):
+                raise ValueError(f"{args.config} holds no JSON object")
+            unknown = sorted(set(given) - set(OPTIONS))
+            if unknown:
+                raise ValueError(f"unknown config key(s) {unknown} in {args.config}")
+            merged.update(given)
+        merged.update((key, val) for key in OPTIONS
+                      if (val := getattr(args, key, None)) is not None)
+        opts = {key: val if val is None or OPTIONS[key][1] is None else OPTIONS[key][1](val)
+                for key, val in merged.items()}
+        opts["cutoff"] = opts["cutoff"] or None  # 0 asks for the default too
+        cutoff = opts["cutoff"] or bounds.default_cutoff(opts["n_max"])
+        trunc = max(4 * opts["K"], 2 * cutoff + 2 * opts["n_max"])  # coefficients the sums read
+        spec = opts["potential"]  # a gallery string, or a dict from a config file
+        pot = (parse_potential_arg if isinstance(spec, str) else from_config)(
+            spec, default_truncation=trunc)
+        cfg = RunConfig(pot=pot, **{**opts, "bc": BoundaryCondition.parse(opts["bc"])})
+    except (ValueError, TypeError, OSError) as exc:  # every input here comes from outside
         raise ConfigError(str(exc)) from exc
-
-    cfg = RunConfig(
-        pot=pot, pot_spec=spec, bc=bc, K=int(merged["K"]),
-        n_min=int(merged["n_min"]), n_max=int(merged["n_max"]),
-        nodes=int(merged["nodes"]), rho_constant=float(merged["rho_constant"]),
-        cutoff=int(merged["cutoff"]) if merged.get("cutoff") else None,
-        seed=int(merged["seed"]), out=Path(merged["out"]),
-        samples=int(merged["samples"]),
-    )
     if cfg.n_min < 1 or cfg.n_max < cfg.n_min:
         raise ConfigError("need 1 <= n_min <= n_max")
     if not cfg.levels():
-        raise ConfigError(f"no level in [{cfg.n_min}, {cfg.n_max}] matches {bc.value} parity")
+        raise ConfigError(f"no level in [{cfg.n_min}, {cfg.n_max}] matches {cfg.bc.value} parity")
     if cfg.K < 4 * cfg.n_max:
         raise ConfigError(f"K = {cfg.K} < 4*n_max = {4 * cfg.n_max}")
     if cfg.nodes < 16 or cfg.nodes % 2:
@@ -120,12 +115,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: Path, rows: list[list], cfg_echo: dict) -> None:
+def _cell(value):
+    """The one CSV cell rule: a flag is 0/1, a float is %.12e, the rest as is."""
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.12e}"
+    return value
+
+
+def _write_csv(path: Path, columns: list[str], rows: list[dict], cfg_echo: dict) -> None:
+    """One header row of ``columns``, then each row's cells in that order."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# hillproj {__version__}\n")
         fh.write("# config: " + json.dumps(cfg_echo, sort_keys=True) + "\n")
-        csv.writer(fh).writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(row[col]) for col in columns] for row in rows)
 
 
 def _finite_or_null(obj):
@@ -153,8 +160,6 @@ def _write_json(path: Path, payload: dict, cfg_echo: dict) -> None:
 def cmd_spectrum(cfg: RunConfig) -> int:
     H = assemble(cfg.bc, cfg.pot, cfg.K)
     vals = np.sort_complex(H.eigenvalues())
-    eig_rows = [["re", "im"]] + [[f"{z.real:.12e}", f"{z.imag:.12e}"] for z in vals]
-    count_rows = [["n", "count", "expected", "ok"]]
     all_ok = True
     counts = []
     for n in cfg.levels():
@@ -162,10 +167,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         ok = c == cfg.bc.rank
         all_ok &= ok
         counts.append({"n": n, "count": c, "expected": cfg.bc.rank, "ok": ok})
-        count_rows.append([n, c, cfg.bc.rank, int(ok)])
     echo = cfg.echo()
-    _write_csv(cfg.out / "spectrum_eigenvalues.csv", eig_rows, echo)
-    _write_csv(cfg.out / "spectrum_counts.csv", count_rows, echo)
+    _write_csv(cfg.out / "spectrum_eigenvalues.csv", ["re", "im"],
+               [{"re": z.real, "im": z.imag} for z in vals], echo)
+    _write_csv(cfg.out / "spectrum_counts.csv", ["n", "count", "expected", "ok"], counts, echo)
     _write_json(cfg.out / "spectrum.json", {
         "eigenvalues": [[z.real, z.imag] for z in vals],
         "counts": counts, "all_ok": all_ok, "coverage": H.coverage,
@@ -181,11 +186,12 @@ def cmd_decay(cfg: RunConfig) -> int:
     # a level that fails its preconditions is listed, and the sweep goes on
     pairs, failed = projector.riesz_projections(H, cfg.levels(), nodes=cfg.nodes)
     records = [norms.decay_record(pair, r, cfg.rho_constant) for pair in pairs.values()]
+    rows = [asdict(rec) for rec in records]
     errors = {str(n): f"{type(exc).__name__}: {exc}" for n, exc in failed.items()}
     echo = cfg.echo()
-    _write_csv(cfg.out / "decay_records.csv", norms.records_to_csv_rows(records), echo)
+    _write_csv(cfg.out / "decay_records.csv", norms.DECAY_CSV_COLUMNS, rows, echo)
     _write_json(cfg.out / "decay.json", {
-        "records": [asdict(rec) for rec in records],
+        "records": rows,
         "errors": errors,
     }, echo)
     if errors:
@@ -211,8 +217,7 @@ def _bounds_levels(cfg: RunConfig) -> list[int]:
 def cmd_bounds(cfg: RunConfig) -> int:
     r = majorant_for(cfg.pot, cfg.bc, 2 * cfg.K)
     pot = cfg.pot if cfg.bc.is_periodic_family else None
-    reports = []
-    rows = [["n", "name", "note", "passed", "lhs", "rhs", "margin", "gated"]]
+    reports, rows = [], []
     ok = True
     for n in _bounds_levels(cfg):
         rep = bounds.lemma_suite(r, n, cfg.cutoff, potential=pot,
@@ -226,14 +231,14 @@ def cmd_bounds(cfg: RunConfig) -> int:
         rep.checks.append(bounds.CheckResult(
             "cutoff_converged", max_tail <= bounds.TAIL_RTOL, max_tail,
             bounds.TAIL_RTOL, "max relative tail estimate"))
-        reports.append(rep)
+        reports.append(bounds.report_to_json(rep))
         ok &= rep.all_passed
-        for row in bounds.report_csv_rows(rep)[1:]:
-            rows.append([n] + row)
+        rows += [{"n": n, **check} for check in reports[-1]["checks"]]
     echo = cfg.echo()
-    _write_csv(cfg.out / "bounds_checks.csv", rows, echo)
+    _write_csv(cfg.out / "bounds_checks.csv",
+               ["n", "name", "note", "passed", "lhs", "rhs", "margin", "gated"], rows, echo)
     _write_json(cfg.out / "bounds_report.json", {
-        "reports": [bounds.report_to_json(rep) for rep in reports],
+        "reports": reports,
         "all_passed": ok,
     }, echo)
     return EXIT_OK if ok else EXIT_VERDICT
@@ -262,12 +267,9 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
     unconverged = [pair.n if kind == "level" else f"S_{pair.n}"
                    for kind, pair, _ in runs if not pair.converged]
     echo = cfg.echo()
-    rows = [["type", "level", "samples", "max_ratio", "bound", "passed", "regime_ok"]]
-    for res in results:
-        rows.append([res["type"], res["level"], res["samples"],
-                     f"{res['max_ratio']:.12e}", f"{res['bound']:.12e}",
-                     int(res["passed"]), int(res["regime_ok"])])
-    _write_csv(cfg.out / "lpnorms.csv", rows, echo)
+    _write_csv(cfg.out / "lpnorms.csv",
+               ["type", "level", "samples", "max_ratio", "bound", "passed", "regime_ok"],
+               results, echo)
     _write_json(cfg.out / "lpnorms.json", {"results": results, "all_passed": ok}, echo)
     if unconverged:
         print(f"lpnorms: quadrature did not converge at {unconverged}", file=sys.stderr)
@@ -357,11 +359,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = _verify_rows(cfg.seed)
     ok = all(row["passed"] for row in rows)
     echo = {"seed": cfg.seed, "suite": "default-gallery"}
-    csv_rows = [["stage", "name", "value", "tolerance", "passed", "note"]]
-    for row in rows:
-        csv_rows.append([row["stage"], row["name"], f"{row['value']:.12e}",
-                         f"{row['tolerance']:.12e}", int(row["passed"]), row["note"]])
-    _write_csv(cfg.out / "verify_checks.csv", csv_rows, echo)
+    _write_csv(cfg.out / "verify_checks.csv",
+               ["stage", "name", "value", "tolerance", "passed", "note"], rows, echo)
     _write_json(cfg.out / "verify_report.json", {"checks": rows, "all_passed": ok}, echo)
     for row in rows:
         if not row["passed"]:
@@ -384,19 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        sp.add_argument("--potential",
-                        help="gallery spec, e.g. mathieu:1.0, delta_comb:0.5, "
-                             "sawtooth:1.0, zero, or file:<path.json>")
-        sp.add_argument("--bc", help="per+, per- or dir")
-        sp.add_argument("--K", type=int, help="basis half-width (>= 4*n_max)")
-        sp.add_argument("--n-min", dest="n_min", type=int)
-        sp.add_argument("--n-max", dest="n_max", type=int)
-        sp.add_argument("--nodes", type=int, help="contour quadrature nodes")
-        sp.add_argument("--rho-constant", dest="rho_constant", type=float)
-        sp.add_argument("--cutoff", type=int, help="index cutoff for the sums")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--out", help="output directory")
+        for key, (_, typ, help_) in OPTIONS.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=typ, help=help_)
     return ap
 
 

@@ -34,21 +34,13 @@ from .potential import MajorantSeq
 from .projector import ProjectionPair
 
 __all__ = [
-    "TooFewRecords",
     "DecayRecord",
     "decay_record",
-    "bari_markus_partial",
-    "BariMarkusReport",
     "equivalence_check",
     "sn_equivalence",
     "EquivalenceReport",
-    "records_to_csv_rows",
     "DECAY_CSV_COLUMNS",
 ]
-
-
-class TooFewRecords(ValueError):
-    """Not enough per-level records for a tail diagnostic."""
 
 
 @dataclass(frozen=True)
@@ -102,31 +94,6 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
         idempotency=pair.idempotency, converged=pair.converged,
         trace_defect=pair.trace_defect, guard_margin=pair.guard_margin,
     )
-
-
-@dataclass(frozen=True)
-class BariMarkusReport:
-    total: float
-    partial_sums: tuple
-    last_quarter_share: float
-
-
-def bari_markus_partial(t_values) -> BariMarkusReport:
-    """Partial sums of t_n^2 with a tail-flattening diagnostic.
-
-    Accepts DecayRecords or raw t_n values (in increasing-n order) and
-    reports the share of the last quarter of terms in the total; a share
-    near zero is the square-summability signature.
-    """
-    ts = [rec.t_n if isinstance(rec, DecayRecord) else float(rec) for rec in t_values]
-    if len(ts) < 8:
-        raise TooFewRecords("need at least 8 records")
-    sq = np.array(ts) ** 2
-    partial = np.cumsum(sq)
-    total = float(partial[-1])
-    tail = float(sq[-(len(ts) // 4):].sum())
-    share = tail / total if total > 0 else 0.0
-    return BariMarkusReport(total=total, partial_sums=tuple(partial), last_quarter_share=share)
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +202,3 @@ def sn_equivalence(block: ProjectionPair, samples: int = 200, M: int = 8192,
         passed=ratio <= bound, regime_ok=True, proxy=float("nan"),
         seed=seed, grid=M, note="block projection",
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def records_to_csv_rows(records) -> list[list]:
-    rows = [list(DECAY_CSV_COLUMNS)]
-    for rec in records:
-        rows.append([rec.n, f"{rec.sum_abs_B:.12e}", f"{rec.l1_linf_bound:.12e}",
-                     f"{rec.t_n:.12e}", f"{rec.frob:.12e}", f"{rec.rho_n:.12e}",
-                     f"{rec.eps_n:.12e}", f"{rec.kappa_n:.12e}",
-                     f"{rec.bound64:.12e}", int(rec.bound_valid)])
-    return rows

@@ -405,17 +405,19 @@ def majorant_for(pot: FourierPotential | SinePotential, bc: BoundaryCondition,
     return majorant_dir(_sine_data(pot, max_index))
 
 
+COVERAGE_FLOOR = 0.999  # least share of the read couplings that must be known
+
+
 def assemble(bc: BoundaryCondition,
              pot: FourierPotential | SinePotential,
-             half_width: int,
-             coverage_floor: float = 0.999) -> HillMatrix:
+             half_width: int) -> HillMatrix:
     """Assemble the truncated matrix of L_bc for the given potential.
 
     The coupling is ``coupling``'s: a FourierPotential handed to Dirichlet
     is converted to sine data; a SinePotential cannot back a periodic
     family matrix.  Couplings beyond the potential truncation are zero and
     lower the reported coverage ratio (the share of the coefficients read,
-    with repeats, that are known); below ``coverage_floor`` the assembly
+    with repeats, that are known); below ``COVERAGE_FLOOR`` the assembly
     is refused.
     """
     if half_width < 8:
@@ -424,9 +426,9 @@ def assemble(bc: BoundaryCondition,
     idx = np.array(basis.indices)
     W, known = _coupling(pot, bc, idx[:, None], idx[None, :])
     coverage = float(np.mean(known))
-    if coverage < coverage_floor:
+    if coverage < COVERAGE_FLOOR:
         raise InsufficientCoefficients(
-            f"coverage {coverage:.4f} below floor {coverage_floor}; "
+            f"coverage {coverage:.4f} below floor {COVERAGE_FLOOR}; "
             "store more coefficients or shrink the basis")
     diag0 = np.array([float(k * k) for k in basis.indices])
     return HillMatrix(basis, diag0, W + complex(pot.v0) * np.eye(basis.size), coverage=coverage)

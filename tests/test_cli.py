@@ -1,5 +1,9 @@
+import ast
+import csv
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,6 +317,33 @@ class TestVerify:
         assert payload["config"]["K"] == 64          # flag wins
         assert payload["config"]["n_min"] == 8       # file value kept
 
+    @pytest.mark.parametrize("given,named", [
+        ({"n_maxx": 20, "K": 64}, "n_maxx"),  # misspelt: must not fall back to n_max = 14
+        ({"K": "sixty-four"}, "sixty-four"),
+        ({"K": [64]}, "list"),  # a TypeError, not a crash with exit code 1
+        (5, "no JSON object"),
+    ], ids=["unknown-key", "bad-value", "bad-type", "not-an-object"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, given, named):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(given))
+        code = run(["decay", "--config", str(cfgfile), "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "config error" in (err := capsys.readouterr().err) and named in err
+        assert not (tmp_path / "a").exists()
+
+    def test_config_values_take_the_option_types(self, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"K": "48", "n_max": 10.0, "rho_constant": 4,
+                                       "cutoff": 0, "out": str(tmp_path / "a")}))
+        cfg = cli._resolve_config(cli._build_parser().parse_args(
+            ["decay", "--config", str(cfgfile), "--n-min", "8"]))
+        assert (cfg.K, cfg.n_min, cfg.n_max, cfg.cutoff) == (48, 8, 10, None)
+        assert type(cfg.rho_constant) is float and cfg.out == tmp_path / "a"
+        assert cfg.echo() == {"potential": "mathieu:1.0", "bc": "per+", "K": 48,
+                              "n_min": 8, "n_max": 10, "nodes": 64,
+                              "rho_constant": 4.0, "cutoff": None,
+                              "seed": 20240801, "samples": 200}
+
     def test_decay_deterministic(self, tmp_path):
         args = ["decay", "--potential", "mathieu:1.0", "--bc", "per+",
                 "--K", "48", "--n-min", "8", "--n-max", "10"]
@@ -322,3 +353,73 @@ class TestVerify:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b
+
+
+FLOAT_CELL = re.compile(r"^(-?\d\.\d{12}e[+-]\d{2,3}|nan)$")
+
+
+class TestCellRule:
+    """Every CSV cell goes through ``cli._cell``: flags 0/1, floats %.12e."""
+
+    # file -> (flag columns, float columns, integer columns)
+    FILES = {
+        "spectrum_eigenvalues.csv": ((), ("re", "im"), ()),
+        "spectrum_counts.csv": (("ok",), (), ("n", "count", "expected")),
+        "decay_records.csv": (("bound_valid",), ("sum_abs_B", "l1_linf_bound", "t_n",
+                                                 "frob", "rho_n", "eps_n", "kappa_n",
+                                                 "bound64"), ("n",)),
+        "bounds_checks.csv": (("passed", "gated"), ("lhs", "rhs", "margin"), ("n",)),
+        "lpnorms.csv": (("passed", "regime_ok"), ("max_ratio", "bound"),
+                        ("level", "samples")),
+        "verify_checks.csv": (("passed",), ("value", "tolerance"), ()),
+    }
+
+    def test_cells_of_every_command(self, tmp_path):
+        small = ["--potential", "mathieu:1.0", "--K", "48", "--n-min", "8", "--n-max", "10"]
+        for argv in (["spectrum", "--bc", "per+", *small], ["decay", "--bc", "per+", *small],
+                     ["bounds", "--bc", "dir", *small],  # unrun checks: nan lhs
+                     ["lpnorms", "--bc", "per+", *small, "--samples", "20"],
+                     ["verify", "--seed", "1"]):
+            run(argv + ["--out", str(tmp_path)])
+        cells = {"flag": set(), "nan": 0}
+        for name, (flags, floats, ints) in self.FILES.items():
+            body = read_csv_body(tmp_path / name)
+            header = body[0].split(",")
+            for row in csv.DictReader(body):
+                assert len(row) == len(header) and None not in row, (name, row)
+                for col in flags:
+                    assert row[col] in ("0", "1"), (name, col, row[col])
+                    cells["flag"].add(row[col])
+                for col in floats:
+                    assert FLOAT_CELL.match(row[col]), (name, col, row[col])
+                    cells["nan"] += row[col] == "nan"
+                for col in ints:
+                    assert row[col].isdigit(), (name, col, row[col])
+        assert cells["flag"] == {"0", "1"} and cells["nan"] > 0
+
+    def test_cell(self):
+        # csv writes str(cell): np.bool_ would read "True" unconverted
+        assert cli._cell(np.bool_(True)) == 1 and str(cli._cell(np.bool_(True))) == "1"
+        assert str(cli._cell(False)) == "0"
+        assert cli._cell(np.float64(0.5)) == "5.000000000000e-01"
+        assert cli._cell(float("nan")) == "nan"
+        assert cli._cell(np.int64(7)) == 7 and cli._cell("per+") == "per+"
+
+
+class TestExports:
+    """A name left in ``__all__`` or re-exported after a deletion must fail here."""
+
+    @pytest.mark.parametrize("module", ["bounds", "norms", "operator", "potential"])
+    def test_all_resolves(self, module):
+        mod = importlib.import_module(f"hillproj.{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+    def test_top_level_reexports_resolve(self):
+        import hillproj
+        tree = ast.parse(Path(hillproj.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = importlib.import_module(f"hillproj.{node.module}")
+                for alias in node.names:
+                    assert getattr(hillproj, alias.asname or alias.name) is \
+                        getattr(source, alias.name), alias.name

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -42,24 +43,6 @@ class TestNormChain:
         p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
         pair = hp.riesz_projection(hp.assemble(bc, p, 48), n)
         assert 0 < pair.t_n <= pair.frob + 1e-15 and pair.frob <= pair.sum_abs_B
-
-
-class TestBariMarkus:
-    def test_zero_sequence(self):
-        rep = norms.bari_markus_partial([0.0] * 10)
-        assert rep.total == 0.0 and rep.last_quarter_share == 0.0
-
-    def test_one_over_n_matches_analytic(self):
-        ts = [1.0 / n for n in range(1, 17)]
-        rep = norms.bari_markus_partial(ts)
-        total = sum(1.0 / n ** 2 for n in range(1, 17))
-        tail = sum(1.0 / n ** 2 for n in range(13, 17))
-        assert np.isclose(rep.last_quarter_share, tail / total)
-        assert np.isclose(rep.partial_sums[-1], total)
-
-    def test_too_few(self):
-        with pytest.raises(norms.TooFewRecords):
-            norms.bari_markus_partial([1.0] * 7)
 
 
 def oracle_ratio(basis, coeffs, M):
@@ -241,6 +224,8 @@ class TestSerialization:
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
         r = pot.majorant(pot.mathieu(1.0))
         recs = [norms.decay_record(hp.riesz_projection(H, n), r) for n in (8, 10)]
-        rows = norms.records_to_csv_rows(recs)
-        assert rows[0] == norms.DECAY_CSV_COLUMNS
-        assert len(rows) == 3 and rows[1][0] == 8
+        # the frozen CSV columns are the first fields of every JSON record
+        for rec in recs:
+            row = dataclasses.asdict(rec)
+            assert list(row)[:len(norms.DECAY_CSV_COLUMNS)] == norms.DECAY_CSV_COLUMNS
+            assert json.loads(json.dumps(row, allow_nan=False)) == row

@@ -178,10 +178,11 @@ class TestAssembleValidation:
         with pytest.raises(op.InsufficientCoefficients):
             hp.assemble(BC.PER_PLUS, p, 32)
 
-    def test_coverage_ratio_reported(self):
+    def test_coverage_ratio_reported(self, monkeypatch):
         assert hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32).coverage == 1.0
         p = pot.delta_comb(1.0, max_index=40)
-        H = hp.assemble(BC.PER_PLUS, p, 32, coverage_floor=0.5)
+        monkeypatch.setattr(op, "COVERAGE_FLOOR", 0.5)
+        H = hp.assemble(BC.PER_PLUS, p, 32)
         assert 0.5 < H.coverage < 1.0
 
 
