@@ -544,7 +544,7 @@ _S_MAX = 4  # highest order of the sigma sums in ``lemma_suite``
 _P_MAX = 4  # highest order of the L/R chain sums in ``lemma_suite``
 
 
-def _default_m_samples(n: int, cutoff: int, step: int) -> np.ndarray:
+def _default_m_samples(n: int, step: int) -> np.ndarray:
     offs = step * np.array([0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8, 16, -16, 32, -32])
     ms = set()
     for base in (n, -n):
@@ -581,7 +581,7 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         cutoff = default_cutoff(n)
     if cutoff < 8 * n:
         raise ValueError("cutoff must be at least 8*n")
-    ms = _default_m_samples(n, cutoff, step)
+    ms = _default_m_samples(n, step)
 
     norm = r.norm
     rt = rho_tilde(r, n)

@@ -43,7 +43,6 @@ OPTIONS = {
     "K": (64, int, "basis half-width (>= 4*n_max)"),
     "n_min": (8, int, "lowest level"),
     "n_max": (14, int, "highest level"),
-    "nodes": (64, int, "contour quadrature nodes"),
     "rho_constant": (8.0, float, "the constant C of the rate rho_n"),
     "cutoff": (None, int, "index cutoff for the sums"),
     "seed": (20240801, int, "seed of the L^p sampling"),
@@ -64,7 +63,6 @@ class RunConfig:
     K: int
     n_min: int
     n_max: int
-    nodes: int
     rho_constant: float
     cutoff: int | None
     seed: int
@@ -110,8 +108,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"no level in [{cfg.n_min}, {cfg.n_max}] matches {cfg.bc.value} parity")
     if cfg.K < 4 * cfg.n_max:
         raise ConfigError(f"K = {cfg.K} < 4*n_max = {4 * cfg.n_max}")
-    if cfg.nodes < 16 or cfg.nodes % 2:
-        raise ConfigError("nodes must be an even integer >= 16")
     return cfg
 
 
@@ -184,7 +180,7 @@ def cmd_decay(cfg: RunConfig) -> int:
     H = assemble(cfg.bc, cfg.pot, cfg.K)
     r = majorant_for(cfg.pot, cfg.bc, 2 * cfg.K)
     # a level that fails its preconditions is listed, and the sweep goes on
-    pairs, failed = projector.riesz_projections(H, cfg.levels(), nodes=cfg.nodes)
+    pairs, failed = projector.riesz_projections(H, cfg.levels())
     records = [norms.decay_record(pair, r, cfg.rho_constant) for pair in pairs.values()]
     rows = [asdict(rec) for rec in records]
     errors = {str(n): f"{type(exc).__name__}: {exc}" for n, exc in failed.items()}
@@ -249,7 +245,7 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
     levels = projector.validated_levels(H, cfg.levels())
     picks = levels[:: max(1, len(levels) // 3)][:3]
     runs = []  # (type, pair, report): the levels, then the blocks S_N
-    for pair in projector.riesz_projections(H, picks, nodes=cfg.nodes)[0].values():
+    for pair in projector.riesz_projections(H, picks)[0].values():
         runs.append(("level", pair,
                      norms.equivalence_check(pair, samples=cfg.samples, seed=cfg.seed)))
     for N in (10, 20):
@@ -258,7 +254,7 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
         N0 = max(4, min(levels) - 2)
         if N <= N0:
             continue
-        block = projector.block_projection(H, N0, N, nodes=cfg.nodes)
+        block = projector.block_projection(H, N0, N)
         runs.append(("block", block,
                      norms.sn_equivalence(block, samples=cfg.samples, seed=cfg.seed)))
     results = [{"type": kind, **rep.__dict__, "quad_error_est": pair.quad_error_est,

@@ -14,10 +14,9 @@ the Fourier coefficients of v - v0.  For Dirichlet it is
     W(k, m) = (|k-m| qt(|k-m|) - (k+m) qt(k+m)) / sqrt(2),
 
 with qt the sine coefficients of the antiderivative Q of v - v0.  Since
-Q' = sum V(m) e^{imx}, a FourierPotential carries Q = -i sum w(m) e^{imx};
-its sine data are those of ``per_to_dir`` (which expands the literal
-series sum w(m) e^{imx}) times -i, so the same potential denotes the same
-v under every boundary condition.  Note the Dirichlet coupling has a
+Q' = sum V(m) e^{imx}, a FourierPotential carries Q = -i sum w(m) e^{imx},
+and ``per_to_dir`` gives its sine data, so the same potential denotes the
+same v under every boundary condition.  Note the Dirichlet coupling has a
 nonzero diagonal of its own (-2k qt(2k)/sqrt(2)) on top of v0.
 """
 
@@ -155,10 +154,9 @@ class HillMatrix:
     records whether L == L^H bit for bit, as for every real potential
     (v0 real, w(-m) == -conj(w(m))) under every boundary condition; then
     the Hessenberg form is tridiagonal, reduced blockwise, and the
-    eigenvalues come from ``np.linalg.eigvalsh``.  Eigenvalues alone skip
-    the eigenvectors unless ``eig()`` has already computed them; they
-    never come from the Hessenberg form, so the guards stay independent
-    of the quadrature.
+    eigenvalues come from ``np.linalg.eigvalsh``.  Eigenvalues skip the
+    eigenvectors, and never come from ``eig()`` or the Hessenberg form, so
+    the guards read one source and stay independent of the quadrature.
 
     Every matrix must satisfy the transpose symmetry of its lattice,
     L^T = L[p][:, p] for p = ``basis.transpose_perm()``, bit for bit
@@ -195,13 +193,11 @@ class HillMatrix:
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        """Cached complex eigenvalues; taken from ``eig()`` if that already ran.
-
-        Otherwise ``eigvals``, or for Hermitian L ``eigvalsh``: ascending,
-        with exactly zero imaginary parts.
+        """Cached complex eigenvalues from ``eigvals``, or for Hermitian L
+        ``eigvalsh``: ascending, with exactly zero imaginary parts.  They
+        never come from ``eig()``, so the guards read the same values
+        whether or not the dense oracle ran first.
         """
-        if self._eig is not None:
-            return self._eig[0]
         if self._vals is None:
             self._vals = (np.linalg.eigvalsh(self.L).astype(complex) if self.hermitian
                           else np.linalg.eigvals(self.L))
@@ -303,28 +299,27 @@ def _tridiagonalize(L: np.ndarray):
 
 
 def _hessenberg_reduce(L: np.ndarray):
-    """(A, reflectors): L = Q A Q^H with A upper Hessenberg, by Householder
-    reflections I - v v^H (|v|^2 = 2, so tau = 1) one column at a time,
-    grouped into panels of ``_PANEL`` as for ``_tridiagonalize``."""
+    """(A, reflectors): L = Q A Q^H with A upper Hessenberg, one column at a
+    time as LAPACK's zgehd2: the ``_reflector`` H = I - tau v v^H of the
+    column below the diagonal gives A <- H^H A H, and the column becomes
+    (beta, 0, ...).  Grouped into panels of ``_PANEL`` as for
+    ``_tridiagonalize``."""
     N = len(L)
     A = np.array(L, dtype=complex)
     reflectors = []
     for k0 in range(0, N - 1, _PANEL):
         nb = min(_PANEL, N - 1 - k0)
         V = np.zeros((N - k0 - 1, nb), dtype=complex)  # row k0 + 1 + j at V[j]
-        tau = np.zeros(nb)
+        tau = np.zeros(nb, dtype=complex)
         for i in range(nb):
             k = k0 + i
-            x = A[k + 1:, k]
-            if not x[1:].any():
+            v, tau[i], beta = _reflector(A[k + 1:, k])
+            if tau[i] == 0:
                 continue
-            v = x.copy()
-            v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
-            v *= math.sqrt(2.0) / np.linalg.norm(v)
-            A[k + 1:, k:] -= np.outer(v, v.conj() @ A[k + 1:, k:])
-            A[:, k + 1:] -= np.outer(A[:, k + 1:] @ v, v.conj())
-            A[k + 2:, k] = 0.0
-            V[i:, i], tau[i] = v, 1.0
+            A[k + 1:, k + 1:] -= np.outer(tau[i].conjugate() * v, v.conj() @ A[k + 1:, k + 1:])
+            A[:, k + 1:] -= np.outer(tau[i] * (A[:, k + 1:] @ v), v.conj())
+            A[k + 1, k], A[k + 2:, k] = beta, 0.0
+            V[i:, i] = v
         reflectors.append((k0 + 1, V, tau))
     return A, reflectors
 
@@ -365,13 +360,8 @@ def _fourier_data(pot: FourierPotential | SinePotential) -> FourierPotential:
 
 
 def _sine_data(pot: FourierPotential | SinePotential, max_sine: int) -> SinePotential:
-    """Sine data of the antiderivative Q of v - v0 through ``max_sine``: a
-    FourierPotential, Q = -i sum w(m) e^{imx}, gets -i times its ``per_to_dir``."""
-    if isinstance(pot, SinePotential):
-        return pot
-    sp = per_to_dir(pot, max_sine)
-    return SinePotential(sp.v0, dict(zip(sp.qt.idx.tolist(), -1j * sp.qt.val)),
-                         sp.max_index, complete=sp.complete)
+    """Sine data of the antiderivative Q of v - v0 through ``max_sine``."""
+    return pot if isinstance(pot, SinePotential) else per_to_dir(pot, max_sine)
 
 
 def _coupling(pot, bc: BoundaryCondition, k, m) -> tuple[np.ndarray, np.ndarray]:

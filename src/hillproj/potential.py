@@ -16,9 +16,10 @@ For Dirichlet boundary conditions the coupling reads sine coefficients,
     Q(x) = sum_{m >= 1} qt(m) * sqrt(2) sin(m x).
 
 ``per_to_dir`` expands the literal series sum w(m) exp(i m x) = i Q in
-closed form; ``operator`` multiplies its result by -i to get the sine
-data of Q itself.  The sine system only captures Q exactly (with finitely
-many terms) when Q has no cosine component, i.e. w(-m) == -w(m);
+closed form and multiplies by -i, so it returns the sine data of Q
+itself, the one conversion every Dirichlet consumer reads.  The sine
+system only captures Q exactly (with finitely many terms) when Q has no
+cosine component, i.e. w(-m) == -w(m);
 otherwise the odd-index sine coefficients decay like 1/m and the
 conversion is a genuine infinite series, truncated at ``max_sine``.
 
@@ -315,38 +316,39 @@ def majorant_dir(sp: SinePotential) -> MajorantSeq:
 
 
 def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
-    """Sine coefficients of the literal series S(x) = sum w(m) exp(imx) on
-    [0, pi].  S = i Q, so ``operator`` multiplies them by -i.
+    """Sine coefficients of Q = -i S on [0, pi], through ``max_sine``, from
+    those of the literal series S(x) = sum w(m) exp(imx).
 
-    Closed form of qt(m) = (sqrt(2)/pi) * integral_0^pi S(x) sin(mx) dx:
+    Closed form of s(m) = (sqrt(2)/pi) * integral_0^pi S(x) sin(mx) dx,
+    then qt(m) = -i s(m):
 
     * even m: only the resonant terms k = +-m contribute,
-      qt(m) = i*(w(m) - w(-m))/sqrt(2);
+      s(m) = i*(w(m) - w(-m))/sqrt(2);
     * odd m: every k contributes through the elementary integral
       int_0^pi e^{ikx} sin(mx) dx = 2m/(m^2-k^2),
-      qt(m) = (2*sqrt(2)*m/pi) * sum_{k>0} (w(k) + w(-k))/(m^2-k^2),
+      s(m) = (2*sqrt(2)*m/pi) * sum_{k>0} (w(k) + w(-k))/(m^2-k^2),
       summed in pairs +-k, so the odd data of a pure sine series
       (w(-k) == -w(k)) are exact zeros.
     """
     if max_sine < 1:
         raise ValueError("max_sine must be >= 1")
     w = p.w
-    qt = np.zeros(max_sine + 1, dtype=complex)
+    s = np.zeros(max_sine + 1, dtype=complex)
     ev = np.arange(2, max_sine + 1, 2)
     # the real and imaginary parts are divided by sqrt(2) separately, as a
     # Python complex is divided by a float (numpy multiplies by 1/sqrt(2))
-    qt[ev] = ((1j * (w.get(ev) - w.get(-ev))).view(float) / math.sqrt(2.0)).view(complex)
+    s[ev] = ((1j * (w.get(ev) - w.get(-ev))).view(float) / math.sqrt(2.0)).view(complex)
     if len(w.idx):
         ks = np.sort(np.abs(w.idx))
         # each |k| once: np.unique(ks) imports numpy.ma (with return_inverse it does not)
         ks = ks[np.diff(ks, prepend=0) > 0]
         pairs, ksq = w.get(ks) + w.get(-ks), ks.astype(float) ** 2
         for m in range(1, max_sine + 1, 2):
-            qt[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(pairs / (m * m - ksq))
-    ms = np.flatnonzero(qt)
+            s[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(pairs / (m * m - ksq))
+    ms = np.flatnonzero(s)
     # The sine expansion terminates exactly only when S has no cosine part.
     pure_sine = bool(np.all(_abs(w.val + w.get(-w.idx)) <= 1e-15))
-    return SinePotential(p.v0, _Coeffs(ms, qt[ms]), max_sine,
+    return SinePotential(p.v0, _Coeffs(ms, -1j * s[ms]), max_sine,
                          complete=p.complete and pure_sine)
 
 

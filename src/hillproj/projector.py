@@ -44,10 +44,12 @@ The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); n alone fixes
 its circle.  It uses the trapezoidal rule in angle, w_j = exp(i theta_j)
 and z_j = n^2 + n w_j, which converges exponentially in Q for integrands
-analytic in an annulus around the circle.  Node counts are doubled
-(reusing the moments of previous nodes) until the Frobenius change of P
-drops below ``_TOL`` or the count reaches ``_MAX_NODES``; the last change
-is reported as the quadrature error estimate.  The free
+analytic in an annulus around the circle.  Node counts start at
+``_NODES`` and are doubled (reusing the moments of previous nodes) until
+the Frobenius change of P drops below ``_TOL`` or the count reaches
+``_MAX_NODES``; the last change is reported as the quadrature error
+estimate.  The start sets the cost only: P is fixed by the eigenvalues
+inside the circle.  The free
 projection is never computed by quadrature: it is the exact coordinate
 projection onto the indices {+-n} (periodic families) or {n} (Dirichlet),
 ``BoundaryCondition.level_indices``.
@@ -92,7 +94,7 @@ __all__ = [
 ]
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
-_TOL, _MAX_NODES = 1e-10, 512  # the stopping rule of every contour
+_NODES, _TOL, _MAX_NODES = 64, 1e-10, 512  # the start and stopping rule of every contour
 _ROW_BLOCK = 512  # rows of B per block of ``sum_abs_B``: O(_ROW_BLOCK * N) memory
 
 
@@ -345,19 +347,16 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     return P0
 
 
-def _circle_rules(H: HillMatrix, circles: list, nodes: int) -> list[ProjectionPair]:
+def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     """Rank-r projections over the circles (n, cols, c, R, margin), each
     |z - c| = R with r = len(cols) for all, by the trapezoidal rule, as the
     pairs of level (or block) n whose ``_gate`` gave ``margin``.
 
-    Node counts start at ``nodes`` (an even integer >= 16, else
-    ``ValueError``) and are doubled, reusing the moments of earlier nodes,
-    until the Frobenius change of P drops below ``_TOL`` or ``_MAX_NODES``
-    is hit.  Every round sweeps the nodes of all circles still running
-    in one ``_moments`` call.
+    Node counts start at ``_NODES`` and are doubled, reusing the moments
+    of earlier nodes, until the Frobenius change of P drops below ``_TOL``
+    or ``_MAX_NODES`` is hit.  Every round sweeps the nodes of all circles
+    still running in one ``_moments`` call.
     """
-    if nodes < 16 or nodes % 2 != 0:
-        raise ValueError("nodes must be an even integer >= 16")
     if not circles:
         return []
     ns, cols, c, R, margins = zip(*circles)
@@ -376,7 +375,7 @@ def _circle_rules(H: HillMatrix, circles: list, nodes: int) -> list[ProjectionPa
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
     # error estimate costs no extra resolvent solves: one sweep over the
     # Q-grid gives both the even-node sum and the full sum
-    Q, every = nodes, range(len(cols))
+    Q, every = _NODES, range(len(cols))
     even = np.arange(Q) % 2 == 0
     M_even, M = moments(every, 2.0 * np.pi * np.arange(Q) / Q,
                         np.stack([even, np.ones_like(even)]))
@@ -412,8 +411,8 @@ def _level_circles(H: HillMatrix, levels) -> tuple[list, dict]:
     return circles, errors
 
 
-def riesz_projections(H: HillMatrix, levels, *, nodes: int = 64
-                      ) -> tuple[dict[int, ProjectionPair], dict[int, Exception]]:
+def riesz_projections(H: HillMatrix,
+                      levels) -> tuple[dict[int, ProjectionPair], dict[int, Exception]]:
     """Contour-quadrature Riesz projections of ``levels``, each over its
     level disc |z - n^2| < n: ({n: pair}, {n: error}) in level order.
 
@@ -423,21 +422,20 @@ def riesz_projections(H: HillMatrix, levels, *, nodes: int = 64
     the nodes of the others go through ``_circle_rules`` together.
     """
     circles, errors = _level_circles(H, levels)
-    pairs = _circle_rules(H, circles, nodes)
+    pairs = _circle_rules(H, circles)
     return {pair.n: pair for pair in pairs}, errors
 
 
-def riesz_projection(H: HillMatrix, n: int, *, nodes: int = 64) -> ProjectionPair:
+def riesz_projection(H: HillMatrix, n: int) -> ProjectionPair:
     """Contour-quadrature Riesz projection for the level n disc |z - n^2| < n:
     ``riesz_projections`` of the one level, raising its error.
 
     Preconditions: n is a level of the basis lattice (its parity, with
     +-n in the basis), the half-width is at least 4n (so the contour stays
     well inside the truncated spectrum), no eigenvalue approaches the
-    contour, and the disc holds exactly ``bc.rank`` eigenvalues.  Nodes
-    are doubled from ``nodes`` as in ``_circle_rules``.
+    contour, and the disc holds exactly ``bc.rank`` eigenvalues.
     """
-    pairs, errors = riesz_projections(H, [n], nodes=nodes)
+    pairs, errors = riesz_projections(H, [n])
     if errors:
         raise errors[n]
     return pairs[n]
@@ -508,41 +506,40 @@ def spectral_projector_dense(H: HillMatrix, n: int) -> np.ndarray:
     return vecs[:, inside] @ vinv[inside, :]
 
 
-def rectangle_projection(H: HillMatrix, N: int, *, nodes: int = 64) -> ProjectionPair:
+def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
     Any contour that encloses exactly the rectangle's eigenvalues gives
     the same projection, so the circle rule of ``riesz_projection`` runs
     on |z - N^2/2| = N^2/2 + N, which passes through both real endpoints
-    of the rectangle, from ``nodes`` nodes.  ``_gate`` guards the circle,
-    and the eigenvalues inside it must be exactly those inside the
-    rectangle, and their number the count of free indices k with
-    k^2 < N^2 + N (else ``RankMismatch``).  Returns the pair of the
-    circle, with n = N.
+    of the rectangle.  ``_gate`` guards the circle, and the eigenvalues
+    inside it must be exactly those inside the rectangle, and their number
+    the count of free indices k with k^2 < N^2 + N (else
+    ``RankMismatch``).  Returns the pair of the circle, with n = N.
     """
     c, R = complex(N * N / 2), N * N / 2 + N
     vals = H.eigenvalues()
     in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
-    return _circle_rules(H, [(N, cols, c, R, _gate(H, c, R, len(cols), in_rect))], nodes)[0]
+    return _circle_rules(H, [(N, cols, c, R, _gate(H, c, R, len(cols), in_rect))])[0]
 
 
-def block_projection(H: HillMatrix, N0: int, N: int, nodes: int = 64) -> ProjectionPair:
+def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
     """S_N = S_{N0} + sum of level projections for N0 < k <= N, as one pair.
 
     S_{N0} comes from ``rectangle_projection``, the remaining levels from
-    ``riesz_projections``, all from ``nodes`` starting nodes: one circle
-    rule throughout.  Levels follow the boundary-condition parity, and the
-    first level that fails its preconditions raises its error.  X = [X_i G_i],
-    G = I, Y = [Y_i]; the evidence is the worst part's (largest estimate,
-    smallest margin, every part converged) and ``nodes_used`` sums the parts'.
+    ``riesz_projections``: one circle rule throughout.  Levels follow the
+    boundary-condition parity, and the first level that fails its
+    preconditions raises its error.  X = [X_i G_i], G = I, Y = [Y_i]; the
+    evidence is the worst part's (largest estimate, smallest margin, every
+    part converged) and ``nodes_used`` sums the parts'.
     """
     if N < N0:
         raise ValueError("N must be >= N0")
-    parts = [rectangle_projection(H, N0, nodes=nodes)]
+    parts = [rectangle_projection(H, N0)]
     pairs, errors = riesz_projections(
-        H, [k for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)], nodes=nodes)
+        H, [k for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)])
     if errors:
         raise next(iter(errors.values()))
     parts += pairs.values()

@@ -322,7 +322,8 @@ class TestVerify:
         ({"K": "sixty-four"}, "sixty-four"),
         ({"K": [64]}, "list"),  # a TypeError, not a crash with exit code 1
         (5, "no JSON object"),
-    ], ids=["unknown-key", "bad-value", "bad-type", "not-an-object"])
+        ({"nodes": 32}, "nodes"),  # the start of every contour is no option
+    ], ids=["unknown-key", "bad-value", "bad-type", "not-an-object", "nodes"])
     def test_bad_config_file_is_config_error(self, tmp_path, capsys, given, named):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(given))
@@ -340,7 +341,7 @@ class TestVerify:
         assert (cfg.K, cfg.n_min, cfg.n_max, cfg.cutoff) == (48, 8, 10, None)
         assert type(cfg.rho_constant) is float and cfg.out == tmp_path / "a"
         assert cfg.echo() == {"potential": "mathieu:1.0", "bc": "per+", "K": 48,
-                              "n_min": 8, "n_max": 10, "nodes": 64,
+                              "n_min": 8, "n_max": 10,
                               "rho_constant": 4.0, "cutoff": None,
                               "seed": 20240801, "samples": 200}
 

@@ -72,7 +72,10 @@ class TestFreeMatrix:
         assert H.eigenvalues() is vals
         full = H.eig()[0]
         assert np.abs(np.sort_complex(vals) - np.sort_complex(full)).max() < 1e-10
-        assert H.eigenvalues() is full  # eig() is preferred once cached
+        assert H.eigenvalues() is vals  # one source: eig() never replaces them
+        first = hp.assemble(BC.DIRICHLET, pot.mathieu(1.0), 32)
+        first.eig()
+        assert np.array_equal(first.eigenvalues(), vals)  # nor takes over when run first
 
     def test_hermitian_eigenvalues_are_real(self):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32)
@@ -82,7 +85,7 @@ class TestFreeMatrix:
         full = H.eig()[0]
         assert np.abs(vals - np.sort(full.real)).max() < 1e-10
         assert np.abs(full.imag).max() < 1e-10
-        assert H.eigenvalues() is full  # eig() is preferred once cached
+        assert H.eigenvalues() is vals and not vals.imag.any()  # still eigvalsh's
 
 
 class TestAssemblePeriodic:

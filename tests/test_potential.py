@@ -24,8 +24,8 @@ def quad_fourier_coeff(q_values, xs, m):
 
 
 def q_grid(p, xs):
-    """Oracle: the literal series sum w(m) exp(imx) (= i Q) on a grid."""
-    return sum(c * np.exp(1j * m * xs) for m, c in zip(p.w.idx, p.w.val))
+    """Oracle: Q = -i sum w(m) exp(imx), from the literal series, on a grid."""
+    return -1j * sum(c * np.exp(1j * m * xs) for m, c in zip(p.w.idx, p.w.val))
 
 
 def q_grid_sine(sp, xs):
@@ -160,8 +160,8 @@ class TestPerToDir:
 
     def test_sin2x_gives_inverse_sqrt2(self):
         p = pot.from_coeffs(0, [(2, -0.5j), (-2, 0.5j)])  # the literal series is sin 2x
-        sp = pot.per_to_dir(p, 8)
-        assert np.isclose(sp.qt.get(2), 1.0 / math.sqrt(2), atol=1e-14)
+        sp = pot.per_to_dir(p, 8)  # of Q = -i sin 2x
+        assert np.isclose(sp.qt.get(2), -1j / math.sqrt(2), atol=1e-14)
         assert abs(sp.qt.get(1)) < 1e-14 and abs(sp.qt.get(3)) < 1e-14
 
     def test_generic_coefficients_match_quadrature_oracle(self):

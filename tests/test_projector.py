@@ -14,18 +14,6 @@ BC = hp.BoundaryCondition
 PI = math.pi
 
 
-class TestNodeCount:
-    def test_validation(self):
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32)
-        for nodes in (15, 8):
-            with pytest.raises(ValueError, match="even integer >= 16"):
-                hp.riesz_projection(H, 8, nodes=nodes)
-        with pytest.raises(TypeError):  # nodes is keyword-only
-            hp.riesz_projection(H, 8, 64)
-        with pytest.raises(prj.IndexOutOfBasis):  # the radius-0 circle is no level
-            hp.riesz_projection(H, 0)
-
-
 class TestFreeProjection:
     def test_per_plus_diagonal(self):
         basis = hp.basis_for(BC.PER_PLUS, 8)
@@ -94,6 +82,8 @@ class TestRieszProjection:
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32)
         with pytest.raises(prj.IndexOutOfBasis):
             hp.riesz_projection(H, 40)
+        with pytest.raises(prj.IndexOutOfBasis):  # the radius-0 circle is no level
+            hp.riesz_projection(H, 0)
 
     def test_eigenvalue_near_contour_refused(self):
         # v0 = 10 shifts the level-10 cluster onto the contour |z - 100| = 10
@@ -362,7 +352,7 @@ class TestBandSweep:
         H = hp.assemble(bc, p, 64)
         cols = prj._level_cols(H, 10)
         margin = prj._gate(H, 100 + 4j, 10.0, len(cols))
-        pair, = prj._circle_rules(H, [(10, cols, 100 + 4j, 10.0, margin)], 64)
+        pair, = prj._circle_rules(H, [(10, cols, 100 + 4j, 10.0, margin)])
         dense = prj.spectral_projector_dense(H, 10)
         assert pair.converged
         assert np.linalg.norm(pair.P - dense, "fro") <= tol
@@ -424,12 +414,13 @@ class TestRieszProjections:
         ("mathieu", BC.DIRICHLET, range(1, 13)),
         ("complex", BC.PER_PLUS, range(2, 13, 2)),  # NON_HERMITIAN
     ])
-    def test_matches_the_one_level_form(self, pname, bc, levels, nodes):
+    def test_matches_the_one_level_form(self, pname, bc, levels, nodes, monkeypatch):
+        monkeypatch.setattr(prj, "_NODES", nodes)
         H = hp.assemble(bc, gallery_potential(pname), 48)
-        pairs, errors = hp.riesz_projections(H, levels, nodes=nodes)
+        pairs, errors = hp.riesz_projections(H, levels)
         assert list(pairs) == [n for n in levels if n not in errors] and len(pairs) >= 6
         for n, pair in pairs.items():
-            one = hp.riesz_projection(H, n, nodes=nodes)
+            one = hp.riesz_projection(H, n)
             for got, ref in ((pair.X, one.X), (pair.G, one.G), (pair.Y, one.Y)):
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(pair.cols, one.cols)
@@ -454,7 +445,7 @@ class TestRieszProjections:
             assert pair.converged and pair.nodes_used == one.nodes_used
         with pytest.raises(prj.EigenvalueOnContour):
             hp.riesz_projection(H, 10)
-        assert hp.riesz_projections(H, [], nodes=64) == ({}, {})
+        assert hp.riesz_projections(H, []) == ({}, {})
 
     def test_levels_share_the_sweeps(self, monkeypatch):
         # the decay-per matrix: 26 levels of 64 nodes go through in
@@ -543,11 +534,12 @@ class TestFactoredPair:
         assert abs(prj._change((pair.X, pair.G, pair.Y), (bad.X, bad.G, bad.Y)) - dense) <= 1e-13
         # the estimate of the circle rule: 16 nodes, doubled once to 32
         monkeypatch.setattr(prj, "_TOL", 0.0)
+        monkeypatch.setattr(prj, "_NODES", 16)
         circle = (pair.n, pair.cols, complex(pair.n ** 2), float(pair.n), pair.guard_margin)
         monkeypatch.setattr(prj, "_MAX_NODES", 16)
-        p16, = prj._circle_rules(H, [circle], 16)
+        p16, = prj._circle_rules(H, [circle])
         monkeypatch.setattr(prj, "_MAX_NODES", 32)
-        p32, = prj._circle_rules(H, [circle], 16)
+        p32, = prj._circle_rules(H, [circle])
         est = p32.quad_error_est
         assert p32.nodes_used == 32 and est > 1e-12 and not p32.converged
         assert abs(est - np.linalg.norm(p32.P - p16.P, "fro")) <= 1e-13
@@ -761,8 +753,8 @@ class TestBlockPair:
 
     def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
         real = prj.rectangle_projection
-        monkeypatch.setattr(prj, "rectangle_projection", lambda H, N, **kw: dataclasses.replace(
-            real(H, N, **kw), quad_error_est=1e-3, converged=False))
+        monkeypatch.setattr(prj, "rectangle_projection", lambda H, N: dataclasses.replace(
+            real(H, N), quad_error_est=1e-3, converged=False))
         blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
         assert blk.quad_error_est == 1e-3 and not blk.converged
 
@@ -785,12 +777,13 @@ class TestBlockPair:
         assert np.linalg.norm(blk.P - vecs[:, in_rect] @ vinv[in_rect], "fro") <= 1e-10
 
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
-    def test_evidence_is_the_worst_part(self, bc):
+    def test_evidence_is_the_worst_part(self, bc, monkeypatch):
+        monkeypatch.setattr(prj, "_NODES", 32)
         H = hp.assemble(bc, gallery_potential("complex"), 48)
-        blk = prj.block_projection(H, 4, 10, nodes=32)
-        pairs, errors = hp.riesz_projections(H, range(5, 11), nodes=32)
+        blk = prj.block_projection(H, 4, 10)
+        pairs, errors = hp.riesz_projections(H, range(5, 11))
         assert sorted(errors) == [k for k in range(5, 11) if not bc.level_ok(k)]
-        parts = [prj.rectangle_projection(H, 4, nodes=32), *pairs.values()]
+        parts = [prj.rectangle_projection(H, 4), *pairs.values()]
         assert blk.trace_defect < 1e-10
         assert blk.guard_margin == min(p.guard_margin for p in parts)
         assert blk.quad_error_est == max(p.quad_error_est for p in parts)
@@ -801,13 +794,14 @@ class TestBlockPair:
         # the factored block is the sum of its dense parts
         assert np.linalg.norm(blk.P - sum(p.P for p in parts), "fro") <= 1e-12
 
-    def test_nodes_reach_the_base_block(self, monkeypatch):
-        # with no doubling, every part stops at its starting count
+    def test_base_block_starts_at_the_same_count(self, monkeypatch):
+        # with no doubling, every part stops at _NODES, the base block too
         monkeypatch.setattr(prj, "_TOL", math.inf)
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
-        assert prj.rectangle_projection(H, 4, nodes=32).nodes_used == 32
-        assert prj.rectangle_projection(H, 4).nodes_used == 64
-        blk = prj.block_projection(H, 4, 10, nodes=32)
+        assert prj.rectangle_projection(H, 4).nodes_used == prj._NODES == 64
+        monkeypatch.setattr(prj, "_NODES", 32)
+        assert prj.rectangle_projection(H, 4).nodes_used == 32
+        blk = prj.block_projection(H, 4, 10)
         assert blk.nodes_used == 32 * 4  # the base block and the levels 6, 8, 10
 
     def test_rejects_reversed_range(self):
