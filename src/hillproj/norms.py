@@ -47,7 +47,7 @@ __all__ = [
 class DecayRecord:
     """Per-level norms of B(n) next to the analytic rate values.
 
-    The last six fields are the quadrature evidence of the projection:
+    The last eight fields are the quadrature evidence of the projection:
     they go into the JSON records but not into the frozen CSV columns.
     """
 
@@ -62,6 +62,8 @@ class DecayRecord:
     bound64: float
     bound_valid: bool
     quad_error_est: float
+    radius: float  # of the integration circle
+    rate: float  # a priori per-node decay of the quadrature error
     nodes_used: int
     idempotency: float
     converged: bool
@@ -90,7 +92,8 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
         t_n=pair.t_n,
         frob=pair.frob,
         rho_n=rho, eps_n=eps, kappa_n=kappa, bound64=bound64, bound_valid=valid,
-        quad_error_est=pair.quad_error_est, nodes_used=pair.nodes_used,
+        quad_error_est=pair.quad_error_est, radius=pair.radius, rate=pair.rate,
+        nodes_used=pair.nodes_used,
         idempotency=pair.idempotency, converged=pair.converged,
         trace_defect=pair.trace_defect, guard_margin=pair.guard_margin,
     )

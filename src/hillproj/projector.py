@@ -41,15 +41,23 @@ level first, then sweeps the nodes of all its levels together in chunks
 of ``_NODE_BLOCK``, and doubles the unconverged levels together.
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
-families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); n alone fixes
-its circle.  It uses the trapezoidal rule in angle, w_j = exp(i theta_j)
-and z_j = n^2 + n w_j, which converges exponentially in Q for integrands
-analytic in an annulus around the circle.  Node counts start at
-``_NODES`` and are doubled (reusing the moments of previous nodes) until
-the Frobenius change of P drops below ``_TOL`` or the count reaches
-``_MAX_NODES``; the last change is reported as the quadrature error
-estimate.  The start sets the cost only: P is fixed by the eigenvalues
-inside the circle.  The free
+families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  The paper's
+circle C_n = {|z - n^2| = n} is the gate circle: ``_gate`` certifies that
+it holds exactly r eigenvalues, and its margin is the reported guard
+margin.  P_n is fixed by those eigenvalues, not by the curve, so the
+integration circle is |z - n^2| = rho with rho = sqrt(d_in d_out)
+(``_level_radius``), d_in the farthest eigenvalue distance from n^2
+inside C_n and d_out the nearest outside, clipped to at most n; the gate
+of the small circle checks that it holds the same eigenvalues.  The
+trapezoidal rule in angle, w_j = exp(i theta_j) and
+z_j = n^2 + rho w_j, has error about (d_in/rho)^Q + (rho/d_out)^Q
+(Trefethen & Weideman, SIAM Review 56 (2014)): (d_in/d_out)^(Q/2) at the
+geometric mean against about 2^-Q on C_n, where d_out is near 2n.  Each
+pair reports its ``radius`` and that per-node ``rate``.  Node counts
+start at ``_NODES`` and are doubled (reusing the moments of previous
+nodes) until the Frobenius change of P drops below ``_TOL`` or the count
+reaches ``_MAX_NODES``; the last change is reported as the quadrature
+error estimate.  The free
 projection is never computed by quadrature: it is the exact coordinate
 projection onto the indices {+-n} (periodic families) or {n} (Dirichlet),
 ``BoundaryCondition.level_indices``.
@@ -94,7 +102,7 @@ __all__ = [
 ]
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
-_NODES, _TOL, _MAX_NODES = 64, 1e-10, 512  # the start and stopping rule of every contour
+_NODES, _TOL, _MAX_NODES = 16, 1e-10, 512  # the start and stopping rule of every contour
 _ROW_BLOCK = 512  # rows of B per block of ``sum_abs_B``: O(_ROW_BLOCK * N) memory
 
 
@@ -137,7 +145,9 @@ class ProjectionPair:
     quad_error_est: float
     nodes_used: int
     converged: bool  # quad_error_est fell below _TOL
-    guard_margin: float  # nearest eigenvalue-to-circle distance / radius
+    guard_margin: float  # nearest eigenvalue-to-gate-circle distance / its radius
+    radius: float  # of the integration circle
+    rate: float  # a priori per-node decay of the trapezoid error on it (``_rate``)
     idempotency: float = field(init=False)  # ||P^2 - P||_F
     t_n: float = field(init=False)  # ||B||_2, the L^2 -> L^2 deviation
     frob: float = field(init=False)  # ||B||_F
@@ -213,6 +223,33 @@ def _gate(H: HillMatrix, center: complex, radius: float, rank: int,
         raise RankMismatch(f"{np.count_nonzero(inside != region)} eigenvalue(s) in only "
                            f"one of |z-{center}|<{radius} and its region")
     return float(dist.min()) / radius
+
+
+def _spread(H: HillMatrix, center: complex, radius: float) -> tuple[float, float]:
+    """(d_in, d_out): the farthest eigenvalue distance from ``center``
+    inside the circle |z - center| = radius, and the nearest outside."""
+    dist = np.abs(H.eigenvalues() - center)
+    inside = dist < radius
+    return float(dist[inside].max(initial=0.0)), float(dist[~inside].min(initial=np.inf))
+
+
+def _rate(H: HillMatrix, center: complex, radius: float) -> float:
+    """max(d_in / radius, radius / d_out) for the ``_spread`` of the circle:
+    the trapezoid error on it decays about like rate^Q in the node count Q."""
+    d_in, d_out = _spread(H, center, radius)
+    return float(max(d_in / radius, radius / d_out))
+
+
+def _level_radius(H: HillMatrix, n: int) -> float:
+    """The integration radius of level n, whose circle C_n = {|z - n^2| = n}
+    passed ``_gate``: rho = sqrt(max(d_in, d_out / 100) d_out) for the
+    ``_spread`` of C_n, clipped to at most n.  The floor d_out / 100 covers
+    d_in = 0 and keeps rho >= d_out / 10.  When an eigenvalue would come
+    within ``GUARD_FRACTION`` * rho of the smaller circle (d_in and d_out
+    both near n), the radius is n: C_n converges as fast there."""
+    d_in, d_out = _spread(H, n * n, n)
+    rho = min(float(np.sqrt(max(d_in, d_out / 100) * d_out)), float(n))
+    return rho if min(rho - d_in, d_out - rho) >= GUARD_FRACTION * rho else float(n)
 
 
 def _check_level(basis: BasisSpec, n: int) -> None:
@@ -350,7 +387,8 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
 def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     """Rank-r projections over the circles (n, cols, c, R, margin), each
     |z - c| = R with r = len(cols) for all, by the trapezoidal rule, as the
-    pairs of level (or block) n whose ``_gate`` gave ``margin``.
+    pairs of level (or block) n whose ``_gate`` gave ``margin``, with the
+    ``_rate`` of each circle.
 
     Node counts start at ``_NODES`` and are doubled, reusing the moments
     of earlier nodes, until the Frobenius change of P drops below ``_TOL``
@@ -391,7 +429,8 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
             est[g], f[g], used[g] = _change(f_new, f[g]), f_new, Q
     return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=est[g],
                            nodes_used=used[g], converged=est[g] < _TOL,
-                           guard_margin=margins[g]) for g in every]
+                           guard_margin=margins[g], radius=float(R[g]),
+                           rate=_rate(H, c[g], R[g])) for g in every]
 
 
 _LEVEL_ERRORS = (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch)
@@ -399,13 +438,19 @@ _LEVEL_ERRORS = (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankM
 
 def _level_circles(H: HillMatrix, levels) -> tuple[list, dict]:
     """The circles of ``_circle_rules`` for the levels that pass
-    ``_level_cols`` and ``_gate``, and {n: error} for the others."""
+    ``_level_cols`` and ``_gate``, and {n: error} for the others.
+
+    The gate on C_n gives the guard margin; the circle integrated is the
+    ``_level_radius`` one, gated to hold the eigenvalues inside C_n."""
     circles, errors = [], {}
     for n in levels:
         try:
             cols = _level_cols(H, n)
-            c, R = complex(n * n), float(n)
-            circles.append((n, cols, c, R, _gate(H, c, R, len(cols))))
+            c, r = complex(n * n), len(cols)
+            margin = _gate(H, c, float(n), r)
+            rho = _level_radius(H, n)
+            _gate(H, c, rho, r, region=np.abs(H.eigenvalues() - c) < n)
+            circles.append((n, cols, c, rho, margin))
         except _LEVEL_ERRORS as exc:
             errors[n] = exc
     return circles, errors
@@ -533,7 +578,8 @@ def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
     boundary-condition parity, and the first level that fails its
     preconditions raises its error.  X = [X_i G_i], G = I, Y = [Y_i]; the
     evidence is the worst part's (largest estimate, smallest margin, every
-    part converged) and ``nodes_used`` sums the parts'.
+    part converged, the radius and rate of the largest rate) and
+    ``nodes_used`` sums the parts'.
     """
     if N < N0:
         raise ValueError("N must be >= N0")
@@ -544,13 +590,15 @@ def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
         raise next(iter(errors.values()))
     parts += pairs.values()
     cols = np.concatenate([p.cols for p in parts])
+    slowest = max(parts, key=lambda p: p.rate)
     return ProjectionPair(
         N, H.basis, np.hstack([p.X @ p.G for p in parts]), np.eye(len(cols)),
         np.hstack([p.Y for p in parts]), cols,
         quad_error_est=max(p.quad_error_est for p in parts),
         nodes_used=sum(p.nodes_used for p in parts),
         converged=all(p.converged for p in parts),
-        guard_margin=min(p.guard_margin for p in parts))
+        guard_margin=min(p.guard_margin for p in parts),
+        radius=slowest.radius, rate=slowest.rate)
 
 
 def validated_levels(H: HillMatrix, candidates):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hillproj import bounds, cli
+from hillproj import BoundaryCondition, assemble, bounds, cli, potential, projector
 
 
 def run(argv):
@@ -107,16 +107,23 @@ class TestDecay:
                     "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "decay.json").read_text())
+        H = assemble(BoundaryCondition.DIRICHLET, potential.mathieu(1.0), 48)
+        pairs, _ = projector.riesz_projections(H, [8, 9, 10])
+        assert [rec["n"] for rec in payload["records"]] == list(pairs)
         for rec in payload["records"]:
+            pair = pairs[rec["n"]]
             assert rec["converged"] is True
             assert rec["quad_error_est"] < 1e-10
-            assert rec["nodes_used"] == 64
+            assert (rec["nodes_used"], rec["radius"], rec["rate"]) == (
+                pair.nodes_used, pair.radius, pair.rate)
+            assert rec["radius"] < rec["n"] and rec["rate"] < 0.5
             assert rec["idempotency"] < 1e-8
             assert rec["trace_defect"] < 1e-8
             # the guard refuses margins below 5% of the radius
             assert 0.05 <= rec["guard_margin"] <= 1.0
         header = read_csv_body(tmp_path / "decay_records.csv")[0].split(",")
-        for field in ("converged", "nodes_used", "trace_defect", "guard_margin"):
+        for field in ("converged", "nodes_used", "radius", "rate", "trace_defect",
+                      "guard_margin"):
             assert field not in header
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch):

@@ -103,14 +103,14 @@ class TestRieszProjection:
         assert str(count.value) == "0 eigenvalue(s) in |z-(64+0j)|<8.0, expected 2 for per+"
 
 
-def full_inverse_projection(H, n, nodes=64):
+def full_inverse_projection(H, n, radius=None):
     """Reference: trapezoid node sum of the full resolvent inverse.
 
-    Same contour, node doubling, stopping rule and error estimate as
-    riesz_projection, but every node inverts z - L densely; returns
-    (P, nodes_used).
+    Same node doubling from ``_NODES``, stopping rule and error estimate
+    as riesz_projection, on |z - n^2| = radius (C_n by default), but
+    every node inverts z - L densely; returns (P, nodes_used).
     """
-    c, R = complex(n * n), float(n)
+    c, R = complex(n * n), float(n if radius is None else radius)
     ident = np.eye(H.size, dtype=complex)
 
     def node_sum(thetas):
@@ -120,7 +120,7 @@ def full_inverse_projection(H, n, nodes=64):
             acc += np.exp(1j * th) * np.linalg.inv(z * ident - H.L)
         return acc
 
-    Q = nodes
+    Q = prj._NODES
     thetas = 2.0 * np.pi * np.arange(Q) / Q
     S_even = node_sum(thetas[::2])
     S = S_even + node_sum(thetas[1::2])
@@ -368,22 +368,22 @@ class TestRankEngineVsFullInverse:
         p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
         H = hp.assemble(bc, p, 64)
         pair = hp.riesz_projection(H, n)
-        P_ref, q_ref = full_inverse_projection(H, n)
+        P_ref, q_ref = full_inverse_projection(H, n, pair.radius)
         assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-13
         assert pair.converged
         if bc.is_periodic_family:
             assert pair.nodes_used == q_ref
         else:
             # the rank-1 moments of the sine basis converge a doubling
-            # earlier than the full resolvent (64 against 128 nodes)
-            assert pair.nodes_used == q_ref // 2 == 64
+            # earlier than the full resolvent (16 against 32 nodes)
+            assert pair.nodes_used == q_ref // 2 == 16
 
     def test_non_hermitian_potential(self):
         p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)])
         H = hp.assemble(BC.PER_PLUS, p, 64)
         assert np.abs(H.L - H.L.T).max() > 0.1  # L^T != L, so Y differs from X
         pair = hp.riesz_projection(H, 8)
-        P_ref, q_ref = full_inverse_projection(H, 8)
+        P_ref, q_ref = full_inverse_projection(H, 8, pair.radius)
         assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-13
         assert pair.nodes_used == q_ref
 
@@ -448,8 +448,9 @@ class TestRieszProjections:
         assert hp.riesz_projections(H, []) == ({}, {})
 
     def test_levels_share_the_sweeps(self, monkeypatch):
-        # the decay-per matrix: 26 levels of 64 nodes go through in
-        # ceil(1664 / 128) = 13 sweeps, not one (or more) per level
+        # the decay-per matrix: 26 levels of 16 nodes go through in
+        # ceil(416 / 128) = 4 sweeps, not one (or more) per level, and the
+        # 4 levels that double to 32 nodes share a fifth
         H = hp.assemble(BC.PER_PLUS, pot.delta_comb(0.5, max_index=1024), 256)
         real, calls = prj._hessenberg_sweep, []
 
@@ -460,8 +461,88 @@ class TestRieszProjections:
         monkeypatch.setattr(prj, "_hessenberg_sweep", counted)
         pairs, errors = hp.riesz_projections(H, range(10, 61, 2))
         assert len(pairs) == 26 and not errors
-        assert all(pair.nodes_used == 64 for pair in pairs.values())
-        assert calls == [prj._NODE_BLOCK] * 13
+        used = [pair.nodes_used for pair in pairs.values()]
+        assert used == [32] * 4 + [16] * 22
+        assert calls == [prj._NODE_BLOCK] * 3 + [32, 64]
+
+
+def level_matrix(values, coupling=0.0, n=10, half_width=48):
+    """Per+ L, diagonal k^2 but for the pairs +-k at ``values[k]`` (in
+    pairs, to keep L^T = J L J), with e_n and e_-n coupled by ``coupling``."""
+    basis = hp.basis_for(BC.PER_PLUS, half_width)
+    diag0 = np.array([float(k * k) for k in basis.indices])
+    V = np.zeros((basis.size, basis.size))
+    for k, value in values.items():
+        for i in (basis.position(k), basis.position(-k)):
+            V[i, i] = value - k * k
+    i, j = basis.position(n), basis.position(-n)
+    V[i, j] = V[j, i] = coupling
+    return HillMatrix(basis, diag0, V)
+
+
+class TestIntegrationCircle:
+    """Each level is gated on C_n = {|z - n^2| = n} and integrated on
+    |z - n^2| = rho <= n, gated to hold the same eigenvalues."""
+
+    @pytest.mark.parametrize("pname,bc,n", [
+        ("delta", BC.PER_PLUS, 10), ("delta", BC.PER_MINUS, 9),
+        ("mathieu", BC.DIRICHLET, 8), ("complex", BC.PER_PLUS, 8),  # NON_HERMITIAN
+    ])
+    def test_matches_the_dense_gate_circle_sum(self, pname, bc, n):
+        # P is fixed by the eigenvalues inside C_n, not by the circle: the
+        # small-circle pair is the dense node sum on C_n itself
+        H = hp.assemble(bc, gallery_potential(pname), 64)
+        pair = hp.riesz_projection(H, n)
+        P_ref, q_ref = full_inverse_projection(H, n)
+        assert pair.converged and pair.nodes_used < q_ref
+        assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-12
+        # the margin is C_n's; radius and rate follow from the same eigenvalues
+        assert pair.guard_margin == prj._gate(H, n * n, float(n), bc.rank)
+        dist = np.abs(H.eigenvalues() - n * n)
+        d_in, d_out = dist[dist < n].max(), dist[dist >= n].min()
+        rho = np.sqrt(max(d_in, d_out / 100) * d_out)
+        assert pair.radius == pytest.approx(rho, rel=1e-14) and pair.radius < n / 2
+        assert pair.rate == pytest.approx(np.sqrt(max(d_in, d_out / 100) / d_out), rel=1e-14)
+
+    @pytest.mark.parametrize("bc,n", LEVELS)
+    def test_zero_potential(self, bc, n):
+        # d_in = 0: the floor d_out / 100 gives rho = d_out / 10, nearest
+        # free level k^2 != n^2 over 10
+        H = hp.assemble(bc, pot.zero(), 48)
+        pair = hp.riesz_projection(H, n)
+        d_out = min(abs(k * k - n * n) for k in H.basis.indices if k * k != n * n)
+        assert pair.radius == pytest.approx(d_out / 10, rel=1e-14) and pair.rate == 0.1
+        assert np.linalg.norm(pair.P - prj.free_projection(H.basis, n), "fro") <= 1e-14
+
+    def test_guard_edge_window_falls_back_to_c_n(self):
+        # d_in = 0.949n and d_out = 1.051n pass the 5% guard on C_n, but the
+        # geometric-mean circle keeps only 1 - sqrt(d_in / d_out) = 0.0498,
+        # so the level integrates on C_n
+        d_in, d_out = 9.49, 10.51
+        H = level_matrix({10: 100 + d_in, 8: 100 - d_out})
+        assert prj._gate(H, 100, 10.0, 2) == pytest.approx(0.051)
+        with pytest.raises(prj.EigenvalueOnContour):
+            prj._gate(H, 100, np.sqrt(d_in * d_out), 2)
+        pair = hp.riesz_projection(H, 10)  # a pair on C_n, not an error
+        on_c_n, = prj._circle_rules(H, [(10, pair.cols, 100, 10.0, pair.guard_margin)])
+        assert pair.radius == 10.0 and np.array_equal(pair.X, on_c_n.X)
+        assert pair.rate == pytest.approx(10 / d_out)
+        # every circle the guard admits here has a rate near 0.95: at
+        # _MAX_NODES = 512 the change is about 0.949^256 = 1.5e-6, and P lies
+        # within about 0.949^512 = 2e-12 of P0
+        assert pair.nodes_used == prj._MAX_NODES and 1e-7 < pair.quad_error_est < 1e-5
+        assert np.linalg.norm(pair.P - prj.free_projection(H.basis, 10), "fro") <= 1e-11
+
+    def test_too_small_radius_is_refused(self, monkeypatch):
+        # the level pair coupled into 99 and 105: a circle of radius 3
+        # about 100 keeps 1 of the 2 eigenvalues of C_n
+        H = level_matrix({10: 102.0}, coupling=3.0)
+        assert sorted(H.eigenvalues()[np.abs(H.eigenvalues() - 100) < 10]) == \
+            pytest.approx([99.0, 105.0])
+        assert hp.riesz_projection(H, 10).converged
+        monkeypatch.setattr(prj, "_level_radius", lambda H, n: 3.0)
+        with pytest.raises(prj.RankMismatch):
+            hp.riesz_projection(H, 10)
 
 
 # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
@@ -798,7 +879,7 @@ class TestBlockPair:
         # with no doubling, every part stops at _NODES, the base block too
         monkeypatch.setattr(prj, "_TOL", math.inf)
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
-        assert prj.rectangle_projection(H, 4).nodes_used == prj._NODES == 64
+        assert prj.rectangle_projection(H, 4).nodes_used == prj._NODES
         monkeypatch.setattr(prj, "_NODES", 32)
         assert prj.rectangle_projection(H, 4).nodes_used == 32
         blk = prj.block_projection(H, 4, 10)
