@@ -259,7 +259,7 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
                      norms.sn_equivalence(block, samples=cfg.samples, seed=cfg.seed)))
     results = [{"type": kind, **rep.__dict__, "quad_error_est": pair.quad_error_est,
                 "converged": pair.converged} for kind, pair, rep in runs]
-    ok = all(rep.passed for _, _, rep in runs)
+    ok = bool(runs) and all(rep.passed for _, _, rep in runs)
     unconverged = [pair.n if kind == "level" else f"S_{pair.n}"
                    for kind, pair, _ in runs if not pair.converged]
     echo = cfg.echo()
@@ -267,6 +267,8 @@ def cmd_lpnorms(cfg: RunConfig) -> int:
                ["type", "level", "samples", "max_ratio", "bound", "passed", "regime_ok"],
                results, echo)
     _write_json(cfg.out / "lpnorms.json", {"results": results, "all_passed": ok}, echo)
+    if not runs:
+        print("lpnorms: no level or block ran", file=sys.stderr)
     if unconverged:
         print(f"lpnorms: quadrature did not converge at {unconverged}", file=sys.stderr)
     return EXIT_OK if ok and not unconverged else EXIT_VERDICT

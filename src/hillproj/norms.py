@@ -174,9 +174,8 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
     d = pair.bc.basis_sup
     proxy = d * d * pair.sum_abs_B
     regime_ok = proxy <= 0.5
-    X, G, Y = pair.X, pair.G, pair.Y
     g = _draws(pair.basis, samples, seed)
-    ratio = _max_ratio(pair.basis, X @ (G @ (Y.T @ g)), M)
+    ratio = _max_ratio(pair.basis, pair.X @ (pair.Y.T @ g), M)
     bound = 3.0 + 0.05
     return EquivalenceReport(
         level=pair.n, samples=samples, max_ratio=ratio, bound=bound,
@@ -194,11 +193,11 @@ def sn_equivalence(block: ProjectionPair, samples: int = 200, M: int = 8192,
     coefficient of the block's columns equal, the concentrated spike) is
     always included, as the last column.
     """
-    N, basis, X, G, Y = block.n, block.basis, block.X, block.G, block.Y
+    N, basis, X, Y = block.n, block.basis, block.X, block.Y
     spike = np.zeros((basis.size, 1))
     spike[block.cols] = 1.0
     g = np.hstack([_draws(basis, samples, seed), spike])
-    ratio = _max_ratio(basis, X @ (G @ (Y.T @ g)), M)
+    ratio = _max_ratio(basis, X @ (Y.T @ g), M)
     bound = 50.0 * N * math.log(N)
     return EquivalenceReport(
         level=N, samples=samples + 1, max_ratio=ratio, bound=bound,

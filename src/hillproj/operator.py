@@ -141,14 +141,14 @@ def basis_for(bc: BoundaryCondition, half_width: int) -> BasisSpec:
 
 
 class HillMatrix:
-    """Dense truncated matrix L = diag(diag0) + V of L_bc, with its free
-    diagonal part diag0 (V holds v0 and the coupling).
+    """Dense truncated matrix L of L_bc: the free diagonal k^2 plus v0 and
+    the coupling (``assemble``).
 
-    Immutable after assembly: ``L`` and a copy of ``diag0`` are kept,
-    marked read-only.  Derived data is computed lazily and cached, since
-    several consumers share it: the eigenvalues (localization counts,
-    contour guards), the full eigendecomposition (the dense-eigendecomposition
-    projector) and the Hessenberg form L = Q A Q^H (every contour
+    Immutable after assembly: a copy of ``L`` is kept, marked read-only.
+    Derived data is computed lazily and cached, since several consumers
+    share it: the eigenvalues (localization counts, contour guards), the
+    full eigendecomposition (the dense-eigendecomposition projector) and
+    the Hessenberg form L = Q A Q^H (every contour
     quadrature, which solves its shifted systems on A): the band of A and
     the reflectors whose product is Q, never an N x N Q.  ``hermitian``
     records whether L == L^H bit for bit, as for every real potential
@@ -165,14 +165,11 @@ class HillMatrix:
     every potential, complex ones included.
     """
 
-    def __init__(self, basis: BasisSpec, diag0: np.ndarray, V: np.ndarray,
-                 coverage: float = 1.0):
+    def __init__(self, basis: BasisSpec, L: np.ndarray, coverage: float = 1.0):
         self.basis = basis
-        self.diag0 = np.array(diag0, dtype=float)  # copies: the caller's arrays stay writable
-        self.L = np.diag(self.diag0) + np.asarray(V, dtype=complex)
+        self.L = np.array(L, dtype=complex)  # a copy: the caller's array stays writable
         self.coverage = float(coverage)
-        for a in (self.diag0, self.L):
-            a.setflags(write=False)
+        self.L.setflags(write=False)
         p = basis.transpose_perm()
         if not np.array_equal(self.L.T, self.L[np.ix_(p, p)]):
             raise ValueError(f"L^T != L[p][:, p] for the {basis.bc.value} lattice symmetry p")
@@ -421,4 +418,5 @@ def assemble(bc: BoundaryCondition,
             f"coverage {coverage:.4f} below floor {COVERAGE_FLOOR}; "
             "store more coefficients or shrink the basis")
     diag0 = np.array([float(k * k) for k in basis.indices])
-    return HillMatrix(basis, diag0, W + complex(pot.v0) * np.eye(basis.size), coverage=coverage)
+    L = np.diag(diag0) + (W + complex(pot.v0) * np.eye(basis.size))
+    return HillMatrix(basis, L, coverage=coverage)

@@ -4,11 +4,11 @@ One engine serves every contour.  A projection P of rank r is recovered
 from its action on r free columns E = I[:, cols].  A contour rule with
 nodes z_j and weights w_j gives the moments (``_moments``)
 
-    X ~ scale * sum_j w_j (z_j - L)^(-1) E       ~ P E,
+    M ~ scale * sum_j w_j (z_j - L)^(-1) E       ~ P E,
 
-and ``_factors`` keeps P = X G Y^T, G = (E^T X)^(-1), Y = P^T E, which
-is exact for a rank-r projection whenever E^T P E is invertible.  The
-formula forces rank r, so every contour must enclose exactly r
+and ``_factors`` keeps P = X Y^T with X = M (E^T M)^(-1) and Y = P^T E,
+which is exact for a rank-r projection whenever E^T P E is invertible.
+The formula forces rank r, so every contour must enclose exactly r
 eigenvalues.  One guard, ``_gate``, refuses every circle (level, base
 block) with an eigenvalue near it (``EigenvalueOnContour``) or without
 exactly r eigenvalues inside (``RankMismatch``), and one lattice check,
@@ -20,9 +20,9 @@ symmetry of its lattice, L^T = L[p][:, p] (``BasisSpec.transpose_perm``:
 k -> -k for per+-, the identity for Dirichlet; ``HillMatrix`` checks it),
 so (z - L)^(-T) = (z - L)^(-1)[p][:, p] node by node, for every contour,
 weight and potential.  The columns of every contour here are closed
-under p, p[cols] = cols[s], hence Y = X[p][:, s].
+under p, p[cols] = cols[s], hence Y = M[p][:, s].
 
-No quantity forms P densely: B = P - E E^T = [X G, -E] [Y, E]^T,
+No quantity forms P densely: B = P - E E^T = [X, -E] [Y, E]^T,
 P^2 - P and the change of P between node counts take their norms from a
 2r x 2r core of thin QRs of two N x 2r factors (``_core``), in O(N r^2).
 Only sum |B_km| visits every entry of B, over row blocks.
@@ -70,7 +70,7 @@ uses the same trapezoidal rule and node doubling on the circle
 |z - N0^2/2| = N0^2/2 + N0 through the rectangle's real endpoints, with
 E the columns of every index k^2 < N0^2 + N0: the circle and the
 rectangle must hold the same eigenvalues, exactly that many.  The parts
-have disjoint columns, so S_N = [X_i G_i] I [Y_i]^T is one more
+have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
 ``ProjectionPair``, on the columns of every index k^2 < N^2 + N.
 """
 
@@ -122,24 +122,21 @@ class RankMismatch(RuntimeError):
     """The circle does not hold exactly the eigenvalues it must enclose."""
 
 
-def _core(left: np.ndarray, right: np.ndarray, mid: np.ndarray | None = None) -> np.ndarray:
-    """R_l mid R_r^T for thin QRs left = Q_l R_l, right = Q_r R_r: it has the
-    singular values of left mid right^T, in O(N k^2) for k columns."""
-    R_l, R_r = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
-    return (R_l if mid is None else R_l @ mid) @ R_r.T
+def _core(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """R_l R_r^T for thin QRs left = Q_l R_l, right = Q_r R_r: it has the
+    singular values of left right^T, in O(N k^2) for k columns."""
+    return np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
 
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Riesz projection P = X G Y^T (X, Y: N x r, G: r x r, r = len(cols)),
-    P0 = E E^T (E = I[:, cols]) and B = P - P0; G = (E^T X)^-1 for a circle,
-    I for a block S_N.  Norms come from ``_core``s and row blocks
-    (``sum_abs_B``); dense N x N ``P`` and ``B`` on access only."""
+    """Riesz projection P = X Y^T (X, Y: N x r, r = len(cols)), P0 = E E^T
+    (E = I[:, cols]) and B = P - P0.  Norms come from ``_core``s and row
+    blocks (``sum_abs_B``); dense N x N ``P`` and ``B`` on access only."""
 
     n: int  # the level, or N of a block S_N
     basis: BasisSpec
     X: np.ndarray
-    G: np.ndarray
     Y: np.ndarray
     cols: np.ndarray
     quad_error_est: float
@@ -153,12 +150,12 @@ class ProjectionPair:
     frob: float = field(init=False)  # ||B||_F
 
     def __post_init__(self):
-        X, G, Y, cols = self.X, self.G, self.Y, self.cols
-        for a in (X, G, Y, cols):
+        X, Y, cols = self.X, self.Y, self.cols
+        for a in (X, Y, cols):
             a.setflags(write=False)
         E = (np.arange(len(X))[:, None] == cols).astype(float)  # I[:, cols]
-        B = _core(np.hstack([X @ G, -E]), np.hstack([Y, E]))  # B = [X G, -E] [Y, E]^T
-        P2_P = _core(X, Y, G @ (Y.T @ X) @ G - G)  # P^2 - P = X (G Y^T X G - G) Y^T
+        B = _core(np.hstack([X, -E]), np.hstack([Y, E]))  # B = [X, -E] [Y, E]^T
+        P2_P = _core(X @ (Y.T @ X - np.eye(len(cols))), Y)  # P^2 - P = X (Y^T X - I) Y^T
         for name, norm in (("idempotency", np.linalg.norm(P2_P, "fro")),
                            ("t_n", np.linalg.norm(B, 2)), ("frob", np.linalg.norm(B, "fro"))):
             object.__setattr__(self, name, float(norm))
@@ -169,7 +166,7 @@ class ProjectionPair:
 
     @property
     def trace(self) -> complex:
-        return complex(np.trace(self.G @ (self.Y.T @ self.X)))
+        return complex(np.trace(self.Y.T @ self.X))
 
     @property
     def trace_defect(self) -> float:
@@ -178,10 +175,10 @@ class ProjectionPair:
 
     @cached_property
     def sum_abs_B(self) -> float:
-        """sum |B_km| over blocks of ``_ROW_BLOCK`` rows of X (G Y^T) - E E^T."""
-        GYt, cols, total = self.G @ self.Y.T, self.cols, 0.0
+        """sum |B_km| over blocks of ``_ROW_BLOCK`` rows of X Y^T - E E^T."""
+        Yt, cols, total = self.Y.T, self.cols, 0.0
         for i in range(0, len(self.X), _ROW_BLOCK):
-            blk = self.X[i:i + _ROW_BLOCK] @ GYt
+            blk = self.X[i:i + _ROW_BLOCK] @ Yt
             c = cols[(cols >= i) & (cols < i + _ROW_BLOCK)]
             blk[c - i, c] -= 1.0
             total += float(np.abs(blk).sum())
@@ -190,7 +187,7 @@ class ProjectionPair:
     @cached_property
     def P(self) -> np.ndarray:
         """Dense P, N x N: for the oracles and the tests."""
-        P = self.X @ (self.G @ self.Y.T)
+        P = self.X @ self.Y.T
         P.setflags(write=False)
         return P
 
@@ -329,11 +326,10 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, y: np.ndarray,
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
              ws: np.ndarray) -> np.ndarray:
     """sum_j w_gj (z_gj - L)^-1 E_g for E_g = I[:, cols[g]], N x r, for
-    every group g of the G x r ``cols``, with G x Q nodes ``zs``.
+    every group g of the G x r ``cols``, with G x Q nodes ``zs`` and
+    weights ``ws``: G x N x r.
 
-    ``ws`` broadcasts to (..., G, Q): each leading axis (one weight row
-    per sum) is a leading axis of the (..., G, N, r) result.  With
-    L = Q A Q^H from ``H.hessenberg()``, (z - L)^-1 E = Q (z - A)^-1 Q^H E:
+    With L = Q A Q^H from ``H.hessenberg()``, (z - L)^-1 E = Q (z - A)^-1 Q^H E:
     one ``apply_q`` takes every E_g in, the nodes of all groups go
     through the sweep together in chunks of ``_NODE_BLOCK`` (a chunk may
     hold nodes of several groups), and one ``apply_q`` takes every sum
@@ -344,35 +340,33 @@ def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
     E = np.zeros((N, G * r))
     E[cols.ravel(), np.arange(G * r)] = 1.0
     rhs = H.apply_q(E, adjoint=True).reshape(N, G, r).transpose(0, 2, 1)  # N x r x G
-    ws = np.broadcast_to(ws, ws.shape[:-2] + (G, Qn))
-    wf, zf = ws.reshape(ws.shape[:-2] + (G * Qn,)), zs.ravel()
-    acc = np.zeros(ws.shape[:-1] + (r, N), dtype=complex)
+    wf, zf = ws.ravel(), zs.ravel()
+    acc = np.zeros((N, G, r), dtype=complex)
     for i in range(0, G * Qn, _NODE_BLOCK):
         j = np.arange(i, min(i + _NODE_BLOCK, G * Qn))
         x = _hessenberg_sweep(band, h, rhs[:, :, j // Qn], zf[j])
         for g in range(j[0] // Qn, j[-1] // Qn + 1):
             lo, hi = max(g * Qn, i), min((g + 1) * Qn, j[-1] + 1)
-            acc[..., g, :, :] += np.einsum("...j,nrj->...rn", wf[..., lo:hi],
-                                           x[..., lo - i:hi - i])
-    X = H.apply_q(acc.reshape(-1, N).T)
-    return np.swapaxes(X.T.reshape(acc.shape), -1, -2)
+            acc[:, g] += x[:, :, lo - i:hi - i] @ wf[lo:hi]
+    return H.apply_q(acc.reshape(N, G * r)).reshape(N, G, r).transpose(1, 0, 2)
 
 
 def _factors(M: np.ndarray, cols: np.ndarray, p: np.ndarray, scale: complex):
-    """(X, G, Y): P = X G Y^T, G = (E^T X)^-1, from the scaled moments X ~ P E.
+    """(X, Y): P = X Y^T with X = PE (E^T PE)^-1 and Y = P^T E, from the
+    scaled moments PE = scale M ~ P E.
 
-    Y = P^T E comes from X by the transpose symmetry L^T = L[p][:, p],
-    which every Riesz projection of L inherits: P^T = P[p][:, p].  With
-    p[cols] = cols[s] that is Y = X[p][:, s].
+    Y comes from PE by the transpose symmetry L^T = L[p][:, p], which every
+    Riesz projection of L inherits: P^T = P[p][:, p].  With
+    p[cols] = cols[s] that is Y = PE[p][:, s].
     """
-    X = scale * M
-    return X, np.linalg.inv(X[cols]), X[p][:, np.searchsorted(cols, p[cols])]
+    PE = scale * M
+    return PE @ np.linalg.inv(PE[cols]), PE[p][:, np.searchsorted(cols, p[cols])]
 
 
 def _change(f1, f0) -> float:
-    """||X1 G1 Y1^T - X0 G0 Y0^T||_F for ``_factors`` f, from their ``_core``."""
-    (X1, G1, Y1), (X0, G0, Y0) = f1, f0
-    return float(np.linalg.norm(_core(np.hstack([X1 @ G1, X0 @ G0]), np.hstack([Y1, -Y0]))))
+    """||X1 Y1^T - X0 Y0^T||_F for ``_factors`` f, from their ``_core``."""
+    (X1, Y1), (X0, Y0) = f1, f0
+    return float(np.linalg.norm(_core(np.hstack([X1, X0]), np.hstack([Y1, -Y0]))))
 
 
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
@@ -403,20 +397,20 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     for cl in cols:
         assert np.array_equal(np.sort(p[cl]), cl), "cols not closed under the transpose symmetry"
 
-    def moments(g, thetas: np.ndarray, masks=True) -> np.ndarray:
-        w = np.exp(1j * thetas)
-        return _moments(H, cols[g], c[g, None] + R[g, None] * w, (masks * w)[..., None, :])
+    def moments(g, thetas: np.ndarray) -> np.ndarray:
+        w = np.broadcast_to(np.exp(1j * thetas), (len(g), thetas.shape[-1]))
+        return _moments(H, cols[g], c[g, None] + R[g, None] * w, w)
 
     def factors(M: np.ndarray, g: int, Q: int):
         return _factors(M, cols[g], p, R[g] / Q)
 
     # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
-    # error estimate costs no extra resolvent solves: one sweep over the
-    # Q-grid gives both the even-node sum and the full sum
+    # error estimate costs no extra resolvent solves: the even and the odd
+    # half of each circle's Q-grid go through one sweep as two groups
     Q, every = _NODES, range(len(cols))
-    even = np.arange(Q) % 2 == 0
-    M_even, M = moments(every, 2.0 * np.pi * np.arange(Q) / Q,
-                        np.stack([even, np.ones_like(even)]))
+    halves = 2.0 * np.pi * np.arange(Q).reshape(Q // 2, 2).T / Q  # even row, odd row
+    M_halves = moments(np.repeat(every, 2), np.tile(halves, (len(cols), 1)))
+    M_even, M = M_halves[::2], M_halves[::2] + M_halves[1::2]
     f = [factors(M[g], g, Q) for g in every]
     est = [_change(f[g], factors(M_even[g], g, Q // 2)) for g in every]
     used = [Q] * len(cols)
@@ -576,7 +570,7 @@ def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
     S_{N0} comes from ``rectangle_projection``, the remaining levels from
     ``riesz_projections``: one circle rule throughout.  Levels follow the
     boundary-condition parity, and the first level that fails its
-    preconditions raises its error.  X = [X_i G_i], G = I, Y = [Y_i]; the
+    preconditions raises its error.  X = [X_i], Y = [Y_i]; the
     evidence is the worst part's (largest estimate, smallest margin, every
     part converged, the radius and rate of the largest rate) and
     ``nodes_used`` sums the parts'.
@@ -592,8 +586,7 @@ def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
     cols = np.concatenate([p.cols for p in parts])
     slowest = max(parts, key=lambda p: p.rate)
     return ProjectionPair(
-        N, H.basis, np.hstack([p.X @ p.G for p in parts]), np.eye(len(cols)),
-        np.hstack([p.Y for p in parts]), cols,
+        N, H.basis, np.hstack([p.X for p in parts]), np.hstack([p.Y for p in parts]), cols,
         quad_error_est=max(p.quad_error_est for p in parts),
         nodes_used=sum(p.nodes_used for p in parts),
         converged=all(p.converged for p in parts),

@@ -221,6 +221,16 @@ class TestLpNorms:
         for res in payload["results"]:  # the same evidence for levels and blocks
             assert res["converged"] is True and res["quad_error_est"] < 1e-10
 
+    def test_nothing_run_is_verdict_failure(self, tmp_path, capsys):
+        # the strong comb fails the gate of every level 2 .. 6 (as ``decay``
+        # reports on the same flags), so no level runs and no block is built
+        code = run(["lpnorms", "--potential", "delta_comb:20", "--K", "32",
+                    "--n-min", "2", "--n-max", "6", "--out", str(tmp_path)])
+        assert code == 1
+        assert "no level or block ran" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "lpnorms.json").read_text())
+        assert payload["results"] == [] and payload["all_passed"] is False
+
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch, capsys):
         import hillproj.projector as prj
         monkeypatch.setattr(prj, "_TOL", 1e-30)

@@ -26,8 +26,8 @@ class TestSpectralNorm:
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 40)
         pair = hp.riesz_projection(H, 8)
         assert pair.t_n < 1e-14 and pair.frob < 1e-14  # L diagonal: P = P0
-        # 4 G gives P = 4 P0, so B = 3 P0: norm 3, Frobenius 3 sqrt(2)
-        quad = dataclasses.replace(pair, G=4 * pair.G)
+        # 4 X gives P = 4 P0, so B = 3 P0: norm 3, Frobenius 3 sqrt(2)
+        quad = dataclasses.replace(pair, X=4 * pair.X)
         assert abs(quad.t_n - 3) < 1e-12 and abs(quad.frob - 3 * math.sqrt(2)) < 1e-12
 
     def test_against_power_iteration(self):

@@ -52,12 +52,10 @@ class TestBasis:
 
 class TestFreeMatrix:
     def test_diagonals(self):
-        assert np.array_equal(op.assemble(BC.PER_PLUS, pot.zero(), 8).diag0,
-                              [64, 36, 16, 4, 0, 4, 16, 36, 64])
-        assert np.array_equal(op.assemble(BC.PER_MINUS, pot.zero(), 8).diag0,
-                              [49, 25, 9, 1, 1, 9, 25, 49])
-        assert np.array_equal(op.assemble(BC.DIRICHLET, pot.zero(), 8).diag0,
-                              [1, 4, 9, 16, 25, 36, 49, 64])
+        for bc, diag in ((BC.PER_PLUS, [64, 36, 16, 4, 0, 4, 16, 36, 64]),
+                         (BC.PER_MINUS, [49, 25, 9, 1, 1, 9, 25, 49]),
+                         (BC.DIRICHLET, [1, 4, 9, 16, 25, 36, 49, 64])):
+            assert np.array_equal(op.assemble(bc, pot.zero(), 8).L, np.diag(diag))
 
     def test_zero_potential_eigenvalues_are_squares(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 16)
@@ -107,7 +105,8 @@ class TestAssemblePeriodic:
         offdiag = H.L - np.diag(np.diag(H.L))
         mask = ~np.eye(H.size, dtype=bool)
         assert np.allclose(offdiag[mask], c / PI)
-        assert np.allclose(np.diag(H.L), H.diag0 + c / PI)
+        idx = np.array(H.basis.indices)
+        assert np.allclose(np.diag(H.L), idx * idx + c / PI)
 
     @pytest.mark.parametrize("bc", list(BC))
     def test_real_potential_gives_hermitian_matrix(self, bc):
@@ -163,7 +162,8 @@ class TestAssembleDirichlet:
         assert H.hermitian
         offdiag = H.L - np.diag(np.diag(H.L))
         assert np.abs(offdiag).max() < 1e-15
-        assert np.abs(np.diag(H.L) - H.diag0).max() < 1e-15
+        idx = np.array(H.basis.indices)
+        assert np.abs(np.diag(H.L) - idx * idx).max() < 1e-15
 
 
 class TestAssembleValidation:
@@ -219,26 +219,24 @@ class TestTransposeSymmetry:
         V[0, 1] = V[1, 0] = 0.5  # symmetric in (k, m): L^T = L, but J L J != L
         if bc.is_periodic_family:
             with pytest.raises(ValueError, match="lattice symmetry"):
-                op.HillMatrix(basis, diag0, V.copy())
+                op.HillMatrix(basis, np.diag(diag0) + V)
             V[-1, -2] = V[-2, -1] = 0.5  # and its mirror image
-        op.HillMatrix(basis, diag0, V.copy())
+        op.HillMatrix(basis, np.diag(diag0) + V)
         V[2, 3] = 1.0  # one entry without its transpose partner
         with pytest.raises(ValueError, match="lattice symmetry"):
-            op.HillMatrix(basis, diag0, V)
+            op.HillMatrix(basis, np.diag(diag0) + V)
 
 
 class TestCallerArrays:
     def test_construction_copies(self):
         basis = op.basis_for(BC.DIRICHLET, 8)
-        diag0 = np.array([float(k * k) for k in basis.indices])
-        V = np.zeros((basis.size, basis.size), dtype=complex)
-        V[0, 1] = V[1, 0] = 0.5
-        H = op.HillMatrix(basis, diag0, V)
-        L = H.L.copy()
-        V[2, 2] = 7.0  # the caller's arrays stay writable ...
-        diag0[0] = -1.0
-        assert np.array_equal(H.L, L)  # ... and H does not see the writes
-        assert H.diag0[0] == 1.0
+        L = np.diag([float(k * k) for k in basis.indices]).astype(complex)
+        L[0, 1] = L[1, 0] = 0.5
+        H = op.HillMatrix(basis, L)
+        kept = H.L.copy()
+        L[2, 2] = 7.0  # the caller's array stays writable ...
+        assert np.array_equal(H.L, kept)  # ... and H does not see the write
+        assert not H.L.flags.writeable
 
 
 class TestCoupling:
@@ -253,7 +251,8 @@ class TestCoupling:
         H = hp.assemble(bc, p, 16)
         idx = np.array(H.basis.indices)
         W = op.coupling(p, bc, idx[:, None], idx[None, :])
-        assert np.array_equal(H.L, np.diag(H.diag0) + (W + complex(p.v0) * np.eye(H.size)))
+        diag0 = (idx * idx).astype(float)
+        assert np.array_equal(H.L, np.diag(diag0) + (W + complex(p.v0) * np.eye(H.size)))
         for i, j in ((0, 1), (3, 3), (2, -1)):
             assert op.coupling(p, bc, idx[i], idx[j]) == W[i, j]
 

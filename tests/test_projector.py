@@ -240,7 +240,7 @@ class TestHessenbergResolvent:
         rng = np.random.default_rng(count)
         zs = n * n + n * np.exp(2j * PI * (np.arange(count) + 0.25) / count)
         ws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        M = prj._moments(H, cols[None], zs[None], ws)
+        M = prj._moments(H, cols[None], zs[None], ws[None])
         assert M.shape == (1, H.size, len(cols))
         M_ref = solve_moments(H, cols, zs, ws)
         check_moments(H, M[0], M_ref, len(cols))
@@ -255,24 +255,11 @@ class TestHessenbergResolvent:
         cols = np.array([sorted(H.basis.position(k) for k in (n, -n)) for n in ns])
         theta = 2j * PI * (np.arange(count) + 0.25) / count
         zs = np.array([n * n + n * np.exp(theta) for n in ns])
-        ws = np.random.default_rng(5).standard_normal((2, 3, count)) + 0j
+        ws = np.random.default_rng(5).standard_normal((3, count)) + 0j  # one row per group
         M = prj._moments(H, cols, zs, ws)
-        assert M.shape == (2, 3, H.size, 2)
-        for row in range(2):
-            for g in range(3):
-                check_moments(H, M[row, g], solve_moments(H, cols[g], zs[g], ws[row, g]), 2)
-
-    def test_weight_rows_share_one_sweep(self):
-        # leading axes of the weights give one sum per row, as the level
-        # projection uses for its even-node and full sums
-        H = hp.assemble(BC.PER_PLUS, gallery_potential("complex"), 48)
-        cols = np.array([[H.basis.position(-8), H.basis.position(8)]])
-        zs = 64 + 8 * np.exp(2j * PI * (np.arange(16) + 0.25) / 16)[None]
-        ws = np.stack([np.arange(16) % 2 == 0, np.ones(16)]) * np.exp(1j * np.arange(16))
-        M = prj._moments(H, cols, zs, ws[:, None])
-        assert M.shape == (2, 1, H.size, 2)
-        for row in range(2):
-            assert np.allclose(M[row], prj._moments(H, cols, zs, ws[row]), rtol=0, atol=1e-15)
+        assert M.shape == (3, H.size, 2)
+        for g in range(3):
+            check_moments(H, M[g], solve_moments(H, cols[g], zs[g], ws[g]), 2)
 
 
 def banded_hessenberg(rng, N, b):
@@ -330,7 +317,7 @@ class TestBandSweep:
         cols = np.array(sorted(H.basis.position(k) for k in (n, -n)[:bc.rank]))
         zs = n * n + n * np.exp(2j * PI * (np.arange(20) + 0.25) / 20)
         ws = np.random.default_rng(3).standard_normal(20) + 0j
-        check_moments(H, prj._moments(H, cols[None], zs[None], ws)[0],
+        check_moments(H, prj._moments(H, cols[None], zs[None], ws[None])[0],
                       solve_moments(H, cols, zs, ws), len(cols))
 
     @pytest.mark.parametrize("p,bc,tol", [
@@ -421,9 +408,10 @@ class TestRieszProjections:
         assert list(pairs) == [n for n in levels if n not in errors] and len(pairs) >= 6
         for n, pair in pairs.items():
             one = hp.riesz_projection(H, n)
-            for got, ref in ((pair.X, one.X), (pair.G, one.G), (pair.Y, one.Y)):
+            for got, ref in ((pair.X, one.X), (pair.Y, one.Y)):
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(pair.cols, one.cols)
+            assert np.abs(pair.X[pair.cols] - np.eye(len(pair.cols))).max() <= 1e-12
             assert (pair.nodes_used, pair.converged, pair.guard_margin) == (
                 one.nodes_used, one.converged, one.guard_margin)
         if nodes == 16:  # the levels double from 16 nodes, not all to the same count
@@ -477,7 +465,7 @@ def level_matrix(values, coupling=0.0, n=10, half_width=48):
             V[i, i] = value - k * k
     i, j = basis.position(n), basis.position(-n)
     V[i, j] = V[j, i] = coupling
-    return HillMatrix(basis, diag0, V)
+    return HillMatrix(basis, np.diag(diag0) + V)
 
 
 class TestIntegrationCircle:
@@ -551,10 +539,10 @@ COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
 
 
 class TestFactoredPair:
-    """The quantities ProjectionPair takes from its factors P = X G Y^T
+    """The quantities ProjectionPair takes from its factors P = X Y^T
     against dense computations on the N x N P.
 
-    Each level also gives a perturbed pair, G -> G (I + M/10) with M
+    Each level also gives a perturbed pair, X -> X (I + M/10) with M
     random: no projection, so its idempotency and trace defects lie far
     above rounding and test the cores on more than noise.
     """
@@ -574,13 +562,15 @@ class TestFactoredPair:
         r = bc.rank
         rng = np.random.default_rng(n)
         M = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        return H, pair, dataclasses.replace(pair, G=pair.G @ (np.eye(r) + M / 10))
+        return H, pair, dataclasses.replace(pair, X=pair.X @ (np.eye(r) + M / 10))
 
     def test_pair_is_the_riesz_projection(self, level):
         H, pair, _ = level
-        # Y = P^T E is X reflected by the lattice symmetry, for every matrix
-        assert np.array_equal(pair.Y, pair.X[::-1, ::-1] if pair.bc.is_periodic_family
-                              else pair.X)
+        # Y = P^T E is P E = X Y[cols]^T reflected by the lattice symmetry,
+        # for every matrix
+        PE = pair.X @ pair.Y[pair.cols].T
+        reflected = PE[::-1, ::-1] if pair.bc.is_periodic_family else PE
+        assert np.linalg.norm(pair.Y - reflected) <= 1e-12 * np.linalg.norm(pair.Y)
         assert pair.converged
         assert np.linalg.norm(pair.P - prj.spectral_projector_dense(H, pair.n)) <= 1e-10
 
@@ -612,7 +602,7 @@ class TestFactoredPair:
     def test_doubling_estimate(self, level, monkeypatch):
         H, pair, bad = level
         dense = np.linalg.norm(pair.P - bad.P, "fro")
-        assert abs(prj._change((pair.X, pair.G, pair.Y), (bad.X, bad.G, bad.Y)) - dense) <= 1e-13
+        assert abs(prj._change((pair.X, pair.Y), (bad.X, bad.Y)) - dense) <= 1e-13
         # the estimate of the circle rule: 16 nodes, doubled once to 32
         monkeypatch.setattr(prj, "_TOL", 0.0)
         monkeypatch.setattr(prj, "_NODES", 16)
@@ -705,7 +695,7 @@ class TestRectangleVsDenseInverse:
             vals[basis.position(k)] = 19.99 + 3.99j
         for k in (10, -10):
             vals[basis.position(k)] = 8 + 10j
-        H = HillMatrix(basis, diag0, np.diag(vals - diag0))
+        H = HillMatrix(basis, np.diag(vals))
         in_rect = (vals.real > -4) & (vals.real < 20) & (np.abs(vals.imag) < 4)
         in_circle = np.abs(vals - 8) < 12
         assert in_rect.sum() == in_circle.sum() == 5
@@ -831,6 +821,16 @@ class TestBlockPair:
         assert np.abs(blk.P - expect).max() < 1e-10
         assert len(blk.cols) == 9 and blk.converged and blk.n == 8
         assert blk.frob < 1e-10 and blk.sum_abs_B < 1e-10
+
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    def test_block_without_levels_is_the_base_block(self, bc):
+        # S_N = S_N0 for N = N0: the parts' factors side by side are the
+        # base block's own, and so is every piece of evidence
+        H = hp.assemble(bc, gallery_potential("complex"), 48)
+        blk, base = prj.block_projection(H, 4, 4), prj.rectangle_projection(H, 4)
+        for f in dataclasses.fields(base):
+            got, ref = getattr(blk, f.name), getattr(base, f.name)
+            assert np.array_equal(got, ref) if isinstance(ref, np.ndarray) else got == ref
 
     def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
         real = prj.rectangle_projection
