@@ -380,6 +380,7 @@ def sigma2(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
 
 def sigma2_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None = None,
                    indices=None, check_tail: bool = True) -> np.ndarray:
+    """sigma2(n, s; m) for several m at once (one transfer sweep)."""
     if s < 2:
         raise ValueError("s must be >= 2")
     ms = np.asarray(list(m_values))

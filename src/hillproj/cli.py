@@ -7,11 +7,11 @@ Subcommands:
   lpnorms   sup-vs-mean-L1 equivalence reports on Riesz subspaces
   verify    run every property suite on the default gallery; exit 0/1
 
-A JSON config file supplies base values; explicitly passed flags override
-the file, and a file key that names no option is a config error.  Exit
-codes: 0 all verdicts pass, 1 verdict failure, 2 config error.  Outputs are
-deterministic for a fixed config and seed (no timestamps); every file
-embeds the tool version and the resolved config.
+A JSON config file supplies base values, which passed flags override; a file
+key naming no option, a value its flag would refuse or a non-finite number
+is a config error.  Exit codes: 0 all verdicts pass, 1 verdict failure, 2
+config error.  Outputs are deterministic for a fixed config and seed (no
+timestamps); every file embeds the tool version and the resolved config.
 """
 
 from __future__ import annotations
@@ -55,6 +55,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _typed(key: str, val):
+    """val as the type of option ``key``, refusing what its flag refuses (a
+    bool, a fraction for an integer) and every non-finite float."""
+    typ = OPTIONS[key][1]
+    if val is None or typ is None:
+        return val
+    if isinstance(val, bool) or (typ is int and isinstance(val, float) and not val.is_integer()):
+        raise ValueError(f"{key} = {val!r} is no {typ.__name__}")
+    if isinstance(val := typ(val), float) and not math.isfinite(val):
+        raise ValueError(f"{key} = {val!r} is not finite")
+    return val
+
+
 @dataclass
 class RunConfig:
     pot: FourierPotential
@@ -91,8 +104,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             merged.update(given)
         merged.update((key, val) for key in OPTIONS
                       if (val := getattr(args, key, None)) is not None)
-        opts = {key: val if val is None or OPTIONS[key][1] is None else OPTIONS[key][1](val)
-                for key, val in merged.items()}
+        opts = {key: _typed(key, val) for key, val in merged.items()}
         opts["cutoff"] = opts["cutoff"] or None  # 0 asks for the default too
         cutoff = opts["cutoff"] or bounds.default_cutoff(opts["n_max"])
         trunc = max(4 * opts["K"], 2 * cutoff + 2 * opts["n_max"])  # coefficients the sums read

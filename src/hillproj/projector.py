@@ -9,9 +9,10 @@ nodes z_j and weights w_j gives the moments (``_moments``)
 and ``_factors`` keeps P = X Y^T with X = M (E^T M)^(-1) and Y = P^T E,
 which is exact for a rank-r projection whenever E^T P E is invertible.
 The formula forces rank r, so every contour must enclose exactly r
-eigenvalues.  One guard, ``_gate``, refuses every circle (level, base
-block) with an eigenvalue near it (``EigenvalueOnContour``) or without
-exactly r eigenvalues inside (``RankMismatch``), and one lattice check,
+eigenvalues.  One circle rule, ``_circle``, serves every contour (level,
+base block): it refuses a defining circle with an eigenvalue near it
+(``EigenvalueOnContour``) or without exactly r eigenvalues inside
+(``RankMismatch``), and picks the circle integrated.  One lattice check,
 ``_check_level``, refuses a level off the basis lattice
 (``IndexOutOfBasis``).
 
@@ -41,37 +42,33 @@ level first, then sweeps the nodes of all its levels together in chunks
 of ``_NODE_BLOCK``, and doubles the unconverged levels together.
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
-families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]).  The paper's
-circle C_n = {|z - n^2| = n} is the gate circle: ``_gate`` certifies that
-it holds exactly r eigenvalues, and its margin is the reported guard
-margin.  P_n is fixed by those eigenvalues, not by the curve, so the
-integration circle is |z - n^2| = rho with rho = sqrt(d_in d_out)
-(``_level_radius``), d_in the farthest eigenvalue distance from n^2
-inside C_n and d_out the nearest outside, clipped to at most n; the gate
-of the small circle checks that it holds the same eigenvalues.  The
-trapezoidal rule in angle, w_j = exp(i theta_j) and
-z_j = n^2 + rho w_j, has error about (d_in/rho)^Q + (rho/d_out)^Q
-(Trefethen & Weideman, SIAM Review 56 (2014)): (d_in/d_out)^(Q/2) at the
-geometric mean against about 2^-Q on C_n, where d_out is near 2n.  Each
-pair reports its ``radius`` and that per-node ``rate``.  Node counts
-start at ``_NODES`` and are doubled (reusing the moments of previous
-nodes) until the Frobenius change of P drops below ``_TOL`` or the count
-reaches ``_MAX_NODES``; the last change is reported as the quadrature
-error estimate.  The free
-projection is never computed by quadrature: it is the exact coordinate
-projection onto the indices {+-n} (periodic families) or {n} (Dirichlet),
-``BoundaryCondition.level_indices``.
-
-Block projections S_N onto all spectrum in the rectangle
-{-N < Re z < N^2 + N, |Im z| < N} are a base block for a small N0 plus a
-sum of level projections for the remaining levels.  Any contour that
-encloses exactly the rectangle's eigenvalues gives the base block, so it
-uses the same trapezoidal rule and node doubling on the circle
-|z - N0^2/2| = N0^2/2 + N0 through the rectangle's real endpoints, with
-E the columns of every index k^2 < N0^2 + N0: the circle and the
-rectangle must hold the same eigenvalues, exactly that many.  The parts
-have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
+families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); its defining
+circle is the paper's C_n = {|z - n^2| = n}.  Block projections S_N onto
+all spectrum in the rectangle {-N < Re z < N^2 + N, |Im z| < N} are a
+base block for a small N0 plus the level projections of the remaining
+levels.  The base block's defining circle |z - N0^2/2| = N0^2/2 + N0
+passes through the rectangle's real endpoints, must hold the same
+eigenvalues as the rectangle, and E holds every index k^2 < N0^2 + N0.
+The parts have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
 ``ProjectionPair``, on the columns of every index k^2 < N^2 + N.
+
+Every defining circle |z - c| = R is the gate, and its margin is the
+reported guard margin.  The projection is fixed by the eigenvalues
+inside, not by the curve, so ``_circle`` integrates on |z - c| = rho,
+rho = sqrt(d_in d_out) (``_radius``) with d_in the farthest eigenvalue
+distance from c inside and d_out the nearest outside, clipped to at most
+R, and checks that it holds the same eigenvalues.  The trapezoidal rule
+in angle, w_j = exp(i theta_j) and z_j = c + rho w_j, has error about
+(d_in/rho)^Q + (rho/d_out)^Q (Trefethen & Weideman, SIAM Review 56
+(2014)): (d_in/d_out)^(Q/2) at the geometric mean against about 2^-Q on
+C_n, where d_out is near 2n.  Each pair reports its ``radius`` and that
+per-node ``rate``.  Node counts start at ``_NODES`` and are doubled
+(reusing the moments of previous nodes) until the Frobenius change of P
+drops below ``_TOL`` or the count reaches ``_MAX_NODES``; the last change
+is reported as the quadrature error estimate.  The free projection is
+never computed by quadrature: it is the exact coordinate projection onto
+the indices {+-n} (periodic families) or {n} (Dirichlet),
+``BoundaryCondition.level_indices``.
 """
 
 from __future__ import annotations
@@ -144,7 +141,7 @@ class ProjectionPair:
     converged: bool  # quad_error_est fell below _TOL
     guard_margin: float  # nearest eigenvalue-to-gate-circle distance / its radius
     radius: float  # of the integration circle
-    rate: float  # a priori per-node decay of the trapezoid error on it (``_rate``)
+    rate: float  # a priori per-node decay of the trapezoid error on it (``_circle``)
     idempotency: float = field(init=False)  # ||P^2 - P||_F
     t_n: float = field(init=False)  # ||B||_2, the L^2 -> L^2 deviation
     frob: float = field(init=False)  # ||B||_F
@@ -199,54 +196,52 @@ class ProjectionPair:
         return B
 
 
-def _gate(H: HillMatrix, center: complex, radius: float, rank: int,
-          region: np.ndarray | None = None) -> float:
-    """Refuse the circle |z - center| = radius unless every eigenvalue keeps
-    GUARD_FRACTION * radius away from it (else ``EigenvalueOnContour``) and
-    it holds exactly ``rank`` of them, the same ones as the mask ``region``
-    over ``H.eigenvalues()`` when given (else ``RankMismatch``).  Returns
-    the guard margin: nearest eigenvalue-to-circle distance / radius."""
-    vals = H.eigenvalues()
-    dist = np.abs(np.abs(vals - center) - radius)
-    if dist.min() < GUARD_FRACTION * radius:
+def _radius(d_in: float, d_out: float, R: float) -> float:
+    """The integration radius sqrt(max(d_in, d_out / 100) d_out), clipped
+    to at most R, of a ``_circle``.  The floor d_out / 100 covers d_in = 0
+    and keeps the radius at least d_out / 10."""
+    return min(float(np.sqrt(max(d_in, d_out / 100) * d_out)), R)
+
+
+def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
+            region: np.ndarray | None = None) -> tuple:
+    """The circle (n, cols, center, rho, margin, rate) of ``_circle_rules``
+    for the rank-r projection n, r = len(cols), defined by the circle
+    |z - center| = R, from one pass over the distances |lambda - center|
+    of ``H.eigenvalues()``.
+
+    The gate: every eigenvalue keeps GUARD_FRACTION * R away from the
+    defining circle (else ``EigenvalueOnContour``), which holds exactly r
+    of them, the same ones as the mask ``region`` when given (else
+    ``RankMismatch``); ``margin`` is the nearest eigenvalue-to-circle
+    distance / R.  With d_in the farthest distance inside and d_out the
+    nearest outside, the circle integrated is |z - center| = rho, rho the
+    ``_radius``, or R where an eigenvalue would come within
+    GUARD_FRACTION * rho of it (d_in and d_out both near R: the defining
+    circle converges as fast there).  It must hold the same eigenvalues
+    (else ``RankMismatch``).  The trapezoid error on it decays about like
+    rate^Q in the node count Q, rate = max(d_in / rho, rho / d_out).
+    """
+    dist = np.abs(H.eigenvalues() - center)
+    gap = np.abs(dist - R).min()
+    if gap < GUARD_FRACTION * R:
         raise EigenvalueOnContour(
-            f"eigenvalue within {GUARD_FRACTION:.2f}*radius of |z-{center}|={radius}")
-    inside = np.abs(vals - center) < radius
-    count = int(np.count_nonzero(inside))
-    if count != rank:
-        raise RankMismatch(f"{count} eigenvalue(s) in |z-{center}|<{radius}, "
-                           f"expected {rank} for {H.basis.bc.value}")
+            f"eigenvalue within {GUARD_FRACTION:.2f}*radius of |z-{center}|={R}")
+    inside = dist < R
+    if (count := int(np.count_nonzero(inside))) != len(cols):
+        raise RankMismatch(f"{count} eigenvalue(s) in |z-{center}|<{R}, "
+                           f"expected {len(cols)} for {H.basis.bc.value}")
     if region is not None and not np.array_equal(inside, region):
         raise RankMismatch(f"{np.count_nonzero(inside != region)} eigenvalue(s) in only "
-                           f"one of |z-{center}|<{radius} and its region")
-    return float(dist.min()) / radius
-
-
-def _spread(H: HillMatrix, center: complex, radius: float) -> tuple[float, float]:
-    """(d_in, d_out): the farthest eigenvalue distance from ``center``
-    inside the circle |z - center| = radius, and the nearest outside."""
-    dist = np.abs(H.eigenvalues() - center)
-    inside = dist < radius
-    return float(dist[inside].max(initial=0.0)), float(dist[~inside].min(initial=np.inf))
-
-
-def _rate(H: HillMatrix, center: complex, radius: float) -> float:
-    """max(d_in / radius, radius / d_out) for the ``_spread`` of the circle:
-    the trapezoid error on it decays about like rate^Q in the node count Q."""
-    d_in, d_out = _spread(H, center, radius)
-    return float(max(d_in / radius, radius / d_out))
-
-
-def _level_radius(H: HillMatrix, n: int) -> float:
-    """The integration radius of level n, whose circle C_n = {|z - n^2| = n}
-    passed ``_gate``: rho = sqrt(max(d_in, d_out / 100) d_out) for the
-    ``_spread`` of C_n, clipped to at most n.  The floor d_out / 100 covers
-    d_in = 0 and keeps rho >= d_out / 10.  When an eigenvalue would come
-    within ``GUARD_FRACTION`` * rho of the smaller circle (d_in and d_out
-    both near n), the radius is n: C_n converges as fast there."""
-    d_in, d_out = _spread(H, n * n, n)
-    rho = min(float(np.sqrt(max(d_in, d_out / 100) * d_out)), float(n))
-    return rho if min(rho - d_in, d_out - rho) >= GUARD_FRACTION * rho else float(n)
+                           f"one of |z-{center}|<{R} and its region")
+    d_in, d_out = float(dist[inside].max(initial=0.0)), float(dist[~inside].min(initial=np.inf))
+    rho = _radius(d_in, d_out, R)
+    if np.abs(dist - rho).min() < GUARD_FRACTION * rho:
+        rho = R
+    if not np.array_equal(dist < rho, inside):
+        raise RankMismatch(f"{np.count_nonzero((dist < rho) != inside)} eigenvalue(s) in "
+                           f"only one of |z-{center}|<{rho} and |z-{center}|<{R}")
+    return n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out)
 
 
 def _check_level(basis: BasisSpec, n: int) -> None:
@@ -379,10 +374,9 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
 
 
 def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
-    """Rank-r projections over the circles (n, cols, c, R, margin), each
-    |z - c| = R with r = len(cols) for all, by the trapezoidal rule, as the
-    pairs of level (or block) n whose ``_gate`` gave ``margin``, with the
-    ``_rate`` of each circle.
+    """Rank-r projections over the ``_circle``s (n, cols, c, R, margin,
+    rate), each |z - c| = R with r = len(cols) for all, by the trapezoidal
+    rule, as the pairs of level (or block) n.
 
     Node counts start at ``_NODES`` and are doubled, reusing the moments
     of earlier nodes, until the Frobenius change of P drops below ``_TOL``
@@ -391,7 +385,7 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     """
     if not circles:
         return []
-    ns, cols, c, R, margins = zip(*circles)
+    ns, cols, c, R, margins, rates = zip(*circles)
     cols, c, R = np.array(cols), np.array(c, dtype=complex), np.array(R, dtype=float)
     p = H.basis.transpose_perm()
     for cl in cols:
@@ -424,27 +418,19 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=est[g],
                            nodes_used=used[g], converged=est[g] < _TOL,
                            guard_margin=margins[g], radius=float(R[g]),
-                           rate=_rate(H, c[g], R[g])) for g in every]
+                           rate=rates[g]) for g in every]
 
 
 _LEVEL_ERRORS = (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch)
 
 
 def _level_circles(H: HillMatrix, levels) -> tuple[list, dict]:
-    """The circles of ``_circle_rules`` for the levels that pass
-    ``_level_cols`` and ``_gate``, and {n: error} for the others.
-
-    The gate on C_n gives the guard margin; the circle integrated is the
-    ``_level_radius`` one, gated to hold the eigenvalues inside C_n."""
+    """The ``_circle``s of C_n = {|z - n^2| = n} for the levels that pass
+    ``_level_cols`` and its gate, and {n: error} for the others."""
     circles, errors = [], {}
     for n in levels:
         try:
-            cols = _level_cols(H, n)
-            c, r = complex(n * n), len(cols)
-            margin = _gate(H, c, float(n), r)
-            rho = _level_radius(H, n)
-            _gate(H, c, rho, r, region=np.abs(H.eigenvalues() - c) < n)
-            circles.append((n, cols, c, rho, margin))
+            circles.append(_circle(H, n, _level_cols(H, n), complex(n * n), float(n)))
         except _LEVEL_ERRORS as exc:
             errors[n] = exc
     return circles, errors
@@ -549,19 +535,19 @@ def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
     """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
 
     Any contour that encloses exactly the rectangle's eigenvalues gives
-    the same projection, so the circle rule of ``riesz_projection`` runs
-    on |z - N^2/2| = N^2/2 + N, which passes through both real endpoints
-    of the rectangle.  ``_gate`` guards the circle, and the eigenvalues
-    inside it must be exactly those inside the rectangle, and their number
-    the count of free indices k with k^2 < N^2 + N (else
-    ``RankMismatch``).  Returns the pair of the circle, with n = N.
+    the same projection.  The defining circle |z - N^2/2| = N^2/2 + N
+    passes through both real endpoints of the rectangle; its ``_circle``
+    gate requires the eigenvalues inside it to be exactly those inside the
+    rectangle, and their number the count of free indices k with
+    k^2 < N^2 + N (else ``RankMismatch``), and the levels' radius rule
+    picks the circle integrated.  Returns the pair, with n = N.
     """
-    c, R = complex(N * N / 2), N * N / 2 + N
     vals = H.eigenvalues()
     in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
-    return _circle_rules(H, [(N, cols, c, R, _gate(H, c, R, len(cols), in_rect))])[0]
+    return _circle_rules(H, [_circle(H, N, cols, complex(N * N / 2), N * N / 2 + N,
+                                     in_rect)])[0]
 
 
 def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -340,7 +341,14 @@ class TestVerify:
         ({"K": [64]}, "list"),  # a TypeError, not a crash with exit code 1
         (5, "no JSON object"),
         ({"nodes": 32}, "nodes"),  # the start of every contour is no option
-    ], ids=["unknown-key", "bad-value", "bad-type", "not-an-object", "nodes"])
+        # a value its flag refuses: --K 64.7 must not run at K = 64
+        ({"K": 64.7}, "64.7"), ({"n_max": 14.9}, "14.9"),
+        ({"seed": True}, "True"), ({"samples": False}, "False"),
+        ({"rho_constant": float("nan")}, "nan"), ({"rho_constant": float("inf")}, "inf"),
+        ({"n_max": float("inf")}, "inf"),
+    ], ids=["unknown-key", "bad-value", "bad-type", "not-an-object", "nodes",
+            "K-fraction", "n_max-fraction", "seed-bool", "samples-bool",
+            "rho-nan", "rho-inf", "n_max-inf"])
     def test_bad_config_file_is_config_error(self, tmp_path, capsys, given, named):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(given))
@@ -361,6 +369,12 @@ class TestVerify:
                               "n_min": 8, "n_max": 10,
                               "rho_constant": 4.0, "cutoff": None,
                               "seed": 20240801, "samples": 200}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_is_config_error(self, tmp_path, capsys, value):
+        code = run(["spectrum", f"--rho-constant={value}", "--out", str(tmp_path / "a")])
+        assert code == 2 and "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_decay_deterministic(self, tmp_path):
         args = ["decay", "--potential", "mathieu:1.0", "--bc", "per+",
@@ -441,3 +455,23 @@ class TestExports:
                 for alias in node.names:
                     assert getattr(hillproj, alias.asname or alias.name) is \
                         getattr(source, alias.name), alias.name
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``hillproj ...`` lines of the README's "Command line" block, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("hillproj ")]
+
+
+class TestReadme:
+    def test_block_lists_every_command(self):
+        assert [argv[0] for argv in readme_commands()] == [
+            "spectrum", "decay", "bounds", "lpnorms", "verify"]
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_command_line_example_runs(self, argv, tmp_path):
+        # each example as printed, but writing into tmp_path
+        i = argv.index("--out")
+        assert run(argv[:i] + ["--out", str(tmp_path)] + argv[i + 2:]) == 0

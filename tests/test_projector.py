@@ -338,8 +338,7 @@ class TestBandSweep:
         # circle centred off the real axis has no conjugate node pairs
         H = hp.assemble(bc, p, 64)
         cols = prj._level_cols(H, 10)
-        margin = prj._gate(H, 100 + 4j, 10.0, len(cols))
-        pair, = prj._circle_rules(H, [(10, cols, 100 + 4j, 10.0, margin)])
+        pair, = prj._circle_rules(H, [prj._circle(H, 10, cols, 100 + 4j, 10.0)])
         dense = prj.spectral_projector_dense(H, 10)
         assert pair.converged
         assert np.linalg.norm(pair.P - dense, "fro") <= tol
@@ -485,8 +484,8 @@ class TestIntegrationCircle:
         assert pair.converged and pair.nodes_used < q_ref
         assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-12
         # the margin is C_n's; radius and rate follow from the same eigenvalues
-        assert pair.guard_margin == prj._gate(H, n * n, float(n), bc.rank)
         dist = np.abs(H.eigenvalues() - n * n)
+        assert pair.guard_margin == np.abs(dist - n).min() / n
         d_in, d_out = dist[dist < n].max(), dist[dist >= n].min()
         rho = np.sqrt(max(d_in, d_out / 100) * d_out)
         assert pair.radius == pytest.approx(rho, rel=1e-14) and pair.radius < n / 2
@@ -502,17 +501,19 @@ class TestIntegrationCircle:
         assert pair.radius == pytest.approx(d_out / 10, rel=1e-14) and pair.rate == 0.1
         assert np.linalg.norm(pair.P - prj.free_projection(H.basis, n), "fro") <= 1e-14
 
-    def test_guard_edge_window_falls_back_to_c_n(self):
+    def test_guard_edge_window_falls_back_to_c_n(self, monkeypatch):
         # d_in = 0.949n and d_out = 1.051n pass the 5% guard on C_n, but the
         # geometric-mean circle keeps only 1 - sqrt(d_in / d_out) = 0.0498,
         # so the level integrates on C_n
         d_in, d_out = 9.49, 10.51
         H = level_matrix({10: 100 + d_in, 8: 100 - d_out})
-        assert prj._gate(H, 100, 10.0, 2) == pytest.approx(0.051)
+        cols = prj._level_cols(H, 10)
+        assert prj._circle(H, 10, cols, 100, 10.0)[3:5] == (10.0, pytest.approx(0.051))
         with pytest.raises(prj.EigenvalueOnContour):
-            prj._gate(H, 100, np.sqrt(d_in * d_out), 2)
+            prj._circle(H, 10, cols, 100, np.sqrt(d_in * d_out))
         pair = hp.riesz_projection(H, 10)  # a pair on C_n, not an error
-        on_c_n, = prj._circle_rules(H, [(10, pair.cols, 100, 10.0, pair.guard_margin)])
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: R)
+        on_c_n = hp.riesz_projection(H, 10)
         assert pair.radius == 10.0 and np.array_equal(pair.X, on_c_n.X)
         assert pair.rate == pytest.approx(10 / d_out)
         # every circle the guard admits here has a rate near 0.95: at
@@ -528,7 +529,7 @@ class TestIntegrationCircle:
         assert sorted(H.eigenvalues()[np.abs(H.eigenvalues() - 100) < 10]) == \
             pytest.approx([99.0, 105.0])
         assert hp.riesz_projection(H, 10).converged
-        monkeypatch.setattr(prj, "_level_radius", lambda H, n: 3.0)
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: 3.0)
         with pytest.raises(prj.RankMismatch):
             hp.riesz_projection(H, 10)
 
@@ -603,10 +604,11 @@ class TestFactoredPair:
         H, pair, bad = level
         dense = np.linalg.norm(pair.P - bad.P, "fro")
         assert abs(prj._change((pair.X, pair.Y), (bad.X, bad.Y)) - dense) <= 1e-13
-        # the estimate of the circle rule: 16 nodes, doubled once to 32
+        # the estimate of the circle rule on C_n: 16 nodes, doubled once to 32
         monkeypatch.setattr(prj, "_TOL", 0.0)
         monkeypatch.setattr(prj, "_NODES", 16)
-        circle = (pair.n, pair.cols, complex(pair.n ** 2), float(pair.n), pair.guard_margin)
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: R)
+        circle = prj._circle(H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n))
         monkeypatch.setattr(prj, "_MAX_NODES", 16)
         p16, = prj._circle_rules(H, [circle])
         monkeypatch.setattr(prj, "_MAX_NODES", 32)
@@ -619,9 +621,9 @@ class TestFactoredPair:
 def dense_rect_quadrature(H, N, panels_scale, panel_nodes=20):
     """Reference: Gauss-Legendre panel sum of the full resolvent inverse.
 
-    Same rectangle, panels and nodes as rectangle_projection, but every
-    node inverts z - L densely, so the result has whatever rank the
-    rectangle holds.
+    An independent contour for the eigenvalues of rectangle_projection:
+    Gauss-Legendre panels on the rectangle itself, every node inverting
+    z - L densely, so the result has whatever rank the rectangle holds.
     """
     nodes, weights = roots_legendre(panel_nodes)
     ident = np.eye(H.size, dtype=complex)
@@ -642,7 +644,8 @@ def dense_rect_quadrature(H, N, panels_scale, panel_nodes=20):
 
 
 def dense_rectangle_projection(H, N, refine_tol=1e-9):
-    """The panel doubling of rectangle_projection over the dense node sum."""
+    """``dense_rect_quadrature`` with its panels doubled until P changes by
+    less than ``refine_tol`` or the panel scale reaches 8: (P, last change)."""
     P, scale = dense_rect_quadrature(H, N, 1), 2
     while True:
         P2 = dense_rect_quadrature(H, N, scale)
@@ -702,6 +705,31 @@ class TestRectangleVsDenseInverse:
         assert np.abs(np.abs(vals - 8) - 12).min() > 0.05 * 12
         with pytest.raises(prj.RankMismatch):
             prj.rectangle_projection(H, 4)
+
+
+class TestBaseBlockCircle:
+    """The base block is gated on |z - N^2/2| = R = N^2/2 + N and
+    integrated on the levels' radius rule, which per- and dir put inside R."""
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("bc", [BC.PER_MINUS, BC.DIRICHLET])
+    def test_rule_radius(self, bc, N, monkeypatch):
+        H = hp.assemble(bc, gallery_potential("delta"), 64)
+        rect = prj.rectangle_projection(H, N)
+        c, R = N * N / 2, N * N / 2 + N
+        vals, vecs, vinv = H.eig()
+        in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
+        dist = np.abs(vals - c)
+        d_in, d_out = dist[in_rect].max(), dist[~in_rect].min()
+        assert rect.radius < R
+        assert rect.radius == pytest.approx(np.sqrt(max(d_in, d_out / 100) * d_out), rel=1e-14)
+        assert rect.rate == pytest.approx(max(d_in / rect.radius, rect.radius / d_out),
+                                          rel=1e-14)
+        assert rect.converged
+        assert np.linalg.norm(rect.P - vecs[:, in_rect] @ vinv[in_rect], "fro") <= 1e-12
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: R)
+        on_gate = prj.rectangle_projection(H, N)
+        assert on_gate.radius == R and rect.nodes_used <= on_gate.nodes_used
 
 
 class TestLargestBaseBlock:
