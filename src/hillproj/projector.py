@@ -39,7 +39,7 @@ O(N r) memory.  A dense A has b = N - 1; for Hermitian L the form is
 tridiagonal (b = 1).  Each node carries its own right-hand sides, so the
 nodes of many contours share a sweep: ``riesz_projections`` gates every
 level first, then sweeps the nodes of all its levels together in chunks
-of ``_NODE_BLOCK``, and doubles the unconverged levels together.
+of ``_NODE_BLOCK``.
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); its defining
@@ -53,21 +53,11 @@ The parts have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
 ``ProjectionPair``, on the columns of every index k^2 < N^2 + N.
 
 Every defining circle |z - c| = R is the gate, and its margin is the
-reported guard margin.  The projection is fixed by the eigenvalues
-inside, not by the curve, so ``_circle`` integrates on |z - c| = rho,
-rho = sqrt(d_in d_out) (``_radius``) with d_in the farthest eigenvalue
-distance from c inside and d_out the nearest outside, clipped to at most
-R, and checks that it holds the same eigenvalues.  The trapezoidal rule
-in angle, w_j = exp(i theta_j) and z_j = c + rho w_j, has error about
-(d_in/rho)^Q + (rho/d_out)^Q (Trefethen & Weideman, SIAM Review 56
-(2014)): (d_in/d_out)^(Q/2) at the geometric mean against about 2^-Q on
-C_n, where d_out is near 2n.  Each pair reports its ``radius`` and that
-per-node ``rate``.  Node counts start at ``_NODES`` and are doubled
-(reusing the moments of previous nodes) until the Frobenius change of P
-drops below ``_TOL`` or the count reaches ``_MAX_NODES``; the last change
-is reported as the quadrature error estimate.  The free projection is
-never computed by quadrature: it is the exact coordinate projection onto
-the indices {+-n} (periodic families) or {n} (Dirichlet),
+reported guard margin.  ``_circle`` picks a smaller circle to integrate
+and, for Hermitian L, the node count that certifies ``_TOL`` before any
+solve; any other L starts at ``_NODES`` nodes, doubled until P changes
+by less than ``_TOL`` (``_circle_rules``).  The free projection is never
+computed by quadrature: it is the exact coordinate projection onto
 ``BoundaryCondition.level_indices``.
 """
 
@@ -100,6 +90,8 @@ __all__ = [
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
 _NODES, _TOL, _MAX_NODES = 16, 1e-10, 512  # the start and stopping rule of every contour
+_C0 = 4.0  # the reconstruction constant a certified node count is picked for (``_circle``)
+_EPS = float(np.finfo(float).eps)
 _ROW_BLOCK = 512  # rows of B per block of ``sum_abs_B``: O(_ROW_BLOCK * N) memory
 
 
@@ -138,7 +130,7 @@ class ProjectionPair:
     cols: np.ndarray
     quad_error_est: float
     nodes_used: int
-    converged: bool  # quad_error_est fell below _TOL
+    converged: bool  # quad_error_est < _TOL; for a block S_N, every part converged
     guard_margin: float  # nearest eigenvalue-to-gate-circle distance / its radius
     radius: float  # of the integration circle
     rate: float  # a priori per-node decay of the trapezoid error on it (``_circle``)
@@ -196,33 +188,65 @@ class ProjectionPair:
         return B
 
 
-def _radius(d_in: float, d_out: float, R: float) -> float:
-    """The integration radius sqrt(max(d_in, d_out / 100) d_out), clipped
-    to at most R, of a ``_circle``.  The floor d_out / 100 covers d_in = 0
-    and keeps the radius at least d_out / 10."""
-    return min(float(np.sqrt(max(d_in, d_out / 100) * d_out)), R)
+def _radius(d_in: float, d_out: float, R: float, floor: float) -> float:
+    """The ``_circle`` radius sqrt(d_in d_out), at least ``floor``, at most R."""
+    return min(max(float(np.sqrt(d_in * d_out)), floor), R)
+
+
+def _nodes(tau: np.ndarray, delta: float, C: float) -> tuple[int, float]:
+    """(Q, ||P_Q - P||_F) for the smallest Q <= _MAX_NODES with
+    C ||P_Q - P||_F + delta <= _TOL (or C ||P_Q - P||_F <= delta where
+    delta >= _TOL / 2), else _MAX_NODES; ||P_Q - P||_F as in ``_circle``.
+    Each term lies in [r^Q / (1 + r^Q), r^Q / (1 - r^Q)], r = max |tau|:
+    that brackets Q, and the bracket is evaluated at once."""
+    e, r = max(_TOL - delta, delta) / C, float(np.abs(tau).max())
+    lo, hi = (int(np.ceil(np.log(e / s) / np.log(r))) for s in (1 - e, np.sqrt(len(tau)) + e))
+    Qs = np.arange(min(max(lo, 1), _MAX_NODES), min(hi, _MAX_NODES) + 1)
+    tq = np.power.outer(tau, Qs)
+    err = np.sqrt((np.abs(tq / (1 - tq)) ** 2).sum(axis=0))
+    i = int(np.argmax(err <= e)) if (err <= e).any() else -1
+    return int(Qs[i]), float(err[i])
 
 
 def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
             region: np.ndarray | None = None) -> tuple:
-    """The circle (n, cols, center, rho, margin, rate) of ``_circle_rules``
-    for the rank-r projection n, r = len(cols), defined by the circle
-    |z - center| = R, from one pass over the distances |lambda - center|
-    of ``H.eigenvalues()``.
+    """The circle (n, cols, center, rho, margin, rate, Q, cert) of
+    ``_circle_rules`` for the rank-r projection n, r = len(cols), defined
+    by |z - center| = R, from one pass over ``H.eigenvalues()``.
 
     The gate: every eigenvalue keeps GUARD_FRACTION * R away from the
     defining circle (else ``EigenvalueOnContour``), which holds exactly r
-    of them, the same ones as the mask ``region`` when given (else
+    of them, those of the mask ``region`` when given (else
     ``RankMismatch``); ``margin`` is the nearest eigenvalue-to-circle
     distance / R.  With d_in the farthest distance inside and d_out the
-    nearest outside, the circle integrated is |z - center| = rho, rho the
-    ``_radius``, or R where an eigenvalue would come within
-    GUARD_FRACTION * rho of it (d_in and d_out both near R: the defining
-    circle converges as fast there).  It must hold the same eigenvalues
-    (else ``RankMismatch``).  The trapezoid error on it decays about like
-    rate^Q in the node count Q, rate = max(d_in / rho, rho / d_out).
+    nearest outside, rho is the ``_radius``, or R where an eigenvalue
+    would come within GUARD_FRACTION * rho of it; |z - center| < rho must
+    hold the same eigenvalues (else ``RankMismatch``).  The trapezoid
+    error there decays like rate^Q, rate = max(d_in / rho, rho / d_out)
+    (Trefethen & Weideman, SIAM Review 56 (2014)).
+
+    Non-Hermitian L: rho >= d_out / 10, Q = ``_NODES``, cert None.
+    Hermitian L, eigenpairs (lambda, v) orthonormal: C ||D||_F + delta
+    bounds ||X Y^T - P||_F, and ``_nodes``(tau, delta, _C0) gives Q and
+    ||D||_F; cert = (tau, delta, ||D||_F).
+    - D = P_Q - P.  With t = (lambda - center) / rho the Q-node rule is
+      P_Q = sum v v^H / (1 - t^Q), so ||D||_F is the root of the sum of
+      |tau^Q / (1 - tau^Q)|^2, tau = t inside and 1 / t outside.
+    - C.  X Y^T = F(P_Q), F(S) = S E (E^T S E)^-1 E^T S, and F(P) = P.
+      With P = U U^H, W = U^H E and A = E^T P E = W^H W, P E A^-1 = U W^-H
+      and to first order dF = D E A^-1 E^T P + P E A^-1 E^T D
+      - U W^-H (E^T D E) W^-1 U^H, so C = 2 ||A^-1/2|| + ||A^-1||,
+      measured on the computed A; _C0 holds while sigma_min(A) >= 0.65.
+    - delta.  A solve is backward stable to about eps max|lambda|, which
+      1 / (rho - d_in) amplifies: X Y^T errs by about
+      delta = eps max|lambda| / (rho - d_in), stated as measured (against
+      eigh on 4 potentials x 3 lattices x K 64, 256: at most 0.42 delta).
+      The floor rho >= d_in + 2 eps max|lambda| / _TOL keeps
+      delta <= _TOL / 2 where R allows.  Without it, eigenvalues n^2 that
+      eigvalsh puts 1e-12 apart gave rho ~ 1e-6 and P off by 8e-7.
     """
-    dist = np.abs(H.eigenvalues() - center)
+    vals = H.eigenvalues()
+    dist = np.abs(vals - center)
     gap = np.abs(dist - R).min()
     if gap < GUARD_FRACTION * R:
         raise EigenvalueOnContour(
@@ -235,13 +259,20 @@ def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
         raise RankMismatch(f"{np.count_nonzero(inside != region)} eigenvalue(s) in only "
                            f"one of |z-{center}|<{R} and its region")
     d_in, d_out = float(dist[inside].max(initial=0.0)), float(dist[~inside].min(initial=np.inf))
-    rho = _radius(d_in, d_out, R)
+    rounding = _EPS * float(np.abs(vals).max())
+    rho = _radius(d_in, d_out, R, d_in + 2 * rounding / _TOL if H.hermitian else d_out / 10)
     if np.abs(dist - rho).min() < GUARD_FRACTION * rho:
         rho = R
     if not np.array_equal(dist < rho, inside):
         raise RankMismatch(f"{np.count_nonzero((dist < rho) != inside)} eigenvalue(s) in "
                            f"only one of |z-{center}|<{rho} and |z-{center}|<{R}")
-    return n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out)
+    circle = (n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out))
+    if not H.hermitian:
+        return *circle, _NODES, None
+    tau = (vals - center) / rho
+    tau[~inside] = 1 / tau[~inside]
+    Q, err = _nodes(tau, delta := rounding / (rho - d_in), _C0)
+    return *circle, Q, (tau, delta, err)
 
 
 def _check_level(basis: BasisSpec, n: int) -> None:
@@ -318,32 +349,30 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, y: np.ndarray,
     return y
 
 
-def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray,
-             ws: np.ndarray) -> np.ndarray:
-    """sum_j w_gj (z_gj - L)^-1 E_g for E_g = I[:, cols[g]], N x r, for
-    every group g of the G x r ``cols``, with G x Q nodes ``zs`` and
-    weights ``ws``: G x N x r.
+def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray, ws: np.ndarray,
+             group: np.ndarray) -> np.ndarray:
+    """sum_{group[j] = g} w_j (z_j - L)^-1 E_g, E_g = I[:, cols[g]], for each
+    row g of the G x r ``cols``, from flat nodes ``zs``, weights ``ws`` and
+    groups ``group`` (any count per group): G x N x r.
 
-    With L = Q A Q^H from ``H.hessenberg()``, (z - L)^-1 E = Q (z - A)^-1 Q^H E:
-    one ``apply_q`` takes every E_g in, the nodes of all groups go
-    through the sweep together in chunks of ``_NODE_BLOCK`` (a chunk may
-    hold nodes of several groups), and one ``apply_q`` takes every sum
-    back.
+    With L = Q A Q^H (``H.hessenberg()``), (z - L)^-1 E = Q (z - A)^-1 Q^H E:
+    one ``apply_q`` takes every E_g in and one takes every sum back; the
+    nodes are swept in chunks of ``_NODE_BLOCK``, each summed into its
+    groups by one product with its weights.
     """
     band, h, _ = H.hessenberg()
-    (G, r), N, Qn = cols.shape, H.size, zs.shape[1]
+    (G, r), N = cols.shape, H.size
     E = np.zeros((N, G * r))
     E[cols.ravel(), np.arange(G * r)] = 1.0
     rhs = H.apply_q(E, adjoint=True).reshape(N, G, r).transpose(0, 2, 1)  # N x r x G
-    wf, zf = ws.ravel(), zs.ravel()
-    acc = np.zeros((N, G, r), dtype=complex)
-    for i in range(0, G * Qn, _NODE_BLOCK):
-        j = np.arange(i, min(i + _NODE_BLOCK, G * Qn))
-        x = _hessenberg_sweep(band, h, rhs[:, :, j // Qn], zf[j])
-        for g in range(j[0] // Qn, j[-1] // Qn + 1):
-            lo, hi = max(g * Qn, i), min((g + 1) * Qn, j[-1] + 1)
-            acc[:, g] += x[:, :, lo - i:hi - i] @ wf[lo:hi]
-    return H.apply_q(acc.reshape(N, G * r)).reshape(N, G, r).transpose(1, 0, 2)
+    acc = np.zeros((N * r, G), dtype=complex)
+    for i in range(0, len(zs), _NODE_BLOCK):
+        j, g = slice(i, i + _NODE_BLOCK), group[i:i + _NODE_BLOCK]
+        lo, hi = g.min(), g.max() + 1
+        x = _hessenberg_sweep(band, h, rhs[:, :, g], zs[j])
+        acc[:, lo:hi] += x.reshape(N * r, -1) @ (ws[j, None] * (g[:, None] == np.arange(lo, hi)))
+    M = acc.reshape(N, r, G).transpose(0, 2, 1).reshape(N, G * r)
+    return H.apply_q(M).reshape(N, G, r).transpose(1, 0, 2)
 
 
 def _factors(M: np.ndarray, cols: np.ndarray, p: np.ndarray, scale: complex):
@@ -375,46 +404,58 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
 
 def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     """Rank-r projections over the ``_circle``s (n, cols, c, R, margin,
-    rate), each |z - c| = R with r = len(cols) for all, by the trapezoidal
-    rule, as the pairs of level (or block) n.
-
-    Node counts start at ``_NODES`` and are doubled, reusing the moments
-    of earlier nodes, until the Frobenius change of P drops below ``_TOL``
-    or ``_MAX_NODES`` is hit.  Every round sweeps the nodes of all circles
-    still running in one ``_moments`` call.
+    rate, Q, cert), r = len(cols) for all, by the trapezoidal rule on
+    |z - c| = R, as the pairs of level (or block) n.  Each round sweeps the
+    circles still running in one ``_moments`` call.  Hermitian L: one round
+    at the certified Q, estimate C ||P_Q - P||_F + delta (``_circle``), and
+    again at the Q a measured C certifies while that misses ``_TOL``.  Other
+    L: Q starts at ``_NODES`` and doubles, reusing earlier moments, until
+    the Frobenius change of P drops below ``_TOL`` or Q hits ``_MAX_NODES``.
     """
     if not circles:
         return []
-    ns, cols, c, R, margins, rates = zip(*circles)
+    ns, cols, c, R, margins, rates, used, certs = map(list, zip(*circles))
     cols, c, R = np.array(cols), np.array(c, dtype=complex), np.array(R, dtype=float)
     p = H.basis.transpose_perm()
     for cl in cols:
         assert np.array_equal(np.sort(p[cl]), cl), "cols not closed under the transpose symmetry"
 
-    def moments(g, thetas: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(np.exp(1j * thetas), (len(g), thetas.shape[-1]))
-        return _moments(H, cols[g], c[g, None] + R[g, None] * w, w)
+    def moments(gs, thetas: list) -> np.ndarray:  # thetas[i]: angles on circle gs[i]
+        sizes = [len(t) for t in thetas]
+        w, at = np.exp(1j * np.concatenate(thetas)), np.repeat(gs, sizes)
+        return _moments(H, cols[gs], c[at] + R[at] * w, w, np.repeat(np.arange(len(gs)), sizes))
 
     def factors(M: np.ndarray, g: int, Q: int):
         return _factors(M, cols[g], p, R[g] / Q)
 
-    # the even-indexed nodes of the Q-grid form the Q/2-grid, so the first
-    # error estimate costs no extra resolvent solves: the even and the odd
-    # half of each circle's Q-grid go through one sweep as two groups
-    Q, every = _NODES, range(len(cols))
-    halves = 2.0 * np.pi * np.arange(Q).reshape(Q // 2, 2).T / Q  # even row, odd row
-    M_halves = moments(np.repeat(every, 2), np.tile(halves, (len(cols), 1)))
-    M_even, M = M_halves[::2], M_halves[::2] + M_halves[1::2]
-    f = [factors(M[g], g, Q) for g in every]
-    est = [_change(f[g], factors(M_even[g], g, Q // 2)) for g in every]
-    used = [Q] * len(cols)
-    while Q < _MAX_NODES and (run := [g for g in every if est[g] >= _TOL]):
-        # midpoints of the current grid are the odd nodes of the doubled grid
-        M[run] += moments(run, 2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
-        Q *= 2
-        for g in run:
-            f_new = factors(M[g], g, Q)
-            est[g], f[g], used[g] = _change(f_new, f[g]), f_new, Q
+    every = range(len(cols))
+    f, est = [None] * len(cols), [np.inf] * len(cols)
+    run = list(every) if H.hermitian else []
+    while run:
+        M, again = moments(run, [2.0 * np.pi * np.arange(used[g]) / used[g] for g in run]), []
+        for g, M_g in zip(run, M):
+            f[g] = factors(M_g, g, used[g])
+            # ||A^-1|| for A = E^T P E, which Y[cols] holds up to the permutation s
+            a = 1.0 / float(np.linalg.svd(f[g][1][cols[g]], compute_uv=False)[-1])
+            C = 2.0 * a ** 0.5 + a
+            tau, delta, err = certs[g]
+            est[g] = C * err + delta
+            if est[g] >= _TOL and (retry := _nodes(tau, delta, C))[0] > used[g]:
+                used[g], certs[g] = retry[0], (tau, delta, retry[1])
+                again.append(g)
+        run = again
+    if not H.hermitian:
+        # the Q/2-grid first: each doubling adds the midpoints of the grid
+        Q, run = _NODES // 2, list(every)
+        M = moments(run, [2.0 * np.pi * np.arange(Q) / Q] * len(run))
+        f = [factors(M[g], g, Q) for g in every]
+        while Q < _MAX_NODES and run:
+            M[run] += moments(run, [2.0 * np.pi * (np.arange(Q) + 0.5) / Q] * len(run))
+            Q *= 2
+            for g in run:
+                f_new = factors(M[g], g, Q)
+                est[g], f[g], used[g] = _change(f_new, f[g]), f_new, Q
+            run = [g for g in run if est[g] >= _TOL]
     return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=est[g],
                            nodes_used=used[g], converged=est[g] < _TOL,
                            guard_margin=margins[g], radius=float(R[g]),
@@ -556,10 +597,10 @@ def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
     S_{N0} comes from ``rectangle_projection``, the remaining levels from
     ``riesz_projections``: one circle rule throughout.  Levels follow the
     boundary-condition parity, and the first level that fails its
-    preconditions raises its error.  X = [X_i], Y = [Y_i]; the
-    evidence is the worst part's (largest estimate, smallest margin, every
-    part converged, the radius and rate of the largest rate) and
-    ``nodes_used`` sums the parts'.
+    preconditions raises its error.  X = [X_i], Y = [Y_i]; the estimate
+    and ``nodes_used`` sum the parts' (S_N is their sum, so its error is
+    at most the sum of theirs), the rest is the worst part's (smallest
+    margin, every part converged, the radius and rate of the largest rate).
     """
     if N < N0:
         raise ValueError("N must be >= N0")
@@ -573,7 +614,7 @@ def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
     slowest = max(parts, key=lambda p: p.rate)
     return ProjectionPair(
         N, H.basis, np.hstack([p.X for p in parts]), np.hstack([p.Y for p in parts]), cols,
-        quad_error_est=max(p.quad_error_est for p in parts),
+        quad_error_est=sum(p.quad_error_est for p in parts),
         nodes_used=sum(p.nodes_used for p in parts),
         converged=all(p.converged for p in parts),
         guard_margin=min(p.guard_margin for p in parts),

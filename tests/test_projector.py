@@ -12,6 +12,7 @@ from hillproj.operator import HillMatrix, _band
 
 BC = hp.BoundaryCondition
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 class TestFreeProjection:
@@ -103,12 +104,13 @@ class TestRieszProjection:
         assert str(count.value) == "0 eigenvalue(s) in |z-(64+0j)|<8.0, expected 2 for per+"
 
 
-def full_inverse_projection(H, n, radius=None):
+def full_inverse_projection(H, n, radius=None, nodes=None):
     """Reference: trapezoid node sum of the full resolvent inverse.
 
-    Same node doubling from ``_NODES``, stopping rule and error estimate
-    as riesz_projection, on |z - n^2| = radius (C_n by default), but
-    every node inverts z - L densely; returns (P, nodes_used).
+    Exactly ``nodes`` nodes when given, else the node doubling from
+    ``_NODES``, stopping rule and error estimate of the non-Hermitian
+    rule, on |z - n^2| = radius (C_n by default), but every node inverts
+    z - L densely; returns (P, nodes_used).
     """
     c, R = complex(n * n), float(n if radius is None else radius)
     ident = np.eye(H.size, dtype=complex)
@@ -120,8 +122,10 @@ def full_inverse_projection(H, n, radius=None):
             acc += np.exp(1j * th) * np.linalg.inv(z * ident - H.L)
         return acc
 
-    Q = prj._NODES
+    Q = nodes or prj._NODES
     thetas = 2.0 * np.pi * np.arange(Q) / Q
+    if nodes:
+        return (R / Q) * node_sum(thetas), Q
     S_even = node_sum(thetas[::2])
     S = S_even + node_sum(thetas[1::2])
     P = (R / Q) * S
@@ -240,23 +244,25 @@ class TestHessenbergResolvent:
         rng = np.random.default_rng(count)
         zs = n * n + n * np.exp(2j * PI * (np.arange(count) + 0.25) / count)
         ws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        M = prj._moments(H, cols[None], zs[None], ws[None])
+        M = prj._moments(H, cols[None], zs, ws, np.zeros(count, int))
         assert M.shape == (1, H.size, len(cols))
         M_ref = solve_moments(H, cols, zs, ws)
         check_moments(H, M[0], M_ref, len(cols))
 
     @pytest.mark.parametrize("pname", ["delta", "complex"])
-    @pytest.mark.parametrize("count", [50, prj._NODE_BLOCK])
-    def test_groups_share_the_sweep(self, pname, count):
-        # three levels' nodes in one call: with 50 nodes each, the first
-        # chunk of 128 ends inside the third level
+    @pytest.mark.parametrize("counts", [(50, 50, 50), (prj._NODE_BLOCK,) * 3, (7, 130, 3)])
+    def test_groups_share_the_sweep(self, pname, counts):
+        # three levels' nodes in one call, any count per level: with 50
+        # nodes each, the first chunk of 128 ends inside the third level;
+        # with (7, 130, 3) the second level spans both chunks
         H = hp.assemble(BC.PER_PLUS, gallery_potential(pname), 48)
         ns = (6, 8, 10)
         cols = np.array([sorted(H.basis.position(k) for k in (n, -n)) for n in ns])
-        theta = 2j * PI * (np.arange(count) + 0.25) / count
-        zs = np.array([n * n + n * np.exp(theta) for n in ns])
-        ws = np.random.default_rng(5).standard_normal((3, count)) + 0j  # one row per group
-        M = prj._moments(H, cols, zs, ws)
+        zs = [n * n + n * np.exp(2j * PI * (np.arange(q) + 0.25) / q) for n, q in zip(ns, counts)]
+        rng = np.random.default_rng(5)
+        ws = [rng.standard_normal(q) + 0j for q in counts]
+        M = prj._moments(H, cols, np.concatenate(zs), np.concatenate(ws),
+                         np.repeat(np.arange(3), counts))
         assert M.shape == (3, H.size, 2)
         for g in range(3):
             check_moments(H, M[g], solve_moments(H, cols[g], zs[g], ws[g]), 2)
@@ -317,31 +323,32 @@ class TestBandSweep:
         cols = np.array(sorted(H.basis.position(k) for k in (n, -n)[:bc.rank]))
         zs = n * n + n * np.exp(2j * PI * (np.arange(20) + 0.25) / 20)
         ws = np.random.default_rng(3).standard_normal(20) + 0j
-        check_moments(H, prj._moments(H, cols[None], zs[None], ws[None])[0],
+        check_moments(H, prj._moments(H, cols[None], zs, ws, np.zeros(20, int))[0],
                       solve_moments(H, cols, zs, ws), len(cols))
 
     @pytest.mark.parametrize("p,bc,tol", [
-        (pot.delta_comb(0.5, max_index=512), BC.PER_PLUS, 1e-12),
+        (pot.delta_comb(0.5, max_index=512), BC.PER_PLUS, None),
         # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L,
         # whose projections are not real
         (pot.from_coeffs(0.0, [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]),
-         BC.PER_PLUS, 1e-12),
+         BC.PER_PLUS, None),
         # the eigenvector matrix of this L has condition 4e4: the dense
         # oracle lies 1.35e-12 from the dense inverse node sum on this
         # circle, which the quadrature matches to 5e-15
         (pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN), BC.PER_PLUS, 1e-11),
-        (pot.mathieu(1.0), BC.DIRICHLET, 1e-12),
+        (pot.mathieu(1.0), BC.DIRICHLET, None),
     ], ids=["delta-per+", "complex_hermitian-per+", "non_hermitian-per+", "mathieu-dir"])
     def test_off_axis_circle_on_hermitian_matrix(self, p, bc, tol):
         # Y = X[p][:, s] rests on the lattice symmetry L^T = L[p][:, p],
         # which holds node by node, not on the symmetry of the contour: a
-        # circle centred off the real axis has no conjugate node pairs
+        # circle centred off the real axis has no conjugate node pairs; a
+        # Hermitian L is held to its certified estimate (tol None)
         H = hp.assemble(bc, p, 64)
         cols = prj._level_cols(H, 10)
         pair, = prj._circle_rules(H, [prj._circle(H, 10, cols, 100 + 4j, 10.0)])
         dense = prj.spectral_projector_dense(H, 10)
-        assert pair.converged
-        assert np.linalg.norm(pair.P - dense, "fro") <= tol
+        assert pair.converged and H.hermitian == (tol is None)
+        assert np.linalg.norm(pair.P - dense, "fro") <= (tol or pair.quad_error_est)
 
 
 class TestRankEngineVsFullInverse:
@@ -354,15 +361,14 @@ class TestRankEngineVsFullInverse:
         p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
         H = hp.assemble(bc, p, 64)
         pair = hp.riesz_projection(H, n)
-        P_ref, q_ref = full_inverse_projection(H, n, pair.radius)
-        assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-13
-        assert pair.converged
-        if bc.is_periodic_family:
-            assert pair.nodes_used == q_ref
-        else:
-            # the rank-1 moments of the sine basis converge a doubling
-            # earlier than the full resolvent (16 against 32 nodes)
-            assert pair.nodes_used == q_ref // 2 == 16
+        assert H.hermitian and pair.converged
+        # one sweep at the certified count: the dense node sum at that
+        # count, X Y^T rebuilt from its columns E and rows E^T
+        P_Q, _ = full_inverse_projection(H, n, pair.radius, pair.nodes_used)
+        PE, cols = P_Q[:, pair.cols], pair.cols
+        assert np.linalg.norm(pair.P - PE @ np.linalg.solve(PE[cols], P_Q[cols])) <= 1e-12
+        dense = prj.spectral_projector_dense(H, n)
+        assert np.linalg.norm(pair.P - dense) <= pair.quad_error_est <= prj._TOL
 
     def test_non_hermitian_potential(self):
         p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)])
@@ -383,10 +389,16 @@ class TestRankEngineVsFullInverse:
 
     def test_unconverged_flag(self, monkeypatch):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 64)
-        assert hp.riesz_projection(H, 8).converged is True
+        Hc = hp.assemble(BC.PER_PLUS, gallery_potential("complex"), 64)
+        assert hp.riesz_projection(H, 8).converged and hp.riesz_projection(Hc, 8).converged
         monkeypatch.setattr(prj, "_TOL", 1e-30)
         monkeypatch.setattr(prj, "_MAX_NODES", 64)
+        # Hermitian: no count certifies 1e-30 above the rounding term, so
+        # the count stops where the filter meets that term; the doubling
+        # rule runs to _MAX_NODES
         pair = hp.riesz_projection(H, 8)
+        assert pair.converged is False and pair.nodes_used < 64
+        pair = hp.riesz_projection(Hc, 8)
         assert pair.converged is False and pair.nodes_used == 64
 
 
@@ -435,9 +447,9 @@ class TestRieszProjections:
         assert hp.riesz_projections(H, []) == ({}, {})
 
     def test_levels_share_the_sweeps(self, monkeypatch):
-        # the decay-per matrix: 26 levels of 16 nodes go through in
-        # ceil(416 / 128) = 4 sweeps, not one (or more) per level, and the
-        # 4 levels that double to 32 nodes share a fifth
+        # the decay-per matrix: 26 levels, each at its certified count of
+        # 8 to 11 nodes, go through in ceil(233 / 128) = 2 sweeps, not one
+        # (or more) per level, and in one round
         H = hp.assemble(BC.PER_PLUS, pot.delta_comb(0.5, max_index=1024), 256)
         real, calls = prj._hessenberg_sweep, []
 
@@ -449,8 +461,9 @@ class TestRieszProjections:
         pairs, errors = hp.riesz_projections(H, range(10, 61, 2))
         assert len(pairs) == 26 and not errors
         used = [pair.nodes_used for pair in pairs.values()]
-        assert used == [32] * 4 + [16] * 22
-        assert calls == [prj._NODE_BLOCK] * 3 + [32, 64]
+        assert used == [c[6] for c in prj._level_circles(H, range(10, 61, 2))[0]]
+        assert min(used) == 8 and max(used) == 11 and sum(used) == 233
+        assert calls == [prj._NODE_BLOCK, 233 - prj._NODE_BLOCK]
 
 
 def level_matrix(values, coupling=0.0, n=10, half_width=48):
@@ -482,24 +495,30 @@ class TestIntegrationCircle:
         pair = hp.riesz_projection(H, n)
         P_ref, q_ref = full_inverse_projection(H, n)
         assert pair.converged and pair.nodes_used < q_ref
-        assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-12
+        # the certified estimate bounds a Hermitian pair's distance from P
+        tol = pair.quad_error_est if H.hermitian else 1e-12
+        assert np.linalg.norm(pair.P - P_ref, "fro") <= tol
         # the margin is C_n's; radius and rate follow from the same eigenvalues
         dist = np.abs(H.eigenvalues() - n * n)
         assert pair.guard_margin == np.abs(dist - n).min() / n
         d_in, d_out = dist[dist < n].max(), dist[dist >= n].min()
-        rho = np.sqrt(max(d_in, d_out / 100) * d_out)
+        floor = (d_in + 2 * EPS * np.abs(H.eigenvalues()).max() / prj._TOL
+                 if H.hermitian else d_out / 10)
+        rho = max(np.sqrt(d_in * d_out), floor)
         assert pair.radius == pytest.approx(rho, rel=1e-14) and pair.radius < n / 2
-        assert pair.rate == pytest.approx(np.sqrt(max(d_in, d_out / 100) / d_out), rel=1e-14)
+        assert pair.rate == pytest.approx(max(d_in / rho, rho / d_out), rel=1e-14)
 
     @pytest.mark.parametrize("bc,n", LEVELS)
     def test_zero_potential(self, bc, n):
-        # d_in = 0: the floor d_out / 100 gives rho = d_out / 10, nearest
-        # free level k^2 != n^2 over 10
+        # d_in = 0: the rounding floor alone sets rho = 2 eps max k^2 / _TOL
         H = hp.assemble(bc, pot.zero(), 48)
         pair = hp.riesz_projection(H, n)
         d_out = min(abs(k * k - n * n) for k in H.basis.indices if k * k != n * n)
-        assert pair.radius == pytest.approx(d_out / 10, rel=1e-14) and pair.rate == 0.1
-        assert np.linalg.norm(pair.P - prj.free_projection(H.basis, n), "fro") <= 1e-14
+        rho = 2 * EPS * max(k * k for k in H.basis.indices) / prj._TOL
+        assert pair.radius == pytest.approx(rho, rel=1e-14)
+        assert pair.rate == pytest.approx(rho / d_out, rel=1e-14)
+        err = np.linalg.norm(pair.P - prj.free_projection(H.basis, n), "fro")
+        assert err <= pair.quad_error_est <= prj._TOL
 
     def test_guard_edge_window_falls_back_to_c_n(self, monkeypatch):
         # d_in = 0.949n and d_out = 1.051n pass the 5% guard on C_n, but the
@@ -512,15 +531,16 @@ class TestIntegrationCircle:
         with pytest.raises(prj.EigenvalueOnContour):
             prj._circle(H, 10, cols, 100, np.sqrt(d_in * d_out))
         pair = hp.riesz_projection(H, 10)  # a pair on C_n, not an error
-        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: R)
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: R)
         on_c_n = hp.riesz_projection(H, 10)
         assert pair.radius == 10.0 and np.array_equal(pair.X, on_c_n.X)
         assert pair.rate == pytest.approx(10 / d_out)
-        # every circle the guard admits here has a rate near 0.95: at
-        # _MAX_NODES = 512 the change is about 0.949^256 = 1.5e-6, and P lies
-        # within about 0.949^512 = 2e-12 of P0
-        assert pair.nodes_used == prj._MAX_NODES and 1e-7 < pair.quad_error_est < 1e-5
-        assert np.linalg.norm(pair.P - prj.free_projection(H.basis, 10), "fro") <= 1e-11
+        # every circle the guard admits here has a rate near 0.95: the
+        # certified count is about log(_TOL / 4) / log(0.9515) = 490 nodes
+        # (the doubling rule stopped at _MAX_NODES, unconverged)
+        assert 450 < pair.nodes_used < prj._MAX_NODES and pair.converged
+        err = np.linalg.norm(pair.P - prj.free_projection(H.basis, 10), "fro")
+        assert err <= pair.quad_error_est <= prj._TOL
 
     def test_too_small_radius_is_refused(self, monkeypatch):
         # the level pair coupled into 99 and 105: a circle of radius 3
@@ -529,9 +549,80 @@ class TestIntegrationCircle:
         assert sorted(H.eigenvalues()[np.abs(H.eigenvalues() - 100) < 10]) == \
             pytest.approx([99.0, 105.0])
         assert hp.riesz_projection(H, 10).converged
-        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: 3.0)
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: 3.0)
         with pytest.raises(prj.RankMismatch):
             hp.riesz_projection(H, 10)
+
+
+def eigh_certificate(H, pair, Q):
+    """Reference for a Hermitian level: (C, ||P_Q - P||_F, delta, P) of the
+    pair's circle at Q nodes, every term from ``np.linalg.eigh`` and the
+    pair's radius, with P the eigh projector."""
+    vals, vecs = np.linalg.eigh(H.L)
+    n, rho, cols = pair.n, pair.radius, pair.cols
+    inside = np.abs(vals - n * n) < n
+    P = vecs[:, inside] @ vecs[:, inside].conj().T
+    t = (vals - n * n) / rho
+    tau = np.where(inside, t, 1 / np.where(inside, 1.0, t))
+    filt = np.sqrt(np.sum(np.abs(tau ** Q / (1 - tau ** Q)) ** 2))
+    delta = EPS * np.abs(vals).max() / (rho - np.abs(vals[inside] - n * n).max())
+    s = np.linalg.svd(P[np.ix_(cols, cols)], compute_uv=False).min()  # of A = E^T P E
+    return 2 / np.sqrt(s) + 1 / s, filt, delta, P
+
+
+class TestCertifiedNodes:
+    """Hermitian L: each level is swept once, at the smallest node count
+    whose certified bound on ||X Y^T - P||_F meets _TOL, checked against
+    the dense eigh projector and a certificate recomputed from eigh."""
+
+    @pytest.mark.parametrize("K", [64, 128])
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    @pytest.mark.parametrize("pname", ["mathieu:1.0", "delta_comb:0.5", "sawtooth:1.0",
+                                       "mathieu:5.0"])
+    def test_against_eigh(self, pname, bc, K, monkeypatch):
+        H = hp.assemble(bc, pot.parse_potential_arg(pname, 4 * K), K)
+        real, swept = prj._hessenberg_sweep, []
+
+        def counted(band, h, rhs, zs):
+            swept.append(len(zs))
+            return real(band, h, rhs, zs)
+
+        monkeypatch.setattr(prj, "_hessenberg_sweep", counted)
+        pairs, _ = hp.riesz_projections(H, range(1, K // 4 + 1))
+        assert H.hermitian and len(pairs) >= 6
+        for n, pair in pairs.items():
+            C, filt, delta, P = eigh_certificate(H, pair, pair.nodes_used)
+            assert pair.converged
+            assert np.linalg.norm(pair.P - P, "fro") <= pair.quad_error_est <= prj._TOL
+            assert pair.quad_error_est == pytest.approx(C * filt + delta, rel=1e-6)
+            # the smallest such count: one node fewer misses _TOL with the
+            # constant the count was picked for
+            fewer = eigh_certificate(H, pair, pair.nodes_used - 1)[1]
+            assert max(C, prj._C0) * fewer + delta > prj._TOL
+        # every node swept once, none for an estimate; a level runs a second
+        # round only where its measured constant exceeds _C0 (mathieu:5.0
+        # per- level 3: sigma_min(E^T P E) = 0.51, t_n = 0.70, 151 -> 152 nodes)
+        first = {c[0]: c[6] for c in prj._level_circles(H, pairs)[0]}
+        again = [n for n, pair in pairs.items() if pair.nodes_used != first[n]]
+        assert all(eigh_certificate(H, pairs[n], first[n])[0] > prj._C0 for n in again)
+        assert len(again) == (pname == "mathieu:5.0" and bc is BC.PER_MINUS)
+        used = sum(pair.nodes_used for pair in pairs.values())
+        assert sum(swept) == used + sum(first[n] for n in again)
+
+    @pytest.mark.parametrize("K", [64, 128])
+    def test_rounding_floor(self, K):
+        # the delta comb's Dirichlet eigenvalues are exactly n^2 (the sine
+        # modes vanish at the teeth), which eigvalsh reports 1e-12 apart:
+        # rho = sqrt(d_in d_out) ~ 1e-6 would amplify the rounding of the
+        # solves to 8e-7, so rho keeps to d_in + 2 eps max|lambda| / _TOL
+        H = hp.assemble(BC.DIRICHLET, pot.parse_potential_arg("delta_comb:0.5", 4 * K), K)
+        vals = H.eigenvalues().real
+        floor = 2 * EPS * np.abs(vals).max() / prj._TOL
+        for n in range(4, K // 4 + 1):
+            pair = hp.riesz_projection(H, n)
+            P = eigh_certificate(H, pair, pair.nodes_used)[3]
+            assert np.linalg.norm(pair.P - P, "fro") <= pair.quad_error_est <= prj._TOL
+            assert np.abs(vals - n * n).min() < 1e-10 and pair.radius >= floor
 
 
 # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
@@ -586,12 +677,15 @@ class TestFactoredPair:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_idempotency_and_trace(self, level, perturbed):
-        pair = level[2 if perturbed else 1]
+        H, pair = level[0], level[2 if perturbed else 1]
         P = pair.P
         idem = np.linalg.norm(P @ P - P, "fro")
         assert abs(pair.idempotency - idem) <= 1e-13
         assert abs(pair.trace_defect - abs(np.trace(P) - pair.bc.rank)) <= 1e-13
-        assert (idem > 1e-2) if perturbed else (idem < 1e-12)
+        # to first order P^2 - P is the error of P split by P and I - P: at
+        # most the certified estimate on Hermitian L
+        ok = pair.quad_error_est if H.hermitian else 1e-12
+        assert (idem > 1e-2) if perturbed else (idem <= ok)
 
     @pytest.mark.parametrize("block", [1, 7, 13])
     def test_sum_abs_B_over_row_blocks(self, level, block, monkeypatch):
@@ -604,10 +698,19 @@ class TestFactoredPair:
         H, pair, bad = level
         dense = np.linalg.norm(pair.P - bad.P, "fro")
         assert abs(prj._change((pair.X, pair.Y), (bad.X, bad.Y)) - dense) <= 1e-13
-        # the estimate of the circle rule on C_n: 16 nodes, doubled once to 32
+        if H.hermitian:
+            # no doubling: one sweep at the certified count, whose estimate
+            # bounds the distance from the eigh projector
+            circle = prj._circle(H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n))
+            vals, vecs = np.linalg.eigh(H.L)
+            V = vecs[:, np.abs(vals - pair.n ** 2) < pair.n]
+            assert pair.nodes_used == circle[6] < prj._NODES and pair.converged
+            assert np.linalg.norm(pair.P - V @ V.conj().T) <= pair.quad_error_est <= prj._TOL
+            return
+        # the estimate of the doubling rule on C_n: 16 nodes, doubled once to 32
         monkeypatch.setattr(prj, "_TOL", 0.0)
         monkeypatch.setattr(prj, "_NODES", 16)
-        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: R)
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: R)
         circle = prj._circle(H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n))
         monkeypatch.setattr(prj, "_MAX_NODES", 16)
         p16, = prj._circle_rules(H, [circle])
@@ -666,8 +769,8 @@ class TestRectangleVsDenseInverse:
         H = hp.assemble(bc, p, 48)
         rect = prj.rectangle_projection(H, 4)
         S_ref, est_ref = dense_rectangle_projection(H, 4)
-        assert np.linalg.norm(rect.P - S_ref, "fro") <= 1e-13
-        assert rect.quad_error_est < 1e-9 and est_ref < 1e-9
+        assert H.hermitian and rect.converged and est_ref < 1e-9
+        assert np.linalg.norm(rect.P - S_ref, "fro") <= rect.quad_error_est < 1e-10
 
     def test_non_hermitian_potential(self):
         p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)])
@@ -721,15 +824,32 @@ class TestBaseBlockCircle:
         in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
         dist = np.abs(vals - c)
         d_in, d_out = dist[in_rect].max(), dist[~in_rect].min()
-        assert rect.radius < R
-        assert rect.radius == pytest.approx(np.sqrt(max(d_in, d_out / 100) * d_out), rel=1e-14)
+        assert rect.radius < R and H.hermitian
+        floor = d_in + 2 * EPS * np.abs(vals).max() / prj._TOL
+        assert rect.radius == pytest.approx(max(np.sqrt(d_in * d_out), floor), rel=1e-14)
         assert rect.rate == pytest.approx(max(d_in / rect.radius, rect.radius / d_out),
                                           rel=1e-14)
         assert rect.converged
-        assert np.linalg.norm(rect.P - vecs[:, in_rect] @ vinv[in_rect], "fro") <= 1e-12
-        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R: R)
+        err = np.linalg.norm(rect.P - vecs[:, in_rect] @ vinv[in_rect], "fro")
+        assert err <= rect.quad_error_est
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: R)
         on_gate = prj.rectangle_projection(H, N)
         assert on_gate.radius == R and rect.nodes_used <= on_gate.nodes_used
+
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
+    @pytest.mark.parametrize("pname", ["mathieu:1.0", "delta_comb:0.5"])
+    def test_certified_count(self, pname, bc, N):
+        # the doubling rule took 128 or 256 nodes on these base blocks; the
+        # certified count takes fewer, and P is still the dense eigensum
+        H = hp.assemble(bc, pot.parse_potential_arg(pname, 256), 64)
+        rect = prj.rectangle_projection(H, N)
+        vals, vecs, vinv = H.eig()
+        in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
+        assert rect.converged and rect.nodes_used < 128
+        err = np.linalg.norm(rect.P - vecs[:, in_rect] @ vinv[in_rect], "fro")
+        assert err <= rect.quad_error_est <= prj._TOL
 
 
 class TestLargestBaseBlock:
@@ -751,7 +871,7 @@ class TestLargestBaseBlock:
         rect = prj.rectangle_projection(H, 19)
         S_ref, est_ref = dense_rectangle_projection(H, 19)
         assert est_ref < 1e-9
-        assert np.linalg.norm(rect.P - S_ref, "fro") <= 1e-13
+        assert np.linalg.norm(rect.P - S_ref, "fro") <= rect.quad_error_est
 
 
 class TestFirstOrderResidue:
@@ -865,7 +985,8 @@ class TestBlockPair:
         monkeypatch.setattr(prj, "rectangle_projection", lambda H, N: dataclasses.replace(
             real(H, N), quad_error_est=1e-3, converged=False))
         blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
-        assert blk.quad_error_est == 1e-3 and not blk.converged
+        # the estimate sums the parts', the rectangle's 1e-3 among them
+        assert blk.quad_error_est == pytest.approx(1e-3, rel=1e-6) and not blk.converged
 
     def test_mathieu_trace_and_idempotency(self):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
@@ -895,7 +1016,8 @@ class TestBlockPair:
         parts = [prj.rectangle_projection(H, 4), *pairs.values()]
         assert blk.trace_defect < 1e-10
         assert blk.guard_margin == min(p.guard_margin for p in parts)
-        assert blk.quad_error_est == max(p.quad_error_est for p in parts)
+        # S_N is the sum of its parts, so its error is at most the sum of theirs
+        assert blk.quad_error_est == sum(p.quad_error_est for p in parts)
         assert blk.nodes_used == sum(p.nodes_used for p in parts)
         assert blk.converged and all(p.converged for p in parts)
         idx = np.array(H.basis.indices)
@@ -904,9 +1026,14 @@ class TestBlockPair:
         assert np.linalg.norm(blk.P - sum(p.P for p in parts), "fro") <= 1e-12
 
     def test_base_block_starts_at_the_same_count(self, monkeypatch):
-        # with no doubling, every part stops at _NODES, the base block too
-        monkeypatch.setattr(prj, "_TOL", math.inf)
+        # Hermitian L: every part, the base block too, runs at its certified count
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
+        parts = [prj._circle(H, 4, prj.rectangle_projection(H, 4).cols, 8.0, 12.0),
+                 *prj._level_circles(H, [6, 8, 10])[0]]
+        assert prj.block_projection(H, 4, 10).nodes_used == sum(c[6] for c in parts)
+        # any other L: with no doubling, every part stops at _NODES, the base block too
+        monkeypatch.setattr(prj, "_TOL", math.inf)
+        H = hp.assemble(BC.PER_PLUS, gallery_potential("complex"), 48)
         assert prj.rectangle_projection(H, 4).nodes_used == prj._NODES
         monkeypatch.setattr(prj, "_NODES", 32)
         assert prj.rectangle_projection(H, 4).nodes_used == 32
