@@ -54,11 +54,10 @@ The parts have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
 
 Every defining circle |z - c| = R is the gate, and its margin is the
 reported guard margin.  ``_circle`` picks a smaller circle to integrate
-and, for Hermitian L, the node count that certifies ``_TOL`` before any
-solve; any other L starts at ``_NODES`` nodes, doubled until P changes
-by less than ``_TOL`` (``_circle_rules``).  The free projection is never
-computed by quadrature: it is the exact coordinate projection onto
-``BoundaryCondition.level_indices``.
+and, for Hermitian L, the node count whose error bound meets ``_TOL``
+before any solve; any other L starts at ``_NODES`` nodes, doubled until
+P changes by less than ``_TOL`` (``_circle_rules``).  The free
+projection is the exact coordinate projection onto ``level_indices``.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class ProjectionPair:
     cols: np.ndarray
     quad_error_est: float
     nodes_used: int
-    converged: bool  # quad_error_est < _TOL; for a block S_N, every part converged
+    converged: bool  # the quadrature part of quad_error_est < _TOL; S_N: every part's
     guard_margin: float  # nearest eigenvalue-to-gate-circle distance / its radius
     radius: float  # of the integration circle
     rate: float  # a priori per-node decay of the trapezoid error on it (``_circle``)
@@ -193,13 +192,13 @@ def _radius(d_in: float, d_out: float, R: float, floor: float) -> float:
     return min(max(float(np.sqrt(d_in * d_out)), floor), R)
 
 
-def _nodes(tau: np.ndarray, delta: float, C: float) -> tuple[int, float]:
-    """(Q, ||P_Q - P||_F) for the smallest Q <= _MAX_NODES with
-    C ||P_Q - P||_F + delta <= _TOL (or C ||P_Q - P||_F <= delta where
-    delta >= _TOL / 2), else _MAX_NODES; ||P_Q - P||_F as in ``_circle``.
-    Each term lies in [r^Q / (1 + r^Q), r^Q / (1 - r^Q)], r = max |tau|:
-    that brackets Q, and the bracket is evaluated at once."""
-    e, r = max(_TOL - delta, delta) / C, float(np.abs(tau).max())
+def _nodes(t: np.ndarray, delta: float, C: float) -> tuple[int, float]:
+    """(Q, ||P_Q - P||_F), ``_circle``'s filter error on t = (lambda - c) / rho,
+    for the smallest Q <= _MAX_NODES with C ||P_Q - P||_F <= _TOL - min(delta,
+    _TOL / 2).  Each term lies in [r^Q / (1 + r^Q), r^Q / (1 - r^Q)],
+    r = max |tau|: that brackets Q, and the bracket is evaluated at once."""
+    tau = np.divide(1, t, out=t.copy(), where=np.abs(t) > 1)
+    e, r = (_TOL - min(delta, _TOL / 2)) / C, float(np.abs(tau).max())
     lo, hi = (int(np.ceil(np.log(e / s) / np.log(r))) for s in (1 - e, np.sqrt(len(tau)) + e))
     Qs = np.arange(min(max(lo, 1), _MAX_NODES), min(hi, _MAX_NODES) + 1)
     tq = np.power.outer(tau, Qs)
@@ -210,7 +209,7 @@ def _nodes(tau: np.ndarray, delta: float, C: float) -> tuple[int, float]:
 
 def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
             region: np.ndarray | None = None) -> tuple:
-    """The circle (n, cols, center, rho, margin, rate, Q, cert) of
+    """The circle (n, cols, center, rho, margin, rate, Q, err, delta) of
     ``_circle_rules`` for the rank-r projection n, r = len(cols), defined
     by |z - center| = R, from one pass over ``H.eigenvalues()``.
 
@@ -225,10 +224,9 @@ def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
     error there decays like rate^Q, rate = max(d_in / rho, rho / d_out)
     (Trefethen & Weideman, SIAM Review 56 (2014)).
 
-    Non-Hermitian L: rho >= d_out / 10, Q = ``_NODES``, cert None.
-    Hermitian L, eigenpairs (lambda, v) orthonormal: C ||D||_F + delta
-    bounds ||X Y^T - P||_F, and ``_nodes``(tau, delta, _C0) gives Q and
-    ||D||_F; cert = (tau, delta, ||D||_F).
+    Non-Hermitian L: rho >= d_out / 10, Q = ``_NODES``, err inf, delta 0.
+    Hermitian L, eigenpairs (lambda, v) orthonormal: ||X Y^T - P||_F is
+    at most C err + delta, err = ||D||_F; ``_nodes`` picks Q at C = _C0.
     - D = P_Q - P.  With t = (lambda - center) / rho the Q-node rule is
       P_Q = sum v v^H / (1 - t^Q), so ||D||_F is the root of the sum of
       |tau^Q / (1 - tau^Q)|^2, tau = t inside and 1 / t outside.
@@ -237,11 +235,12 @@ def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
       and to first order dF = D E A^-1 E^T P + P E A^-1 E^T D
       - U W^-H (E^T D E) W^-1 U^H, so C = 2 ||A^-1/2|| + ||A^-1||,
       measured on the computed A; _C0 holds while sigma_min(A) >= 0.65.
-    - delta.  A solve is backward stable to about eps max|lambda|, which
-      1 / (rho - d_in) amplifies: X Y^T errs by about
-      delta = eps max|lambda| / (rho - d_in), stated as measured (against
-      eigh on 4 potentials x 3 lattices x K 64, 256: at most 0.42 delta).
-      The floor rho >= d_in + 2 eps max|lambda| / _TOL keeps
+    - delta = eps max|lambda| / (rho - d_in), a measured rounding term:
+      the reduction and the solves are backward stable to about
+      eps max|lambda|, which 1 / (rho - d_in) amplifies (against eigh on
+      4 potentials x 3 lattices x K 64, 256: errors at most 0.42 delta).
+      No node count removes it, so Q keeps C err <= _TOL - min(delta,
+      _TOL / 2), and the floor rho >= d_in + 2 eps max|lambda| / _TOL keeps
       delta <= _TOL / 2 where R allows.  Without it, eigenvalues n^2 that
       eigvalsh puts 1e-12 apart gave rho ~ 1e-6 and P off by 8e-7.
     """
@@ -266,13 +265,9 @@ def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
     if not np.array_equal(dist < rho, inside):
         raise RankMismatch(f"{np.count_nonzero((dist < rho) != inside)} eigenvalue(s) in "
                            f"only one of |z-{center}|<{rho} and |z-{center}|<{R}")
-    circle = (n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out))
-    if not H.hermitian:
-        return *circle, _NODES, None
-    tau = (vals - center) / rho
-    tau[~inside] = 1 / tau[~inside]
-    Q, err = _nodes(tau, delta := rounding / (rho - d_in), _C0)
-    return *circle, Q, (tau, delta, err)
+    delta = rounding / (rho - d_in) if H.hermitian else 0.0
+    nodes = _nodes((vals - center) / rho, delta, _C0) if H.hermitian else (_NODES, np.inf)
+    return n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out), *nodes, delta
 
 
 def _check_level(basis: BasisSpec, n: int) -> None:
@@ -353,12 +348,10 @@ def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray, ws: np.ndarray,
              group: np.ndarray) -> np.ndarray:
     """sum_{group[j] = g} w_j (z_j - L)^-1 E_g, E_g = I[:, cols[g]], for each
     row g of the G x r ``cols``, from flat nodes ``zs``, weights ``ws`` and
-    groups ``group`` (any count per group): G x N x r.
-
-    With L = Q A Q^H (``H.hessenberg()``), (z - L)^-1 E = Q (z - A)^-1 Q^H E:
-    one ``apply_q`` takes every E_g in and one takes every sum back; the
-    nodes are swept in chunks of ``_NODE_BLOCK``, each summed into its
-    groups by one product with its weights.
+    groups ``group`` (any count per group): G x N x r.  With L = Q A Q^H
+    (``H.hessenberg()``), one ``apply_q`` takes every E_g in and one takes
+    every sum back; each chunk of ``_NODE_BLOCK`` nodes is swept and summed
+    into its groups by one product with its weights.
     """
     band, h, _ = H.hessenberg()
     (G, r), N = cols.shape, H.size
@@ -403,61 +396,50 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
 
 
 def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
-    """Rank-r projections over the ``_circle``s (n, cols, c, R, margin,
-    rate, Q, cert), r = len(cols) for all, by the trapezoidal rule on
-    |z - c| = R, as the pairs of level (or block) n.  Each round sweeps the
-    circles still running in one ``_moments`` call.  Hermitian L: one round
-    at the certified Q, estimate C ||P_Q - P||_F + delta (``_circle``), and
-    again at the Q a measured C certifies while that misses ``_TOL``.  Other
-    L: Q starts at ``_NODES`` and doubles, reusing earlier moments, until
-    the Frobenius change of P drops below ``_TOL`` or Q hits ``_MAX_NODES``.
+    """The pairs of the ``_circle``s (n, cols, c, R, margin, rate, Q, err,
+    delta), all of rank len(cols), by the trapezoidal rule on |z - c| = R,
+    each round in one ``_moments`` call.  Hermitian L: Q nodes, estimate
+    C err + delta, and again at the Q a measured C > _C0 needs.  Other L:
+    ``_NODES`` nodes, doubled until P changes by less than ``_TOL`` (the
+    estimate) or Q hits ``_MAX_NODES``.  Converged: C err or the change < _TOL.
     """
     if not circles:
         return []
-    ns, cols, c, R, margins, rates, used, certs = map(list, zip(*circles))
+    ns, cols, c, R, margins, rates, used, err, delta = map(list, zip(*circles))
     cols, c, R = np.array(cols), np.array(c, dtype=complex), np.array(R, dtype=float)
     p = H.basis.transpose_perm()
-    for cl in cols:
-        assert np.array_equal(np.sort(p[cl]), cl), "cols not closed under the transpose symmetry"
-
-    def moments(gs, thetas: list) -> np.ndarray:  # thetas[i]: angles on circle gs[i]
-        sizes = [len(t) for t in thetas]
-        w, at = np.exp(1j * np.concatenate(thetas)), np.repeat(gs, sizes)
-        return _moments(H, cols[gs], c[at] + R[at] * w, w, np.repeat(np.arange(len(gs)), sizes))
-
-    def factors(M: np.ndarray, g: int, Q: int):
-        return _factors(M, cols[g], p, R[g] / Q)
-
+    assert all(np.array_equal(np.sort(p[cl]), cl) for cl in cols), "cols not closed under p"
     every = range(len(cols))
-    f, est = [None] * len(cols), [np.inf] * len(cols)
-    run = list(every) if H.hermitian else []
+    f, M, quad, run = [None] * len(cols), [0.0] * len(cols), [np.inf] * len(cols), list(every)
     while run:
-        M, again = moments(run, [2.0 * np.pi * np.arange(used[g]) / used[g] for g in run]), []
-        for g, M_g in zip(run, M):
-            f[g] = factors(M_g, g, used[g])
-            # ||A^-1|| for A = E^T P E, which Y[cols] holds up to the permutation s
-            a = 1.0 / float(np.linalg.svd(f[g][1][cols[g]], compute_uv=False)[-1])
-            C = 2.0 * a ** 0.5 + a
-            tau, delta, err = certs[g]
-            est[g] = C * err + delta
-            if est[g] >= _TOL and (retry := _nodes(tau, delta, C))[0] > used[g]:
-                used[g], certs[g] = retry[0], (tau, delta, retry[1])
-                again.append(g)
+        # node sets in steps of 2 pi / Q: Hermitian L, the Q-grid afresh; else
+        # the even and odd halves of the first grid, then the midpoints
+        sets = [[np.arange(used[g])] if H.hermitian else [np.arange(used[g]) + 0.5] if f[g]
+                else list(np.arange(used[g]).reshape(-1, 2).T) for g in run]
+        gs = np.repeat(run, [len(s) for s in sets])  # the circle of each node set
+        group = np.repeat(np.arange(len(gs)), [len(t) for s in sets for t in s])
+        w = np.exp(2j * np.pi * np.concatenate(sum(sets, [])) / np.array(used)[gs[group]])
+        Ms, again = iter(_moments(H, cols[gs], c[gs[group]] + R[gs[group]] * w, w, group)), []
+        for g, Mg in zip(run, ([next(Ms) for _ in s] for s in sets)):
+            if H.hermitian:
+                f[g] = _factors(Mg[0], cols[g], p, R[g] / used[g])
+                # ||A^-1|| for A = E^T P E, which Y[cols] holds up to the permutation s
+                a = 1.0 / float(np.linalg.svd(f[g][1][cols[g]], compute_uv=False)[-1])
+                quad[g] = (C := 2.0 * a ** 0.5 + a) * err[g]
+                t = (H.eigenvalues() - c[g]) / R[g]  # Q met _TOL at _C0; does it at C?
+                if C > _C0 and (retry := _nodes(t, delta[g], C))[0] > used[g]:
+                    used[g], err[g] = retry
+                    again.append(g)
+            else:  # the first even half is the half-grid; later rounds double Q
+                old = f[g] or _factors(Mg[0], cols[g], p, 2 * R[g] / used[g])
+                M[g], used[g] = M[g] + sum(Mg), used[g] * (1 if f[g] is None else 2)
+                f[g] = _factors(M[g], cols[g], p, R[g] / used[g])
+                quad[g] = _change(f[g], old)
+                if quad[g] >= _TOL and used[g] < _MAX_NODES:
+                    again.append(g)
         run = again
-    if not H.hermitian:
-        # the Q/2-grid first: each doubling adds the midpoints of the grid
-        Q, run = _NODES // 2, list(every)
-        M = moments(run, [2.0 * np.pi * np.arange(Q) / Q] * len(run))
-        f = [factors(M[g], g, Q) for g in every]
-        while Q < _MAX_NODES and run:
-            M[run] += moments(run, [2.0 * np.pi * (np.arange(Q) + 0.5) / Q] * len(run))
-            Q *= 2
-            for g in run:
-                f_new = factors(M[g], g, Q)
-                est[g], f[g], used[g] = _change(f_new, f[g]), f_new, Q
-            run = [g for g in run if est[g] >= _TOL]
-    return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=est[g],
-                           nodes_used=used[g], converged=est[g] < _TOL,
+    return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=quad[g] + delta[g],
+                           nodes_used=used[g], converged=quad[g] < _TOL,
                            guard_margin=margins[g], radius=float(R[g]),
                            rate=rates[g]) for g in every]
 

@@ -129,13 +129,23 @@ class TestDecay:
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch):
         import hillproj.projector as prj
-        monkeypatch.setattr(prj, "_TOL", 1e-30)
-        monkeypatch.setattr(prj, "_MAX_NODES", 64)
+        monkeypatch.setattr(prj, "_TOL", 1e-30)  # 16 nodes cannot reach it
+        monkeypatch.setattr(prj, "_MAX_NODES", 16)
         code = run(["decay", "--potential", "mathieu:1.0", "--bc", "per+",
                     "--K", "48", "--n-min", "8", "--n-max", "10", "--out", str(tmp_path)])
         assert code == 1
         payload = json.loads((tmp_path / "decay.json").read_text())
         assert [r["converged"] for r in payload["records"]] == [False, False]
+
+    def test_rounding_term_is_no_verdict_failure(self, tmp_path, monkeypatch):
+        # the rounding term of K = 2048 (eps max|lambda| 256 times that of
+        # K = 128) passes _TOL at levels 10 and 12; they still converge
+        import hillproj.projector as prj
+        monkeypatch.setattr(prj, "_EPS", prj._EPS * 256)
+        code = run(["decay", "--potential", "delta_comb:0.5", "--bc", "per+",
+                    "--K", "128", "--n-min", "10", "--n-max", "12", "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "decay.json").read_text())
+        assert code == 0 and [r["converged"] for r in payload["records"]] == [True, True]
 
     def test_level_one_is_config_error(self, tmp_path, capsys):
         code = run(["decay", "--potential", "mathieu:1.0", "--bc", "per-",
@@ -236,8 +246,8 @@ class TestLpNorms:
 
     def test_unconverged_level_is_verdict_failure(self, tmp_path, monkeypatch, capsys):
         import hillproj.projector as prj
-        monkeypatch.setattr(prj, "_TOL", 1e-30)
-        monkeypatch.setattr(prj, "_MAX_NODES", 64)
+        monkeypatch.setattr(prj, "_TOL", 1e-30)  # 16 nodes cannot reach it
+        monkeypatch.setattr(prj, "_MAX_NODES", 16)
         code = run(["lpnorms", "--potential", "mathieu:1.0", "--bc", "per+",
                     "--K", "48", "--n-min", "8", "--n-max", "12",
                     "--samples", "50", "--out", str(tmp_path)])
