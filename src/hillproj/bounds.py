@@ -45,17 +45,19 @@ Chain sums over a truncated index lattice (j = n mod step, |j| <= cutoff):
 Everything is computed in transfer form.  An index set is held as a mask
 on its enclosing arithmetic progression, where every chain operator is
 diag * Hankel r(|j_k + j_l|) * diag or diag * Toeplitz |V(j_k - j_l)| *
-diag; the middle factor is one masked FFT convolution, so a sweep costs
-O(cutoff log cutoff) time and O(cutoff) memory.  The test-suite checks
-these against nested-loop enumeration on tiny index sets and against a
-dense matrix-power reference.  Truncation always under-counts the sums,
-so in the inequality suite a truncated "pass" is meaningful; each value
-carries a tail estimate (the increment from the last cutoff doubling).
-On the default lattice with ``check_tail`` on, the public sums
-(``l_sum``, ``sigma`` and the rest) raise ``CutoffTooSmall`` when that
-estimate exceeds 1% of the value; ``lemma_suite`` raises nothing for it
-and records every estimate in ``tail_estimates``, which the CLI turns
-into the ``cutoff_converged`` verdict.
+diag; the middle factor is one masked FFT convolution of 5-smooth
+length, so a sweep costs O(cutoff log cutoff) time and O(cutoff) memory.
+One L sweep serves d = +-n, R has its own, and one tree yields every
+signed-kernel piece.  The test-suite checks these against nested-loop
+enumeration on tiny index sets and against a dense matrix-power
+reference.  Truncation always under-counts the sums, so in the
+inequality suite a truncated "pass" is meaningful; each value carries a
+tail estimate (the increment from the last cutoff doubling).  On the
+default lattice with ``check_tail`` on, the public sums (``l_sum``,
+``sigma`` and the rest) raise ``CutoffTooSmall`` when that estimate
+exceeds 1% of the value; ``lemma_suite`` raises nothing for it and
+records every estimate in ``tail_estimates``, which the CLI turns into
+the ``cutoff_converged`` verdict.
 """
 
 from __future__ import annotations
@@ -144,17 +146,13 @@ def kappa_for(r: MajorantSeq, n: int, rho_constant: float = 8.0):
 
 def lattice(n: int, cutoff: int, step: int = 2, exclude: tuple[int, ...] = ()) -> np.ndarray:
     """Indices j = n (mod step), |j| <= cutoff, minus the excluded ones."""
-    j = np.arange(-cutoff, cutoff + 1)
-    if step == 2:
-        j = j[(j - n) % 2 == 0]
-    elif step != 1:
+    if step not in (1, 2):
         raise ValueError("step must be 1 or 2")
-    if exclude:
-        mask = np.ones(len(j), dtype=bool)
-        for e in exclude:
-            mask &= j != e
-        j = j[mask]
-    return j
+    j = np.arange(-cutoff + (n + cutoff) % step, cutoff + 1, step)
+    keep = np.ones(len(j), dtype=bool)
+    for e in exclude:
+        keep &= j != e
+    return j[keep]
 
 
 def _vabs_lookup(source, max_offset: int) -> np.ndarray:
@@ -207,6 +205,25 @@ def _truncated(orders_on, what: str, n: int, cutoff, step: int, exclude, indices
 # the transfer kernel
 # ---------------------------------------------------------------------------
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: each odd part times the least power of two reaching n."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
+        p5 *= 5
+    return best
+
+
+def _sweep(x, step, count: int) -> list:
+    """The first ``count`` iterates x, step(x), step(step(x)), ... of a transfer sweep."""
+    out = [x]
+    for _ in range(count - 1):
+        out.append(step(out[-1]))
+    return out
+
+
 class _Lattice:
     """An index set held as a mask on its enclosing progression.
 
@@ -236,11 +253,13 @@ class _Lattice:
         (Hankel) or kernel[k - l + N - 1] (Toeplitz).
 
         K is applied as a zero-padded FFT convolution of length >= 2N - 1,
-        so no wrap-around reaches the N entries kept.  Entries off the set
-        are zeroed on input and on output; excluding an index needs both.
+        so no wrap-around reaches the N entries kept; the least 5-smooth
+        length runs nearly as fast as a power of two, which at N = 2^k + 1
+        would pad almost 2x.  Entries off the set are zeroed on input and
+        on output; excluding an index needs both.
         """
         size = len(self.mask)
-        nfft = 1 << (2 * size - 2).bit_length()
+        nfft = _fft_length(2 * size - 1)
         spec = np.fft.rfft(kernel, nfft)
 
         def apply(x: np.ndarray) -> np.ndarray:
@@ -260,23 +279,22 @@ class _Lattice:
 # chain sums L and R
 # ---------------------------------------------------------------------------
 
-def _chain_orders(vabs_src, n: int, idx, p_max: int, d: int):
-    """L(p, d) and R(p, d) for p = 1..p_max on one index set."""
+def _chain_orders(vabs_src, n: int, idx, p_max: int, l_ds=(), r_ds=()):
+    """{d: L(p, d)} over ``l_ds`` and {d: R(p, d)} over ``r_ds``, p = 1..p_max.
+
+    Only L's front depends on d, so one sweep g = T^(p-1) 1 serves all of
+    ``l_ds``; R carries d at the far end of its chain and sweeps per d.
+    """
     lat = _Lattice(idx)
-    off = 2 * lat.top + abs(d)
+    off = 2 * lat.top + max(abs(d) for d in (*l_ds, *r_ds))
     vabs = _vabs_lookup(vabs_src, off)
     toep = lat.transfer(vabs[lat.diffs + off], hankel=False)
     wsq = lat.weight(n * n - lat.j.astype(float) ** 2)
-    u = vabs[(d - lat.j) + off] * wsq
-    y = vabs[(lat.j - d) + off] * wsq
-    g = lat.mask.astype(float)
-    ls, rs = [float(u @ g)], [float(y.sum())]
-    for _ in range(p_max - 1):
-        g = toep(wsq * g)
-        y = wsq * toep(y)
-        ls.append(float(u @ g))
-        rs.append(float(y.sum()))
-    return ls, rs
+    gs = _sweep(lat.mask.astype(float), lambda g: toep(wsq * g), p_max) if l_ds else []
+    us = {d: vabs[(d - lat.j) + off] * wsq for d in l_ds}
+    ls = {d: [float(u @ g) for g in gs] for d, u in us.items()}
+    ys = {d: _sweep(vabs[(lat.j - d) + off] * wsq, lambda y: wsq * toep(y), p_max) for d in r_ds}
+    return ls, {d: [float(y.sum()) for y in y_d] for d, y_d in ys.items()}
 
 
 def l_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
@@ -288,7 +306,7 @@ def l_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, d)[0], f"L({p},{d})",
+    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, (d,))[0][d], f"L({p},{d})",
                       n, cutoff, getattr(vabs_src, "step", 2), (n, -n), indices, check_tail)
 
 
@@ -297,7 +315,8 @@ def r_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
     """Truncated chain sum R(p, d); equals L(p, -d) on a symmetric lattice."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, d)[1], f"R({p},{d})",
+    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, (), (d,))[1][d],
+                      f"R({p},{d})",
                       n, cutoff, getattr(vabs_src, "step", 2), (n, -n), indices, check_tail)
 
 
@@ -311,12 +330,8 @@ def _sigma_orders(r: MajorantSeq, n: int, idx, s_max: int) -> list[float]:
     rtab, hank = lat.hankel(r, abs(n))
     a = rtab[np.abs(n + lat.j)]
     wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
-    v = wminus
-    out = [float(a @ v)]
-    for _ in range(s_max - 1):
-        v = wminus * hank(v) + hank(wplus * v)
-        out.append(float(a @ v))
-    return out
+    iterates = _sweep(wminus, lambda v: wminus * hank(v) + hank(wplus * v), s_max)
+    return [float(a @ v) for v in iterates]
 
 
 def sigma(r: MajorantSeq, n: int, s: int, cutoff: int | None = None,
@@ -334,12 +349,7 @@ def _sigma1_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> l
     rtab, hank = lat.hankel(r, abs(n) + int(np.abs(ms).max(initial=0)))
     wminus = lat.weight(n - lat.j)
     front = rtab[np.abs(ms[:, None] + lat.j[None, :])] * wminus
-    g = lat.mask.astype(float)
-    out = [front @ g]
-    for _ in range(s_max - 1):
-        g = hank(wminus * g)
-        out.append(front @ g)
-    return out
+    return [front @ g for g in _sweep(lat.mask.astype(float), lambda g: hank(wminus * g), s_max)]
 
 
 def sigma1(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
@@ -365,11 +375,7 @@ def _sigma2_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> l
     front = rtab[np.abs(ms[:, None] + lat.j[None, :])]
     wplus = lat.weight(n + lat.j)
     z = hank(lat.weight(n * n - lat.j.astype(float) ** 2))
-    out = [front @ z]
-    for _ in range(s_max - 2):
-        z = hank(wplus * z)
-        out.append(front @ z)
-    return out
+    return [front @ z for z in _sweep(z, lambda z: hank(wplus * z), s_max - 1)]
 
 
 def sigma2(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
@@ -388,24 +394,24 @@ def sigma2_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None 
                       n, cutoff, r.step, (n, -n), indices, check_tail)
 
 
-def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, sign_vectors) -> list[float]:
-    """The signed-kernel piece of sigma for each sign vector."""
+def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, s_max: int) -> dict[int, list[float]]:
+    """{s: pieces} for s = 2..s_max, one per sign vector in ``itertools.product`` order.
+
+    delta_v = -1 takes the 1/|n-j_v| term of bracket v, +1 its 1/|n+j_{v+1}|.
+    Vectors act last entry first, so each vector of order s is its suffix's
+    vector of order s - 1 after one more transfer: the orders form one tree,
+    14 transfers for s_max = 4 against 34 one vector at a time.
+    """
     lat = _Lattice(idx)
     rtab, hank = lat.hankel(r, abs(n))
     a = rtab[np.abs(n + lat.j)]
     wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
-    out = []
-    for deltas in sign_vectors:
-        v = wminus
-        for dlt in reversed(list(deltas)):
-            if dlt == -1:
-                v = wminus * hank(v)
-            elif dlt == +1:
-                v = hank(wplus * v)
-            else:
-                raise ValueError("deltas entries must be +-1")
-        out.append(float(a @ v))
-    return out
+    level, pieces = {(): wminus}, {}
+    for s in range(2, s_max + 1):
+        level = {ds: wminus * hank(level[ds[1:]]) if ds[0] == -1 else hank(wplus * level[ds[1:]])
+                 for ds in itertools.product((-1, 1), repeat=s - 1)}
+        pieces[s] = [float(a @ v) for v in level.values()]
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +652,7 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
 
     # signed-kernel split: exact resummation and the per-piece bound
     idx_pm = lattice(n, cutoff, step, pm)
-    for s in range(2, _S_MAX + 1):
-        pieces = _sigma_tilde_pieces(r, n, idx_pm, itertools.product((-1, 1), repeat=s - 1))
+    for s, pieces in _sigma_tilde_pieces(r, n, idx_pm, _S_MAX).items():
         add("sigma_splits_exact", abs(sum(pieces) - sig[s]),
             1e-10 * max(1.0, sig[s]), f"s={s}")
         add("signed_kernel_bound", max(pieces), (eps / 2.0) ** s, f"s={s}")
@@ -662,11 +667,11 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     l_table: dict[str, float] = {}
     r_table: dict[str, float] = {}
     if potential is not None:
-        half_pm = lattice(n, cutoff // 2, step, pm)
-        for d in pm:  # L with tails against the half-cutoff lattice, R from the same sweep
-            ls, rs = _chain_orders(potential, n, idx_pm, _P_MAX, d)
-            half = _chain_orders(potential, n, half_pm, _P_MAX, d)[0]
-            for p, (lv, hv, rv) in enumerate(zip(ls, half, rs), 1):
+        # L with tails against the half-cutoff lattice; R on the full one only
+        ls, rs = _chain_orders(potential, n, idx_pm, _P_MAX, pm, pm)
+        half = _chain_orders(potential, n, lattice(n, cutoff // 2, step, pm), _P_MAX, pm)[0]
+        for d in pm:
+            for p, (lv, hv, rv) in enumerate(zip(ls[d], half[d], rs[d]), 1):
                 tracked(f"L({p},{d:+d})", lv, hv)
                 l_table[f"{p},{d:+d}"], r_table[f"{p},{d:+d}"] = lv, rv
         for p in range(1, _P_MAX + 1):

@@ -241,14 +241,25 @@ class TestSigmaFamily:
             assert abs(a - b) <= 1e-12 * max(1, a)
 
     def test_sigma_tilde_resums_to_sigma(self):
-        r = delta_majorant(1.0, top=64)
+        # the tree's pieces are the vector-by-vector loop's, bit for bit and
+        # in product order, and they resum to sigma
+        r, n = delta_majorant(1.0, top=64), 4
         idx = np.array(TINY_IDX)
+        tree = bounds._sigma_tilde_pieces(r, n, idx, 4)
+        assert sorted(tree) == [2, 3, 4]
+        lat = bounds._Lattice(idx)
+        rtab, hank = lat.hankel(r, n)
+        wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
         for s in (2, 3, 4):
-            pieces = bounds._sigma_tilde_pieces(
-                r, 4, idx, [[(-1 if (bits >> t) & 1 == 0 else 1) for t in range(s - 1)]
-                            for bits in range(2 ** (s - 1))])
-            sv = bounds.sigma(r, 4, s, indices=idx)
-            assert abs(sum(pieces) - sv) <= 1e-12 * max(1, sv)
+            loop = []
+            for deltas in itertools.product((-1, 1), repeat=s - 1):
+                v = wminus
+                for dlt in reversed(deltas):
+                    v = wminus * hank(v) if dlt == -1 else hank(wplus * v)
+                loop.append(float(rtab[np.abs(n + lat.j)] @ v))
+            assert tree[s] == loop
+            sv = bounds.sigma(r, n, s, indices=idx)
+            assert abs(sum(tree[s]) - sv) <= 1e-12 * max(1, sv)
 
     @given(st.floats(min_value=0.1, max_value=4.0))
     @settings(max_examples=20, deadline=None)
@@ -359,6 +370,19 @@ class TestDenseReference:
         idx1 = np.array(sorted(set(idx) | {-n}))
         self.check_public(step, idx, idx1, dict(indices=idx), dict(indices=idx1))
 
+    def test_r_is_its_own_sweep_off_the_symmetric_lattice(self):
+        # on gapped, asymmetric indices with an uneven |V| (the sawtooth),
+        # R(p, d) and L(p, -d) differ by a few percent, so an R read off
+        # the reflected L would miss the dense reference
+        n, src = self.N, pot.sawtooth(1.0, max_index=512)
+        idx = np.array([j for j in range(-30, 31, 2) if j not in {n, -n, -10, 12, 14}])
+        _, vabs = dense_tables(pot.majorant(src), src, n, idx)
+        for p in (1, 2, 3, 4):
+            for d in (n, -n):
+                rv = bounds.r_sum(src, p, d, n, indices=idx)
+                assert_rel(rv, dense_R(vabs, p, d, n, idx))
+                assert abs(rv - bounds.l_sum(src, p, -d, n, indices=idx)) > 0.01 * rv
+
     @pytest.mark.parametrize("step", [1, 2])
     def test_lemma_suite_tables(self, step):
         n, cutoff = self.N, 64
@@ -391,6 +415,79 @@ class TestDenseReference:
         got = bounds.sigma(r, 8, 1, cutoff=64, check_tail=False)
         assert got > 0.09
         assert got == bounds.lemma_suite(r, 8, 64).sigma_table["1"]
+
+
+# -- the transfer kernel ---------------------------------------------------------
+
+def filtered_lattice(n, cutoff, step, exclude):
+    """``bounds.lattice`` as a filter on the full range, its reference."""
+    j = np.arange(-cutoff, cutoff + 1)
+    j = j[(j - n) % step == 0]
+    return j[[int(i) not in exclude for i in j]]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_lattice_is_the_filtered_range(self, step):
+        for n in (7, 8):
+            for cutoff in (64, 65, 1000):
+                for exclude in ((), (n,), (n, -n), (n, -n, 3, cutoff + 2)):
+                    got = bounds.lattice(n, cutoff, step, exclude)
+                    assert np.array_equal(got, filtered_lattice(n, cutoff, step, exclude))
+        with pytest.raises(ValueError):
+            bounds.lattice(8, 64, 3)
+
+    def test_fft_length_is_the_smallest_5_smooth(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9)
+                        for c in range(6) if 2 ** a * 3 ** b * 5 ** c <= 8192)
+        for n in range(1, 5001):
+            m = bounds._fft_length(n)
+            assert m == smooth[np.searchsorted(smooth, n)]
+            assert n <= m <= 1 << (n - 1).bit_length()
+        assert bounds._fft_length(2 * 4097 - 1) == 8640 and bounds._fft_length(4097) == 4320
+
+    @pytest.mark.parametrize("size", [15, 16, 17, 127, 128, 129, 1023, 1024, 1025])
+    @pytest.mark.parametrize("hankel", [True, False])
+    def test_transfer_is_the_masked_matvec(self, size, hankel):
+        # sizes 2^k - 1, 2^k and 2^k + 1 sit on both sides of the padding edge
+        rng = np.random.default_rng(size)
+        idx = np.delete(-3 + 2 * np.arange(size), [1, size // 2])   # excluded, ends kept
+        lat = bounds._Lattice(idx)
+        assert len(lat.mask) == size and lat.mask.sum() == size - 2
+        kernel, x = rng.random(2 * size - 1), rng.random(size)
+        k, l = np.indices((size, size))
+        dense = kernel[k + l] if hankel else kernel[k - l + size - 1]
+        ref = np.where(lat.mask, dense @ np.where(lat.mask, x, 0.0), 0.0)
+        np.testing.assert_allclose(lat.transfer(kernel, hankel)(x), ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_one_l_sweep_serves_every_d(self, step):
+        n = 6
+        _, src = step_case(step)
+        idx = np.array([j for j in range(-30, 31, step) if j not in {n, -n, -10, 12, 14, 3}])
+        ds = (n, -n, 2 * step)
+        ls, rs = bounds._chain_orders(src, n, idx, 4, ds, ds)
+        for d in ds:
+            one_l, none_r = bounds._chain_orders(src, n, idx, 4, l_ds=(d,))
+            none_l, one_r = bounds._chain_orders(src, n, idx, 4, r_ds=(d,))
+            assert none_r == {} == none_l
+            np.testing.assert_allclose(ls[d], one_l[d], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(rs[d], one_r[d], rtol=1e-14, atol=0)
+
+    def test_lemma_suite_fft_calls(self, monkeypatch):
+        # one level of the bounds-delta workload: 54 transfer applies and
+        # 9 kernel spectra, on the 4097-point lattice (5-smooth length 8640)
+        # and the half-cutoff 2049-point one (4320)
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda a, n, _name=name, _real=real:
+                                calls.append((_name, n)) or _real(a, n))
+        p = pot.delta_comb(0.5, max_index=9000)
+        rep = bounds.lemma_suite(pot.majorant(p), 8, potential=p)
+        assert rep.inputs["cutoff"] == 4096
+        assert {c: calls.count(c) for c in set(calls)} == {
+            ("rfft", 8640): 42, ("irfft", 8640): 37, ("rfft", 4320): 21, ("irfft", 4320): 17}
 
 
 class TestNestedVsMatrix:
