@@ -13,12 +13,13 @@ The L^1 -> L^infinity proxy carries the basis constant D = sup |e_k|:
 D = 1 for the exponential bases, sqrt(2) for the sine basis, entering as
 D^2 * sum_abs_B.
 
-The L^p-equivalence checks compare pi ||f||_inf / ||f||_1 on an M-point
-grid of [0, pi]: the grid max against the composite-trapezoid integral of
-|f|, i.e. the sup against the mean-normalized L^1 norm (1/pi) int |f| dx,
-the normalization under which the Fourier coefficients satisfy
-|f_k| <= D ||f||_1 and the constant-3 comparison on the Riesz subspaces
-is meaningful.  One sampler, ``_max_ratio``, evaluates every such ratio.
+The L^p-equivalence checks compare pi ||f||_inf / ||f||_1 on x_j = pi j / M,
+j = 0..M: the grid max against the composite-trapezoid integral of |f|,
+i.e. the sup against the mean-normalized L^1 norm (1/pi) int |f| dx, the
+normalization under which the Fourier coefficients satisfy |f_k| <= D ||f||_1
+and the constant-3 comparison on the Riesz subspaces is meaningful.  One
+sampler, ``_max_ratio``, evaluates every such ratio from one inverse FFT of
+length M (exponential bases) or 2M (sine basis).
 """
 
 from __future__ import annotations
@@ -106,22 +107,6 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
 _COL_BLOCK = 32  # columns per block of ``_max_ratio``: O(_COL_BLOCK * M) memory
 
 
-def _basis_grid(basis: BasisSpec, M: int) -> np.ndarray:
-    """M x size matrix of basis functions on the grid, complex for every basis."""
-    xs = np.linspace(0.0, math.pi, M)
-    idx = np.array(basis.indices, dtype=float)
-    if basis.bc.is_periodic_family:
-        return np.exp(1j * np.outer(xs, idx))
-    return (math.sqrt(2.0) * np.sin(np.outer(xs, idx))).astype(complex)
-
-
-def _trapezoid_weights(M: int) -> np.ndarray:
-    w = np.full(M, math.pi / (M - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _draws(basis: BasisSpec, samples: int, seed: int) -> np.ndarray:
     """size x samples standard complex Gaussian coefficient columns."""
     rng = np.random.default_rng(seed)
@@ -129,21 +114,40 @@ def _draws(basis: BasisSpec, samples: int, seed: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _synthesize(basis: BasisSpec, coeffs: np.ndarray, M: int) -> np.ndarray:
+    """f(x_j), x_j = pi j / M, j < M, one row per column of ``coeffs``.
+
+    One inverse FFT: of length M with c_k at (k div 2) mod M for per+-
+    (times e^{-i x_j} under per-, which leaves |f| alone), of length 2M of
+    the odd extension sqrt(2) sin kx = (e^{ikx} - e^{-ikx}) / (i sqrt(2)) for
+    the sine basis.  ``np.add.at`` sums indices that wrap the length.
+    """
+    idx = np.array(basis.indices)
+    if basis.bc.is_periodic_family:
+        size, pos, vals = M, idx // 2 % M, coeffs
+    else:
+        size, pos = 2 * M, np.concatenate([idx, -idx]) % (2 * M)
+        vals = np.concatenate([coeffs, -coeffs]) / (1j * math.sqrt(2.0))
+    spec = np.zeros((coeffs.shape[1], size), dtype=complex)
+    np.add.at(spec.T, pos, vals)
+    return np.fft.ifft(spec, norm="forward")[:, :M]
+
+
 def _max_ratio(basis: BasisSpec, coeffs: np.ndarray, M: int) -> float:
     """Max of pi ||f||_inf / ||f||_1 over the nonzero columns of ``coeffs``
-    (coefficients of f against ``basis.indices``), with f on M equispaced
-    points of [0, pi]: the grid max over the composite trapezoid L^1."""
+    (coefficients of f against ``basis.indices``) on x_j = pi j / M, j = 0..M:
+    the grid max over the composite trapezoid L^1.  |f| is pi-periodic for
+    per+- and f(0) = f(pi) = 0 for the sine basis, so the trapezoid is pi/M
+    times the plain sum over j < M: M max_j |f_j| / sum_j |f_j|."""
     if M < 1024:
         raise ValueError("norm evaluation needs M >= 1024")
     coeffs = coeffs[:, np.linalg.norm(coeffs, axis=0) > 1e-12]
     if not coeffs.shape[1]:
         raise ValueError("every coefficient column is zero")
-    grid = _basis_grid(basis, M)
-    w = _trapezoid_weights(M)
     best = []
     for j in range(0, coeffs.shape[1], _COL_BLOCK):
-        mod = np.abs(grid @ coeffs[:, j:j + _COL_BLOCK])
-        best.append((math.pi * mod.max(axis=0) / (w @ mod)).max())
+        mod = np.abs(_synthesize(basis, coeffs[:, j:j + _COL_BLOCK], M))
+        best.append((M * mod.max(axis=1) / mod.sum(axis=1)).max())
     return float(max(best))
 
 

@@ -526,14 +526,9 @@ def quadrature_vs_residue_check(pot, bc: BoundaryCondition, n: int,
     k, m = idx[:, None], idx[None, :]
     W = coupling(pot, bc, k, m)
 
-    sq = (idx * idx).astype(float)
-    c, R = float(n * n), float(n)
-    quad = np.zeros_like(W)
-    for th in 2.0 * np.pi * np.arange(nodes) / nodes:
-        z = c + R * np.exp(1j * th)
-        d = 1.0 / (z - sq)
-        quad += np.exp(1j * th) * (np.outer(d, d) * W)
-    quad *= R / nodes
+    u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    D = 1.0 / (n * n + n * u - k * k)  # size x nodes: D(z) at every node
+    quad = ((D * u) @ D.T) * W * (n / nodes)
     return float(np.abs(quad - first_order_residue(pot, bc, n, k, m)).max())
 
 

@@ -61,6 +61,21 @@ def oracle_ratio(basis, coeffs, M):
     return PI * peak / l1
 
 
+def dense_ratio(basis, coeffs, M):
+    """The same ratio from a dense (M + 1) x size grid of basis functions on
+    x_j = pi j / M, one matrix product and the closed trapezoid weights."""
+    xs = np.linspace(0.0, PI, M + 1)
+    idx = np.array(basis.indices, dtype=float)
+    if basis.bc.is_periodic_family:
+        grid = np.exp(1j * np.outer(xs, idx))
+    else:
+        grid = math.sqrt(2.0) * np.sin(np.outer(xs, idx))
+    mod = np.abs(grid @ coeffs)
+    w = np.full(M + 1, PI / M)
+    w[[0, -1]] *= 0.5
+    return float((PI * mod.max(axis=0) / (w @ mod)).max())
+
+
 def unit(basis, k):
     c = np.zeros((basis.size, 1), dtype=complex)
     c[basis.position(k)] = 1.0
@@ -75,23 +90,21 @@ class TestSampler:
         basis = hp.basis_for(bc, 5 if bc is BC.PER_MINUS else 4)
         rng = np.random.default_rng(3)
         cols = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
-        want = [oracle_ratio(basis, cols[:, j], 1024) for j in range(3)]
-        for j in range(3):
-            assert abs(norms._max_ratio(basis, cols[:, j:j + 1], 1024) - want[j]) < 1e-12
-        # an all-zero column is dropped, not divided by
-        cols = np.hstack([cols, np.zeros((basis.size, 1))])
-        assert abs(norms._max_ratio(basis, cols, 1024) - max(want)) < 1e-12
+        zero = np.zeros((basis.size, 1))
+        for M in (1024, 1031):  # M intervals are M + 1 oracle points; 1031 is prime
+            want = [oracle_ratio(basis, cols[:, j], M + 1) for j in range(3)]
+            for j in range(3):
+                assert abs(norms._max_ratio(basis, cols[:, j:j + 1], M) - want[j]) < 1e-12
+            # an all-zero column is dropped, not divided by
+            assert abs(norms._max_ratio(basis, np.hstack([cols, zero]), M) - max(want)) < 1e-12
 
     @pytest.mark.parametrize("bc", list(BC))
-    def test_basis_grid_is_complex(self, bc):
-        # built complex once, so no block of ``_max_ratio`` recasts it
-        basis = hp.basis_for(bc, 5 if bc is BC.PER_MINUS else 4)
-        grid = norms._basis_grid(basis, 1024)
-        assert grid.dtype == complex and grid.shape == (1024, basis.size)
-        if bc is BC.DIRICHLET:
-            xs = np.linspace(0.0, PI, 1024)
-            assert np.array_equal(grid.real, math.sqrt(2.0) * np.sin(np.outer(xs, basis.indices)))
-            assert not grid.imag.any()
+    def test_against_dense_grid_past_the_fft_length(self, bc):
+        # degree 1100 on M = 1024: the scattered indices wrap the FFT length
+        basis = hp.basis_for(bc, 1100)
+        cols = norms._draws(basis, 5, 7)
+        want = dense_ratio(basis, cols, 1024)
+        assert abs(norms._max_ratio(basis, cols, 1024) - want) <= 1e-12 * want
 
     def test_constant_has_ratio_one(self):
         basis = hp.basis_for(BC.PER_PLUS, 8)
@@ -216,7 +229,7 @@ class TestBlockEquivalence:
         rep = norms.sn_equivalence(prj.block_projection(H, 4, 10), samples=0, M=1024)
         ones = [1.0 if k * k < 110 else 0.0 for k in H.basis.indices]
         assert rep.samples == 1
-        assert abs(rep.max_ratio - oracle_ratio(H.basis, ones, 1024)) <= 1e-10 * rep.max_ratio
+        assert abs(rep.max_ratio - oracle_ratio(H.basis, ones, 1025)) <= 1e-10 * rep.max_ratio
 
 
 class TestSerialization:

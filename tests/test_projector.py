@@ -948,6 +948,27 @@ class TestQuadratureVsResidue:
         with pytest.raises(prj.IndexOutOfBasis):
             prj.quadrature_vs_residue_check(pot.mathieu(1.0), bc, n, 40)
 
+    @pytest.mark.parametrize("nodes", [16, 64])
+    @pytest.mark.parametrize("pname,bc,n", [
+        ("mathieu", BC.PER_PLUS, 8), ("mathieu", BC.PER_MINUS, 7), ("mathieu", BC.DIRICHLET, 8),
+        ("delta", BC.PER_PLUS, 8), ("delta", BC.PER_MINUS, 7),
+    ])
+    def test_against_node_loop(self, pname, bc, n, nodes):
+        # the trapezoid sum node by node, one outer product each
+        p = pot.mathieu(1.0) if pname == "mathieu" else pot.delta_comb(0.5, max_index=512)
+        idx = np.array(hp.basis_for(bc, 32).indices)
+        k, m = idx[:, None], idx[None, :]
+        W = prj.coupling(p, bc, k, m)
+        quad = np.zeros(W.shape, dtype=complex)
+        for q in range(nodes):
+            u = np.exp(2j * np.pi * q / nodes)
+            d = 1.0 / (n * n + n * u - idx.astype(float) ** 2)
+            quad += u * np.outer(d, d) * W
+        res = prj.first_order_residue(p, bc, n, k, m)
+        want = np.abs(quad * (n / nodes) - res).max()
+        dev = prj.quadrature_vs_residue_check(p, bc, n, 32, nodes)
+        assert abs(dev - want) <= 1e-15 * np.abs(res).max()
+
     def test_node_count_monotone(self):
         p = pot.delta_comb(0.5, max_index=512)
         devs = [prj.quadrature_vs_residue_check(p, BC.PER_PLUS, 8, 32, q)
