@@ -45,18 +45,18 @@ Chain sums over a truncated index lattice (j = n mod step, |j| <= cutoff):
 Everything is computed in transfer form.  An index set is held as a mask
 on its enclosing arithmetic progression, where every chain operator is
 diag * Hankel r(|j_k + j_l|) * diag or diag * Toeplitz |V(j_k - j_l)| *
-diag; the middle factor is one masked FFT convolution of 5-smooth
-length, so a sweep costs O(cutoff log cutoff) time and O(cutoff) memory.
-One L sweep serves d = +-n, R has its own, and one tree yields every
-signed-kernel piece.  The test-suite checks these against nested-loop
-enumeration on tiny index sets and against a dense matrix-power
-reference.  Truncation always under-counts the sums, so in the
-inequality suite a truncated "pass" is meaningful; each value carries a
-tail estimate (the increment from the last cutoff doubling).  On the
-default lattice with ``check_tail`` on, the public sums (``l_sum``,
-``sigma`` and the rest) raise ``CutoffTooSmall`` when that estimate
-exceeds 1% of the value; ``lemma_suite`` raises nothing for it and
-records every estimate in ``tail_estimates``, which the CLI turns into
+diag; the middle factor is one masked FFT convolution of 5-smooth length,
+its kernel transformed once per lattice, so a sweep costs O(cutoff log
+cutoff) time and O(cutoff) memory.  Each sum zeroes its own indices (+-n,
+or n for sigma1) in its weights.  One L sweep serves d = +-n, R has its
+own, and one tree yields every signed-kernel piece; tests compare them
+with enumeration and dense matrix powers.  Truncation always under-counts
+the sums, so in the inequality suite a truncated "pass" is meaningful;
+each value carries a tail estimate (the increment from the last cutoff
+doubling).  On the default lattice with ``check_tail`` on, the public sums
+(``l_sum``, ``sigma`` and the rest) raise ``CutoffTooSmall`` when that
+estimate exceeds 1% of the value; ``lemma_suite`` raises nothing for it
+and records every estimate in ``tail_estimates``, which the CLI turns into
 the ``cutoff_converged`` verdict.
 """
 
@@ -176,24 +176,24 @@ def _tail(full, half) -> tuple[float, float]:
     return float(full[k]), abs(float(full[k]) - float(half[k]))
 
 
-def _truncated(orders_on, what: str, n: int, cutoff, step: int, exclude, indices,
-               check_tail: bool):
+def _truncated(orders_on, what: str, n: int, cutoff, step: int, indices, check_tail: bool,
+               **kernels):
     """Top order of a chain sum on the default lattice or on ``indices``.
 
-    ``orders_on(idx)`` returns every order up to the requested one.  With
-    ``check_tail`` on the default lattice the value is recomputed at half
-    the cutoff, and ``CutoffTooSmall`` fires when the increment exceeds
-    TAIL_RTOL of it.
+    ``orders_on(lat)`` returns every order up to the requested one on a
+    ``_Lattice`` built with ``kernels``.  With ``check_tail`` on the
+    default lattice the value is recomputed at half the cutoff, and
+    ``CutoffTooSmall`` fires when the increment exceeds TAIL_RTOL of it.
     """
     if indices is not None:
-        return orders_on(np.asarray(indices))[-1]
+        return orders_on(_Lattice(indices, **kernels))[-1]
     if cutoff is None:
         cutoff = 8 * n
     if cutoff < 8 * n:
         raise ValueError("cutoff must be at least 8*n")
-    val = orders_on(lattice(n, cutoff, step, exclude))[-1]
+    val = orders_on(_Lattice(lattice(n, cutoff, step), **kernels))[-1]
     if check_tail:
-        full, est = _tail(val, orders_on(lattice(n, cutoff // 2, step, exclude))[-1])
+        full, est = _tail(val, orders_on(_Lattice(lattice(n, cutoff // 2, step), **kernels))[-1])
         if full > 0 and est > TAIL_RTOL * full:
             raise CutoffTooSmall(
                 f"{what}: tail estimate {est:.3e} exceeds {TAIL_RTOL:.0%} "
@@ -225,13 +225,16 @@ def _sweep(x, step, count: int) -> list:
 
 
 class _Lattice:
-    """An index set held as a mask on its enclosing progression.
+    """An index set held as a mask on its enclosing progression, and its kernels.
 
     The progression is j_k = j0 + g k (0 <= k < N, g the gcd of the index
-    differences); ``j`` holds it and ``mask`` marks the set.
+    differences); ``j`` holds it and ``mask`` marks the set.  ``hank`` is the
+    transfer of r(|j_k + j_l|) (``rtab`` = r(|i|), |i| <= off = 2 max|j| + reach),
+    ``toep`` that of |V(j_k - j_l)| (``vabs`` = |V(d)| at d + off): each
+    kernel is transformed once, for every sum on the lattice.
     """
 
-    def __init__(self, idx):
+    def __init__(self, idx, r: MajorantSeq | None = None, vabs_src=None, reach: int = 0):
         idx = np.asarray(idx, dtype=np.int64)
         j0 = int(idx.min())
         g = int(np.gcd.reduce(idx - j0)) or 1
@@ -240,13 +243,20 @@ class _Lattice:
         self.mask[k] = True
         size = len(self.mask)
         self.j = j0 + g * np.arange(size)
-        self.top = int(np.abs(self.j).max())
-        self.sums = 2 * j0 + g * np.arange(2 * size - 1)   # j_k + j_l at k + l
-        self.diffs = g * np.arange(1 - size, size)         # j_k - j_l at k - l + N - 1
+        self.off = 2 * int(np.abs(self.j).max()) + reach
+        sums = 2 * j0 + g * np.arange(2 * size - 1)   # j_k + j_l at k + l
+        diffs = g * np.arange(1 - size, size)         # j_k - j_l at k - l + N - 1
+        if r is not None:
+            self.rtab = r.table(self.off)
+            self.hank = self.transfer(self.rtab[np.abs(sums)], hankel=True)
+        if vabs_src is not None:
+            self.vabs = _vabs_lookup(vabs_src, self.off)
+            self.toep = self.transfer(self.vabs[diffs + self.off], hankel=False)
 
-    def weight(self, denom: np.ndarray) -> np.ndarray:
-        """1/denom on the set and 0 off it; an excluded +-n never divides."""
-        return np.divide(1.0, np.abs(denom), out=np.zeros(len(denom)), where=self.mask)
+    def weight(self, denom, skip: tuple[int, ...]) -> np.ndarray:
+        """1/|denom| on the set minus ``skip`` (a sum's own excluded indices), 0 elsewhere."""
+        on = self.mask & ~np.isin(self.j, skip)
+        return np.divide(1.0, np.abs(denom), out=np.zeros(len(self.j)), where=on)
 
     def transfer(self, kernel: np.ndarray, hankel: bool):
         """x -> K x restricted to the set, where K[k, l] = kernel[k + l]
@@ -256,40 +266,32 @@ class _Lattice:
         so no wrap-around reaches the N entries kept; the least 5-smooth
         length runs nearly as fast as a power of two, which at N = 2^k + 1
         would pad almost 2x.  Entries off the set are zeroed on input and
-        on output; excluding an index needs both.
+        on output.  The map holds no reference to the lattice: no cycle.
         """
-        size = len(self.mask)
+        mask, size = self.mask, len(self.mask)
         nfft = _fft_length(2 * size - 1)
         spec = np.fft.rfft(kernel, nfft)
 
         def apply(x: np.ndarray) -> np.ndarray:
-            x = np.where(self.mask, x, 0.0)
+            x = np.where(mask, x, 0.0)
             y = np.fft.irfft(spec * np.fft.rfft(x[::-1] if hankel else x, nfft), nfft)
-            return np.where(self.mask, y[size - 1:2 * size - 1], 0.0)
+            return np.where(mask, y[size - 1:2 * size - 1], 0.0)
 
         return apply
-
-    def hankel(self, r: MajorantSeq, reach: int):
-        """r(|j|) out to 2*top + reach, and the Hankel transfer r(|j_k + j_l|)."""
-        rtab = r.table(2 * self.top + reach)
-        return rtab, self.transfer(rtab[np.abs(self.sums)], hankel=True)
 
 
 # ---------------------------------------------------------------------------
 # chain sums L and R
 # ---------------------------------------------------------------------------
 
-def _chain_orders(vabs_src, n: int, idx, p_max: int, l_ds=(), r_ds=()):
-    """{d: L(p, d)} over ``l_ds`` and {d: R(p, d)} over ``r_ds``, p = 1..p_max.
+def _chain_orders(lat: _Lattice, n: int, p_max: int, l_ds=(), r_ds=()):
+    """{d: L(p, d)} over ``l_ds`` and {d: R(p, d)} over ``r_ds``, p = 1..p_max, off +-n.
 
     Only L's front depends on d, so one sweep g = T^(p-1) 1 serves all of
     ``l_ds``; R carries d at the far end of its chain and sweeps per d.
     """
-    lat = _Lattice(idx)
-    off = 2 * lat.top + max(abs(d) for d in (*l_ds, *r_ds))
-    vabs = _vabs_lookup(vabs_src, off)
-    toep = lat.transfer(vabs[lat.diffs + off], hankel=False)
-    wsq = lat.weight(n * n - lat.j.astype(float) ** 2)
+    vabs, off, toep = lat.vabs, lat.off, lat.toep
+    wsq = lat.weight(n * n - lat.j ** 2, (n, -n))
     gs = _sweep(lat.mask.astype(float), lambda g: toep(wsq * g), p_max) if l_ds else []
     us = {d: vabs[(d - lat.j) + off] * wsq for d in l_ds}
     ls = {d: [float(u @ g) for g in gs] for d, u in us.items()}
@@ -306,8 +308,9 @@ def l_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, (d,))[0][d], f"L({p},{d})",
-                      n, cutoff, getattr(vabs_src, "step", 2), (n, -n), indices, check_tail)
+    return _truncated(lambda lat: _chain_orders(lat, n, p, (d,))[0][d], f"L({p},{d})",
+                      n, cutoff, getattr(vabs_src, "step", 2), indices, check_tail,
+                      vabs_src=vabs_src, reach=abs(d))
 
 
 def r_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
@@ -315,22 +318,20 @@ def r_sum(vabs_src, p: int, d: int, n: int, cutoff: int | None = None,
     """Truncated chain sum R(p, d); equals L(p, -d) on a symmetric lattice."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _truncated(lambda idx: _chain_orders(vabs_src, n, idx, p, (), (d,))[1][d],
-                      f"R({p},{d})",
-                      n, cutoff, getattr(vabs_src, "step", 2), (n, -n), indices, check_tail)
+    return _truncated(lambda lat: _chain_orders(lat, n, p, (), (d,))[1][d], f"R({p},{d})",
+                      n, cutoff, getattr(vabs_src, "step", 2), indices, check_tail,
+                      vabs_src=vabs_src, reach=abs(d))
 
 
 # ---------------------------------------------------------------------------
 # majorant chain sums
 # ---------------------------------------------------------------------------
 
-def _sigma_orders(r: MajorantSeq, n: int, idx, s_max: int) -> list[float]:
-    """sigma(n, s) for s = 1..s_max."""
-    lat = _Lattice(idx)
-    rtab, hank = lat.hankel(r, abs(n))
-    a = rtab[np.abs(n + lat.j)]
-    wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
-    iterates = _sweep(wminus, lambda v: wminus * hank(v) + hank(wplus * v), s_max)
+def _sigma_orders(lat: _Lattice, n: int, s_max: int) -> list[float]:
+    """sigma(n, s) for s = 1..s_max, off +-n."""
+    a, hank = lat.rtab[np.abs(n + lat.j)], lat.hank
+    wminus, wplus, keep = (lat.weight(x, (n, -n)) for x in (n - lat.j, n + lat.j, 1))
+    iterates = _sweep(wminus, lambda v: wminus * hank(v) + keep * hank(wplus * v), s_max)
     return [float(a @ v) for v in iterates]
 
 
@@ -339,16 +340,14 @@ def sigma(r: MajorantSeq, n: int, s: int, cutoff: int | None = None,
     """Truncated bracketed majorant chain sigma(n, s), on the lattice of step ``r.step``."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _truncated(lambda idx: _sigma_orders(r, n, idx, s), f"sigma(n,{s})",
-                      n, cutoff, r.step, (n, -n), indices, check_tail)
+    return _truncated(lambda lat: _sigma_orders(lat, n, s), f"sigma(n,{s})",
+                      n, cutoff, r.step, indices, check_tail, r=r, reach=abs(n))
 
 
-def _sigma1_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> list:
-    """sigma1(n, s; m) over ms for s = 1..s_max."""
-    lat = _Lattice(idx)
-    rtab, hank = lat.hankel(r, abs(n) + int(np.abs(ms).max(initial=0)))
-    wminus = lat.weight(n - lat.j)
-    front = rtab[np.abs(ms[:, None] + lat.j[None, :])] * wminus
+def _sigma1_orders(lat: _Lattice, n: int, s_max: int, ms: np.ndarray) -> list:
+    """sigma1(n, s; m) over ms for s = 1..s_max, off n."""
+    hank, wminus = lat.hank, lat.weight(n - lat.j, (n,))
+    front = lat.rtab[np.abs(ms[:, None] + lat.j[None, :])] * wminus
     return [front @ g for g in _sweep(lat.mask.astype(float), lambda g: hank(wminus * g), s_max)]
 
 
@@ -364,18 +363,16 @@ def sigma1_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None 
     if s < 1:
         raise ValueError("s must be >= 1")
     ms = np.asarray(list(m_values))
-    return _truncated(lambda idx: _sigma1_orders(r, n, idx, s, ms), f"sigma1(n,{s};m)",
-                      n, cutoff, r.step, (n,), indices, check_tail)
+    reach = abs(n) + int(np.abs(ms).max(initial=0))
+    return _truncated(lambda lat: _sigma1_orders(lat, n, s, ms), f"sigma1(n,{s};m)",
+                      n, cutoff, r.step, indices, check_tail, r=r, reach=reach)
 
 
-def _sigma2_orders(r: MajorantSeq, n: int, idx, s_max: int, ms: np.ndarray) -> list:
-    """sigma2(n, s; m) over ms for s = 2..s_max."""
-    lat = _Lattice(idx)
-    rtab, hank = lat.hankel(r, abs(n) + int(np.abs(ms).max(initial=0)))
-    front = rtab[np.abs(ms[:, None] + lat.j[None, :])]
-    wplus = lat.weight(n + lat.j)
-    z = hank(lat.weight(n * n - lat.j.astype(float) ** 2))
-    return [front @ z for z in _sweep(z, lambda z: hank(wplus * z), s_max - 1)]
+def _sigma2_orders(lat: _Lattice, n: int, s_max: int, ms: np.ndarray) -> list:
+    """sigma2(n, s; m) over ms for s = 2..s_max, off +-n."""
+    keep, wplus, wsq = (lat.weight(x, (n, -n)) for x in (1, n + lat.j, n * n - lat.j ** 2))
+    front = lat.rtab[np.abs(ms[:, None] + lat.j[None, :])] * keep
+    return [front @ z for z in _sweep(lat.hank(wsq), lambda z: lat.hank(wplus * z), s_max - 1)]
 
 
 def sigma2(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
@@ -390,11 +387,12 @@ def sigma2_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None 
     if s < 2:
         raise ValueError("s must be >= 2")
     ms = np.asarray(list(m_values))
-    return _truncated(lambda idx: _sigma2_orders(r, n, idx, s, ms), f"sigma2(n,{s};m)",
-                      n, cutoff, r.step, (n, -n), indices, check_tail)
+    reach = abs(n) + int(np.abs(ms).max(initial=0))
+    return _truncated(lambda lat: _sigma2_orders(lat, n, s, ms), f"sigma2(n,{s};m)",
+                      n, cutoff, r.step, indices, check_tail, r=r, reach=reach)
 
 
-def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, s_max: int) -> dict[int, list[float]]:
+def _sigma_tilde_pieces(lat: _Lattice, n: int, s_max: int) -> dict[int, list[float]]:
     """{s: pieces} for s = 2..s_max, one per sign vector in ``itertools.product`` order.
 
     delta_v = -1 takes the 1/|n-j_v| term of bracket v, +1 its 1/|n+j_{v+1}|.
@@ -402,13 +400,12 @@ def _sigma_tilde_pieces(r: MajorantSeq, n: int, idx, s_max: int) -> dict[int, li
     vector of order s - 1 after one more transfer: the orders form one tree,
     14 transfers for s_max = 4 against 34 one vector at a time.
     """
-    lat = _Lattice(idx)
-    rtab, hank = lat.hankel(r, abs(n))
-    a = rtab[np.abs(n + lat.j)]
-    wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
+    a, hank = lat.rtab[np.abs(n + lat.j)], lat.hank
+    wminus, wplus, keep = (lat.weight(x, (n, -n)) for x in (n - lat.j, n + lat.j, 1))
     level, pieces = {(): wminus}, {}
     for s in range(2, s_max + 1):
-        level = {ds: wminus * hank(level[ds[1:]]) if ds[0] == -1 else hank(wplus * level[ds[1:]])
+        level = {ds: wminus * hank(level[ds[1:]]) if ds[0] == -1
+                 else keep * hank(wplus * level[ds[1:]])
                  for ds in itertools.product((-1, 1), repeat=s - 1)}
         pieces[s] = [float(a @ v) for v in level.values()]
     return pieces
@@ -602,18 +599,19 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         val, est = _tail(full, half)
         tails[label] = est / abs(val) if val != 0 else 0.0
 
-    def swept(label, first, orders_on, exclude):
-        """Every order on the lattice, with tails against the half-cutoff lattice."""
-        full = orders_on(lattice(n, cutoff, step, exclude))
-        half = orders_on(lattice(n, cutoff // 2, step, exclude))
+    lats = [_Lattice(lattice(n, c, step), r, potential, n + int(np.abs(ms).max()))
+            for c in (cutoff, cutoff // 2)]
+
+    def swept(label, first, orders_on):
+        """Every order on the full lattice, with tails against the half-cutoff one."""
+        full, half = (orders_on(lat) for lat in lats)
         for s, (f, h) in enumerate(zip(full, half), first):
             tracked(label.format(s), f, h)
         return dict(enumerate(full, first))
 
-    pm = (n, -n)
-    sig = swept("sigma[s={}]", 1, lambda idx: _sigma_orders(r, n, idx, _S_MAX), pm)
-    s1 = swept("sigma1[s={}]", 1, lambda idx: _sigma1_orders(r, n, idx, _S_MAX + 2, ms), (n,))
-    s2 = swept("sigma2[s={}]", 2, lambda idx: _sigma2_orders(r, n, idx, _S_MAX, ms), pm)
+    sig = swept("sigma[s={}]", 1, lambda lat: _sigma_orders(lat, n, _S_MAX))
+    s1 = swept("sigma1[s={}]", 1, lambda lat: _sigma1_orders(lat, n, _S_MAX + 2, ms))
+    s2 = swept("sigma2[s={}]", 2, lambda lat: _sigma2_orders(lat, n, _S_MAX, ms))
 
     checks: list[CheckResult] = []
 
@@ -651,8 +649,7 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
         add("sigma_le_eps_power", sig[s], eps ** s, f"s={s}")
 
     # signed-kernel split: exact resummation and the per-piece bound
-    idx_pm = lattice(n, cutoff, step, pm)
-    for s, pieces in _sigma_tilde_pieces(r, n, idx_pm, _S_MAX).items():
+    for s, pieces in _sigma_tilde_pieces(lats[0], n, _S_MAX).items():
         add("sigma_splits_exact", abs(sum(pieces) - sig[s]),
             1e-10 * max(1.0, sig[s]), f"s={s}")
         add("signed_kernel_bound", max(pieces), (eps / 2.0) ** s, f"s={s}")
@@ -668,8 +665,9 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     r_table: dict[str, float] = {}
     if potential is not None:
         # L with tails against the half-cutoff lattice; R on the full one only
-        ls, rs = _chain_orders(potential, n, idx_pm, _P_MAX, pm, pm)
-        half = _chain_orders(potential, n, lattice(n, cutoff // 2, step, pm), _P_MAX, pm)[0]
+        pm = (n, -n)
+        ls, rs = _chain_orders(lats[0], n, _P_MAX, pm, pm)
+        half = _chain_orders(lats[1], n, _P_MAX, pm)[0]
         for d in pm:
             for p, (lv, hv, rv) in enumerate(zip(ls[d], half[d], rs[d]), 1):
                 tracked(f"L({p},{d:+d})", lv, hv)

@@ -234,7 +234,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
             rep.checks.extend(
                 bounds.CheckResult(name, False, math.nan, math.nan,
                                    "not run: Dirichlet L/R needs a Toeplitz+Hankel majorant")
-                for name in ("chain_le_sigma", "reflection_identity", "first_order_total"))
+                for name in ("chain_le_sigma", "reflection_identity"))
+            rep.checks.append(bounds.a0_bound_check(cfg.pot, cfg.bc, n, rep.inputs["cutoff"]))
         max_tail = max(rep.tail_estimates.values(), default=0.0)
         rep.checks.append(bounds.CheckResult(
             "cutoff_converged", max_tail <= bounds.TAIL_RTOL, max_tail,

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -243,20 +245,20 @@ class TestSigmaFamily:
     def test_sigma_tilde_resums_to_sigma(self):
         # the tree's pieces are the vector-by-vector loop's, bit for bit and
         # in product order, and they resum to sigma
-        r, n = delta_majorant(1.0, top=64), 4
+        r, n, pm = delta_majorant(1.0, top=64), 4, (4, -4)
         idx = np.array(TINY_IDX)
-        tree = bounds._sigma_tilde_pieces(r, n, idx, 4)
+        lat = bounds._Lattice(idx, r, reach=n)
+        tree = bounds._sigma_tilde_pieces(lat, n, 4)
         assert sorted(tree) == [2, 3, 4]
-        lat = bounds._Lattice(idx)
-        rtab, hank = lat.hankel(r, n)
-        wminus, wplus = lat.weight(n - lat.j), lat.weight(n + lat.j)
+        hank, keep = lat.hank, lat.weight(1, pm)
+        wminus, wplus = lat.weight(n - lat.j, pm), lat.weight(n + lat.j, pm)
         for s in (2, 3, 4):
             loop = []
             for deltas in itertools.product((-1, 1), repeat=s - 1):
                 v = wminus
                 for dlt in reversed(deltas):
-                    v = wminus * hank(v) if dlt == -1 else hank(wplus * v)
-                loop.append(float(rtab[np.abs(n + lat.j)] @ v))
+                    v = wminus * hank(v) if dlt == -1 else keep * hank(wplus * v)
+                loop.append(float(lat.rtab[np.abs(n + lat.j)] @ v))
             assert tree[s] == loop
             sv = bounds.sigma(r, n, s, indices=idx)
             assert abs(sum(tree[s]) - sv) <= 1e-12 * max(1, sv)
@@ -466,28 +468,101 @@ class TestKernel:
         _, src = step_case(step)
         idx = np.array([j for j in range(-30, 31, step) if j not in {n, -n, -10, 12, 14, 3}])
         ds = (n, -n, 2 * step)
-        ls, rs = bounds._chain_orders(src, n, idx, 4, ds, ds)
+        lat = bounds._Lattice(idx, vabs_src=src, reach=n)
+        ls, rs = bounds._chain_orders(lat, n, 4, ds, ds)
         for d in ds:
-            one_l, none_r = bounds._chain_orders(src, n, idx, 4, l_ds=(d,))
-            none_l, one_r = bounds._chain_orders(src, n, idx, 4, r_ds=(d,))
+            one_l, none_r = bounds._chain_orders(lat, n, 4, l_ds=(d,))
+            none_l, one_r = bounds._chain_orders(lat, n, 4, r_ds=(d,))
             assert none_r == {} == none_l
             np.testing.assert_allclose(ls[d], one_l[d], rtol=1e-14, atol=0)
             np.testing.assert_allclose(rs[d], one_r[d], rtol=1e-14, atol=0)
 
     def test_lemma_suite_fft_calls(self, monkeypatch):
-        # one level of the bounds-delta workload: 54 transfer applies and
-        # 9 kernel spectra, on the 4097-point lattice (5-smooth length 8640)
-        # and the half-cutoff 2049-point one (4320)
-        calls = []
+        # one level of the bounds-delta workload: 2 lattices, 54 transfer
+        # applies and 4 kernel spectra (Hankel and Toeplitz on each), on
+        # the 4097-point lattice (5-smooth length 8640) and the half-cutoff
+        # 2049-point one (4320)
+        calls, builds = [], []
         for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda a, n, _name=name, _real=real:
                                 calls.append((_name, n)) or _real(a, n))
+        init = bounds._Lattice.__init__
+        monkeypatch.setattr(bounds._Lattice, "__init__",
+                            lambda self, *a, **k: builds.append(len(a[0])) or init(self, *a, **k))
         p = pot.delta_comb(0.5, max_index=9000)
         rep = bounds.lemma_suite(pot.majorant(p), 8, potential=p)
         assert rep.inputs["cutoff"] == 4096
+        assert builds == [4097, 2049]
         assert {c: calls.count(c) for c in set(calls)} == {
-            ("rfft", 8640): 42, ("irfft", 8640): 37, ("rfft", 4320): 21, ("irfft", 4320): 17}
+            ("rfft", 8640): 39, ("irfft", 8640): 37, ("rfft", 4320): 19, ("irfft", 4320): 17}
+
+    def test_lattice_is_freed_without_the_cycle_collector(self):
+        # the stored transfers must not refer back to their lattice, or
+        # every lattice would wait for the cyclic collector
+        r, src = step_case(2)
+        gc.disable()
+        try:
+            lat = bounds._Lattice(bounds.lattice(6, 64, 2), r, src, 6)
+            assert callable(lat.hank) and callable(lat.toep)
+            ref = weakref.ref(lat)
+            del lat
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_each_sum_skips_its_own_indices(self, step):
+        # an index set that also holds +-n (sigma1: n) gives the values of
+        # the set without them, bit for bit
+        n = 6
+        r, src = step_case(step)
+        ms = np.array([n, n + step, -n, 0, 3 * step])
+        base = [j for j in range(-30, 31, step) if j not in {n, -n, -10, 12, 14, 3}]
+        idx, idx_pm = np.array(base), np.array(sorted(base + [n, -n]))
+        idx1, idx1_n = np.array(sorted(base + [-n])), np.array(sorted(base + [n, -n]))
+        for p in (1, 2, 3, 4):
+            for d in (n, -n):
+                assert bounds.l_sum(src, p, d, n, indices=idx_pm) == bounds.l_sum(
+                    src, p, d, n, indices=idx)
+                assert bounds.r_sum(src, p, d, n, indices=idx_pm) == bounds.r_sum(
+                    src, p, d, n, indices=idx)
+            assert bounds.sigma(r, n, p, indices=idx_pm) == bounds.sigma(r, n, p, indices=idx)
+            assert np.array_equal(bounds.sigma1_profile(r, n, p, ms, indices=idx1_n),
+                                  bounds.sigma1_profile(r, n, p, ms, indices=idx1))
+            if p >= 2:
+                assert np.array_equal(bounds.sigma2_profile(r, n, p, ms, indices=idx_pm),
+                                      bounds.sigma2_profile(r, n, p, ms, indices=idx))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_lemma_suite_tails_are_the_public_increments(self, step):
+        # lemma_suite's tail estimates are the cutoff-halving increments of
+        # the public sums, relative to the value (a profile: where largest)
+        n, cutoff = 6, 96
+        r, src = step_case(step)
+        potential = src if step == 2 else None
+        rep = bounds.lemma_suite(r, n, cutoff, potential=potential)
+        ms = np.array(rep.inputs["m_samples"])
+
+        def rel(total):
+            full, half = (np.atleast_1d(total(c)) for c in (cutoff, cutoff // 2))
+            k = int(np.argmax(np.abs(full - half)))
+            return abs(full[k] - half[k]) / abs(full[k])
+
+        expect = {}
+        for s in range(1, 5):
+            expect[f"sigma[s={s}]"] = rel(lambda c: bounds.sigma(r, n, s, c, check_tail=False))
+        for s in range(1, 7):
+            expect[f"sigma1[s={s}]"] = rel(
+                lambda c: bounds.sigma1_profile(r, n, s, ms, c, check_tail=False))
+        for s in range(2, 5):
+            expect[f"sigma2[s={s}]"] = rel(
+                lambda c: bounds.sigma2_profile(r, n, s, ms, c, check_tail=False))
+        for p in range(1, 5 if potential else 1):
+            for d in (n, -n):
+                expect[f"L({p},{d:+d})"] = rel(
+                    lambda c: bounds.l_sum(potential, p, d, n, c, check_tail=False))
+        assert rep.tail_estimates == expect
 
 
 class TestNestedVsMatrix:

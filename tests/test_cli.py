@@ -204,7 +204,8 @@ class TestBounds:
 
     def test_dirichlet_lists_unrun_checks_as_failed(self, tmp_path):
         # the L/R chain sums need a FourierPotential; on Dirichlet they are
-        # not computed, so their checks must not pass by omission
+        # not computed, so their checks must not pass by omission, while
+        # the first-order total needs no chain sum and runs
         code = run(["bounds", "--potential", "mathieu:1.0", "--bc", "dir",
                     "--K", "64", "--n-min", "8", "--n-max", "14",
                     "--out", str(tmp_path)])
@@ -214,9 +215,11 @@ class TestBounds:
         for rep in payload["reports"]:
             assert rep["L"] == {} and rep["gated_passed"] is False
             unrun = [c for c in rep["checks"] if c["note"].startswith("not run")]
-            assert sorted(c["name"] for c in unrun) == [
-                "chain_le_sigma", "first_order_total", "reflection_identity"]
+            assert sorted(c["name"] for c in unrun) == ["chain_le_sigma", "reflection_identity"]
             assert all(not c["passed"] and c["lhs"] is None for c in unrun)
+            total = [c for c in rep["checks"] if c["name"] == "first_order_total"]
+            assert len(total) == 1 and np.isfinite(total[0]["lhs"])
+            assert np.isfinite(total[0]["rhs"])
             assert all(c["passed"] for c in rep["checks"] if c not in unrun)
 
 
