@@ -144,11 +144,15 @@ class HillMatrix:
     """Dense truncated matrix L of L_bc: the free diagonal k^2 plus v0 and
     the coupling (``assemble``).
 
-    Immutable after assembly: a copy of ``L`` is kept, marked read-only.
-    Derived data is computed lazily and cached, since several consumers
-    share it: the eigenvalues (localization counts, contour guards), the
-    full eigendecomposition (the dense-eigendecomposition projector) and
-    the Hessenberg form L = Q A Q^H (every contour
+    Immutable after assembly: a copy of ``L`` is kept, marked read-only,
+    as float64 exactly when its imaginary part is all zeros (every real
+    potential under Dirichlet, every even real one under Per+-), else as
+    complex128.  Everything derived from a real L stays real: the
+    eigenvalue routines, the reduction, Q and the band of its form run in
+    real arithmetic.  Derived data is computed lazily and cached, since
+    several consumers share it: the eigenvalues (localization counts,
+    contour guards), the full eigendecomposition (the dense-eigendecomposition
+    projector) and the Hessenberg form L = Q A Q^H (every contour
     quadrature, which solves its shifted systems on A): the band of A and
     the reflectors whose product is Q, never an N x N Q.  ``hermitian``
     records whether L == L^H bit for bit, as for every real potential
@@ -167,7 +171,8 @@ class HillMatrix:
 
     def __init__(self, basis: BasisSpec, L: np.ndarray, coverage: float = 1.0):
         self.basis = basis
-        self.L = np.array(L, dtype=complex)  # a copy: the caller's array stays writable
+        L = _real(np.asarray(L))
+        self.L = np.array(L, dtype=np.result_type(L, float))  # a copy: the caller's stays writable
         self.coverage = float(coverage)
         self.L.setflags(write=False)
         p = basis.transpose_perm()
@@ -183,21 +188,23 @@ class HillMatrix:
         return self.basis.size
 
     def eig(self):
-        """Cached (eigenvalues, right eigenvectors, inverse eigenvector matrix)."""
+        """Cached (eigenvalues, right eigenvectors, inverse eigenvector matrix),
+        real arrays for a real L with a real spectrum."""
         if self._eig is None:
             vals, vecs = np.linalg.eig(self.L)
             self._eig = (vals, vecs, np.linalg.inv(vecs))
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        """Cached complex eigenvalues from ``eigvals``, or for Hermitian L
-        ``eigvalsh``: ascending, with exactly zero imaginary parts.  They
+        """Cached eigenvalues from ``eigvals``, or for Hermitian L
+        ``eigvalsh``: ascending, with exactly zero imaginary parts; complex
+        for every L, real ones included.  They
         never come from ``eig()``, so the guards read the same values
         whether or not the dense oracle ran first.
         """
         if self._vals is None:
-            self._vals = (np.linalg.eigvalsh(self.L).astype(complex) if self.hermitian
-                          else np.linalg.eigvals(self.L))
+            self._vals = (np.linalg.eigvalsh(self.L) if self.hermitian
+                          else np.linalg.eigvals(self.L)).astype(complex, copy=False)
         return self._vals
 
     def hessenberg(self) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -212,7 +219,7 @@ class HillMatrix:
         H_k ... H_{k+nb-1} = I - V T V^H acting on rows o onward, and
         drops a panel with no reflector, so a diagonal L keeps none.  ``apply_q`` applies Q or
         Q^H: Q is never formed, and A is kept only as its band (N x 2 for
-        Hermitian L).
+        Hermitian L).  Every array has the dtype of L: real for a real L.
 
         Hermitian L is reduced to tridiagonal A by ``_tridiagonalize``;
         any other L by an unblocked Householder loop to upper Hessenberg
@@ -222,7 +229,7 @@ class HillMatrix:
         if self._hess is None:
             if self.hermitian:
                 d, e, reflectors = _tridiagonalize(self.L)
-                band = np.zeros((self.size, 2), dtype=complex)
+                band = np.zeros((self.size, 2), dtype=self.L.dtype)
                 band[1:, 0], band[:, 1], h = -e.conj(), -d, -e
             else:
                 A, reflectors = _hessenberg_reduce(self.L)
@@ -235,8 +242,9 @@ class HillMatrix:
 
     def apply_q(self, X: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
         """Q X, or Q^H X with ``adjoint``, for the Q of ``hessenberg()``
-        and X with N rows: one compact-WY block product per panel."""
-        X = np.array(X, dtype=complex)
+        and X with N rows: one compact-WY block product per panel, in real
+        arithmetic when both L and X are real."""
+        X = np.array(X, dtype=np.result_type(X, self.L))
         panels = self.hessenberg()[2]
         for o, V, T in (panels if adjoint else reversed(panels)):
             X[o:] -= V @ ((T.conj().T if adjoint else T) @ (V.conj().T @ X[o:]))
@@ -248,7 +256,8 @@ _PANEL = 32  # reflectors per panel of the blocked reduction and of Q's compact-
 
 def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex, complex]:
     """(v, tau, beta) with (I - tau v v^H)^H x = beta e_1, v[0] = 1 and beta
-    real, as LAPACK's zlarfg; (None, 0, x[0]) when x[1:] is already zero."""
+    real, as LAPACK's zlarfg (dlarfg for real x: v and tau real too);
+    (None, 0, x[0]) when x[1:] is already zero."""
     if not x[1:].any():
         return None, 0.0, x[0]
     alpha = x[0]
@@ -260,7 +269,8 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex, complex]:
 
 def _tridiagonalize(L: np.ndarray):
     """(d, e, reflectors): Hermitian L = Q A Q^H with A tridiagonal, diagonal
-    d and subdiagonal e, blocked as LAPACK's zhetrd/zlatrd.
+    d and subdiagonal e, blocked as LAPACK's zhetrd/zlatrd; a real
+    symmetric L keeps real arithmetic throughout (dsytrd/dlatrd).
 
     Each panel of ``_PANEL`` columns forms its reflectors from the columns
     as updated by the panel's earlier reflectors, kept as V and W with the
@@ -269,14 +279,14 @@ def _tridiagonalize(L: np.ndarray):
     panel's (o, V, tau), V's rows starting at row o of L.
     """
     N = len(L)
-    A = np.array(L, dtype=complex)
-    d, e = np.empty(N), np.empty(N - 1, dtype=complex)
+    A = np.array(L)
+    d, e = np.empty(N), np.empty(N - 1, dtype=A.dtype)
     reflectors = []
     for k0 in range(0, N - 1, _PANEL):
         nb = min(_PANEL, N - 1 - k0)
-        V = np.zeros((N - k0, nb), dtype=complex)  # row k0 + j at V[j]
+        V = np.zeros((N - k0, nb), dtype=A.dtype)  # row k0 + j at V[j]
         W = np.zeros_like(V)
-        tau = np.zeros(nb, dtype=complex)
+        tau = np.zeros(nb, dtype=A.dtype)
         for i in range(nb):
             k = k0 + i
             col = A[k:, k] - V[i:, :i] @ W[i, :i].conj() - W[i:, :i] @ V[i, :i].conj()
@@ -300,14 +310,14 @@ def _hessenberg_reduce(L: np.ndarray):
     time as LAPACK's zgehd2: the ``_reflector`` H = I - tau v v^H of the
     column below the diagonal gives A <- H^H A H, and the column becomes
     (beta, 0, ...).  Grouped into panels of ``_PANEL`` as for
-    ``_tridiagonalize``."""
+    ``_tridiagonalize``, in the dtype of L."""
     N = len(L)
-    A = np.array(L, dtype=complex)
+    A = np.array(L)
     reflectors = []
     for k0 in range(0, N - 1, _PANEL):
         nb = min(_PANEL, N - 1 - k0)
-        V = np.zeros((N - k0 - 1, nb), dtype=complex)  # row k0 + 1 + j at V[j]
-        tau = np.zeros(nb, dtype=complex)
+        V = np.zeros((N - k0 - 1, nb), dtype=A.dtype)  # row k0 + 1 + j at V[j]
+        tau = np.zeros(nb, dtype=A.dtype)
         for i in range(nb):
             k = k0 + i
             v, tau[i], beta = _reflector(A[k + 1:, k])
@@ -323,9 +333,10 @@ def _hessenberg_reduce(L: np.ndarray):
 
 def _wy_factor(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Upper triangular T with H_1 ... H_nb = I - V T V^H for the reflectors
-    H_i = I - tau_i v_i v_i^H of the columns of V, as LAPACK's zlarft."""
+    H_i = I - tau_i v_i v_i^H of the columns of V, as LAPACK's zlarft (dlarft
+    for real V)."""
     G = V.conj().T @ V
-    T = np.zeros((len(tau), len(tau)), dtype=complex)
+    T = np.zeros((len(tau), len(tau)), dtype=G.dtype)
     for i, t in enumerate(tau):
         T[:i, i] = -t * (T[:i, :i] @ G[:i, i])
         T[i, i] = t
@@ -361,18 +372,26 @@ def _sine_data(pot: FourierPotential | SinePotential, max_sine: int) -> SinePote
     return pot if isinstance(pot, SinePotential) else per_to_dir(pot, max_sine)
 
 
+def _real(a: np.ndarray) -> np.ndarray:
+    """a, or its real part when a is complex with all imaginary parts zero."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 def _coupling(pot, bc: BoundaryCondition, k, m) -> tuple[np.ndarray, np.ndarray]:
     """W(k, m) over the broadcast index arrays k and m, and for each
-    coefficient it reads (with repeats) whether that one is known."""
+    coefficient it reads (with repeats) whether that one is known.  W is
+    real when the coefficient table it reads is."""
     k, m = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(m, dtype=np.int64))
     if bc.is_periodic_family:
         pot, off = _fourier_data(pot), k - m
         D = int(np.abs(off).max(initial=0))
-        return pot.v_table(D)[off + D], pot.covers(np.abs(off[off != 0]))
+        return _real(pot.v_table(D))[off + D], pot.covers(np.abs(off[off != 0]))
     diff, summ = np.abs(k - m), k + m
     sp = _sine_data(pot, int(summ.max()))
-    tab = sp.qt_table(int(summ.max()))
-    W = (diff * tab[diff] - summ * tab[summ]) / math.sqrt(2.0)
+    tab = _real(sp.qt_table(int(summ.max())))
+    # times 1/sqrt(2), as numpy divides a complex table: a real table gives the
+    # real parts of the complex one bit for bit
+    W = (diff * tab[diff] - summ * tab[summ]) * (1 / math.sqrt(2.0))
     return W, sp.covers(np.concatenate([diff[diff != 0], summ.ravel()]))
 
 
@@ -405,7 +424,8 @@ def assemble(bc: BoundaryCondition,
     family matrix.  Couplings beyond the potential truncation are zero and
     lower the reported coverage ratio (the share of the coefficients read,
     with repeats, that are known); below ``COVERAGE_FLOOR`` the assembly
-    is refused.
+    is refused.  L is built in place on W's own array, real unless W or
+    v0 is complex.
     """
     if half_width < 8:
         raise ValueError("half_width must be >= 8")
@@ -417,6 +437,10 @@ def assemble(bc: BoundaryCondition,
         raise InsufficientCoefficients(
             f"coverage {coverage:.4f} below floor {COVERAGE_FLOOR}; "
             "store more coefficients or shrink the basis")
-    diag0 = np.array([float(k * k) for k in basis.indices])
-    L = np.diag(diag0) + (W + complex(pot.v0) * np.eye(basis.size))
+    v0 = complex(pot.v0)
+    v0 = v0 if v0.imag else v0.real
+    L = W.astype(np.result_type(W, v0), copy=False)  # a complex v0 makes a real W complex
+    diag = np.diag_indices_from(L)
+    L[diag] += v0
+    L[diag] += idx * idx
     return HillMatrix(basis, L, coverage=coverage)

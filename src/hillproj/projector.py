@@ -41,6 +41,12 @@ nodes of many contours share a sweep: ``riesz_projections`` gates every
 level first, then sweeps the nodes of all its levels together in chunks
 of ``_NODE_BLOCK``.
 
+A real L (stored as float64 by ``HillMatrix``) keeps real arithmetic
+outside the sweep.  On a circle with a real centre its nodes come in
+conjugate pairs, whose solves are conjugate too: a circle of Q nodes
+sweeps Q // 2 + 1 of them, and the moments, X, Y, the ``_core``s and
+sum |B_km| are real (``_circle_rules``).
+
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); its defining
 circle is the paper's C_n = {|z - n^2| = n}.  Block projections S_N onto
@@ -345,19 +351,22 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, y: np.ndarray,
 
 
 def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray, ws: np.ndarray,
-             group: np.ndarray) -> np.ndarray:
+             group: np.ndarray, real: bool = False) -> np.ndarray:
     """sum_{group[j] = g} w_j (z_j - L)^-1 E_g, E_g = I[:, cols[g]], for each
     row g of the G x r ``cols``, from flat nodes ``zs``, weights ``ws`` and
-    groups ``group`` (any count per group): G x N x r.  With L = Q A Q^H
-    (``H.hessenberg()``), one ``apply_q`` takes every E_g in and one takes
-    every sum back; each chunk of ``_NODE_BLOCK`` nodes is swept and summed
-    into its groups by one product with its weights.
+    groups ``group`` (any count per group): G x N x r, or with ``real``
+    their real parts.  With L = Q A Q^H (``H.hessenberg()``), one
+    ``apply_q`` takes every E_g in and one takes every sum back; each chunk
+    of ``_NODE_BLOCK`` nodes is swept and summed into its groups by one
+    product with its weights.
     """
     band, h, _ = H.hessenberg()
     (G, r), N = cols.shape, H.size
     E = np.zeros((N, G * r))
     E[cols.ravel(), np.arange(G * r)] = 1.0
-    rhs = H.apply_q(E, adjoint=True).reshape(N, G, r).transpose(0, 2, 1)  # N x r x G
+    # complex once per call: the sweep writes its solutions over its right-hand sides
+    rhs = H.apply_q(E, adjoint=True).astype(complex, copy=False)
+    rhs = rhs.reshape(N, G, r).transpose(0, 2, 1)  # N x r x G
     acc = np.zeros((N * r, G), dtype=complex)
     for i in range(0, len(zs), _NODE_BLOCK):
         j, g = slice(i, i + _NODE_BLOCK), group[i:i + _NODE_BLOCK]
@@ -365,7 +374,7 @@ def _moments(H: HillMatrix, cols: np.ndarray, zs: np.ndarray, ws: np.ndarray,
         x = _hessenberg_sweep(band, h, rhs[:, :, g], zs[j])
         acc[:, lo:hi] += x.reshape(N * r, -1) @ (ws[j, None] * (g[:, None] == np.arange(lo, hi)))
     M = acc.reshape(N, r, G).transpose(0, 2, 1).reshape(N, G * r)
-    return H.apply_q(M).reshape(N, G, r).transpose(1, 0, 2)
+    return H.apply_q(M.real if real else M).reshape(N, G, r).transpose(1, 0, 2)
 
 
 def _factors(M: np.ndarray, cols: np.ndarray, p: np.ndarray, scale: complex):
@@ -402,6 +411,10 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     C err + delta, and again at the Q a measured C > _C0 needs.  Other L:
     ``_NODES`` nodes, doubled until P changes by less than ``_TOL`` (the
     estimate) or Q hits ``_MAX_NODES``.  Converged: C err or the change < _TOL.
+
+    A real Hermitian L with real centres sweeps the nodes j = 0 .. Q // 2
+    only, at weight 2 for 0 < j < Q / 2: (conj(z) - L)^-1 = conj((z - L)^-1),
+    so the real part of that sum is the Q-node sum.  ``nodes_used`` counts Q.
     """
     if not circles:
         return []
@@ -410,16 +423,23 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     p = H.basis.transpose_perm()
     assert all(np.array_equal(np.sort(p[cl]), cl) for cl in cols), "cols not closed under p"
     every = range(len(cols))
+    half = H.hermitian and np.isrealobj(H.L) and not c.imag.any()
     f, M, quad, run = [None] * len(cols), [0.0] * len(cols), [np.inf] * len(cols), list(every)
     while run:
-        # node sets in steps of 2 pi / Q: Hermitian L, the Q-grid afresh; else
-        # the even and odd halves of the first grid, then the midpoints
-        sets = [[np.arange(used[g])] if H.hermitian else [np.arange(used[g]) + 0.5] if f[g]
+        # node sets in steps of 2 pi / Q: Hermitian L, the Q-grid afresh (for
+        # ``half``, its nodes 0 .. Q // 2); else the even and odd halves of
+        # the first grid, then the midpoints
+        sets = [[np.arange(used[g] // 2 + 1 if half else used[g])] if H.hermitian
+                else [np.arange(used[g]) + 0.5] if f[g]
                 else list(np.arange(used[g]).reshape(-1, 2).T) for g in run]
         gs = np.repeat(run, [len(s) for s in sets])  # the circle of each node set
         group = np.repeat(np.arange(len(gs)), [len(t) for s in sets for t in s])
-        w = np.exp(2j * np.pi * np.concatenate(sum(sets, [])) / np.array(used)[gs[group]])
-        Ms, again = iter(_moments(H, cols[gs], c[gs[group]] + R[gs[group]] * w, w, group)), []
+        j, Q = np.concatenate(sum(sets, [])), np.array(used)[gs[group]]
+        w = np.exp(2j * np.pi * j / Q)
+        folded = half & (j > 0) & (2 * j < Q)  # node j stands for j and Q - j
+        Ms = iter(_moments(H, cols[gs], c[gs[group]] + R[gs[group]] * w, w * (1 + folded),
+                           group, real=half))
+        again = []
         for g, Mg in zip(run, ([next(Ms) for _ in s] for s in sets)):
             if H.hermitian:
                 f[g] = _factors(Mg[0], cols[g], p, R[g] / used[g])
@@ -506,7 +526,7 @@ def first_order_residue(pot, bc: BoundaryCondition, n: int, k, m):
     """
     k, m, levels = np.asarray(k), np.asarray(m), bc.level_indices(n)
     k_hits, m_hits = np.isin(k, levels), np.isin(m, levels)
-    W = coupling(pot, bc, k, m)
+    W = coupling(pot, bc, k, m).astype(complex, copy=False)  # complex for every potential
     den = np.where(m_hits, n * n - k * k, n * n - m * m)
     return np.divide(W, den, out=np.zeros(W.shape, complex), where=k_hits != m_hits)[()]
 

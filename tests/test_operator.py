@@ -239,6 +239,39 @@ class TestCallerArrays:
         assert not H.L.flags.writeable
 
 
+class TestRealStorage:
+    """L is kept as float64 exactly when its imaginary part is all zeros."""
+
+    @pytest.mark.parametrize("bc", list(BC))
+    @pytest.mark.parametrize("pname", ["zero", "mathieu:1.0", "mathieu:5.0", "delta_comb:0.5",
+                                       "sawtooth:1.0", "non_hermitian"])
+    def test_gallery(self, pname, bc):
+        p = {"zero": pot.zero(), "non_hermitian": pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN)}.get(
+            pname) or pot.parse_potential_arg(pname, 256)
+        H = hp.assemble(bc, p, 64)
+        # the sawtooth is odd: a complex Hermitian L under per+-, real sine data
+        complex_L = pname == "non_hermitian" or (pname == "sawtooth:1.0" and bc is not BC.DIRICHLET)
+        assert H.L.dtype == (complex if complex_L else float)
+        assert H.hermitian == (pname != "non_hermitian")
+        vals = H.eigenvalues()
+        assert vals.dtype == complex and not (H.hermitian and vals.imag.any())
+
+    def test_complex_v0_makes_a_real_coupling_complex(self):
+        # the coupling of mathieu(1.0), V(+-2) = 1, is real; v0 = 0.3 + 0.2j is not
+        p = pot.from_coeffs(0.3 + 0.2j, [(2, 0.5), (-2, -0.5)])
+        H = hp.assemble(BC.PER_PLUS, p, 16)
+        real = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 16)
+        assert real.L.dtype == float and H.L.dtype == complex and not H.hermitian
+        assert np.array_equal(H.L, real.L + (0.3 + 0.2j) * np.eye(H.size))
+
+    def test_hand_built_matrices(self):
+        basis = op.basis_for(BC.DIRICHLET, 8)
+        L = np.diag([k * k for k in basis.indices])  # integers
+        for given, kept in ((L, float), (L + 0j, float), (L + 1e-300j * np.eye(8), complex)):
+            H = op.HillMatrix(basis, given)
+            assert H.L.dtype == kept and np.array_equal(H.L, given)
+
+
 class TestCoupling:
     """``coupling`` and ``majorant_for``: the one owner of W(k, m)."""
 

@@ -140,6 +140,9 @@ def full_inverse_projection(H, n, radius=None, nodes=None):
 
 
 NON_HERMITIAN = [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)]
+# w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
+# projections are not real
+COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
 LEVELS = [(BC.PER_PLUS, 10), (BC.PER_MINUS, 9), (BC.DIRICHLET, 8)]
 
 
@@ -212,20 +215,42 @@ class TestHessenbergResolvent:
             assert panels == () and np.array_equal(A, H.L)
             assert np.array_equal(Q, eye)
 
+    @pytest.mark.parametrize("dtype", [complex, float])
     @pytest.mark.parametrize("N", [33, 70, 97])
-    def test_blocked_tridiagonalization_across_panels(self, N):
+    def test_blocked_tridiagonalization_across_panels(self, N, dtype):
         # a dense Hermitian L spans several 32-column panels, and the last
-        # panel can be short; the tridiagonal form keeps L's eigenvalues
+        # panel can be short; the tridiagonal form keeps L's eigenvalues,
+        # and a real symmetric L keeps real arithmetic
         rng = np.random.default_rng(N)
         M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        L = M + M.conj().T
+        L = M + M.conj().T if dtype is complex else M.real + M.real.T
         d, e, reflectors = hp.operator._tridiagonalize(L)
+        assert e.dtype == dtype and all(V.dtype == t.dtype == dtype for _, V, t in reflectors)
         A = np.diag(d) + np.diag(e, -1) + np.diag(e.conj(), 1)
         ev = np.linalg.eigvalsh(L)
         assert np.abs(np.linalg.eigvalsh(A) - ev).max() <= 1e-13 * np.abs(ev).max()
         # every reflector leaves a real beta; the last entry needs no reflector
         assert not e[:-1].imag.any()
         assert [o for o, _, _ in reflectors] == list(range(1, N - 1, 32))
+
+    @pytest.mark.parametrize("pname,bc,real", [
+        ("delta", BC.PER_PLUS, True), ("mathieu", BC.DIRICHLET, True),
+        ("complex_hermitian", BC.PER_PLUS, False), ("complex", BC.PER_PLUS, False),
+    ])
+    def test_operands_keep_the_dtype_of_L(self, pname, bc, real):
+        p = (pot.from_coeffs(0.0, COMPLEX_HERMITIAN) if pname == "complex_hermitian"
+             else gallery_potential(pname))
+        H = hp.assemble(bc, p, 48)
+        dtype = float if real else complex
+        band, h, panels = H.hessenberg()
+        assert H.L.dtype == dtype and panels
+        assert all(a.dtype == dtype for a in (band, h, *(a for _, V, T in panels for a in (V, T))))
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((H.size, 3))
+        for X in (X, X + 1j * rng.standard_normal(X.shape)):  # a complex X stays complex
+            QhX = H.apply_q(X, adjoint=True)
+            assert QhX.dtype == np.result_type(X, dtype)
+            assert np.linalg.norm(H.apply_q(QhX) - X) <= 1e-13 * np.linalg.norm(X)
 
     def test_guard_never_reads_the_reduction(self):
         # the guard counts eigenvalues of L itself (eigvalsh/eigvals), so it
@@ -446,8 +471,9 @@ class TestRieszProjections:
 
     def test_levels_share_the_sweeps(self, monkeypatch):
         # the decay-per matrix: 26 levels, each at its certified count of
-        # 8 to 11 nodes, go through in ceil(233 / 128) = 2 sweeps, not one
-        # (or more) per level, and in one round
+        # 8 to 11 nodes, go through in ceil(136 / 128) = 2 sweeps, not one
+        # (or more) per level, and in one round; L is real, so a level
+        # sweeps Q // 2 + 1 of its Q nodes (136 solves for 233 nodes)
         H = hp.assemble(BC.PER_PLUS, pot.delta_comb(0.5, max_index=1024), 256)
         real, calls = prj._hessenberg_sweep, []
 
@@ -461,7 +487,8 @@ class TestRieszProjections:
         used = [pair.nodes_used for pair in pairs.values()]
         assert used == [c[6] for c in prj._level_circles(H, range(10, 61, 2))[0]]
         assert min(used) == 8 and max(used) == 11 and sum(used) == 233
-        assert calls == [prj._NODE_BLOCK, 233 - prj._NODE_BLOCK]
+        assert H.L.dtype == float and sum(q // 2 + 1 for q in used) == 136
+        assert calls == [prj._NODE_BLOCK, 136 - prj._NODE_BLOCK]
 
 
 def level_matrix(values, coupling=0.0, n=10, half_width=48):
@@ -597,15 +624,20 @@ class TestCertifiedNodes:
             # constant the count was picked for
             fewer = eigh_certificate(H, pair, pair.nodes_used - 1)[1]
             assert max(C, prj._C0) * fewer + delta > prj._TOL
-        # every node swept once, none for an estimate; a level runs a second
-        # round only where its measured constant exceeds _C0 (mathieu:5.0
-        # per- level 3: sigma_min(E^T P E) = 0.51, t_n = 0.70, 151 -> 152 nodes)
+        # every node swept once, none for an estimate, and on a real L only
+        # Q // 2 + 1 of Q (the others are their conjugates); a level runs a
+        # second round only where its measured constant exceeds _C0
+        # (mathieu:5.0 per- level 3: sigma_min(E^T P E) = 0.51, t_n = 0.70,
+        # 151 -> 152 nodes)
         first = {c[0]: c[6] for c in prj._level_circles(H, pairs)[0]}
         again = [n for n, pair in pairs.items() if pair.nodes_used != first[n]]
         assert all(eigh_certificate(H, pairs[n], first[n])[0] > prj._C0 for n in again)
         assert len(again) == (pname == "mathieu:5.0" and bc is BC.PER_MINUS)
-        used = sum(pair.nodes_used for pair in pairs.values())
-        assert sum(swept) == used + sum(first[n] for n in again)
+        real = H.L.dtype == float
+        assert real == (pname != "sawtooth:1.0" or bc is BC.DIRICHLET)
+        solves = [q // 2 + 1 if real else q for q in
+                  [pair.nodes_used for pair in pairs.values()] + [first[n] for n in again]]
+        assert sum(swept) == sum(solves)
 
     @pytest.mark.parametrize("K", [64, 128])
     def test_rounding_floor(self, K):
@@ -639,9 +671,91 @@ class TestCertifiedNodes:
             assert np.linalg.norm(pair.P - P, "fro") <= pair.quad_error_est
 
 
-# w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
-# projections are not real
-COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
+
+
+class TestConjugateNodes:
+    """A real L and a real centre: node Q - j is node j conjugated, and so
+    is its solve, so a circle sweeps nodes 0 .. Q // 2 of its Q, the pairs
+    j, Q - j at weight 2, and the pair is real.  Every other circle sweeps
+    all Q."""
+
+    @pytest.mark.parametrize("pname,bc,shift,halved", [
+        ("delta", BC.PER_PLUS, 0, True),
+        ("mathieu", BC.DIRICHLET, 0, True),
+        ("complex_hermitian", BC.PER_PLUS, 0, False),
+        ("sawtooth", BC.PER_MINUS, 0, False),  # a complex Hermitian L too
+        ("delta", BC.PER_PLUS, 4j, False),  # a real L, a centre off the real axis
+    ])
+    def test_nodes_swept(self, pname, bc, shift, halved, monkeypatch):
+        p = {"complex_hermitian": lambda: pot.from_coeffs(0.0, COMPLEX_HERMITIAN),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=256)}.get(
+            pname, lambda: gallery_potential(pname))()
+        H = hp.assemble(bc, p, 64)
+        n = 9 if bc is BC.PER_MINUS else 10
+        circle = prj._circle(H, n, prj._level_cols(H, n), n * n + shift, float(n))
+        real, swept = prj._hessenberg_sweep, []
+
+        def counted(band, h, rhs, zs):
+            swept.append(zs.copy())
+            return real(band, h, rhs, zs)
+
+        monkeypatch.setattr(prj, "_hessenberg_sweep", counted)
+        pair, = prj._circle_rules(H, [circle])
+        Q, rho = circle[6], circle[3]
+        assert H.hermitian and pair.nodes_used == Q and pair.converged
+        j = np.arange(Q // 2 + 1 if halved else Q)
+        nodes = n * n + shift + rho * np.exp(2j * PI * j / Q)
+        assert np.allclose(np.concatenate(swept), nodes, rtol=1e-15, atol=0)
+        assert pair.X.dtype == pair.Y.dtype == (float if halved else complex)
+        dense = prj.spectral_projector_dense(H, n)
+        assert np.linalg.norm(pair.P - dense, "fro") <= pair.quad_error_est
+
+    @pytest.mark.parametrize("Q", [7, 8])  # odd: pairs only; even: one more real node
+    @pytest.mark.parametrize("bc,n", [(BC.PER_PLUS, 6), (BC.DIRICHLET, 6)])
+    def test_halved_sum_is_the_full_sum(self, bc, n, Q):
+        H = hp.assemble(bc, gallery_potential("delta"), 48)
+        cols = prj._level_cols(H, n)
+        circle = prj._circle(H, n, cols, complex(n * n), float(n))
+        pair, = prj._circle_rules(H, [circle[:6] + (Q,) + circle[7:]])
+        assert pair.nodes_used == Q and pair.X.dtype == float
+        # every node of the rule, solved in complex arithmetic
+        rho = pair.radius
+        w = np.exp(2j * PI * np.arange(Q) / Q)
+        M = prj._moments(H, cols[None], n * n + rho * w, w, np.zeros(Q, int))[0]
+        assert np.abs(M.imag).max() <= 1e-13 * np.abs(M).max()  # real up to rounding
+        X, Y = prj._factors(M, cols, H.basis.transpose_perm(), rho / Q)
+        for got, ref in ((pair.X, X), (pair.Y, Y)):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestTranslationOracle:
+    """v(x + theta) for an even real v: w(m) e^{i m theta} gives the complex
+    Hermitian L' = D L D^H, D = diag(e^{i k theta}), with projections
+    D P D^H.  L is real and L' complex, so the real arithmetic and halved
+    sweeps of L are checked against the complex arithmetic and full sweeps
+    of L', with which they share no dtype path."""
+
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS])
+    @pytest.mark.parametrize("pname", ["mathieu:1.0", "delta_comb:0.5"])
+    def test_shifted_potential(self, pname, bc):
+        K, theta = 64, 0.3
+        p = pot.parse_potential_arg(pname, 4 * K)
+        m = p.w.idx
+        shifted = pot.from_coeffs(p.v0, zip(m, p.w.val * np.exp(1j * m * theta)),
+                                  max_index=p.max_index, complete=p.complete)
+        H, Hs = hp.assemble(bc, p, K), hp.assemble(bc, shifted, K)
+        D = np.exp(1j * theta * np.array(H.basis.indices))
+        assert H.L.dtype == float and Hs.L.dtype == complex and Hs.hermitian
+        assert np.abs(Hs.L - D[:, None] * H.L * D.conj()).max() <= 1e-14 * np.abs(H.L).max()
+        pairs, _ = hp.riesz_projections(H, range(1, K // 4 + 1))
+        moved, _ = hp.riesz_projections(Hs, range(1, K // 4 + 1))
+        assert list(pairs) == list(moved) and len(pairs) >= 6
+        for n, pair in pairs.items():
+            assert pair.X.dtype == float and moved[n].X.dtype == complex
+            assert pair.converged and moved[n].converged
+            assert pair.nodes_used == moved[n].nodes_used  # the same certified Q
+            P = D[:, None] * pair.P * D.conj()
+            assert np.linalg.norm(P - moved[n].P, "fro") <= 1e-12
 
 
 class TestFactoredPair:
@@ -834,7 +948,9 @@ class TestBaseBlockCircle:
         H = hp.assemble(bc, gallery_potential("delta"), 64)
         rect = prj.rectangle_projection(H, N)
         c, R = N * N / 2, N * N / 2 + N
-        vals, vecs, vinv = H.eig()
+        # the rule reads eigenvalues(), from eigvalsh: on this real L, eig()
+        # (dgeev) differs from them by about 1e-13 relative
+        vals = H.eigenvalues()
         in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
         dist = np.abs(vals - c)
         d_in, d_out = dist[in_rect].max(), dist[~in_rect].min()
@@ -844,6 +960,8 @@ class TestBaseBlockCircle:
         assert rect.rate == pytest.approx(max(d_in / rect.radius, rect.radius / d_out),
                                           rel=1e-14)
         assert rect.converged
+        vals, vecs, vinv = H.eig()
+        in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
         err = np.linalg.norm(rect.P - vecs[:, in_rect] @ vinv[in_rect], "fro")
         assert err <= rect.quad_error_est
         monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: R)
