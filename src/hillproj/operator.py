@@ -180,6 +180,7 @@ class HillMatrix:
             raise ValueError(f"L^T != L[p][:, p] for the {basis.bc.value} lattice symmetry p")
         self.hermitian = bool(np.array_equal(self.L, self.L.conj().T))
         self._eig = None
+        self._kappa = None
         self._vals = None
         self._hess = None
 
@@ -194,6 +195,18 @@ class HillMatrix:
             vals, vecs = np.linalg.eig(self.L)
             self._eig = (vals, vecs, np.linalg.inv(vecs))
         return self._eig
+
+    def eigenvalue_conditions(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(eigenvalues, kappa = ||v|| ||w||, w^H v = 1) for contour node counts:
+        ``eigenvalues()`` and None (kappa = 1) for Hermitian L, else the cached values
+        of ``eig``, whose N x N eigenvectors stay cached only if ``eig`` cached them."""
+        if self.hermitian:
+            return self.eigenvalues(), None
+        if self._kappa is None:
+            kept, (vals, V, Vinv) = self._eig, self.eig()
+            self._eig, self._kappa = kept, (vals, np.linalg.norm(V, axis=0)
+                                            * np.linalg.norm(Vinv, axis=1))
+        return self._kappa
 
     def eigenvalues(self) -> np.ndarray:
         """Cached eigenvalues from ``eigvals``, or for Hermitian L

@@ -23,10 +23,9 @@ so (z - L)^(-T) = (z - L)^(-1)[p][:, p] node by node, for every contour,
 weight and potential.  The columns of every contour here are closed
 under p, p[cols] = cols[s], hence Y = M[p][:, s].
 
-No quantity forms P densely: B = P - E E^T = [X, -E] [Y, E]^T,
-P^2 - P and the change of P between node counts take their norms from a
-2r x 2r core of thin QRs of two N x 2r factors (``_core``), in O(N r^2).
-Only sum |B_km| visits every entry of B, over row blocks.
+No quantity forms P densely: B = P - E E^T = [X, -E] [Y, E]^T and P^2 - P
+take their norms from a 2r x 2r core of thin QRs of two N x 2r factors
+(``_core``), in O(N r^2).  Only sum |B_km| visits every entry of B, in row blocks.
 
 The shifted solves never factor z - L.  Each matrix is reduced once to
 the Hessenberg form L = Q A Q^H (``HillMatrix.hessenberg``), with Q kept
@@ -60,10 +59,10 @@ The parts have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
 
 Every defining circle |z - c| = R is the gate, and its margin is the
 reported guard margin.  ``_circle`` picks a smaller circle to integrate
-and, for Hermitian L, the node count whose error bound meets ``_TOL``
-before any solve; any other L starts at ``_NODES`` nodes, doubled until
-P changes by less than ``_TOL`` (``_circle_rules``).  The free
-projection is the exact coordinate projection onto ``level_indices``.
+and, before any solve, the node count whose error bound meets ``_TOL``
+for every L (``_nodes``, with the condition numbers of a non-Hermitian L's
+eigenvalues).  The free projection is the exact coordinate projection
+onto ``level_indices``.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ __all__ = [
 ]
 
 GUARD_FRACTION = 0.05  # reject contours with an eigenvalue within 5% of radius
-_NODES, _TOL, _MAX_NODES = 16, 1e-10, 512  # the start and stopping rule of every contour
+_TOL, _MAX_NODES = 1e-10, 512  # the stopping rule of every contour
 _C0 = 4.0  # the reconstruction constant a certified node count is picked for (``_circle``)
 _EPS = float(np.finfo(float).eps)
 _ROW_BLOCK = 512  # rows of B per block of ``sum_abs_B``: O(_ROW_BLOCK * N) memory
@@ -198,17 +197,19 @@ def _radius(d_in: float, d_out: float, R: float, floor: float) -> float:
     return min(max(float(np.sqrt(d_in * d_out)), floor), R)
 
 
-def _nodes(t: np.ndarray, delta: float, C: float) -> tuple[int, float]:
-    """(Q, ||P_Q - P||_F), ``_circle``'s filter error on t = (lambda - c) / rho,
-    for the smallest Q <= _MAX_NODES with C ||P_Q - P||_F <= _TOL - min(delta,
-    _TOL / 2).  Each term lies in [r^Q / (1 + r^Q), r^Q / (1 - r^Q)],
-    r = max |tau|: that brackets Q, and the bracket is evaluated at once."""
+def _nodes(t: np.ndarray, kappa: np.ndarray | None, delta: float, C: float) -> tuple[int, float]:
+    """(Q, err): the smallest Q <= _MAX_NODES with C err <= _TOL - min(delta, _TOL / 2), err
+    the ``_circle`` bound at t = (lambda - c) / rho: terms |tau^Q / (1 - tau^Q)| in
+    root-sum-square (kappa None) or weighted by kappa.  Each lies in [r^Q / (1 + r^Q),
+    r^Q / (1 - r^Q)], r = max |tau|, and kappa >= 1: that brackets Q, evaluated at once."""
     tau = np.divide(1, t, out=t.copy(), where=np.abs(t) > 1)
     e, r = (_TOL - min(delta, _TOL / 2)) / C, float(np.abs(tau).max())
-    lo, hi = (int(np.ceil(np.log(e / s) / np.log(r))) for s in (1 - e, np.sqrt(len(tau)) + e))
+    weight = np.sqrt(len(tau)) if kappa is None else float(kappa.sum())
+    lo, hi = (int(np.ceil(np.log(e / s) / np.log(r))) for s in (1 - e, weight + e))
     Qs = np.arange(min(max(lo, 1), _MAX_NODES), min(hi, _MAX_NODES) + 1)
     tq = np.power.outer(tau, Qs)
-    err = np.sqrt((np.abs(tq / (1 - tq)) ** 2).sum(axis=0))
+    terms = np.abs(tq / (1 - tq))
+    err = np.sqrt((terms ** 2).sum(axis=0)) if kappa is None else kappa @ terms
     i = int(np.argmax(err <= e)) if (err <= e).any() else -1
     return int(Qs[i]), float(err[i])
 
@@ -230,25 +231,28 @@ def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
     error there decays like rate^Q, rate = max(d_in / rho, rho / d_out)
     (Trefethen & Weideman, SIAM Review 56 (2014)).
 
-    Non-Hermitian L: rho >= d_out / 10, Q = ``_NODES``, err inf, delta 0.
-    Hermitian L, eigenpairs (lambda, v) orthonormal: ||X Y^T - P||_F is
-    at most C err + delta, err = ||D||_F; ``_nodes`` picks Q at C = _C0.
-    - D = P_Q - P.  With t = (lambda - center) / rho the Q-node rule is
-      P_Q = sum v v^H / (1 - t^Q), so ||D||_F is the root of the sum of
-      |tau^Q / (1 - tau^Q)|^2, tau = t inside and 1 / t outside.
-    - C.  X Y^T = F(P_Q), F(S) = S E (E^T S E)^-1 E^T S, and F(P) = P.
-      With P = U U^H, W = U^H E and A = E^T P E = W^H W, P E A^-1 = U W^-H
-      and to first order dF = D E A^-1 E^T P + P E A^-1 E^T D
-      - U W^-H (E^T D E) W^-1 U^H, so C = 2 ||A^-1/2|| + ||A^-1||,
-      measured on the computed A; _C0 holds while sigma_min(A) >= 0.65.
-    - delta = eps max|lambda| / (rho - d_in), a measured rounding term:
-      the reduction and the solves are backward stable to about
-      eps max|lambda|, which 1 / (rho - d_in) amplifies (against eigh on
-      4 potentials x 3 lattices x K 64, 256: errors at most 0.42 delta).
-      No node count removes it, so Q keeps C err <= _TOL - min(delta,
-      _TOL / 2), and the floor rho >= d_in + 2 eps max|lambda| / _TOL keeps
-      delta <= _TOL / 2 where R allows.  Without it, eigenvalues n^2 that
-      eigvalsh puts 1e-12 apart gave rho ~ 1e-6 and P off by 8e-7.
+    ||X Y^T - P||_F is about C err + ||P||^2 delta; ``_nodes`` picks Q at C = _C0.
+    - err.  With eigen-triplets (lambda, v, w), w^H v = 1, and t = (lambda - center) / rho,
+      P_Q = sum v w^H / (1 - t^Q), so ||P_Q - P||_F <= err = sum kappa |tau^Q / (1 - tau^Q)|,
+      tau = t inside and 1 / t outside, kappa = ||v|| ||w|| (Golub & Van Loan, 7.2.2);
+      Hermitian L: the root-sum-square.  Risk: kappa comes from ``eig()``, as the dense
+      oracle's P does; the tests also check P on the dense inverse node sum.
+    - C.  X Y^T = F(P_Q), F(S) = S E (E^T S E)^-1 E^T S, F(P) = P.  With A = E^T P E,
+      X = P E A^-1 and Z = P^T E A^-T = X[p][:, s] (transpose symmetry), dF = D E Z^T +
+      X E^T D - X (E^T D E) Z^T to first order, D = P_Q - P, so C = 2 ||X|| + ||X||^2 on
+      the computed X (Hermitian L: ||X||^2 = ||A^-1||); _C0 holds while ||X|| <= sqrt(5) - 1.
+    - delta = eps max|lambda| / (rho - d_in): the solves are backward stable to about
+      eps max|lambda|, amplified by 1 / (rho - d_in), and by ||P||^2 for non-normal L
+      (first-order perturbation).  A model, not a bound: errors were at most 0.42 delta
+      against eigh (4 Hermitian potentials x 3 lattices x K 64, 256) and 0.33 of the
+      estimate against the dense inverse node sum (3 non-Hermitian potentials x K 64,
+      256; ||P|| up to 400, where delta alone fell 100 times short).  No node count
+      removes it: Q keeps C err <= _TOL - min(delta, _TOL / 2).
+    - The floor rho >= d_in + 2 kappa_in eps max|lambda| / _TOL (kappa_in the largest
+      kappa inside, 1 for Hermitian L) keeps kappa_in delta <= _TOL / 2 where R allows.
+      Without it, eigenvalues n^2 that eigvalsh put 1e-12 apart gave rho ~ 1e-6 and P off
+      by 8e-7; without kappa_in, a Jordan block at the centre lost 1.4e-9 on
+      rho = 0.0045, where the resolvent grows like (z - lambda)^-2.
     """
     vals = H.eigenvalues()
     dist = np.abs(vals - center)
@@ -264,16 +268,17 @@ def _circle(H: HillMatrix, n: int, cols: np.ndarray, center: complex, R: float,
         raise RankMismatch(f"{np.count_nonzero(inside != region)} eigenvalue(s) in only "
                            f"one of |z-{center}|<{R} and its region")
     d_in, d_out = float(dist[inside].max(initial=0.0)), float(dist[~inside].min(initial=np.inf))
-    rounding = _EPS * float(np.abs(vals).max())
-    rho = _radius(d_in, d_out, R, d_in + 2 * rounding / _TOL if H.hermitian else d_out / 10)
+    rounding, (lam, kappa) = _EPS * float(np.abs(vals).max()), H.eigenvalue_conditions()
+    kappa_in = 1.0 if kappa is None else float(kappa[np.abs(lam - center) < R].max(initial=1))
+    rho = _radius(d_in, d_out, R, d_in + 2 * kappa_in * rounding / _TOL)
     if np.abs(dist - rho).min() < GUARD_FRACTION * rho:
         rho = R
     if not np.array_equal(dist < rho, inside):
         raise RankMismatch(f"{np.count_nonzero((dist < rho) != inside)} eigenvalue(s) in "
                            f"only one of |z-{center}|<{rho} and |z-{center}|<{R}")
-    delta = rounding / (rho - d_in) if H.hermitian else 0.0
-    nodes = _nodes((vals - center) / rho, delta, _C0) if H.hermitian else (_NODES, np.inf)
-    return n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out), *nodes, delta
+    delta = rounding / (rho - d_in)
+    return (n, cols, center, rho, float(gap) / R, max(d_in / rho, rho / d_out),
+            *_nodes((lam - center) / rho, kappa, delta, _C0), delta)
 
 
 def _check_level(basis: BasisSpec, n: int) -> None:
@@ -389,12 +394,6 @@ def _factors(M: np.ndarray, cols: np.ndarray, p: np.ndarray, scale: complex):
     return PE @ np.linalg.inv(PE[cols]), PE[p][:, np.searchsorted(cols, p[cols])]
 
 
-def _change(f1, f0) -> float:
-    """||X1 Y1^T - X0 Y0^T||_F for ``_factors`` f, from their ``_core``."""
-    (X1, Y1), (X0, Y0) = f1, f0
-    return float(np.linalg.norm(_core(np.hstack([X1, X0]), np.hstack([Y1, -Y0]))))
-
-
 def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
     """Dense coordinate projection onto the ``level_indices`` of n, for the oracles."""
     _check_level(basis, n)
@@ -406,15 +405,15 @@ def free_projection(basis: BasisSpec, n: int) -> np.ndarray:
 
 def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     """The pairs of the ``_circle``s (n, cols, c, R, margin, rate, Q, err,
-    delta), all of rank len(cols), by the trapezoidal rule on |z - c| = R,
-    each round in one ``_moments`` call.  Hermitian L: Q nodes, estimate
-    C err + delta, and again at the Q a measured C > _C0 needs.  Other L:
-    ``_NODES`` nodes, doubled until P changes by less than ``_TOL`` (the
-    estimate) or Q hits ``_MAX_NODES``.  Converged: C err or the change < _TOL.
+    delta), all of rank len(cols), by the Q-node trapezoidal rule on
+    |z - c| = R, each round in one ``_moments`` call: estimate C err +
+    ||P||^2 delta, C = 2 ||X|| + ||X||^2 and ||P|| on the factors (||P|| = 1
+    for Hermitian L), and again at the Q a measured C > _C0 needs.
+    Converged: C err < _TOL.
 
-    A real Hermitian L with real centres sweeps the nodes j = 0 .. Q // 2
-    only, at weight 2 for 0 < j < Q / 2: (conj(z) - L)^-1 = conj((z - L)^-1),
-    so the real part of that sum is the Q-node sum.  ``nodes_used`` counts Q.
+    A real L with real centres sweeps the nodes j = 0 .. Q // 2 only, at
+    weight 2 for 0 < j < Q / 2: (conj(z) - L)^-1 = conj((z - L)^-1), so the
+    real part of that sum is the Q-node sum.  ``nodes_used`` counts Q.
     """
     if not circles:
         return []
@@ -422,46 +421,33 @@ def _circle_rules(H: HillMatrix, circles: list) -> list[ProjectionPair]:
     cols, c, R = np.array(cols), np.array(c, dtype=complex), np.array(R, dtype=float)
     p = H.basis.transpose_perm()
     assert all(np.array_equal(np.sort(p[cl]), cl) for cl in cols), "cols not closed under p"
-    every = range(len(cols))
-    half = H.hermitian and np.isrealobj(H.L) and not c.imag.any()
-    f, M, quad, run = [None] * len(cols), [0.0] * len(cols), [np.inf] * len(cols), list(every)
+    half, (lam, kappa) = np.isrealobj(H.L) and not c.imag.any(), H.eigenvalue_conditions()
+    f, quad, run = [None] * len(cols), [np.inf] * len(cols), list(range(len(cols)))
     while run:
-        # node sets in steps of 2 pi / Q: Hermitian L, the Q-grid afresh (for
-        # ``half``, its nodes 0 .. Q // 2); else the even and odd halves of
-        # the first grid, then the midpoints
-        sets = [[np.arange(used[g] // 2 + 1 if half else used[g])] if H.hermitian
-                else [np.arange(used[g]) + 0.5] if f[g]
-                else list(np.arange(used[g]).reshape(-1, 2).T) for g in run]
-        gs = np.repeat(run, [len(s) for s in sets])  # the circle of each node set
-        group = np.repeat(np.arange(len(gs)), [len(t) for s in sets for t in s])
-        j, Q = np.concatenate(sum(sets, [])), np.array(used)[gs[group]]
+        # each circle's Q-grid afresh; for ``half``, its nodes 0 .. Q // 2
+        js = [np.arange(used[g] // 2 + 1 if half else used[g]) for g in run]
+        group = np.repeat(np.arange(len(run)), [len(j) for j in js])
+        gs = np.array(run)[group]  # the circle of each node
+        j, Q = np.concatenate(js), np.array(used)[gs]
         w = np.exp(2j * np.pi * j / Q)
         folded = half & (j > 0) & (2 * j < Q)  # node j stands for j and Q - j
-        Ms = iter(_moments(H, cols[gs], c[gs[group]] + R[gs[group]] * w, w * (1 + folded),
-                           group, real=half))
+        Ms = _moments(H, cols[run], c[gs] + R[gs] * w, w * (1 + folded), group, real=half)
         again = []
-        for g, Mg in zip(run, ([next(Ms) for _ in s] for s in sets)):
-            if H.hermitian:
-                f[g] = _factors(Mg[0], cols[g], p, R[g] / used[g])
-                # ||A^-1|| for A = E^T P E, which Y[cols] holds up to the permutation s
-                a = 1.0 / float(np.linalg.svd(f[g][1][cols[g]], compute_uv=False)[-1])
-                quad[g] = (C := 2.0 * a ** 0.5 + a) * err[g]
-                t = (H.eigenvalues() - c[g]) / R[g]  # Q met _TOL at _C0; does it at C?
-                if C > _C0 and (retry := _nodes(t, delta[g], C))[0] > used[g]:
-                    used[g], err[g] = retry
-                    again.append(g)
-            else:  # the first even half is the half-grid; later rounds double Q
-                old = f[g] or _factors(Mg[0], cols[g], p, 2 * R[g] / used[g])
-                M[g], used[g] = M[g] + sum(Mg), used[g] * (1 if f[g] is None else 2)
-                f[g] = _factors(M[g], cols[g], p, R[g] / used[g])
-                quad[g] = _change(f[g], old)
-                if quad[g] >= _TOL and used[g] < _MAX_NODES:
-                    again.append(g)
+        for g, M in zip(run, Ms):
+            f[g] = _factors(M, cols[g], p, R[g] / used[g])
+            x = float(np.linalg.norm(f[g][0], 2))  # ||X||_2
+            quad[g] = (C := 2.0 * x + x * x) * err[g]
+            t = (lam - c[g]) / R[g]  # Q met _TOL at _C0; does it at C?
+            if C > _C0 and (retry := _nodes(t, kappa, delta[g], C))[0] > used[g]:
+                used[g], err[g] = retry
+                again.append(g)
         run = again
-    return [ProjectionPair(ns[g], H.basis, *f[g], cols[g], quad_error_est=quad[g] + delta[g],
+    p2 = [1.0 if H.hermitian else float(np.linalg.norm(_core(*fg), 2)) ** 2 for fg in f]
+    return [ProjectionPair(ns[g], H.basis, *f[g], cols[g],
+                           quad_error_est=quad[g] + p2[g] * delta[g],
                            nodes_used=used[g], converged=quad[g] < _TOL,
                            guard_margin=margins[g], radius=float(R[g]),
-                           rate=rates[g]) for g in every]
+                           rate=rates[g]) for g in range(len(cols))]
 
 
 _LEVEL_ERRORS = (IndexOutOfBasis, TruncationTooSmall, EigenvalueOnContour, RankMismatch)

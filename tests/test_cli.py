@@ -147,6 +147,24 @@ class TestDecay:
         payload = json.loads((tmp_path / "decay.json").read_text())
         assert code == 0 and [r["converged"] for r in payload["records"]] == [True, True]
 
+    def test_non_hermitian_potential_converges(self, tmp_path):
+        # the test potential 0.3 + 0.2i with w(2) = 0.5, w(-2) = 0.1i and
+        # w(4) = 0.2 - 0.3i: every level at its kappa-weighted certified
+        # count, 93 nodes in all (the doubling rule took 160)
+        cfg = tmp_path / "non_hermitian.json"
+        cfg.write_text(json.dumps({"kind": "custom", "v0": [0.3, 0.2],
+                                   "entries": [[2, 0.5], [-2, 0.0, 0.1], [4, 0.2, -0.3]]}))
+        code = run(["decay", "--potential", f"file:{cfg}", "--bc", "per+", "--K", "64",
+                    "--n-min", "8", "--n-max", "16", "--out", str(tmp_path)])
+        assert code == 0
+        records = json.loads((tmp_path / "decay.json").read_text())["records"]
+        H = assemble(BoundaryCondition.PER_PLUS, potential.parse_potential_arg(f"file:{cfg}"), 64)
+        pairs, _ = projector.riesz_projections(H, range(8, 17, 2))
+        assert not H.hermitian and [rec["n"] for rec in records] == list(pairs)
+        assert all(rec["converged"] for rec in records)
+        assert [rec["nodes_used"] for rec in records] == [p.nodes_used for p in pairs.values()]
+        assert sum(rec["nodes_used"] for rec in records) < 160
+
     def test_level_one_is_config_error(self, tmp_path, capsys):
         code = run(["decay", "--potential", "mathieu:1.0", "--bc", "per-",
                     "--K", "48", "--n-min", "1", "--n-max", "5", "--out", str(tmp_path)])

@@ -104,42 +104,20 @@ class TestRieszProjection:
         assert str(count.value) == "0 eigenvalue(s) in |z-(64+0j)|<8.0, expected 2 for per+"
 
 
-def full_inverse_projection(H, n, radius=None, nodes=None):
-    """Reference: trapezoid node sum of the full resolvent inverse.
-
-    Exactly ``nodes`` nodes when given, else the node doubling from
-    ``_NODES``, stopping rule and error estimate of the non-Hermitian
-    rule, on |z - n^2| = radius (C_n by default), but every node inverts
-    z - L densely; returns (P, nodes_used).
-    """
-    c, R = complex(n * n), float(n if radius is None else radius)
+def full_inverse_projection(H, n, radius, nodes, center=None):
+    """Reference: the ``nodes``-node trapezoid sum on |z - c| = radius,
+    c = ``center`` or n^2, every node inverting z - L densely."""
+    c, R = complex(n * n if center is None else center), float(radius)
     ident = np.eye(H.size, dtype=complex)
-
-    def node_sum(thetas):
-        acc = np.zeros((H.size, H.size), dtype=complex)
-        for th in thetas:
-            z = c + R * np.exp(1j * th)
-            acc += np.exp(1j * th) * np.linalg.inv(z * ident - H.L)
-        return acc
-
-    Q = nodes or prj._NODES
-    thetas = 2.0 * np.pi * np.arange(Q) / Q
-    if nodes:
-        return (R / Q) * node_sum(thetas), Q
-    S_even = node_sum(thetas[::2])
-    S = S_even + node_sum(thetas[1::2])
-    P = (R / Q) * S
-    est = np.linalg.norm(P - (R / (Q // 2)) * S_even, "fro")
-    while est >= prj._TOL and Q < prj._MAX_NODES:
-        S = S + node_sum(2.0 * np.pi * (np.arange(Q) + 0.5) / Q)
-        Q *= 2
-        P_new = (R / Q) * S
-        est = np.linalg.norm(P_new - P, "fro")
-        P = P_new
-    return P, Q
+    acc = np.zeros((H.size, H.size), dtype=complex)
+    for u in np.exp(2j * np.pi * np.arange(nodes) / nodes):
+        acc += u * np.linalg.inv((c + R * u) * ident - H.L)
+    return (R / nodes) * acc
 
 
 NON_HERMITIAN = [(2, 0.5), (-2, 0.1j), (4, 0.2 - 0.3j)]
+# real coefficients, w(-m) != w(m): a real non-Hermitian L (float64)
+REAL_NON_HERMITIAN = [(2, 0.5), (-2, 0.1), (4, 0.2)]
 # w(-m) = -conj(w(m)): a real potential with a complex Hermitian L, whose
 # projections are not real
 COMPLEX_HERMITIAN = [(2, 0.3 + 0.4j), (-2, -0.3 + 0.4j), (4, 0.1j), (-4, 0.1j)]
@@ -389,7 +367,7 @@ class TestRankEngineVsFullInverse:
         assert H.hermitian and pair.converged
         # one sweep at the certified count: the dense node sum at that
         # count, X Y^T rebuilt from its columns E and rows E^T
-        P_Q, _ = full_inverse_projection(H, n, pair.radius, pair.nodes_used)
+        P_Q = full_inverse_projection(H, n, pair.radius, pair.nodes_used)
         PE, cols = P_Q[:, pair.cols], pair.cols
         assert np.linalg.norm(pair.P - PE @ np.linalg.solve(PE[cols], P_Q[cols])) <= 1e-12
         dense = prj.spectral_projector_dense(H, n)
@@ -400,9 +378,14 @@ class TestRankEngineVsFullInverse:
         H = hp.assemble(BC.PER_PLUS, p, 64)
         assert np.abs(H.L - H.L.T).max() > 0.1  # L^T != L, so Y differs from X
         pair = hp.riesz_projection(H, 8)
-        P_ref, q_ref = full_inverse_projection(H, 8, pair.radius)
-        assert np.linalg.norm(pair.P - P_ref, "fro") <= 1e-13
-        assert pair.nodes_used == q_ref
+        # one sweep at the certified count and radius: the dense node sum there
+        P_Q = full_inverse_projection(H, 8, pair.radius, pair.nodes_used)
+        assert np.linalg.norm(pair.P - P_Q, "fro") <= 1e-13
+        P_ref = full_inverse_projection(H, 8, pair.radius, 64)
+        assert np.linalg.norm(pair.P - P_ref, "fro") <= pair.quad_error_est <= prj._TOL
+        # fewer nodes than the 32 of the doubling rule this count replaced,
+        # on C_8 itself: the kappa of 1.9e4 in the disc lifts the floor past R
+        assert pair.converged and pair.nodes_used < 32 and pair.radius == 8.0
 
     def test_empty_disc_raises(self):
         # v0 = 10 moves the level-8 pair to about 74, outside |z - 64| < 8
@@ -418,8 +401,9 @@ class TestRankEngineVsFullInverse:
         assert hp.riesz_projection(H, 8).converged and hp.riesz_projection(Hc, 8).converged
         monkeypatch.setattr(prj, "_TOL", 1e-30)
         monkeypatch.setattr(prj, "_MAX_NODES", 32)
-        # Hermitian: no count up to _MAX_NODES certifies 1e-30 (the filter
-        # reaches it near 58 nodes); the doubling rule runs to _MAX_NODES
+        # no count up to _MAX_NODES certifies 1e-30 (the Hermitian filter
+        # reaches it near 58 nodes, the kappa-weighted one later): both
+        # stop at _MAX_NODES, unconverged
         for M in (H, Hc):
             pair = hp.riesz_projection(M, 8)
             assert pair.converged is False and pair.nodes_used == 32
@@ -428,15 +412,13 @@ class TestRankEngineVsFullInverse:
 class TestRieszProjections:
     """The plural form against the one-level form, level by level."""
 
-    @pytest.mark.parametrize("nodes", [16, 64])
     @pytest.mark.parametrize("pname,bc,levels", [
         ("delta", BC.PER_PLUS, range(2, 13, 2)),
         ("delta", BC.PER_MINUS, range(1, 12, 2)),
         ("mathieu", BC.DIRICHLET, range(1, 13)),
         ("complex", BC.PER_PLUS, range(2, 13, 2)),  # NON_HERMITIAN
     ])
-    def test_matches_the_one_level_form(self, pname, bc, levels, nodes, monkeypatch):
-        monkeypatch.setattr(prj, "_NODES", nodes)
+    def test_matches_the_one_level_form(self, pname, bc, levels):
         H = hp.assemble(bc, gallery_potential(pname), 48)
         pairs, errors = hp.riesz_projections(H, levels)
         assert list(pairs) == [n for n in levels if n not in errors] and len(pairs) >= 6
@@ -448,8 +430,8 @@ class TestRieszProjections:
             assert np.abs(pair.X[pair.cols] - np.eye(len(pair.cols))).max() <= 1e-12
             assert (pair.nodes_used, pair.converged, pair.guard_margin) == (
                 one.nodes_used, one.converged, one.guard_margin)
-        if nodes == 16:  # the levels double from 16 nodes, not all to the same count
-            assert len({pair.nodes_used for pair in pairs.values()}) > 1
+        # each level at its own certified count, not all at the same one
+        assert len({pair.nodes_used for pair in pairs.values()}) > 1
 
     def test_bad_levels_stay_per_level(self):
         # v0 = 10 puts level 10 on its contour; 18 needs half-width 72
@@ -505,33 +487,58 @@ def level_matrix(values, coupling=0.0, n=10, half_width=48):
     return HillMatrix(basis, np.diag(diag0) + V)
 
 
+def nonnormal_level_matrix(eps, lam=65.0, mu=78.0, n=8, m=10, half_width=48):
+    """Per+ L, diagonal k^2 but for the block V diag(lam, mu) V^-1,
+    V = [[1, 1 - eps], [1, 1]], on e_n, e_m and its transpose on e_-n,
+    e_-m (to keep L^T = J L J).  lam and mu have kappa of about 2 / eps,
+    yet every column of X is (1, 1) or (1, eps - 1): ||X|| = sqrt(2)."""
+    basis = hp.basis_for(BC.PER_PLUS, half_width)
+    L = np.diag([float(k * k) for k in basis.indices])
+    V = np.array([[1.0, 1.0 - eps], [1.0, 1.0]])
+    B = V @ np.diag([lam, mu]) @ np.linalg.inv(V)
+    for ks, block in (((n, m), B), ((-n, -m), B.T)):
+        i = [basis.position(k) for k in ks]
+        L[np.ix_(i, i)] = block
+    return HillMatrix(basis, L)
+
+
 class TestIntegrationCircle:
     """Each level is gated on C_n = {|z - n^2| = n} and integrated on
     |z - n^2| = rho <= n, gated to hold the same eigenvalues."""
 
     @pytest.mark.parametrize("pname,bc,n", [
         ("delta", BC.PER_PLUS, 10), ("delta", BC.PER_MINUS, 9),
-        ("mathieu", BC.DIRICHLET, 8), ("complex", BC.PER_PLUS, 8),  # NON_HERMITIAN
+        ("mathieu", BC.DIRICHLET, 8),
+        ("complex", BC.PER_PLUS, 8), ("complex", BC.PER_PLUS, 12),  # NON_HERMITIAN
     ])
-    def test_matches_the_dense_gate_circle_sum(self, pname, bc, n):
+    def test_matches_the_dense_gate_circle_sum(self, pname, bc, n, monkeypatch):
         # P is fixed by the eigenvalues inside C_n, not by the circle: the
         # small-circle pair is the dense node sum on C_n itself
         H = hp.assemble(bc, gallery_potential(pname), 64)
         pair = hp.riesz_projection(H, n)
-        P_ref, q_ref = full_inverse_projection(H, n)
-        assert pair.converged and pair.nodes_used < q_ref
-        # the certified estimate bounds a Hermitian pair's distance from P
-        tol = pair.quad_error_est if H.hermitian else 1e-12
-        assert np.linalg.norm(pair.P - P_ref, "fro") <= tol
-        # the margin is C_n's; radius and rate follow from the same eigenvalues
+        P_ref = full_inverse_projection(H, n, n, 128)
+        # the certified estimate bounds the pair's distance from P, for every L
+        distance = np.linalg.norm(pair.P - P_ref, "fro")
+        assert distance <= pair.quad_error_est <= prj._TOL and pair.converged
+        if not H.hermitian:
+            assert distance <= 1e-12  # as the doubling rule's pairs did
+        # the margin is C_n's; radius and rate follow from the same
+        # eigenvalues, the floor from the largest kappa inside C_n too
         dist = np.abs(H.eigenvalues() - n * n)
         assert pair.guard_margin == np.abs(dist - n).min() / n
         d_in, d_out = dist[dist < n].max(), dist[dist >= n].min()
-        floor = (d_in + 2 * EPS * np.abs(H.eigenvalues()).max() / prj._TOL
-                 if H.hermitian else d_out / 10)
-        rho = max(np.sqrt(d_in * d_out), floor)
-        assert pair.radius == pytest.approx(rho, rel=1e-14) and pair.radius < n / 2
+        lam, kappa = H.eigenvalue_conditions()
+        kappa_in = 1.0 if kappa is None else kappa[np.abs(lam - n * n) < n].max()
+        floor = d_in + 2 * kappa_in * EPS * np.abs(H.eigenvalues()).max() / prj._TOL
+        rho = min(max(np.sqrt(d_in * d_out), floor), n)
+        assert pair.radius == pytest.approx(rho, rel=1e-14)
         assert pair.rate == pytest.approx(max(d_in / rho, rho / d_out), rel=1e-14)
+        # NON_HERMITIAN level 8 holds a kappa of 1.9e4: its floor passes R
+        assert (pair.radius == n) == (kappa_in > 1e4)
+        if pair.radius < n:  # then the certified count on C_n itself is larger
+            monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: R)
+            on_c_n = prj._circle(H, n, pair.cols, complex(n * n), float(n))
+            assert on_c_n[3] == n and pair.nodes_used < on_c_n[6] and pair.radius < n / 2
 
     @pytest.mark.parametrize("bc,n", LEVELS)
     def test_zero_potential(self, bc, n):
@@ -562,7 +569,6 @@ class TestIntegrationCircle:
         assert pair.rate == pytest.approx(10 / d_out)
         # every circle the guard admits here has a rate near 0.95: the
         # certified count is about log(_TOL / 4) / log(0.9515) = 490 nodes
-        # (the doubling rule stopped at _MAX_NODES, unconverged)
         assert 450 < pair.nodes_used < prj._MAX_NODES and pair.converged
         err = np.linalg.norm(pair.P - prj.free_projection(H.basis, 10), "fro")
         assert err <= pair.quad_error_est <= prj._TOL
@@ -577,6 +583,66 @@ class TestIntegrationCircle:
         monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: 3.0)
         with pytest.raises(prj.RankMismatch):
             hp.riesz_projection(H, 10)
+
+
+class TestConditionWeights:
+    """Non-Hermitian L: ``_nodes`` weights the filter term of each
+    eigenvalue by its condition number kappa = ||v|| ||w||, w^H v = 1."""
+
+    def test_dropping_kappa_misses_the_bound(self, monkeypatch):
+        # lam = 60 inside C_8 (twice, with its mirror) and mu = 80 outside,
+        # both with kappa 20; C = 2 sqrt(2) + 2 does not see kappa, so
+        # only the weights carry it.  A larger kappa hides the mutation:
+        # the rounding term grows like kappa^2, the miss like kappa
+        H = nonnormal_level_matrix(0.1, lam=60.0, mu=80.0)
+        vals, kappa = H.eigenvalue_conditions()
+        inside = np.abs(vals - 64) < 8
+        assert not H.hermitian and np.count_nonzero(inside) == 2
+        assert kappa[inside].min() > 15 and kappa[np.abs(vals - 80) < 1e-6].min() > 15
+        pair = hp.riesz_projection(H, 8)
+        P_ref = full_inverse_projection(H, 8, pair.radius, 256)
+        assert np.linalg.norm(pair.X, 2) == pytest.approx(np.sqrt(2))
+        assert pair.converged and np.linalg.norm(pair.P - P_ref) <= pair.quad_error_est
+        # kappa = 1: the same eigenvalues with unit eigenvectors; the pair
+        # misses by 1.7 times its estimate
+        monkeypatch.setattr(H, "eigenvalue_conditions", lambda: (vals, np.ones(H.size)))
+        blind = hp.riesz_projection(H, 8)
+        assert blind.radius == pair.radius and blind.nodes_used < pair.nodes_used
+        assert np.linalg.norm(blind.P - P_ref) > 1.4 * blind.quad_error_est
+
+    def test_jordan_block_widens_the_circle(self, monkeypatch):
+        # w(m) = 0 for m < 0: L is triangular with eigenvalues exactly k^2,
+        # and 4 is a Jordan block of size 2 (kappa 1e15 from eig()).  With
+        # d_in = 0 the kappa-free floor would shrink the circle to
+        # 2 eps max|lambda| / _TOL = 0.0045, where the resolvent grows like
+        # (z - 4)^-2 and the solves lose about 1e-9; kappa_in lifts the
+        # floor past R, and on C_2 the pair meets _TOL
+        H = hp.assemble(BC.PER_PLUS, pot.from_coeffs(0.0, [(2, 0.5), (4, 0.3j)]), 32)
+        lam, kappa = H.eigenvalue_conditions()
+        assert np.abs(np.triu(H.L, 1)).max() == 0 and kappa[np.abs(lam - 4) < 2].min() > 1e12
+        pair = hp.riesz_projection(H, 2)
+        assert pair.converged and pair.radius == 2.0
+        P_ref = full_inverse_projection(H, 2, 2.0, 256)  # on C_2
+        assert np.linalg.norm(pair.P - P_ref) <= pair.quad_error_est <= prj._TOL
+        floor = 2 * EPS * np.abs(H.eigenvalues()).max() / prj._TOL
+        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, _: max(d_in, floor))
+        shrunk = hp.riesz_projection(H, 2)
+        assert shrunk.radius == floor and floor == pytest.approx(0.0045, rel=0.02)
+        assert np.linalg.norm(shrunk.P - P_ref) > prj._TOL
+
+    def test_rounding_term_grows_like_the_norm_of_p_squared(self):
+        # lam = 65 has kappa 400 and ||P|| = 400: the solves lose about
+        # 4e-9, far above C err + eps max|lambda| / (rho - d_in), below it
+        # times ||P||^2
+        H = nonnormal_level_matrix(0.005)
+        pair = hp.riesz_projection(H, 8)
+        p = np.linalg.norm(pair.P, 2)
+        assert p == pytest.approx(400, rel=0.01) and pair.converged
+        err, delta = prj._circle(H, 8, pair.cols, 64.0, 8.0)[7:]
+        x = np.linalg.norm(pair.X, 2)
+        distance = np.linalg.norm(pair.P - full_inverse_projection(H, 8, 8.0, 256))
+        assert 10 * ((2 * x + x * x) * err + delta) < distance <= pair.quad_error_est
+        assert pair.quad_error_est == pytest.approx((2 * x + x * x) * err + p * p * delta)
 
 
 def eigh_certificate(H, pair, Q):
@@ -676,8 +742,8 @@ class TestCertifiedNodes:
 class TestConjugateNodes:
     """A real L and a real centre: node Q - j is node j conjugated, and so
     is its solve, so a circle sweeps nodes 0 .. Q // 2 of its Q, the pairs
-    j, Q - j at weight 2, and the pair is real.  Every other circle sweeps
-    all Q."""
+    j, Q - j at weight 2, and the pair is real, Hermitian or not.  Every
+    other circle sweeps all Q."""
 
     @pytest.mark.parametrize("pname,bc,shift,halved", [
         ("delta", BC.PER_PLUS, 0, True),
@@ -685,10 +751,12 @@ class TestConjugateNodes:
         ("complex_hermitian", BC.PER_PLUS, 0, False),
         ("sawtooth", BC.PER_MINUS, 0, False),  # a complex Hermitian L too
         ("delta", BC.PER_PLUS, 4j, False),  # a real L, a centre off the real axis
+        ("real_non_hermitian", BC.PER_PLUS, 0, True),  # kappa up to 3e4
     ])
     def test_nodes_swept(self, pname, bc, shift, halved, monkeypatch):
         p = {"complex_hermitian": lambda: pot.from_coeffs(0.0, COMPLEX_HERMITIAN),
-             "sawtooth": lambda: pot.sawtooth(1.0, max_index=256)}.get(
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=256),
+             "real_non_hermitian": lambda: pot.from_coeffs(0.3, REAL_NON_HERMITIAN)}.get(
             pname, lambda: gallery_potential(pname))()
         H = hp.assemble(bc, p, 64)
         n = 9 if bc is BC.PER_MINUS else 10
@@ -702,13 +770,17 @@ class TestConjugateNodes:
         monkeypatch.setattr(prj, "_hessenberg_sweep", counted)
         pair, = prj._circle_rules(H, [circle])
         Q, rho = circle[6], circle[3]
-        assert H.hermitian and pair.nodes_used == Q and pair.converged
+        assert H.hermitian == (pname != "real_non_hermitian")
+        assert pair.nodes_used == Q and pair.converged
         j = np.arange(Q // 2 + 1 if halved else Q)
         nodes = n * n + shift + rho * np.exp(2j * PI * j / Q)
         assert np.allclose(np.concatenate(swept), nodes, rtol=1e-15, atol=0)
         assert pair.X.dtype == pair.Y.dtype == (float if halved else complex)
-        dense = prj.spectral_projector_dense(H, n)
-        assert np.linalg.norm(pair.P - dense, "fro") <= pair.quad_error_est
+        if H.hermitian:
+            dense = prj.spectral_projector_dense(H, n)
+            assert np.linalg.norm(pair.P - dense, "fro") <= pair.quad_error_est
+        else:  # the full Q-node grid, every node inverted densely
+            assert np.linalg.norm(pair.P - full_inverse_projection(H, n, rho, Q)) <= 1e-13
 
     @pytest.mark.parametrize("Q", [7, 8])  # odd: pairs only; even: one more real node
     @pytest.mark.parametrize("bc,n", [(BC.PER_PLUS, 6), (BC.DIRICHLET, 6)])
@@ -822,31 +894,37 @@ class TestFactoredPair:
         fresh = dataclasses.replace(pair)  # sum_abs_B is cached per pair
         assert abs(fresh.sum_abs_B - np.abs(pair.B).sum()) <= 1e-14 * fresh.sum_abs_B
 
-    def test_doubling_estimate(self, level, monkeypatch):
-        H, pair, bad = level
-        dense = np.linalg.norm(pair.P - bad.P, "fro")
-        assert abs(prj._change((pair.X, pair.Y), (bad.X, bad.Y)) - dense) <= 1e-13
+    def test_certified_estimate(self, level):
+        # one sweep at the certified count of the level's circle, whose
+        # estimate bounds the distance from P: the eigh projector for
+        # Hermitian L, the dense node sum at 64 nodes for any other
+        H, pair, _ = level
+        circle = prj._circle(H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n))
+        assert pair.nodes_used == circle[6] and pair.converged
         if H.hermitian:
-            # no doubling: one sweep at the certified count, whose estimate
-            # bounds the distance from the eigh projector
-            circle = prj._circle(H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n))
             vals, vecs = np.linalg.eigh(H.L)
             V = vecs[:, np.abs(vals - pair.n ** 2) < pair.n]
-            assert pair.nodes_used == circle[6] < prj._NODES and pair.converged
-            assert np.linalg.norm(pair.P - V @ V.conj().T) <= pair.quad_error_est <= prj._TOL
-            return
-        # the estimate of the doubling rule on C_n: 16 nodes, doubled once to 32
-        monkeypatch.setattr(prj, "_TOL", 0.0)
-        monkeypatch.setattr(prj, "_NODES", 16)
-        monkeypatch.setattr(prj, "_radius", lambda d_in, d_out, R, floor: R)
-        circle = prj._circle(H, pair.n, pair.cols, complex(pair.n ** 2), float(pair.n))
-        monkeypatch.setattr(prj, "_MAX_NODES", 16)
-        p16, = prj._circle_rules(H, [circle])
-        monkeypatch.setattr(prj, "_MAX_NODES", 32)
-        p32, = prj._circle_rules(H, [circle])
-        est = p32.quad_error_est
-        assert p32.nodes_used == 32 and est > 1e-12 and not p32.converged
-        assert abs(est - np.linalg.norm(p32.P - p16.P, "fro")) <= 1e-13
+            P = V @ V.conj().T
+        else:
+            P = full_inverse_projection(H, pair.n, pair.radius, 64)
+        assert np.linalg.norm(pair.P - P) <= pair.quad_error_est <= prj._TOL
+
+    def test_reconstruction_constant(self, level):
+        # to first order dF = D E Z^T + X E^T D - X (E^T D E) Z^T with
+        # Z = P^T E A^-T, A = E^T P E: Z is X reflected by the transpose
+        # symmetry, so C = 2 ||X|| + ||X||^2; for Hermitian L, ||X||^2 is
+        # ||A^-1|| up to the quadrature error of P
+        H, pair, _ = level
+        P, cols = pair.P, pair.cols
+        A = P[np.ix_(cols, cols)]
+        x = np.linalg.norm(pair.X, 2)
+        assert np.linalg.norm(P.T[:, cols] @ np.linalg.inv(A).T, 2) == pytest.approx(x, rel=1e-12)
+        if H.hermitian:
+            assert x * x == pytest.approx(np.linalg.norm(np.linalg.inv(A), 2), rel=1e-9)
+        # the rounding term delta times ||P||^2, which is 1 for Hermitian L
+        p2 = 1.0 if H.hermitian else np.linalg.norm(P, 2) ** 2
+        err, delta = prj._circle(H, pair.n, cols, complex(pair.n ** 2), float(pair.n))[7:]
+        assert pair.quad_error_est == pytest.approx((2 * x + x * x) * err + p2 * delta, rel=1e-12)
 
 
 def dense_rect_quadrature(H, N, panels_scale, panel_nodes=20):
@@ -906,7 +984,13 @@ class TestRectangleVsDenseInverse:
         assert np.abs(H.L - H.L.T).max() > 0.1
         rect = prj.rectangle_projection(H, 4)
         S_ref, _ = dense_rectangle_projection(H, 4)
-        assert np.linalg.norm(rect.P - S_ref, "fro") <= 1e-13
+        assert rect.converged and rect.nodes_used < 128  # the doubling rule took 256
+        assert np.linalg.norm(rect.P - S_ref, "fro") <= rect.quad_error_est <= prj._TOL
+        # one sweep at the certified count and radius: the dense node sum
+        # about N^2 / 2 there, X Y^T rebuilt from its columns and rows
+        P_Q = full_inverse_projection(H, 4, rect.radius, rect.nodes_used, center=8.0)
+        PE, cols = P_Q[:, rect.cols], rect.cols
+        assert np.linalg.norm(rect.P - PE @ np.linalg.solve(PE[cols], P_Q[cols])) <= 1e-13
 
     def test_count_mismatch_raises(self):
         # v0 = 10 leaves 3 eigenvalues in the N = 4 rectangle against the
@@ -1160,8 +1244,7 @@ class TestBlockPair:
         assert np.linalg.norm(blk.P - vecs[:, in_rect] @ vinv[in_rect], "fro") <= 1e-10
 
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
-    def test_evidence_is_the_worst_part(self, bc, monkeypatch):
-        monkeypatch.setattr(prj, "_NODES", 32)
+    def test_evidence_is_the_worst_part(self, bc):
         H = hp.assemble(bc, gallery_potential("complex"), 48)
         blk = prj.block_projection(H, 4, 10)
         pairs, errors = hp.riesz_projections(H, range(5, 11))
@@ -1178,20 +1261,15 @@ class TestBlockPair:
         # the factored block is the sum of its dense parts
         assert np.linalg.norm(blk.P - sum(p.P for p in parts), "fro") <= 1e-12
 
-    def test_base_block_starts_at_the_same_count(self, monkeypatch):
-        # Hermitian L: every part, the base block too, runs at its certified count
-        H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
-        parts = [prj._circle(H, 4, prj.rectangle_projection(H, 4).cols, 8.0, 12.0),
-                 *prj._level_circles(H, [6, 8, 10])[0]]
-        assert prj.block_projection(H, 4, 10).nodes_used == sum(c[6] for c in parts)
-        # any other L: with no doubling, every part stops at _NODES, the base block too
-        monkeypatch.setattr(prj, "_TOL", math.inf)
-        H = hp.assemble(BC.PER_PLUS, gallery_potential("complex"), 48)
-        assert prj.rectangle_projection(H, 4).nodes_used == prj._NODES
-        monkeypatch.setattr(prj, "_NODES", 32)
-        assert prj.rectangle_projection(H, 4).nodes_used == 32
-        blk = prj.block_projection(H, 4, 10)
-        assert blk.nodes_used == 32 * 4  # the base block and the levels 6, 8, 10
+    def test_base_block_starts_at_the_same_count(self):
+        # every part, the base block too, runs at its certified count, for
+        # Hermitian L and any other
+        for pname in ("mathieu", "complex"):
+            H = hp.assemble(BC.PER_PLUS, gallery_potential(pname), 48)
+            parts = [prj._circle(H, 4, prj.rectangle_projection(H, 4).cols, 8.0, 12.0),
+                     *prj._level_circles(H, [6, 8, 10])[0]]
+            assert H.hermitian == (pname == "mathieu")
+            assert prj.block_projection(H, 4, 10).nodes_used == sum(c[6] for c in parts)
 
     def test_rejects_reversed_range(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
