@@ -18,8 +18,9 @@ j = 0..M: the grid max against the composite-trapezoid integral of |f|,
 i.e. the sup against the mean-normalized L^1 norm (1/pi) int |f| dx, the
 normalization under which the Fourier coefficients satisfy |f_k| <= D ||f||_1
 and the constant-3 comparison on the Riesz subspaces is meaningful.  One
-sampler, ``_max_ratio``, evaluates every such ratio from one inverse FFT of
-length M (exponential bases) or 2M (sine basis).
+sampler, ``_max_ratio``, evaluates every such ratio from short inverse FFTs
+over the cosets of the grid, one per phase (half the phases for the sine
+basis, by its odd symmetry), with memory independent of M.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
 # equivalence of norms on the Riesz subspaces
 # ---------------------------------------------------------------------------
 
-_COL_BLOCK = 32  # columns per block of ``_max_ratio``: O(_COL_BLOCK * M) memory
+_BLOCK_VALUES = 2 ** 14  # complex values per work array of ``_max_ratio``: its columns per block
 
 
 def _draws(basis: BasisSpec, samples: int, seed: int) -> np.ndarray:
@@ -114,41 +115,62 @@ def _draws(basis: BasisSpec, samples: int, seed: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _synthesize(basis: BasisSpec, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """f(x_j), x_j = pi j / M, j < M, one row per column of ``coeffs``.
-
-    One inverse FFT: of length M with c_k at (k div 2) mod M for per+-
-    (times e^{-i x_j} under per-, which leaves |f| alone), of length 2M of
-    the odd extension sqrt(2) sin kx = (e^{ikx} - e^{-ikx}) / (i sqrt(2)) for
-    the sine basis.  ``np.add.at`` sums indices that wrap the length.
-    """
-    idx = np.array(basis.indices)
-    if basis.bc.is_periodic_family:
-        size, pos, vals = M, idx // 2 % M, coeffs
-    else:
-        size, pos = 2 * M, np.concatenate([idx, -idx]) % (2 * M)
-        vals = np.concatenate([coeffs, -coeffs]) / (1j * math.sqrt(2.0))
-    spec = np.zeros((coeffs.shape[1], size), dtype=complex)
-    np.add.at(spec.T, pos, vals)
-    return np.fft.ifft(spec, norm="forward")[:, :M]
-
-
 def _max_ratio(basis: BasisSpec, coeffs: np.ndarray, M: int) -> float:
     """Max of pi ||f||_inf / ||f||_1 over the nonzero columns of ``coeffs``
     (coefficients of f against ``basis.indices``) on x_j = pi j / M, j = 0..M:
     the grid max over the composite trapezoid L^1.  |f| is pi-periodic for
     per+- and f(0) = f(pi) = 0 for the sine basis, so the trapezoid is pi/M
-    times the plain sum over j < M: M max_j |f_j| / sum_j |f_j|."""
+    times the plain sum over j < M: M max_j |f_j| / sum_j |f_j|.
+
+    f is a trigonometric sum on the grid of n_g points 2 pi j / n_g: n_g = M
+    with frequencies k div 2 for per+- (a factor e^{-i x_j} under per-,
+    which |f| ignores), n_g = 2M for the odd extension sqrt(2) sin kx =
+    (e^{ikx} - e^{-ikx}) / (i sqrt(2)) of the sine basis, whose ratio over
+    all 2M points is the same.  Folded mod n_g above the lowest one
+    (``np.add.at`` sums those that meet), the frequencies take offsets
+    d < span; L is the least divisor of n_g with L >= span, P = n_g / L.
+    On the coset x_{r + P s}, s < L, f is one inverse FFT of length L of
+    the folded coefficients times e^{2 pi i d r / n_g}, up to a unimodular
+    factor (FFT pruning: Markel 1971; Sorensen & Burrus 1993).  The P
+    phases r are swept with a running max and sum of |f| per column, in
+    blocks of ``_BLOCK_VALUES`` values, so the memory does not grow with M.
+    The sine basis sweeps r = 0 .. P // 2 only, at weight 2 for 0 < r < P / 2:
+    by the odd symmetry |f_{n_g - j}| = |f_j|, phase P - r holds phase r's
+    values reversed.  A span that no proper divisor holds (M prime, or
+    indices past the grid) gives L = n_g, P = 1: one full transform.
+    """
     if M < 1024:
         raise ValueError("norm evaluation needs M >= 1024")
     coeffs = coeffs[:, np.linalg.norm(coeffs, axis=0) > 1e-12]
-    if not coeffs.shape[1]:
+    cols = coeffs.shape[1]
+    if not cols:
         raise ValueError("every coefficient column is zero")
-    best = []
-    for j in range(0, coeffs.shape[1], _COL_BLOCK):
-        mod = np.abs(_synthesize(basis, coeffs[:, j:j + _COL_BLOCK], M))
-        best.append((M * mod.max(axis=1) / mod.sum(axis=1)).max())
-    return float(max(best))
+    idx, periodic = np.array(basis.indices), basis.bc.is_periodic_family
+    if periodic:
+        n_g, freq, vals = M, idx // 2, coeffs
+    else:
+        n_g, freq = 2 * M, np.concatenate([idx, -idx])
+        vals = np.concatenate([coeffs, -coeffs]) / (1j * math.sqrt(2.0))
+    d = (freq - freq.min()) % n_g
+    span = int(d.max()) + 1
+    L = next(q for q in range(span, n_g + 1) if n_g % q == 0)
+    P = n_g // L
+    folded = np.zeros((cols, span), dtype=complex)
+    np.add.at(folded.T, d, vals)
+    peak, total = np.zeros(cols), np.zeros(cols)
+    step = min(cols, max(1, _BLOCK_VALUES // L))
+    spec = np.zeros((step, L), dtype=complex)  # columns span .. L - 1 stay zero: the padding
+    for r in range(P) if periodic else range(P // 2 + 1):
+        twiddle = np.exp(2j * math.pi / n_g * (np.arange(span) * r % n_g))
+        weight = 1.0 if periodic or 2 * r in (0, P) else 2.0
+        for j in range(0, cols, step):
+            nb = min(step, cols - j)
+            b = slice(j, j + nb)
+            np.multiply(folded[b], twiddle, out=spec[:nb, :span])
+            m = np.abs(np.fft.ifft(spec[:nb], norm="forward"))
+            peak[b] = np.maximum(peak[b], m.max(axis=1))
+            total[b] += weight * m.sum(axis=1)
+    return float((n_g * peak / total).max())
 
 
 @dataclass(frozen=True)

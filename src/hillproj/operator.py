@@ -144,7 +144,7 @@ class HillMatrix:
     """Dense truncated matrix L of L_bc: the free diagonal k^2 plus v0 and
     the coupling (``assemble``).
 
-    Immutable after assembly: a copy of ``L`` is kept, marked read-only,
+    Immutable after assembly: a copy of the caller's L is kept, read-only,
     as float64 exactly when its imaginary part is all zeros (every real
     potential under Dirichlet, every even real one under Per+-), else as
     complex128.  Everything derived from a real L stays real: the
@@ -170,13 +170,18 @@ class HillMatrix:
     """
 
     def __init__(self, basis: BasisSpec, L: np.ndarray, coverage: float = 1.0):
-        self.basis = basis
         L = _real(np.asarray(L))
-        self.L = np.array(L, dtype=np.result_type(L, float))  # a copy: the caller's stays writable
-        self.coverage = float(coverage)
+        # a copy: the caller's array stays writable, and H does not see its writes
+        self._keep(basis, np.array(L, dtype=np.result_type(L, float)), coverage)
+
+    def _keep(self, basis: BasisSpec, L: np.ndarray, coverage: float):
+        """Keep L itself (float64, or complex128 with an imaginary part),
+        read-only: ``assemble`` hands over the L that only it holds."""
+        self.basis, self.L, self.coverage = basis, L, float(coverage)
         self.L.setflags(write=False)
-        p = basis.transpose_perm()
-        if not np.array_equal(self.L.T, self.L[np.ix_(p, p)]):
+        # L[p][:, p] as a view: p reverses the per+- lattice and fixes the Dirichlet one
+        p = slice(None, None, -1 if basis.bc.is_periodic_family else 1)
+        if not np.array_equal(self.L.T, self.L[p, p]):
             raise ValueError(f"L^T != L[p][:, p] for the {basis.bc.value} lattice symmetry p")
         self.hermitian = bool(np.array_equal(self.L, self.L.conj().T))
         self._eig = None
@@ -437,23 +442,42 @@ def assemble(bc: BoundaryCondition,
     family matrix.  Couplings beyond the potential truncation are zero and
     lower the reported coverage ratio (the share of the coefficients read,
     with repeats, that are known); below ``COVERAGE_FLOOR`` the assembly
-    is refused.  L is built in place on W's own array, real unless W or
-    v0 is complex.
+    is refused.  L is real unless W or v0 is complex.
+
+    The per+- coupling V(k - m) is Toeplitz on the basis: it is read on
+    the 2N - 1 index offsets q = i - j, each known one counted N - |q|
+    times, and L is one copy of a strided view of them, so assembly holds
+    no N x N array but L.  The Dirichlet coupling (Toeplitz minus Hankel)
+    keeps the broadcast over the N x N index pairs, which no scale target
+    runs.
     """
     if half_width < 8:
         raise ValueError("half_width must be >= 8")
     basis = basis_for(bc, half_width)
     idx = np.array(basis.indices)
-    W, known = _coupling(pot, bc, idx[:, None], idx[None, :])
-    coverage = float(np.mean(known))
+    N = len(idx)
+    v0 = complex(pot.v0)
+    v0 = v0 if v0.imag else v0.real
+    if bc.is_periodic_family:
+        q = np.arange(1 - N, N)  # the offsets i - j
+        t, known = _coupling(pot, bc, idx[np.maximum(q, 0)] - idx[np.maximum(-q, 0)], 0)
+        coverage = int((N - np.abs(q[q != 0]))[known].sum()) / (N * N - N)
+        t = _real(t)
+        t = t.astype(np.result_type(t, v0))  # a complex v0 makes a real W complex
+        t[N - 1] += v0
+        # L[i, j] = t[i - j + N - 1], row i the window of t[::-1] at N - 1 - i
+        L = np.lib.stride_tricks.sliding_window_view(t[::-1], N)[::-1].copy()
+    else:
+        W, known = _coupling(pot, bc, idx[:, None], idx[None, :])
+        coverage = float(np.mean(known))
+        W = _real(W)
+        L = W.astype(np.result_type(W, v0))
+        L[np.diag_indices_from(L)] += v0
     if coverage < COVERAGE_FLOOR:
         raise InsufficientCoefficients(
             f"coverage {coverage:.4f} below floor {COVERAGE_FLOOR}; "
             "store more coefficients or shrink the basis")
-    v0 = complex(pot.v0)
-    v0 = v0 if v0.imag else v0.real
-    L = W.astype(np.result_type(W, v0), copy=False)  # a complex v0 makes a real W complex
-    diag = np.diag_indices_from(L)
-    L[diag] += v0
-    L[diag] += idx * idx
-    return HillMatrix(basis, L, coverage=coverage)
+    L[np.diag_indices_from(L)] += idx * idx
+    H = HillMatrix.__new__(HillMatrix)
+    H._keep(basis, L, coverage)
+    return H

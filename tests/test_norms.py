@@ -134,24 +134,48 @@ class TestSampler:
         with pytest.raises(ValueError):
             norms._max_ratio(basis, np.zeros((basis.size, 4)), 1024)
 
-    @pytest.mark.parametrize("block", [1, 10 ** 6])
-    def test_block_size_invariance(self, monkeypatch, block):
-        basis = hp.basis_for(BC.DIRICHLET, 24)
+    @pytest.mark.parametrize("bc", list(BC))
+    def test_block_size_invariance(self, monkeypatch, bc):
+        # one column per block against all 70 columns in one block
+        basis = hp.basis_for(bc, 24)
         cols = norms._draws(basis, 70, 11)
-        want = norms._max_ratio(basis, cols, 2048)
-        monkeypatch.setattr(norms, "_COL_BLOCK", block)
-        assert abs(norms._max_ratio(basis, cols, 2048) - want) <= 1e-14 * want
+        monkeypatch.setattr(norms, "_BLOCK_VALUES", 1)
+        one = norms._max_ratio(basis, cols, 2048)
+        monkeypatch.setattr(norms, "_BLOCK_VALUES", 10 ** 9)
+        whole = norms._max_ratio(basis, cols, 2048)
+        assert abs(one - whole) <= 1e-14 * whole
 
-    def test_peak_memory_is_bounded_by_the_block(self):
-        # the whole M x samples array of values would take 131 MB here
-        pair = hp.riesz_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 64), 12)
-        tracemalloc.start()
-        try:
-            norms.equivalence_check(pair, samples=1000, M=8192)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.DIRICHLET])
+    def test_peak_memory_is_independent_of_the_grid(self, bc):
+        # the whole grid of values would take 5.3-144 MB at these M
+        basis = hp.basis_for(bc, 64)
+        cols = norms._draws(basis, 200, 5)
+        for M in (4096, 8192, 65536):
+            tracemalloc.start()
+            try:
+                norms._max_ratio(basis, cols, M)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20, (M, peak)
+
+    @pytest.mark.parametrize("bc,K,M,phases", [
+        # K 24 at M 2048: per+- span 25 (per+) or 24 (per-) frequencies of a
+        # 2048-point grid, L = 32 and P = 64 phases; the sine basis spans 49
+        # of 4096, L = 64, P = 64, and sweeps P // 2 + 1 = 33 of them
+        (BC.PER_PLUS, 24, 2048, 64), (BC.PER_MINUS, 24, 2048, 64), (BC.DIRICHLET, 24, 2048, 33),
+        # an odd P: the sine basis spans 1001 of 3072, L = 1024, P = 3, and
+        # phase 1 stands for phases 1 and 2
+        (BC.DIRICHLET, 500, 1536, 2)])
+    def test_sine_basis_sweeps_half_the_phases(self, monkeypatch, bc, K, M, phases):
+        basis = hp.basis_for(bc, K)
+        cols = norms._draws(basis, 5, 13)
+        calls, ifft = [], np.fft.ifft
+        monkeypatch.setattr(norms.np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+        got = norms._max_ratio(basis, cols, M)
+        assert len(calls) == phases  # 5 columns: one block
+        want = dense_ratio(basis, cols, M)
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestDecayRecord:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,32 @@ class TestAssemblePeriodic:
         assert not hp.assemble(bc, pot.from_coeffs(0.3, NON_HERMITIAN), 8).hermitian
         assert not hp.assemble(bc, pot.from_coeffs(0.1j, COMPLEX_HERMITIAN), 8).hermitian
 
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS])
+    @pytest.mark.parametrize("pname", ["zero", "mathieu", "delta", "sawtooth",
+                                       "non_hermitian", "complex_hermitian"])
+    def test_toeplitz_assembly_is_the_broadcast_coupling(self, pname, bc):
+        p = {"zero": pot.zero, "mathieu": lambda: pot.mathieu(1.0),
+             "delta": lambda: pot.delta_comb(0.5, max_index=512),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=512),
+             "non_hermitian": lambda: pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN),
+             "complex_hermitian": lambda: pot.from_coeffs(0.0, COMPLEX_HERMITIAN)}[pname]()
+        for K in (8, 9, 40, 64):
+            H = hp.assemble(bc, p, K)
+            idx = np.array(H.basis.indices)
+            want = op.coupling(p, bc, idx[:, None], idx[None, :]) + np.diag(p.v0 + idx * idx)
+            assert np.array_equal(H.L, want)
+
+    def test_peak_memory_is_one_matrix(self):
+        # the broadcast coupling held about 4 N x N arrays at once
+        p = pot.delta_comb(0.5, max_index=2048)
+        tracemalloc.start()
+        try:
+            H = hp.assemble(BC.PER_PLUS, p, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * H.L.nbytes
+
     def test_per_minus_lattice(self):
         H = hp.assemble(BC.PER_MINUS, pot.mathieu(1.0), 9)
         i = H.basis.position(3)
@@ -187,6 +214,19 @@ class TestAssembleValidation:
         monkeypatch.setattr(op, "COVERAGE_FLOOR", 0.5)
         H = hp.assemble(BC.PER_PLUS, p, 32)
         assert 0.5 < H.coverage < 1.0
+
+    @pytest.mark.parametrize("bc,stored", [(BC.PER_PLUS, 498), (BC.PER_MINUS, 496)])
+    def test_coverage_counts_every_read(self, bc, stored):
+        # K 256 reads |k - m| up to 510: storing through 498 (per+) or 496
+        # (per-) leaves a coverage just above the floor, two fewer below it
+        p = pot.delta_comb(0.5, max_index=stored)
+        H = hp.assemble(bc, p, 256)
+        idx = np.array(H.basis.indices)
+        known = op._coupling(p, bc, idx[:, None], idx[None, :])[1]
+        assert op.COVERAGE_FLOOR <= H.coverage < 1.0
+        assert H.coverage == float(np.mean(known))
+        with pytest.raises(op.InsufficientCoefficients):
+            hp.assemble(bc, pot.delta_comb(0.5, max_index=stored - 2), 256)
 
 
 class TestTransposeSymmetry:
