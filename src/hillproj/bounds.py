@@ -344,11 +344,29 @@ def sigma(r: MajorantSeq, n: int, s: int, cutoff: int | None = None,
                       n, cutoff, r.step, indices, check_tail, r=r, reach=abs(n))
 
 
+def _front_dots(lat: _Lattice, ms: np.ndarray, w: np.ndarray, vecs: list) -> list:
+    """[F @ v for v in vecs] for the front F[m, k] = r(|m + j_k|) w_k over ``ms``.
+
+    F is built 4 rows at a time, never as a len(ms) x lattice table; the
+    last block holds 2 to 5 rows (1 only for a single m).  The blocks keep
+    the row groups of OpenBLAS's matrix-vector kernel, 4 rows and then one
+    at a time, where a lone row would go to a dot product instead: every
+    value is bit for bit the product with the whole F.
+    """
+    out = [np.empty(len(ms)) for _ in vecs]
+    cuts = [0, *range(4, len(ms) - 1, 4), len(ms)]
+    for a, b in zip(cuts, cuts[1:]):
+        F = lat.rtab[np.abs(ms[a:b, None] + lat.j)] * w
+        for o, v in zip(out, vecs):
+            o[a:b] = F @ v
+    return out
+
+
 def _sigma1_orders(lat: _Lattice, n: int, s_max: int, ms: np.ndarray) -> list:
     """sigma1(n, s; m) over ms for s = 1..s_max, off n."""
     hank, wminus = lat.hank, lat.weight(n - lat.j, (n,))
-    front = lat.rtab[np.abs(ms[:, None] + lat.j[None, :])] * wminus
-    return [front @ g for g in _sweep(lat.mask.astype(float), lambda g: hank(wminus * g), s_max)]
+    return _front_dots(lat, ms, wminus,
+                       _sweep(lat.mask.astype(float), lambda g: hank(wminus * g), s_max))
 
 
 def sigma1(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,
@@ -371,8 +389,8 @@ def sigma1_profile(r: MajorantSeq, n: int, s: int, m_values, cutoff: int | None 
 def _sigma2_orders(lat: _Lattice, n: int, s_max: int, ms: np.ndarray) -> list:
     """sigma2(n, s; m) over ms for s = 2..s_max, off +-n."""
     keep, wplus, wsq = (lat.weight(x, (n, -n)) for x in (1, n + lat.j, n * n - lat.j ** 2))
-    front = lat.rtab[np.abs(ms[:, None] + lat.j[None, :])] * keep
-    return [front @ z for z in _sweep(lat.hank(wsq), lambda z: lat.hank(wplus * z), s_max - 1)]
+    return _front_dots(lat, ms, keep,
+                       _sweep(lat.hank(wsq), lambda z: lat.hank(wplus * z), s_max - 1))
 
 
 def sigma2(r: MajorantSeq, n: int, s: int, m: int, cutoff: int | None = None,

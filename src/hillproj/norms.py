@@ -17,15 +17,23 @@ The L^p-equivalence checks compare pi ||f||_inf / ||f||_1 on x_j = pi j / M,
 j = 0..M: the grid max against the composite-trapezoid integral of |f|,
 i.e. the sup against the mean-normalized L^1 norm (1/pi) int |f| dx, the
 normalization under which the Fourier coefficients satisfy |f_k| <= D ||f||_1
-and the constant-3 comparison on the Riesz subspaces is meaningful.  One
-sampler, ``_max_ratio``, evaluates every such ratio from short inverse FFTs
+and the constant-3 comparison on the Riesz subspaces is meaningful.
+
+The samples are f = X W for the factors P = X Y^T of a projection: W =
+Y^T g for standard complex Gaussian g, drawn from the standard library's
+MT19937 (``random.Random(seed)``) by Box-Muller and reduced into W a
+block of rows at a time (``_draws``).  One sampler, ``_max_ratio``,
+evaluates every such ratio from short inverse FFTs of the columns of X
 over the cosets of the grid, one per phase (half the phases for the sine
-basis, by its odd symmetry), with memory independent of M.
+basis, by its odd symmetry), and one product with W per block of samples.
+Neither g nor X W is ever held whole: the memory past the factors is
+independent of the grid M, the basis size and the sample count.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,22 +113,49 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
 # equivalence of norms on the Riesz subspaces
 # ---------------------------------------------------------------------------
 
-_BLOCK_VALUES = 2 ** 14  # complex values per work array of ``_max_ratio``: its columns per block
+_BLOCK_VALUES = 2 ** 14  # values per work array of the sampler: rows of g, or columns of f, per block
 
 
-def _draws(basis: BasisSpec, samples: int, seed: int) -> np.ndarray:
-    """size x samples standard complex Gaussian coefficient columns."""
-    rng = np.random.default_rng(seed)
-    shape = (basis.size, samples)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.random()``, bit for bit, from one
+    ``getrandbits`` call: each is (w0 >> 5) 2^26 + (w1 >> 6) over 2^53 for
+    the next two 32-bit words w0, w1 of MT19937, the sequence Python keeps
+    the same across versions."""
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
-def _max_ratio(basis: BasisSpec, coeffs: np.ndarray, M: int) -> float:
-    """Max of pi ||f||_inf / ||f||_1 over the nonzero columns of ``coeffs``
-    (coefficients of f against ``basis.indices``) on x_j = pi j / M, j = 0..M:
-    the grid max over the composite trapezoid L^1.  |f| is pi-periodic for
-    per+- and f(0) = f(pi) = 0 for the sine basis, so the trapezoid is pi/M
-    times the plain sum over j < M: M max_j |f_j| / sum_j |f_j|.
+def _draws(Y: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """W = Y^T g (q x samples) for g the size x samples standard complex
+    Gaussian columns, size = len(Y).
+
+    g is drawn row by row from ``random.Random(seed)``: entry (i, c) takes
+    the uniforms u, v at positions 2 (i samples + c) and that plus one, and
+    is sqrt(-2 ln(1 - u)) e^{2 pi i v} (Box-Muller), whose real and
+    imaginary parts are independent standard normals.  Each block of rows
+    (``_BLOCK_VALUES`` values) is reduced into W at once, so g is never
+    held whole, and the draws do not depend on the block size.
+    """
+    rng = random.Random(seed)
+    W = np.zeros((Y.shape[1], samples), dtype=complex)
+    rows = max(1, _BLOCK_VALUES // max(samples, 1))
+    for i in range(0, len(Y), rows):
+        nb = min(rows, len(Y) - i)
+        u = _uniforms(rng, 2 * nb * samples).reshape(nb, samples, 2)
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[..., 0])), 2.0 * math.pi * u[..., 1]
+        Yt = Y[i:i + nb].T
+        W += Yt @ (radius * np.cos(angle)) + 1j * (Yt @ (radius * np.sin(angle)))
+    return W
+
+
+def _max_ratio(basis: BasisSpec, X: np.ndarray, W: np.ndarray, M: int) -> float:
+    """Max of pi ||f||_inf / ||f||_1 over the nonzero columns f of X W
+    (coefficients against ``basis.indices``; X is size x q, W q x cols) on
+    x_j = pi j / M, j = 0..M: the grid max over the composite trapezoid
+    L^1.  |f| is pi-periodic for per+- and f(0) = f(pi) = 0 for the sine
+    basis, so the trapezoid is pi/M times the plain sum over j < M:
+    M max_j |f_j| / sum_j |f_j|.  A column is zero when w^H (X^H X) w is,
+    read from the q x q Gram matrix; X W is never formed.
 
     f is a trigonometric sum on the grid of n_g points 2 pi j / n_g: n_g = M
     with frequencies k div 2 for per+- (a factor e^{-i x_j} under per-,
@@ -129,45 +164,49 @@ def _max_ratio(basis: BasisSpec, coeffs: np.ndarray, M: int) -> float:
     all 2M points is the same.  Folded mod n_g above the lowest one
     (``np.add.at`` sums those that meet), the frequencies take offsets
     d < span; L is the least divisor of n_g with L >= span, P = n_g / L.
-    On the coset x_{r + P s}, s < L, f is one inverse FFT of length L of
-    the folded coefficients times e^{2 pi i d r / n_g}, up to a unimodular
-    factor (FFT pruning: Markel 1971; Sorensen & Burrus 1993).  The P
-    phases r are swept with a running max and sum of |f| per column, in
-    blocks of ``_BLOCK_VALUES`` values, so the memory does not grow with M.
-    The sine basis sweeps r = 0 .. P // 2 only, at weight 2 for 0 < r < P / 2:
-    by the odd symmetry |f_{n_g - j}| = |f_j|, phase P - r holds phase r's
-    values reversed.  A span that no proper divisor holds (M prime, or
-    indices past the grid) gives L = n_g, P = 1: one full transform.
+    On the coset x_{r + P s}, s < L, a column of X is one inverse FFT of
+    length L of its folded coefficients times e^{2 pi i d r / n_g}, up to
+    a unimodular factor (FFT pruning: Markel 1971; Sorensen & Burrus
+    1993).  Only the q columns of X are folded and transformed, once per
+    phase; every block of columns of W (``_BLOCK_VALUES`` values of f)
+    then takes f on the coset as one product with them, and the P phases
+    are swept with a running max and sum of |f| per column.  So the memory
+    grows neither with M nor with the column count, and past the q x L
+    coset values not with the basis size.  The sine basis sweeps r = 0 ..
+    P // 2 only, at weight 2 for 0 < r < P / 2: by the odd symmetry
+    |f_{n_g - j}| = |f_j|, phase P - r holds phase r's values reversed.  A
+    span that no proper divisor holds (M prime, or indices past the grid)
+    gives L = n_g, P = 1: one full transform.
     """
     if M < 1024:
         raise ValueError("norm evaluation needs M >= 1024")
-    coeffs = coeffs[:, np.linalg.norm(coeffs, axis=0) > 1e-12]
-    cols = coeffs.shape[1]
+    W = W[:, np.sum(W.conj() * (X.conj().T @ X @ W), axis=0).real > 1e-24]
+    cols = W.shape[1]
     if not cols:
         raise ValueError("every coefficient column is zero")
     idx, periodic = np.array(basis.indices), basis.bc.is_periodic_family
     if periodic:
-        n_g, freq, vals = M, idx // 2, coeffs
+        n_g, freq, vals = M, idx // 2, X
     else:
         n_g, freq = 2 * M, np.concatenate([idx, -idx])
-        vals = np.concatenate([coeffs, -coeffs]) / (1j * math.sqrt(2.0))
+        vals = np.concatenate([X, -X]) / (1j * math.sqrt(2.0))
     d = (freq - freq.min()) % n_g
     span = int(d.max()) + 1
-    L = next(q for q in range(span, n_g + 1) if n_g % q == 0)
+    L = next(n for n in range(span, n_g + 1) if n_g % n == 0)
     P = n_g // L
-    folded = np.zeros((cols, span), dtype=complex)
+    folded = np.zeros((X.shape[1], span), dtype=complex)
     np.add.at(folded.T, d, vals)
+    spec = np.zeros((X.shape[1], L), dtype=complex)  # columns span .. L - 1 stay zero: the padding
     peak, total = np.zeros(cols), np.zeros(cols)
-    step = min(cols, max(1, _BLOCK_VALUES // L))
-    spec = np.zeros((step, L), dtype=complex)  # columns span .. L - 1 stay zero: the padding
+    step = max(1, _BLOCK_VALUES // L)
     for r in range(P) if periodic else range(P // 2 + 1):
         twiddle = np.exp(2j * math.pi / n_g * (np.arange(span) * r % n_g))
         weight = 1.0 if periodic or 2 * r in (0, P) else 2.0
+        np.multiply(folded, twiddle, out=spec[:, :span])
+        coset = np.fft.ifft(spec, norm="forward")  # the columns of X on x_{r + P s}
         for j in range(0, cols, step):
-            nb = min(step, cols - j)
-            b = slice(j, j + nb)
-            np.multiply(folded[b], twiddle, out=spec[:nb, :span])
-            m = np.abs(np.fft.ifft(spec[:nb], norm="forward"))
+            b = slice(j, j + step)
+            m = np.abs(W[:, b].T @ coset)
             peak[b] = np.maximum(peak[b], m.max(axis=1))
             total[b] += weight * m.sum(axis=1)
     return float((n_g * peak / total).max())
@@ -200,8 +239,7 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
     d = pair.bc.basis_sup
     proxy = d * d * pair.sum_abs_B
     regime_ok = proxy <= 0.5
-    g = _draws(pair.basis, samples, seed)
-    ratio = _max_ratio(pair.basis, pair.X @ (pair.Y.T @ g), M)
+    ratio = _max_ratio(pair.basis, pair.X, _draws(pair.Y, samples, seed), M)
     bound = 3.0 + 0.05
     return EquivalenceReport(
         level=pair.n, samples=samples, max_ratio=ratio, bound=bound,
@@ -219,11 +257,9 @@ def sn_equivalence(block: ProjectionPair, samples: int = 200, M: int = 8192,
     coefficient of the block's columns equal, the concentrated spike) is
     always included, as the last column.
     """
-    N, basis, X, Y = block.n, block.basis, block.X, block.Y
-    spike = np.zeros((basis.size, 1))
-    spike[block.cols] = 1.0
-    g = np.hstack([_draws(basis, samples, seed), spike])
-    ratio = _max_ratio(basis, X @ (Y.T @ g), M)
+    N, Y = block.n, block.Y
+    spike = Y[block.cols].sum(axis=0)[:, None]  # Y^T times the spike's coefficient column
+    ratio = _max_ratio(block.basis, block.X, np.hstack([_draws(Y, samples, seed), spike]), M)
     bound = 50.0 * N * math.log(N)
     return EquivalenceReport(
         level=N, samples=samples + 1, max_ratio=ratio, bound=bound,

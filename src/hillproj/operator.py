@@ -183,7 +183,9 @@ class HillMatrix:
         p = slice(None, None, -1 if basis.bc.is_periodic_family else 1)
         if not np.array_equal(self.L.T, self.L[p, p]):
             raise ValueError(f"L^T != L[p][:, p] for the {basis.bc.value} lattice symmetry p")
-        self.hermitian = bool(np.array_equal(self.L, self.L.conj().T))
+        # L == L^H a block of rows at a time: conj() copies only a block of a complex L
+        self.hermitian = all(np.array_equal(self.L[i:i + _ROWS], self.L[:, i:i + _ROWS].conj().T)
+                             for i in range(0, len(self.L), _ROWS))
         self._eig = None
         self._kappa = None
         self._vals = None
@@ -269,6 +271,7 @@ class HillMatrix:
         return X
 
 
+_ROWS = 64  # rows per block of the Hermitian check in ``HillMatrix._keep``
 _PANEL = 32  # reflectors per panel of the blocked reduction and of Q's compact-WY blocks
 
 
@@ -429,6 +432,12 @@ def majorant_for(pot: FourierPotential | SinePotential, bc: BoundaryCondition,
     return majorant_dir(_sine_data(pot, max_index))
 
 
+def _toeplitz(t: np.ndarray) -> np.ndarray:
+    """The N x N view T[i, j] = t[i - j + N - 1] of t (2N - 1 long): row i is
+    the window of t[::-1] at N - 1 - i."""
+    return np.lib.stride_tricks.sliding_window_view(t[::-1], (len(t) + 1) // 2)[::-1]
+
+
 COVERAGE_FLOOR = 0.999  # least share of the read couplings that must be known
 
 
@@ -446,10 +455,11 @@ def assemble(bc: BoundaryCondition,
 
     The per+- coupling V(k - m) is Toeplitz on the basis: it is read on
     the 2N - 1 index offsets q = i - j, each known one counted N - |q|
-    times, and L is one copy of a strided view of them, so assembly holds
-    no N x N array but L.  The Dirichlet coupling (Toeplitz minus Hankel)
-    keeps the broadcast over the N x N index pairs, which no scale target
-    runs.
+    times, and L is one copy of a strided view of them.  The Dirichlet
+    coupling is Toeplitz minus Hankel, W = (T - H) / sqrt(2): T is read on
+    the 2N - 1 differences k - m, H on the 2N - 1 sums k + m, each counted
+    as often as it occurs, and L is their difference of strided views.  So
+    assembly holds no N x N array but L.
     """
     if half_width < 8:
         raise ValueError("half_width must be >= 8")
@@ -465,13 +475,19 @@ def assemble(bc: BoundaryCondition,
         t = _real(t)
         t = t.astype(np.result_type(t, v0))  # a complex v0 makes a real W complex
         t[N - 1] += v0
-        # L[i, j] = t[i - j + N - 1], row i the window of t[::-1] at N - 1 - i
-        L = np.lib.stride_tricks.sliding_window_view(t[::-1], N)[::-1].copy()
+        L = _toeplitz(t).copy()
     else:
-        W, known = _coupling(pot, bc, idx[:, None], idx[None, :])
-        coverage = float(np.mean(known))
-        W = _real(W)
-        L = W.astype(np.result_type(W, v0))
+        q, summ = np.arange(1 - N, N), np.arange(2, 2 * N + 1)  # k - m at i - j, k + m at i + j
+        diff = np.abs(q)
+        sp = _sine_data(pot, 2 * N)
+        tab = _real(sp.qt_table(2 * N))
+        reads = np.concatenate([(N - diff)[q != 0], N - np.abs(summ - N - 1)])
+        coverage = int(reads[sp.covers(np.concatenate([diff[q != 0], summ]))].sum()) / (2 * N * N - N)
+        hankel = np.lib.stride_tricks.sliding_window_view(summ * tab[summ], N)
+        L = np.subtract(_toeplitz(diff * tab[diff]), hankel)
+        L *= 1 / math.sqrt(2.0)  # as ``_coupling``: W's entries bit for bit
+        L = _real(L)
+        L = np.ascontiguousarray(L, dtype=np.result_type(L, v0))
         L[np.diag_indices_from(L)] += v0
     if coverage < COVERAGE_FLOOR:
         raise InsufficientCoefficients(

@@ -565,6 +565,21 @@ class TestKernel:
         assert rep.tail_estimates == expect
 
 
+    @pytest.mark.parametrize("n", [8, 48, 128])
+    def test_front_blocks_are_the_whole_table(self, n):
+        # the front table a block of rows at a time gives the products of the
+        # whole len(ms) x lattice table bit for bit, for the m samples of
+        # lemma_suite (25, 29 and 31 of them) and their first 1 to 9
+        r = delta_majorant(0.5, 2 * 4096 + 256)
+        ms_all = np.asarray(bounds._default_m_samples(n, 2))
+        lat = bounds._Lattice(bounds.lattice(n, 4096, 2), r, reach=n + int(np.abs(ms_all).max()))
+        w = lat.weight(n - lat.j, (n,))
+        vecs = bounds._sweep(lat.mask.astype(float), lambda g: lat.hank(w * g), 3)
+        for ms in [ms_all, *(ms_all[:k] for k in range(1, 10))]:
+            front = lat.rtab[np.abs(ms[:, None] + lat.j[None, :])] * w
+            for got, v in zip(bounds._front_dots(lat, ms, w, vecs), vecs):
+                assert np.array_equal(got, front @ v), len(ms)
+
 class TestNestedVsMatrix:
     def test_order_zero_is_plain_coupling(self):
         p = pot.mathieu(1.0)

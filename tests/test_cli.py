@@ -344,6 +344,25 @@ class TestImports:
         assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["lpnorms", "--bc", "per+", *SMALL, "--samples", "20"],
+        ["lpnorms", "--bc", "dir", *SMALL, "--samples", "20"],
+        ["verify", "--seed", "1"],
+    ], ids=["lpnorms-per", "lpnorms-dir", "verify"])
+    def test_sampling_loads_no_numpy_random(self, argv, tmp_path):
+        # the L^p samples come from the stdlib's random, which the interpreter
+        # has loaded already; numpy.random costs about 6 MB of RSS.  A
+        # subprocess: this test process has imported numpy.random itself
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys; from hillproj import cli; "
+                f"code = cli.main({[*argv, '--out', str(tmp_path)]!r}); "
+                "print(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
 class TestVerify:
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,16 @@ def unit(basis, k):
     return c
 
 
+def gaussian(rows, samples, seed):
+    """rows x samples columns g of the sampler's stream: its W = Y^T g for Y = I."""
+    return norms._draws(np.eye(rows), samples, seed)
+
+
+def ratio(basis, cols, M):
+    """``_max_ratio`` of the coefficient columns themselves: X = cols, W = I."""
+    return norms._max_ratio(basis, cols, np.eye(cols.shape[1]), M)
+
+
 class TestSampler:
     """``norms._max_ratio``, the one evaluation of pi ||f||_inf / ||f||_1."""
 
@@ -94,70 +105,81 @@ class TestSampler:
         for M in (1024, 1031):  # M intervals are M + 1 oracle points; 1031 is prime
             want = [oracle_ratio(basis, cols[:, j], M + 1) for j in range(3)]
             for j in range(3):
-                assert abs(norms._max_ratio(basis, cols[:, j:j + 1], M) - want[j]) < 1e-12
+                assert abs(ratio(basis, cols[:, j:j + 1], M) - want[j]) < 1e-12
             # an all-zero column is dropped, not divided by
-            assert abs(norms._max_ratio(basis, np.hstack([cols, zero]), M) - max(want)) < 1e-12
+            assert abs(ratio(basis, np.hstack([cols, zero]), M) - max(want)) < 1e-12
 
     @pytest.mark.parametrize("bc", list(BC))
     def test_against_dense_grid_past_the_fft_length(self, bc):
         # degree 1100 on M = 1024: the scattered indices wrap the FFT length
         basis = hp.basis_for(bc, 1100)
-        cols = norms._draws(basis, 5, 7)
+        cols = gaussian(basis.size, 5, 7)
         want = dense_ratio(basis, cols, 1024)
-        assert abs(norms._max_ratio(basis, cols, 1024) - want) <= 1e-12 * want
+        assert abs(ratio(basis, cols, 1024) - want) <= 1e-12 * want
 
     def test_constant_has_ratio_one(self):
         basis = hp.basis_for(BC.PER_PLUS, 8)
-        assert abs(norms._max_ratio(basis, unit(basis, 0), 8192) - 1.0) < 1e-12
+        assert abs(ratio(basis, unit(basis, 0), 8192) - 1.0) < 1e-12
 
     def test_dirichlet_unit_has_ratio_pi_over_two(self):
         # sqrt(2) sin 3x: grid max and trapezoid L^1 both within O(h^2)
         basis = hp.basis_for(BC.DIRICHLET, 8)
-        assert abs(norms._max_ratio(basis, unit(basis, 3), 8192) - PI / 2) < 1e-6
+        assert abs(ratio(basis, unit(basis, 3), 8192) - PI / 2) < 1e-6
 
     @given(st.floats(min_value=0.01, max_value=50.0), st.floats(min_value=0.0, max_value=2 * PI))
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, c, phase):
         basis = hp.basis_for(BC.PER_MINUS, 9)
         cols = np.random.default_rng(1).standard_normal((basis.size, 1)) + 0.3j
-        a = norms._max_ratio(basis, cols, 1024)
-        b = norms._max_ratio(basis, c * cmath.exp(1j * phase) * cols, 1024)
+        a = ratio(basis, cols, 1024)
+        b = ratio(basis, c * cmath.exp(1j * phase) * cols, 1024)
         assert abs(b - a) <= 1e-12 * a
 
     def test_grid_floor(self):
         basis = hp.basis_for(BC.PER_PLUS, 8)
         with pytest.raises(ValueError):
-            norms._max_ratio(basis, unit(basis, 0), 512)
+            ratio(basis, unit(basis, 0), 512)
 
     def test_all_zero_columns_refused(self):
         basis = hp.basis_for(BC.PER_PLUS, 8)
         with pytest.raises(ValueError):
-            norms._max_ratio(basis, np.zeros((basis.size, 4)), 1024)
+            ratio(basis, np.zeros((basis.size, 4)), 1024)
 
     @pytest.mark.parametrize("bc", list(BC))
     def test_block_size_invariance(self, monkeypatch, bc):
         # one column per block against all 70 columns in one block
         basis = hp.basis_for(bc, 24)
-        cols = norms._draws(basis, 70, 11)
+        X, W = gaussian(basis.size, 2, 11), gaussian(2, 70, 12)
         monkeypatch.setattr(norms, "_BLOCK_VALUES", 1)
-        one = norms._max_ratio(basis, cols, 2048)
+        one = norms._max_ratio(basis, X, W, 2048)
         monkeypatch.setattr(norms, "_BLOCK_VALUES", 10 ** 9)
-        whole = norms._max_ratio(basis, cols, 2048)
+        whole = norms._max_ratio(basis, X, W, 2048)
         assert abs(one - whole) <= 1e-14 * whole
 
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.DIRICHLET])
     def test_peak_memory_is_independent_of_the_grid(self, bc):
         # the whole grid of values would take 5.3-144 MB at these M
         basis = hp.basis_for(bc, 64)
-        cols = norms._draws(basis, 200, 5)
+        X, W = gaussian(basis.size, 2, 5), gaussian(2, 200, 6)
         for M in (4096, 8192, 65536):
             tracemalloc.start()
             try:
-                norms._max_ratio(basis, cols, M)
+                norms._max_ratio(basis, X, W, M)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2 ** 20, (M, peak)
+
+    @pytest.mark.parametrize("bc", list(BC))
+    def test_factor_pair_against_dense_grid(self, bc):
+        # two proportional columns of X: the last column w = (2, 1) of W has X w = 0
+        basis = hp.basis_for(bc, 40)
+        X = gaussian(basis.size, 1, 3) @ np.array([[1.0, -2.0]])
+        W = np.hstack([gaussian(2, 4, 4), [[2.0], [1.0]]])
+        want = dense_ratio(basis, X @ W[:, :4], 2048)
+        assert abs(norms._max_ratio(basis, X, W, 2048) - want) <= 1e-12 * want
+        with pytest.raises(ValueError):
+            norms._max_ratio(basis, X, W[:, 4:], 2048)
 
     @pytest.mark.parametrize("bc,K,M,phases", [
         # K 24 at M 2048: per+- span 25 (per+) or 24 (per-) frequencies of a
@@ -169,13 +191,55 @@ class TestSampler:
         (BC.DIRICHLET, 500, 1536, 2)])
     def test_sine_basis_sweeps_half_the_phases(self, monkeypatch, bc, K, M, phases):
         basis = hp.basis_for(bc, K)
-        cols = norms._draws(basis, 5, 13)
+        cols = gaussian(basis.size, 5, 13)
         calls, ifft = [], np.fft.ifft
         monkeypatch.setattr(norms.np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
-        got = norms._max_ratio(basis, cols, M)
-        assert len(calls) == phases  # 5 columns: one block
+        got = ratio(basis, cols, M)
+        assert len(calls) == phases  # one transform of the columns of X per phase
         want = dense_ratio(basis, cols, M)
         assert abs(got - want) <= 1e-12 * want
+
+
+class TestDraws:
+    """``norms._draws``: W = Y^T g from the stdlib MT19937 stream by Box-Muller."""
+
+    @pytest.mark.parametrize("seed", [0, 20240801, 2 ** 70 + 3])
+    def test_uniforms_are_the_random_sequence(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for count in (1, 5, 1000):
+            got = norms._uniforms(rng, count)
+            assert got.tolist() == [ref.random() for _ in range(count)]
+        assert rng.random() == ref.random()  # the stream goes on in step
+
+    def test_entries_in_row_major_order(self):
+        # entry (i, c) of a 2 x 3 g takes the uniforms 2 (3 i + c) and the next one
+        rng = random.Random(9)
+        u = [rng.random() for _ in range(12)]
+        g = gaussian(2, 3, 9)
+        for i in range(2):
+            for c in range(3):
+                a, b = u[2 * (3 * i + c)], u[2 * (3 * i + c) + 1]
+                want = math.sqrt(-2.0 * math.log(1.0 - a)) * cmath.exp(2j * PI * b)
+                assert abs(g[i, c] - want) <= 1e-15 * abs(want)
+
+    def test_standard_complex_gaussian_moments(self):
+        g = gaussian(40, 1000, 4).ravel()
+        for part in (g.real, g.imag):
+            assert abs(part.mean()) < 0.03 and abs(part.var() - 1.0) < 0.05
+        assert abs(np.mean(g.real * g.imag)) < 0.03
+        assert abs(np.mean(np.abs(g) ** 4) - 8.0) < 0.5  # E|g|^4 = 8 for this g
+
+    @pytest.mark.parametrize("block", [1, 7, 3000, 10 ** 9])
+    def test_independent_of_the_row_block(self, monkeypatch, block):
+        Y = np.random.default_rng(2).standard_normal((50, 2)) + 0.5j
+        want_g, want_w = gaussian(50, 30, 8), norms._draws(Y, 30, 8)
+        monkeypatch.setattr(norms, "_BLOCK_VALUES", block)
+        assert np.array_equal(gaussian(50, 30, 8), want_g)
+        assert np.allclose(norms._draws(Y, 30, 8), want_w, rtol=1e-13, atol=1e-13)
+        assert np.allclose(want_w, Y.T @ want_g, rtol=1e-13, atol=1e-13)
+
+    def test_no_samples(self):
+        assert norms._draws(np.ones((9, 2)), 0, 1).shape == (2, 0)
 
 
 class TestDecayRecord:
@@ -234,6 +298,23 @@ class TestEquivalence:
         a = norms.equivalence_check(pair, samples=100, M=2048, seed=5)
         b = norms.equivalence_check(pair, samples=100, M=2048, seed=5)
         assert a.max_ratio == b.max_ratio
+
+
+    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.DIRICHLET])
+    def test_peak_memory_is_independent_of_size_and_samples(self, bc):
+        # f = X W for all samples would take 4-95 MB here; g is drawn by rows
+        p = pot.delta_comb(0.5, max_index=8192)
+        for K in (256, 1024):
+            pair = hp.riesz_projection(hp.assemble(bc, p, K), 12)
+            pair.sum_abs_B  # cached beforehand: it forms B by row blocks
+            for samples in (200, 1000):
+                tracemalloc.start()
+                try:
+                    rep = norms.equivalence_check(pair, samples=samples)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert rep.passed and peak < 2 * 2 ** 20, (K, samples, peak)
 
 
 class TestBlockEquivalence:

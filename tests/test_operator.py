@@ -119,6 +119,17 @@ class TestAssemblePeriodic:
         assert not hp.assemble(bc, pot.from_coeffs(0.3, NON_HERMITIAN), 8).hermitian
         assert not hp.assemble(bc, pot.from_coeffs(0.1j, COMPLEX_HERMITIAN), 8).hermitian
 
+    @pytest.mark.parametrize("row", [0, 63, 64, 149])
+    def test_hermitian_check_reads_every_row_block(self, row):
+        # the check runs 64 rows at a time: a complex Hermitian L of 151 rows
+        # passes it, and one non-real diagonal entry of a complex symmetric
+        # (Dirichlet) L fails it in whichever block it sits
+        H = hp.assemble(BC.PER_PLUS, pot.from_coeffs(0.25, COMPLEX_HERMITIAN), 150)
+        assert H.size == 151 and H.L.dtype == complex and H.hermitian
+        L = np.diag(np.arange(1.0, 151.0) ** 2) + 0j
+        L[row, row] += 1e-3j
+        assert not op.HillMatrix(op.basis_for(BC.DIRICHLET, 150), L).hermitian
+
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS])
     @pytest.mark.parametrize("pname", ["zero", "mathieu", "delta", "sawtooth",
                                        "non_hermitian", "complex_hermitian"])
@@ -135,15 +146,17 @@ class TestAssemblePeriodic:
             assert np.array_equal(H.L, want)
 
     def test_peak_memory_is_one_matrix(self):
-        # the broadcast coupling held about 4 N x N arrays at once
-        p = pot.delta_comb(0.5, max_index=2048)
-        tracemalloc.start()
-        try:
-            H = hp.assemble(BC.PER_PLUS, p, 512)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * H.L.nbytes
+        # the broadcast coupling held about 4 N x N arrays at once, and the
+        # Hermitian check a conjugate copy of a complex L (2.1 L.nbytes)
+        for p in (pot.delta_comb(0.5, max_index=2048), pot.sawtooth(1.0, max_index=2048)):
+            tracemalloc.start()
+            try:
+                H = hp.assemble(BC.PER_PLUS, p, 512)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * H.L.nbytes, (H.L.dtype, peak / H.L.nbytes)
+        assert H.L.dtype == complex and H.hermitian
 
     def test_per_minus_lattice(self):
         H = hp.assemble(BC.PER_MINUS, pot.mathieu(1.0), 9)
@@ -192,6 +205,38 @@ class TestAssembleDirichlet:
         idx = np.array(H.basis.indices)
         assert np.abs(np.diag(H.L) - idx * idx).max() < 1e-15
 
+
+    @pytest.mark.parametrize("pname", ["zero", "mathieu", "delta", "sawtooth", "non_hermitian",
+                                       "complex_v0", "sine", "sine_partial"])
+    def test_toeplitz_minus_hankel_is_the_broadcast_coupling(self, pname):
+        # L and coverage bit for bit as the N x N broadcast of ``_coupling``
+        p = {"zero": pot.zero, "mathieu": lambda: pot.mathieu(1.0),
+             "delta": lambda: pot.delta_comb(0.5, max_index=2048),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=2048),
+             "non_hermitian": lambda: pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN),
+             "complex_v0": lambda: pot.from_coeffs(0.1j, [(2, 0.5)]),
+             "sine": lambda: pot.SinePotential(0.0, {2: 1 / math.sqrt(2), 3: 0.3j}, 3, complete=True),
+             "sine_partial": lambda: pot.SinePotential(0.5, {m: 1 / m for m in range(1, 1000)}, 999)}[pname]()
+        for K in (8, 9, 40, 64, 512):
+            H = hp.assemble(BC.DIRICHLET, p, K)
+            idx = np.array(H.basis.indices)
+            W, known = op._coupling(p, BC.DIRICHLET, idx[:, None], idx[None, :])
+            want = op._real(W).astype(H.L.dtype)
+            want[np.diag_indices_from(want)] += complex(p.v0) if H.L.dtype == complex else p.v0
+            want[np.diag_indices_from(want)] += idx * idx
+            assert np.array_equal(H.L, want) and H.coverage == float(np.mean(known))
+        assert pname != "sine_partial" or H.coverage < 1.0
+
+    def test_peak_memory_is_one_matrix(self):
+        # the broadcast over the N x N index pairs held 6.0 L.nbytes
+        for p in (pot.delta_comb(0.5, max_index=2048), pot.sawtooth(1.0, max_index=2048)):
+            tracemalloc.start()
+            try:
+                H = hp.assemble(BC.DIRICHLET, p, 512)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * H.L.nbytes, peak / H.L.nbytes
 
 class TestAssembleValidation:
     def test_half_width_floor(self):
