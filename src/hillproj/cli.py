@@ -120,6 +120,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"no level in [{cfg.n_min}, {cfg.n_max}] matches {cfg.bc.value} parity")
     if cfg.K < 4 * cfg.n_max:
         raise ConfigError(f"K = {cfg.K} < 4*n_max = {4 * cfg.n_max}")
+    if cfg.samples < 1:
+        raise ConfigError(f"samples = {cfg.samples} < 1")
     return cfg
 
 

@@ -19,15 +19,15 @@ i.e. the sup against the mean-normalized L^1 norm (1/pi) int |f| dx, the
 normalization under which the Fourier coefficients satisfy |f_k| <= D ||f||_1
 and the constant-3 comparison on the Riesz subspaces is meaningful.
 
-The samples are f = X W for the factors P = X Y^T of a projection: W =
-Y^T g for standard complex Gaussian g, drawn from the standard library's
-MT19937 (``random.Random(seed)``) by Box-Muller and reduced into W a
-block of rows at a time (``_draws``).  One sampler, ``_max_ratio``,
+The samples are f = X W for the factors P = X Y^T of a projection: W has
+the law of Y^T g for standard complex Gaussian g, drawn in the q columns
+of Y as R^H h, R the triangular factor of conj(Y) (``_draws``), so the
+draws do not grow with the basis size.  One sampler, ``_max_ratio``,
 evaluates every such ratio from short inverse FFTs of the columns of X
 over the cosets of the grid, one per phase (half the phases for the sine
 basis, by its odd symmetry), and one product with W per block of samples.
-Neither g nor X W is ever held whole: the memory past the factors is
-independent of the grid M, the basis size and the sample count.
+X W is never held whole: the memory past the factors is independent of
+the grid M, the basis size and the sample count.
 """
 
 from __future__ import annotations
@@ -113,39 +113,28 @@ def decay_record(pair: ProjectionPair, r: MajorantSeq,
 # equivalence of norms on the Riesz subspaces
 # ---------------------------------------------------------------------------
 
-_BLOCK_VALUES = 2 ** 14  # values per work array of the sampler: rows of g, or columns of f, per block
-
-
-def _uniforms(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` values of ``rng.random()``, bit for bit, from one
-    ``getrandbits`` call: each is (w0 >> 5) 2^26 + (w1 >> 6) over 2^53 for
-    the next two 32-bit words w0, w1 of MT19937, the sequence Python keeps
-    the same across versions."""
-    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+_BLOCK_VALUES = 2 ** 14  # values of f per block of the sampler
 
 
 def _draws(Y: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """W = Y^T g (q x samples) for g the size x samples standard complex
-    Gaussian columns, size = len(Y).
+    """q x samples columns with the law of W = Y^T g, for g the size x
+    samples standard complex Gaussian columns (size x q Y), drawn in q
+    dimensions whatever the size.
 
-    g is drawn row by row from ``random.Random(seed)``: entry (i, c) takes
-    the uniforms u, v at positions 2 (i samples + c) and that plus one, and
-    is sqrt(-2 ln(1 - u)) e^{2 pi i v} (Box-Muller), whose real and
-    imaginary parts are independent standard normals.  Each block of rows
-    (``_BLOCK_VALUES`` values) is reduced into W at once, so g is never
-    held whole, and the draws do not depend on the block size.
+    g is circular with E g g^H = 2 I, so W is circular complex Gaussian
+    with covariance 2 Y^T conj(Y) = 2 R^H R, R the q x q factor of the thin
+    QR of conj(Y): W = R^H h for h the q x samples standard complex
+    Gaussian has the same law.  QR, unlike Cholesky, also takes a rank-
+    deficient Y.  h is drawn from ``random.Random(seed)``: entry (i, c)
+    takes the uniforms u, v at positions 2 (i samples + c) and that plus
+    one, and is sqrt(-2 ln(1 - u)) e^{2 pi i v} (Box-Muller), whose real
+    and imaginary parts are independent standard normals.
     """
+    R = np.linalg.qr(Y.conj(), mode="r")
     rng = random.Random(seed)
-    W = np.zeros((Y.shape[1], samples), dtype=complex)
-    rows = max(1, _BLOCK_VALUES // max(samples, 1))
-    for i in range(0, len(Y), rows):
-        nb = min(rows, len(Y) - i)
-        u = _uniforms(rng, 2 * nb * samples).reshape(nb, samples, 2)
-        radius, angle = np.sqrt(-2.0 * np.log1p(-u[..., 0])), 2.0 * math.pi * u[..., 1]
-        Yt = Y[i:i + nb].T
-        W += Yt @ (radius * np.cos(angle)) + 1j * (Yt @ (radius * np.sin(angle)))
-    return W
+    u = np.array([rng.random() for _ in range(2 * len(R) * samples)]).reshape(len(R), samples, 2)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[..., 0])), 2.0 * math.pi * u[..., 1]
+    return R.conj().T @ (radius * np.cos(angle) + 1j * (radius * np.sin(angle)))
 
 
 def _max_ratio(basis: BasisSpec, X: np.ndarray, W: np.ndarray, M: int) -> float:
@@ -154,8 +143,10 @@ def _max_ratio(basis: BasisSpec, X: np.ndarray, W: np.ndarray, M: int) -> float:
     x_j = pi j / M, j = 0..M: the grid max over the composite trapezoid
     L^1.  |f| is pi-periodic for per+- and f(0) = f(pi) = 0 for the sine
     basis, so the trapezoid is pi/M times the plain sum over j < M:
-    M max_j |f_j| / sum_j |f_j|.  A column is zero when w^H (X^H X) w is,
-    read from the q x q Gram matrix; X W is never formed.
+    M max_j |f_j| / sum_j |f_j|.  A column w is dropped as zero when
+    w^H (X^H X) w <= 1e-24 ||X||^2 ||w||^2, read from the q x q Gram
+    matrix: the floor scales with X and w, and the ratio does not depend
+    on their scale.  X W is never formed.
 
     f is a trigonometric sum on the grid of n_g points 2 pi j / n_g: n_g = M
     with frequencies k div 2 for per+- (a factor e^{-i x_j} under per-,
@@ -180,7 +171,9 @@ def _max_ratio(basis: BasisSpec, X: np.ndarray, W: np.ndarray, M: int) -> float:
     """
     if M < 1024:
         raise ValueError("norm evaluation needs M >= 1024")
-    W = W[:, np.sum(W.conj() * (X.conj().T @ X @ W), axis=0).real > 1e-24]
+    G = X.conj().T @ X
+    W = W[:, np.sum(W.conj() * (G @ W), axis=0).real
+          > 1e-24 * np.linalg.norm(G, 2) * np.sum(np.abs(W) ** 2, axis=0)]
     cols = W.shape[1]
     if not cols:
         raise ValueError("every coefficient column is zero")

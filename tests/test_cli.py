@@ -398,9 +398,11 @@ class TestVerify:
         ({"seed": True}, "True"), ({"samples": False}, "False"),
         ({"rho_constant": float("nan")}, "nan"), ({"rho_constant": float("inf")}, "inf"),
         ({"n_max": float("inf")}, "inf"),
+        # refused before any assembly, not by the sampler
+        ({"samples": 0}, "samples = 0"), ({"samples": -5}, "samples = -5"),
     ], ids=["unknown-key", "bad-value", "bad-type", "not-an-object", "nodes",
             "K-fraction", "n_max-fraction", "seed-bool", "samples-bool",
-            "rho-nan", "rho-inf", "n_max-inf"])
+            "rho-nan", "rho-inf", "n_max-inf", "samples-zero", "samples-negative"])
     def test_bad_config_file_is_config_error(self, tmp_path, capsys, given, named):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(given))
@@ -429,14 +431,18 @@ class TestVerify:
         assert not (tmp_path / "a").exists()
 
     def test_decay_deterministic(self, tmp_path):
-        args = ["decay", "--potential", "mathieu:1.0", "--bc", "per+",
-                "--K", "48", "--n-min", "8", "--n-max", "10"]
-        run(args + ["--out", str(tmp_path / "r1")])
-        run(args + ["--out", str(tmp_path / "r2")])
-        for name in ("decay_records.csv", "decay.json"):
-            a = (tmp_path / "r1" / name).read_bytes()
-            b = (tmp_path / "r2" / name).read_bytes()
-            assert a == b
+        # the same seed writes the same bytes; another seed moves the sampled
+        # lpnorms ratios and leaves every decay row as it was
+        for command, stem in (("decay", "decay_records"), ("lpnorms", "lpnorms")):
+            args = [command, "--potential", "mathieu:1.0", "--bc", "per+",
+                    "--K", "48", "--n-min", "8", "--n-max", "10", "--samples", "20"]
+            for out, seed in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+                assert run(args + ["--seed", seed, "--out", str(tmp_path / command / out)]) == 0
+            r1, r2, r3 = (tmp_path / command / out for out in ("r1", "r2", "r3"))
+            for name in (f"{stem}.csv", f"{command}.json"):
+                assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+            moved = read_csv_body(r1 / f"{stem}.csv") != read_csv_body(r3 / f"{stem}.csv")
+            assert moved == (command == "lpnorms")
 
 
 FLOAT_CELL = re.compile(r"^(-?\d\.\d{12}e[+-]\d{2,3}|nan)$")

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hillproj as hp
@@ -84,8 +84,11 @@ def unit(basis, k):
 
 
 def gaussian(rows, samples, seed):
-    """rows x samples columns g of the sampler's stream: its W = Y^T g for Y = I."""
-    return norms._draws(np.eye(rows), samples, seed)
+    """rows x samples standard complex Gaussians from ``random.Random(seed)``
+    by Box-Muller in row-major order: the sampler's W for Y = I, up to rounding."""
+    rng = random.Random(seed)
+    u = np.array([rng.random() for _ in range(2 * rows * samples)]).reshape(rows, samples, 2)
+    return np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * PI * u[..., 1])
 
 
 def ratio(basis, cols, M):
@@ -127,6 +130,8 @@ class TestSampler:
         assert abs(ratio(basis, unit(basis, 3), 8192) - PI / 2) < 1e-6
 
     @given(st.floats(min_value=0.01, max_value=50.0), st.floats(min_value=0.0, max_value=2 * PI))
+    @example(1e-13, 0.0)  # |f|^2 of order 1e-25: the zero-column floor must scale with f
+    @example(1e13, 1.0)
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, c, phase):
         basis = hp.basis_for(BC.PER_MINUS, 9)
@@ -201,42 +206,50 @@ class TestSampler:
 
 
 class TestDraws:
-    """``norms._draws``: W = Y^T g from the stdlib MT19937 stream by Box-Muller."""
-
-    @pytest.mark.parametrize("seed", [0, 20240801, 2 ** 70 + 3])
-    def test_uniforms_are_the_random_sequence(self, seed):
-        rng, ref = random.Random(seed), random.Random(seed)
-        for count in (1, 5, 1000):
-            got = norms._uniforms(rng, count)
-            assert got.tolist() == [ref.random() for _ in range(count)]
-        assert rng.random() == ref.random()  # the stream goes on in step
+    """``norms._draws``: W with the law of Y^T g, drawn as R^H h from the stdlib
+    MT19937 stream by Box-Muller."""
 
     def test_entries_in_row_major_order(self):
-        # entry (i, c) of a 2 x 3 g takes the uniforms 2 (3 i + c) and the next one
+        # entry (i, c) of a 2 x 3 h takes the uniforms 2 (3 i + c) and the next one
         rng = random.Random(9)
         u = [rng.random() for _ in range(12)]
-        g = gaussian(2, 3, 9)
+        h = norms._draws(np.eye(2), 3, 9)
         for i in range(2):
             for c in range(3):
                 a, b = u[2 * (3 * i + c)], u[2 * (3 * i + c) + 1]
                 want = math.sqrt(-2.0 * math.log(1.0 - a)) * cmath.exp(2j * PI * b)
-                assert abs(g[i, c] - want) <= 1e-15 * abs(want)
+                assert abs(h[i, c] - want) <= 1e-15 * abs(want)
 
     def test_standard_complex_gaussian_moments(self):
-        g = gaussian(40, 1000, 4).ravel()
+        g = norms._draws(np.eye(40), 1000, 4).ravel()
         for part in (g.real, g.imag):
             assert abs(part.mean()) < 0.03 and abs(part.var() - 1.0) < 0.05
         assert abs(np.mean(g.real * g.imag)) < 0.03
         assert abs(np.mean(np.abs(g) ** 4) - 8.0) < 0.5  # E|g|^4 = 8 for this g
 
-    @pytest.mark.parametrize("block", [1, 7, 3000, 10 ** 9])
-    def test_independent_of_the_row_block(self, monkeypatch, block):
-        Y = np.random.default_rng(2).standard_normal((50, 2)) + 0.5j
-        want_g, want_w = gaussian(50, 30, 8), norms._draws(Y, 30, 8)
-        monkeypatch.setattr(norms, "_BLOCK_VALUES", block)
-        assert np.array_equal(gaussian(50, 30, 8), want_g)
-        assert np.allclose(norms._draws(Y, 30, 8), want_w, rtol=1e-13, atol=1e-13)
-        assert np.allclose(want_w, Y.T @ want_g, rtol=1e-13, atol=1e-13)
+    @pytest.mark.parametrize("q", [1, 2, 21])  # a Dirichlet level, a per+- level, a block
+    def test_independent_of_zero_rows(self, q):
+        # the draws read 2 q samples uniforms however many rows Y has
+        Y = np.random.default_rng(2).standard_normal((50, q)) + 0.5j
+        W = norms._draws(Y, 30, 8)
+        assert W.shape == (q, 30)
+        assert np.array_equal(norms._draws(np.vstack([Y, np.zeros((500, q))]), 30, 8), W)
+
+    @pytest.mark.parametrize("rank", [2, 1])
+    def test_covariance_is_that_of_y_transpose_g(self, rank):
+        # E W W^H = Y^T E[g g^H] conj(Y) = 2 Y^T conj(Y), for a complex Y of
+        # full rank and for one of rank 1
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+        if rank == 1:
+            Y = Y[:, :1] @ np.array([[1.0, 2.0 - 1j]])
+        samples = 40000
+        W = norms._draws(Y, samples, 3)
+        want = 2.0 * Y.T @ Y.conj()
+        # each entry of the sample mean has a standard deviation of at most
+        # about max |want| / sqrt(samples) = 0.005 max |want|
+        assert np.abs(W @ W.conj().T / samples - want).max() <= 0.03 * np.abs(want).max()
+        assert np.abs(W @ W.T / samples).max() <= 0.03 * np.abs(want).max()  # circular
 
     def test_no_samples(self):
         assert norms._draws(np.ones((9, 2)), 0, 1).shape == (2, 0)
@@ -302,7 +315,8 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.DIRICHLET])
     def test_peak_memory_is_independent_of_size_and_samples(self, bc):
-        # f = X W for all samples would take 4-95 MB here; g is drawn by rows
+        # f = X W for all samples would take 4-95 MB here; W is drawn in the
+        # q <= 2 columns of Y
         p = pot.delta_comb(0.5, max_index=8192)
         for K in (256, 1024):
             pair = hp.riesz_projection(hp.assemble(bc, p, K), 12)
