@@ -22,9 +22,9 @@ for n in (10, 16, 24):
           f"{'(regime ok)' if rep.regime_ok else '(outside regime)'}  "
           f"max ratio {rep.max_ratio:.4f}  <= 3.05: {rep.passed}")
 
-print("\nblock projections S_N (base block + level circles):")
+print("\nblock projections S_N (one circle around the rectangle):")
 for N in (8, 16):
-    blk = projector.block_projection(H, 4, N)
+    blk = projector.rectangle_projection(H, N)
     rep = norms.sn_equivalence(blk, samples=200, M=8192)
     print(f"  N={N:3d}: trace {blk.trace.real:.2f} (free dim {len(blk.cols)}), "
           f"max ratio {rep.max_ratio:.2f} vs envelope {50 * N * math.log(N):.0f}")

@@ -18,9 +18,9 @@ from .potential import (  # noqa: F401
 )
 from .projector import (  # noqa: F401
     ProjectionPair,
-    block_projection,
     eigen_count_in_disc,
     free_projection,
+    rectangle_projection,
     riesz_projection,
     riesz_projections,
 )

@@ -244,7 +244,7 @@ def equivalence_check(pair: ProjectionPair, samples: int = 1000, M: int = 8192,
 
 def sn_equivalence(block: ProjectionPair, samples: int = 200, M: int = 8192,
                    seed: int = 20240801) -> EquivalenceReport:
-    """Same comparison for Ran S_N (``block_projection``) against 50 N ln N.
+    """Same comparison for Ran S_N (``rectangle_projection``) against 50 N ln N.
 
     Alongside random samples, an explicit near-extremal trial (every
     coefficient of the block's columns equal, the concentrated spike) is

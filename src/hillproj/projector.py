@@ -10,7 +10,7 @@ and ``_factors`` keeps P = X Y^T with X = M (E^T M)^(-1) and Y = P^T E,
 which is exact for a rank-r projection whenever E^T P E is invertible.
 The formula forces rank r, so every contour must enclose exactly r
 eigenvalues.  One circle rule, ``_circle``, serves every contour (level,
-base block): it refuses a defining circle with an eigenvalue near it
+block S_N): it refuses a defining circle with an eigenvalue near it
 (``EigenvalueOnContour``) or without exactly r eigenvalues inside
 (``RankMismatch``), and picks the circle integrated.  One lattice check,
 ``_check_level``, refuses a level off the basis lattice
@@ -48,14 +48,11 @@ sum |B_km| are real (``_circle_rules``).
 
 The level projection over the disc |z - n^2| < n has r = 2 (periodic
 families, E = [e_{+-n}]) or r = 1 (Dirichlet, E = [e_n]); its defining
-circle is the paper's C_n = {|z - n^2| = n}.  Block projections S_N onto
-all spectrum in the rectangle {-N < Re z < N^2 + N, |Im z| < N} are a
-base block for a small N0 plus the level projections of the remaining
-levels.  The base block's defining circle |z - N0^2/2| = N0^2/2 + N0
-passes through the rectangle's real endpoints, must hold the same
-eigenvalues as the rectangle, and E holds every index k^2 < N0^2 + N0.
-The parts have disjoint columns, so S_N = [X_i] [Y_i]^T is one more
-``ProjectionPair``, on the columns of every index k^2 < N^2 + N.
+circle is the paper's C_n = {|z - n^2| = n}.  The block projection S_N
+onto all spectrum in the rectangle {-N < Re z < N^2 + N, |Im z| < N} is
+one circle too (``rectangle_projection``): |z - N^2/2| = N^2/2 + N passes
+through the rectangle's real endpoints, must hold the same eigenvalues as
+the rectangle, and E holds every index k^2 < N^2 + N.
 
 Every defining circle |z - c| = R is the gate, and its margin is the
 reported guard margin.  ``_circle`` picks a smaller circle to integrate
@@ -88,7 +85,6 @@ __all__ = [
     "eigen_count_in_disc",
     "spectral_projector_dense",
     "rectangle_projection",
-    "block_projection",
     "validated_levels",
 ]
 
@@ -127,14 +123,14 @@ class ProjectionPair:
     (E = I[:, cols]) and B = P - P0.  Norms come from ``_core``s and row
     blocks (``sum_abs_B``); dense N x N ``P`` and ``B`` on access only."""
 
-    n: int  # the level, or N of a block S_N
+    n: int  # the level n, or the N of a block S_N
     basis: BasisSpec
     X: np.ndarray
     Y: np.ndarray
     cols: np.ndarray
     quad_error_est: float
     nodes_used: int
-    converged: bool  # the quadrature part of quad_error_est < _TOL; S_N: every part's
+    converged: bool  # the quadrature part of quad_error_est < _TOL
     guard_margin: float  # nearest eigenvalue-to-gate-circle distance / its radius
     radius: float  # of the integration circle
     rate: float  # a priori per-node decay of the trapezoid error on it (``_circle``)
@@ -290,15 +286,21 @@ def _check_level(basis: BasisSpec, n: int) -> None:
             f"of half-width {basis.half_width}")
 
 
+def _check_truncation(basis: BasisSpec, n: int) -> None:
+    """Raise ``TruncationTooSmall`` unless the half-width is at least 4n, so
+    that a contour reaching Re z ~ n^2 stays well inside the truncated spectrum."""
+    if basis.half_width < 4 * n:
+        raise TruncationTooSmall(
+            f"half-width {basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
+            "degrades when the contour approaches the truncation edge")
+
+
 def _level_cols(H: HillMatrix, n: int) -> np.ndarray:
     """Check the lattice and truncation preconditions of ``riesz_projection``;
     return the positions of e_{+-n}."""
     basis = H.basis
     _check_level(basis, n)
-    if basis.half_width < 4 * n:
-        raise TruncationTooSmall(
-            f"half-width {basis.half_width} < 4*n = {4 * n}; resolvent accuracy "
-            "degrades when the contour approaches the truncation edge")
+    _check_truncation(basis, n)
     return np.array(sorted(basis.position(k) for k in basis.bc.level_indices(n)))
 
 
@@ -556,7 +558,8 @@ def spectral_projector_dense(H: HillMatrix, n: int) -> np.ndarray:
 
 
 def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
-    """Projection onto all spectrum in {-N < Re z < N^2+N, |Im z| < N}.
+    """The block projection S_N onto all spectrum in
+    {-N < Re z < N^2+N, |Im z| < N}, as one pair with n = N.
 
     Any contour that encloses exactly the rectangle's eigenvalues gives
     the same projection.  The defining circle |z - N^2/2| = N^2/2 + N
@@ -564,44 +567,16 @@ def rectangle_projection(H: HillMatrix, N: int) -> ProjectionPair:
     gate requires the eigenvalues inside it to be exactly those inside the
     rectangle, and their number the count of free indices k with
     k^2 < N^2 + N (else ``RankMismatch``), and the levels' radius rule
-    picks the circle integrated.  Returns the pair, with n = N.
+    picks the circle integrated.  The half-width must be at least 4N, as
+    for the level N (else ``TruncationTooSmall``).
     """
+    _check_truncation(H.basis, N)
     vals = H.eigenvalues()
     in_rect = (vals.real > -N) & (vals.real < N * N + N) & (np.abs(vals.imag) < N)
     idx = np.array(H.basis.indices)
     cols = np.flatnonzero(idx * idx < N * N + N)
     return _circle_rules(H, [_circle(H, N, cols, complex(N * N / 2), N * N / 2 + N,
                                      in_rect)])[0]
-
-
-def block_projection(H: HillMatrix, N0: int, N: int) -> ProjectionPair:
-    """S_N = S_{N0} + sum of level projections for N0 < k <= N, as one pair.
-
-    S_{N0} comes from ``rectangle_projection``, the remaining levels from
-    ``riesz_projections``: one circle rule throughout.  Levels follow the
-    boundary-condition parity, and the first level that fails its
-    preconditions raises its error.  X = [X_i], Y = [Y_i]; the estimate
-    and ``nodes_used`` sum the parts' (S_N is their sum, so its error is
-    at most the sum of theirs), the rest is the worst part's (smallest
-    margin, every part converged, the radius and rate of the largest rate).
-    """
-    if N < N0:
-        raise ValueError("N must be >= N0")
-    parts = [rectangle_projection(H, N0)]
-    pairs, errors = riesz_projections(
-        H, [k for k in range(N0 + 1, N + 1) if H.basis.bc.level_ok(k)])
-    if errors:
-        raise next(iter(errors.values()))
-    parts += pairs.values()
-    cols = np.concatenate([p.cols for p in parts])
-    slowest = max(parts, key=lambda p: p.rate)
-    return ProjectionPair(
-        N, H.basis, np.hstack([p.X for p in parts]), np.hstack([p.Y for p in parts]), cols,
-        quad_error_est=sum(p.quad_error_est for p in parts),
-        nodes_used=sum(p.nodes_used for p in parts),
-        converged=all(p.converged for p in parts),
-        guard_margin=min(p.guard_margin for p in parts),
-        radius=slowest.radius, rate=slowest.rate)
 
 
 def validated_levels(H: HillMatrix, candidates):

@@ -203,7 +203,7 @@ def test_criterion_9_lp_equivalence(big_matrices, sweeps):
             details.append(f"{pname} n={n}: ratio {rep.max_ratio:.3f}")
     H = big_matrices["mathieu", BC.PER_PLUS]
     for N in (10, 20):
-        blk = prj.block_projection(H, 4, N)
+        blk = prj.rectangle_projection(H, N)
         rep = norms.sn_equivalence(blk, samples=200, M=8192)
         ok &= rep.max_ratio <= 50.0 * N * math.log(N)
         details.append(f"S_{N}: ratio {rep.max_ratio:.2f} vs {50 * N * math.log(N):.0f}")

@@ -220,6 +220,16 @@ class TestBounds:
                  for c in rep["checks"]}
         assert names["cutoff_converged"] is False
 
+    def test_no_level_is_verdict_failure(self, tmp_path, capsys):
+        # per- has odd levels only, and every level bounds picks is >= 4:
+        # 1 .. 3 leaves none, and a run that checked nothing must not pass
+        code = run(["bounds", "--bc", "per-", "--K", "16", "--n-min", "1",
+                    "--n-max", "3", "--out", str(tmp_path)])
+        assert code == 1
+        assert "bounds: no level in [1, 3] ran" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert payload["reports"] == [] and payload["all_passed"] is False
+
     def test_dirichlet_lists_unrun_checks_as_failed(self, tmp_path):
         # the L/R chain sums need a FourierPotential; on Dirichlet they are
         # not computed, so their checks must not pass by omission, while
@@ -251,9 +261,19 @@ class TestLpNorms:
         assert payload["all_passed"] and payload["results"]
         assert {res["type"] for res in payload["results"]} == {"level", "block"}
         for res in payload["results"]:  # the same evidence for levels and blocks
-            # a block's estimate sums its 4 parts' (S_6 and the levels 8, 10, 12)
-            parts = 4 if res["type"] == "block" else 1
-            assert res["converged"] is True and res["quad_error_est"] < 1e-10 * parts
+            assert res["converged"] is True and res["quad_error_est"] < 1e-10
+
+    @pytest.mark.parametrize("bc", ["per+", "dir"])
+    def test_block_at_strong_potential(self, tmp_path, bc):
+        # S_10 is one circle: no smaller base block, whose gate mathieu:5.0
+        # fails at N = 4 (4 eigenvalues in |z - 8| < 12, 5 expected), is built
+        code = run(["lpnorms", "--potential", "mathieu:5.0", "--bc", bc, "--K", "64",
+                    "--n-min", "4", "--n-max", "14", "--samples", "50",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "lpnorms.json").read_text())
+        blocks = [res for res in payload["results"] if res["type"] == "block"]
+        assert [res["level"] for res in blocks] == [10] and blocks[0]["passed"]
 
     def test_nothing_run_is_verdict_failure(self, tmp_path, capsys):
         # the strong comb fails the gate of every level 2 .. 6 (as ``decay``
@@ -277,7 +297,7 @@ class TestLpNorms:
         payload = json.loads((tmp_path / "lpnorms.json").read_text())
         levels = [res for res in payload["results"] if res["type"] == "level"]
         assert levels and all(res["converged"] is False for res in levels)
-        # the S_10 block sums the same unconverged level projections
+        # the S_10 block's circle cannot reach the tolerance either
         blocks = [res for res in payload["results"] if res["type"] == "block"]
         assert blocks and all(res["converged"] is False for res in blocks)
         header = read_csv_body(tmp_path / "lpnorms.csv")[0]
@@ -499,7 +519,7 @@ class TestCellRule:
 class TestExports:
     """A name left in ``__all__`` or re-exported after a deletion must fail here."""
 
-    @pytest.mark.parametrize("module", ["bounds", "norms", "operator", "potential"])
+    @pytest.mark.parametrize("module", ["bounds", "norms", "operator", "potential", "projector"])
     def test_all_resolves(self, module):
         mod = importlib.import_module(f"hillproj.{module}")
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

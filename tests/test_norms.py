@@ -334,7 +334,7 @@ class TestEquivalence:
 class TestBlockEquivalence:
     def test_zero_potential_dirichlet_kernel_scale(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
-        blk = prj.block_projection(H, 4, 10)
+        blk = prj.rectangle_projection(H, 10)
         rep = norms.sn_equivalence(blk, samples=100, M=4096)
         assert rep.passed
         # the concentrated spike has ratio of order N, far below 50 N ln N
@@ -345,7 +345,7 @@ class TestBlockEquivalence:
         # zero potential: S_10 is the coordinate projection onto k^2 < 110,
         # and the spike alone (no samples) sums exactly those basis functions
         H = hp.assemble(bc, pot.zero(), 40)
-        rep = norms.sn_equivalence(prj.block_projection(H, 4, 10), samples=0, M=1024)
+        rep = norms.sn_equivalence(prj.rectangle_projection(H, 10), samples=0, M=1024)
         ones = [1.0 if k * k < 110 else 0.0 for k in H.basis.indices]
         assert rep.samples == 1
         assert abs(rep.max_ratio - oracle_ratio(H.basis, ones, 1025)) <= 1e-10 * rep.max_ratio

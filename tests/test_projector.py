@@ -1023,7 +1023,7 @@ class TestRectangleVsDenseInverse:
 
 
 class TestBaseBlockCircle:
-    """The base block is gated on |z - N^2/2| = R = N^2/2 + N and
+    """The block S_N is gated on |z - N^2/2| = R = N^2/2 + N and
     integrated on the levels' radius rule, which per- and dir put inside R."""
 
     @pytest.mark.parametrize("N", [4, 6])
@@ -1057,7 +1057,7 @@ class TestBaseBlockCircle:
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
     @pytest.mark.parametrize("pname", ["mathieu:1.0", "delta_comb:0.5"])
     def test_certified_count(self, pname, bc, N):
-        # the doubling rule took 128 or 256 nodes on these base blocks; the
+        # the doubling rule took 128 or 256 nodes on these blocks; the
         # certified count takes fewer, and P is still the dense eigensum
         H = hp.assemble(bc, pot.parse_potential_arg(pname, 256), 64)
         rect = prj.rectangle_projection(H, N)
@@ -1069,7 +1069,7 @@ class TestBaseBlockCircle:
 
 
 class TestLargestBaseBlock:
-    """lpnorms builds base blocks up to N0 = 19 (N0 = max(4, min(levels) - 2))."""
+    """A large block S_19 still converges and matches the dense panel sum."""
 
     @pytest.mark.parametrize("pname,bc", [("mathieu", BC.PER_PLUS), ("mathieu", BC.PER_MINUS),
                                           ("mathieu", BC.DIRICHLET), ("delta", BC.PER_PLUS)])
@@ -1197,81 +1197,40 @@ class TestEigenCount:
 
 
 class TestBlockPair:
-    """block_projection: S_N as one factored ProjectionPair."""
+    """rectangle_projection: S_N as one factored ProjectionPair."""
 
     def test_zero_potential_coordinate_projection(self):
         H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
-        blk = prj.block_projection(H, 4, 8)
+        blk = prj.rectangle_projection(H, 8)
         expect = np.diag([1.0 if k * k < 72 else 0.0 for k in H.basis.indices])
         assert np.abs(blk.P - expect).max() < 1e-10
         assert len(blk.cols) == 9 and blk.converged and blk.n == 8
         assert blk.frob < 1e-10 and blk.sum_abs_B < 1e-10
 
-    @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
-    def test_block_without_levels_is_the_base_block(self, bc):
-        # S_N = S_N0 for N = N0: the parts' factors side by side are the
-        # base block's own, and so is every piece of evidence
-        H = hp.assemble(bc, gallery_potential("complex"), 48)
-        blk, base = prj.block_projection(H, 4, 4), prj.rectangle_projection(H, 4)
-        for f in dataclasses.fields(base):
-            got, ref = getattr(blk, f.name), getattr(base, f.name)
-            assert np.array_equal(got, ref) if isinstance(ref, np.ndarray) else got == ref
-
-    def test_unconverged_rectangle_flags_the_block(self, monkeypatch):
-        real = prj.rectangle_projection
-        monkeypatch.setattr(prj, "rectangle_projection", lambda H, N: dataclasses.replace(
-            real(H, N), quad_error_est=1e-3, converged=False))
-        blk = prj.block_projection(hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48), 4, 8)
-        # the estimate sums the parts', the rectangle's 1e-3 among them
-        assert blk.quad_error_est == pytest.approx(1e-3, rel=1e-6) and not blk.converged
-
     def test_mathieu_trace_and_idempotency(self):
         H = hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 48)
-        blk = prj.block_projection(H, 4, 10)
+        blk = prj.rectangle_projection(H, 10)
         assert abs(blk.trace - len(blk.cols)) < 1e-6
         assert blk.idempotency < 1e-7
 
-    @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex"])
+    @pytest.mark.parametrize("pname", ["mathieu", "delta", "complex", "mathieu:5.0"])
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
     def test_against_eigendecomposition(self, pname, bc):
         # independent of every contour: the eigenprojectors of the
         # eigenvalues in the N = 10 rectangle, from a dense eigendecomposition
-        H = hp.assemble(bc, gallery_potential(pname), 48)
-        blk = prj.block_projection(H, 4, 10)
+        p = pot.mathieu(5.0) if pname == "mathieu:5.0" else gallery_potential(pname)
+        H = hp.assemble(bc, p, 48)
+        blk = prj.rectangle_projection(H, 10)
         vals, vecs, vinv = H.eig()
         in_rect = (vals.real > -10) & (vals.real < 110) & (np.abs(vals.imag) < 10)
-        assert len(blk.cols) == np.count_nonzero(in_rect)
-        assert np.linalg.norm(blk.P - vecs[:, in_rect] @ vinv[in_rect], "fro") <= 1e-10
+        assert len(blk.cols) == np.count_nonzero(in_rect) and blk.converged
+        err = np.linalg.norm(blk.P - vecs[:, in_rect] @ vinv[in_rect], "fro")
+        assert err <= blk.quad_error_est <= 1e-10
 
     @pytest.mark.parametrize("bc", [BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET])
-    def test_evidence_is_the_worst_part(self, bc):
-        H = hp.assemble(bc, gallery_potential("complex"), 48)
-        blk = prj.block_projection(H, 4, 10)
-        pairs, errors = hp.riesz_projections(H, range(5, 11))
-        assert sorted(errors) == [k for k in range(5, 11) if not bc.level_ok(k)]
-        parts = [prj.rectangle_projection(H, 4), *pairs.values()]
-        assert blk.trace_defect < 1e-10
-        assert blk.guard_margin == min(p.guard_margin for p in parts)
-        # S_N is the sum of its parts, so its error is at most the sum of theirs
-        assert blk.quad_error_est == sum(p.quad_error_est for p in parts)
-        assert blk.nodes_used == sum(p.nodes_used for p in parts)
-        assert blk.converged and all(p.converged for p in parts)
-        idx = np.array(H.basis.indices)
-        assert np.array_equal(np.sort(blk.cols), np.flatnonzero(idx * idx < 110))
-        # the factored block is the sum of its dense parts
-        assert np.linalg.norm(blk.P - sum(p.P for p in parts), "fro") <= 1e-12
-
-    def test_base_block_starts_at_the_same_count(self):
-        # every part, the base block too, runs at its certified count, for
-        # Hermitian L and any other
-        for pname in ("mathieu", "complex"):
-            H = hp.assemble(BC.PER_PLUS, gallery_potential(pname), 48)
-            parts = [prj._circle(H, 4, prj.rectangle_projection(H, 4).cols, 8.0, 12.0),
-                     *prj._level_circles(H, [6, 8, 10])[0]]
-            assert H.hermitian == (pname == "mathieu")
-            assert prj.block_projection(H, 4, 10).nodes_used == sum(c[6] for c in parts)
-
-    def test_rejects_reversed_range(self):
-        H = hp.assemble(BC.PER_PLUS, pot.zero(), 48)
-        with pytest.raises(ValueError):
-            prj.block_projection(H, 10, 4)
+    def test_truncation_too_small(self, bc):
+        # the half-width must reach 4N, as for the level N
+        H = hp.assemble(bc, pot.mathieu(1.0), 39)
+        with pytest.raises(prj.TruncationTooSmall):
+            prj.rectangle_projection(H, 10)
+        assert prj.rectangle_projection(H, 9).n == 9
