@@ -603,20 +603,28 @@ class TestNestedVsMatrix:
             bounds.sigma_nested_vs_matrix(pot.mathieu(1.0), [2, 4], complex(-5.0, 0.0), 1)
 
 
+def first_order_row(rep):
+    """The suite's one ``first_order_total`` check."""
+    (row,) = [c for c in rep.checks if c.name == "first_order_total"]
+    return row
+
+
 class TestFirstOrderTotal:
     def test_zero_potential(self):
-        chk = bounds.a0_bound_check(pot.zero(), BC.PER_PLUS, 16)
+        z = pot.zero()
+        chk = first_order_row(bounds.lemma_suite(pot.majorant(z), 16, potential=z))
         assert chk.passed and chk.lhs == 0.0
 
     def test_delta_both_sides(self):
         p = pot.delta_comb(1.0, max_index=4000)
-        chk = bounds.a0_bound_check(p, BC.PER_PLUS, 40)
-        assert chk.passed and chk.lhs > 0
         r = pot.majorant(p)
+        chk = first_order_row(bounds.lemma_suite(r, 40, potential=p))
+        assert chk.passed and chk.lhs > 0
         assert np.isclose(chk.rhs, 4 * r.norm / math.sqrt(40) + 4 * r.tail_energy(40))
 
     def test_mathieu_margin(self):
-        chk = bounds.a0_bound_check(pot.mathieu(1.0), BC.PER_PLUS, 20)
+        p = pot.mathieu(1.0)
+        chk = first_order_row(bounds.lemma_suite(pot.majorant(p), 20, potential=p))
         assert chk.passed and chk.margin > 0
 
     def test_equals_twice_the_single_chains(self):
@@ -629,8 +637,23 @@ class TestFirstOrderTotal:
 
     def test_dirichlet_variant(self):
         sp = pot.per_to_dir(pot.delta_comb(1.0, max_index=2000), 500)
-        chk = bounds.a0_bound_check(sp, BC.DIRICHLET, 24)
+        chk = first_order_row(bounds.lemma_suite(pot.majorant_dir(sp), 24, potential=sp))
         assert chk.passed
+
+    @pytest.mark.parametrize("K", [32, 600])
+    def test_rhs_reads_the_reports_majorant(self, K):
+        # 4||r||/sqrt(n) + 4 E_n(r) of the r handed in (its norm is the
+        # report's r_norm), and the a0 mass at the report's cutoff: under
+        # Dirichlet a majorant cut at 2K has a smaller ||r|| than one
+        # through 2 cutoff, and the check must not build a second one
+        saw = pot.sawtooth(1.0, max_index=2 * 1024 + 64)
+        n, cutoff = 16, 1024
+        r = hp.operator.majorant_for(saw, BC.DIRICHLET, 2 * K)
+        rep = bounds.lemma_suite(r, n, cutoff, potential=saw)
+        row = first_order_row(rep)
+        assert rep.inputs["r_norm"] == r.norm
+        assert row.rhs == 4.0 * r.norm / math.sqrt(n) + 4.0 * r.tail_energy(n)
+        assert row.lhs == bounds.a0_sum(saw, BC.DIRICHLET, n, cutoff)
 
 
 class TestLemmaSuite:
@@ -674,6 +697,56 @@ class TestLemmaSuite:
         assert bounds.default_cutoff(32) == 4096 and bounds.default_cutoff(1000) == 8000
         rep = bounds.lemma_suite(zero_majorant(), 32)
         assert bounds.report_to_json(rep)["inputs"]["cutoff"] == bounds.default_cutoff(32)
+
+    def test_cutoff_converged_is_the_largest_tail(self):
+        # the last row of every report holds its largest relative tail
+        # estimate against TAIL_RTOL, converged or not, on either lattice
+        comb = pot.delta_comb(0.5, max_index=4200)
+        sp = pot.per_to_dir(comb, 4200)
+        reports = [bounds.lemma_suite(pot.majorant(comb), 8, 64, potential=comb),
+                   bounds.lemma_suite(pot.majorant(comb), 32, potential=comb),
+                   bounds.lemma_suite(pot.majorant_dir(sp), 8, 2048, potential=sp),
+                   bounds.lemma_suite(zero_majorant(), 32, 512)]
+        for rep in reports:
+            row, top = rep.checks[-1], max(rep.tail_estimates.values())
+            assert (row.name, row.lhs, row.rhs, row.note) == (
+                "cutoff_converged", top, bounds.TAIL_RTOL, "max relative tail estimate")
+            assert row.passed == (top <= bounds.TAIL_RTOL)
+        assert [rep.checks[-1].passed for rep in reports] == [False, True, True, True]
+
+    @pytest.mark.parametrize("sine", [True, False])
+    def test_step_one_lists_the_chain_checks_as_not_run(self, sine):
+        # L/R need a Toeplitz+Hankel majorant of the sine coupling: on the
+        # step-1 lattice the suite sweeps neither, for sine data or Fourier
+        # data, lists their checks as failed and not run, and still runs
+        # the first-order total once
+        saw = pot.sawtooth(1.0, max_index=600)
+        sp = pot.per_to_dir(saw, 600)
+        given = sp if sine else saw
+        rep = bounds.lemma_suite(pot.majorant_dir(sp), 12, 96, potential=given)
+        assert rep.inputs["potential"] == type(given).__name__
+        assert rep.l_table == {} == rep.r_table
+        assert not any(label.startswith("L(") for label in rep.tail_estimates)
+        unrun = [c for c in rep.checks if c.note.startswith("not run")]
+        assert [c.name for c in unrun] == ["chain_le_sigma", "reflection_identity"]
+        assert all(not c.passed and math.isnan(c.lhs) and math.isnan(c.rhs) for c in unrun)
+        assert [c.name for c in rep.checks].count("first_order_total") == 1
+        assert not rep.gated_passed
+
+    def test_sigma_refuses_a_cutoff_where_the_suite_tail_fails(self):
+        # one tail rule: sigma(n, 1) raises CutoffTooSmall at exactly the
+        # cutoffs where the suite records a sigma[s=1] tail above TAIL_RTOL
+        r = delta_majorant(0.5, 2 * 4096 + 64)
+        n, raised = 8, []
+        for cutoff in (64, 128, 256, 512, 1024):
+            over = bounds.lemma_suite(r, n, cutoff).tail_estimates["sigma[s=1]"] > bounds.TAIL_RTOL
+            try:
+                bounds.sigma(r, n, 1, cutoff=cutoff)
+                raised.append(False)
+            except bounds.CutoffTooSmall:
+                raised.append(True)
+            assert raised[-1] == over, cutoff
+        assert raised == [True, True, True, False, False]
 
     def test_needs_n_at_least_4(self):
         with pytest.raises(ValueError):

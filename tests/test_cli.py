@@ -220,6 +220,39 @@ class TestBounds:
                  for c in rep["checks"]}
         assert names["cutoff_converged"] is False
 
+    def test_levels_stay_in_range(self):
+        # a level of the wrong parity moves up one, or down one where up
+        # would leave [n_min, n_max]; every level is >= 4, and one is
+        # chosen whenever the range holds a level >= 4 of that parity
+        def levels(*flags):
+            return cli._bounds_levels(cli._resolve_config(
+                cli._build_parser().parse_args(["bounds", "--potential", "zero", *flags])))
+
+        assert levels("--bc", "per-", "--n-min", "8", "--n-max", "14") == [9, 11, 13]
+        assert levels("--potential", "delta_comb:0.5", "--bc", "per+", "--K", "512",
+                      "--n-min", "8", "--n-max", "128", "--cutoff", "4096") == [8, 20, 52, 128]
+        for bc in BoundaryCondition:
+            for lo in range(1, 12):
+                for hi in range(max(lo, 4), 24):
+                    if not any(bc.level_ok(n) for n in range(max(lo, 4), hi + 1)):
+                        continue
+                    got = levels("--bc", bc.value, "--K", "96", "--n-min", str(lo),
+                                 "--n-max", str(hi))
+                    assert got == sorted(set(got)) and 1 <= len(got) <= 4, (bc, lo, hi)
+                    assert all(max(lo, 4) <= n <= hi and bc.level_ok(n) for n in got)
+
+    def test_dirichlet_majorant_reaches_the_cutoff(self, tmp_path):
+        # the sums read r up to about 2 cutoff, so the majorant runs through
+        # the coefficients the potential was cut at: one cut at 2K (index 63
+        # here) made every tail estimate about 1e-15
+        code = run(["bounds", "--potential", "sawtooth:1.0", "--bc", "dir",
+                    "--K", "32", "--n-min", "8", "--n-max", "8", "--cutoff", "1024",
+                    "--out", str(tmp_path)])
+        assert code == 1  # the Dirichlet L/R checks are not run
+        (rep,) = json.loads((tmp_path / "bounds_report.json").read_text())["reports"]
+        assert rep["inputs"]["r_max_index"] >= 2 * 1024
+        assert max(rep["tail_estimates"].values()) > 1e-4
+
     def test_no_level_is_verdict_failure(self, tmp_path, capsys):
         # per- has odd levels only, and every level bounds picks is >= 4:
         # 1 .. 3 leaves none, and a run that checked nothing must not pass
