@@ -525,7 +525,8 @@ GATED_CHECKS = frozenset({
     "sigma1_two_step_recursion",  # sigma1(n,s+2;m) <= sigma1(n,s;m) 2||r|| rho_tilde
     "sigma2_pair",              # sigma2(n,2;m) <= ||r||^2 2 ln(6n)/n
     "sigma2_chain",             # sigma2(n,s;m) <= ||r||^2 (2 ln 6n / n) sup sigma1(n,s-2)
-    "harmonic_weight_sum",      # sum_{j != +-n} 1/|n^2-j^2| < 2 ln(6n)/n
+    "harmonic_weight_sum",      # sum_{j != +-n} 1/|n^2-j^2| < 2 ln(6n)/n; the terms
+                                # (1/2n)(1/(|j|-n) - 1/(|j|+n)) for |j| > n telescope
     "first_order_total",        # a0 mass <= 4||r||/sqrt(n) + 4 E_n(r)
     "chain_le_sigma",           # L(s, +-n) <= sigma(n, s)
 })
@@ -569,6 +570,29 @@ def _default_m_samples(n: int, step: int) -> np.ndarray:
             ms.add(int(base + o))
     ms.add(n % step if step == 2 else 0)  # a smallest-|m| representative
     return np.array(sorted(ms))
+
+
+def _harmonic_weight_sum(n: int, cutoff: int, step: int) -> float:
+    """sum 1/|n^2 - j^2| over ``lattice(n, cutoff, step, (n, -n))`` for any
+    cutoff >= n, in O(n) time and memory.
+
+    The terms with |j| < n are summed directly.  The rest are
+    j = +-(n + s k), 1 <= k <= K = (cutoff - n) // s with s = ``step``, where
+
+        1/(j^2 - n^2) = (1/2n) (1/(s k) - 1/(2n + s k)),
+
+    so with m = 2n/s (an integer, as s divides 2) both signs together give
+
+        (1/(n s)) sum_{k=1}^{K} (1/k - 1/(k + m))
+            = (H_m - sum_{k=K+1}^{K+m} 1/k) / (n s),
+
+    H_m the m-th harmonic number.  One ``math.fsum`` adds the O(n) terms.
+    """
+    ns, m, far = n * step, 2 * n // step, (cutoff - n) // step
+    terms = [1.0 / (n * n - j * j) for j in range(-n + step, n, step)]
+    terms += [1.0 / (ns * k) for k in range(1, m + 1)]
+    terms += [-1.0 / (ns * k) for k in range(far + 1, far + m + 1)]
+    return math.fsum(terms)
 
 
 def default_cutoff(n: int) -> int:
@@ -651,9 +675,8 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     for s in range(3, _S_MAX + 1):
         add("sigma2_chain", s2[s].max(), norm * norm * logw * s1[s - 2].max(), f"s={s}")
 
-    idx_w = lattice(n, max(cutoff, 10 ** 5), step, (n, -n))
-    wsum = float(np.sum(1.0 / np.abs(n * n - idx_w.astype(float) ** 2)))
-    add("harmonic_weight_sum", wsum, logw)
+    # over |j| <= max(cutoff, 1e5), in O(n) time and memory
+    add("harmonic_weight_sum", _harmonic_weight_sum(n, max(cutoff, 10 ** 5), step), logw)
 
     pos_n = int(np.nonzero(ms == n)[0][0])
     add("sigma_one_equals_profile", abs(sig[1] - float(s1[1][pos_n])),

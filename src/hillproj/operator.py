@@ -296,7 +296,8 @@ def _tridiagonalize(L: np.ndarray):
     Each panel of ``_PANEL`` columns forms its reflectors from the columns
     as updated by the panel's earlier reflectors, kept as V and W with the
     trailing block S of the panel's start standing for S - V W^H - W V^H,
-    and ends with that one rank-2k update of S.  ``reflectors`` holds each
+    and ends with that one rank-2k update of S, ``4 * _PANEL`` rows at a
+    time so that no transient grows like S.  ``reflectors`` holds each
     panel's (o, V, tau), V's rows starting at row o of L.
     """
     N = len(L)
@@ -320,7 +321,9 @@ def _tridiagonalize(L: np.ndarray):
             w = tau[i] * (A[k + 1:, k + 1:] @ v - Vr @ (Wr.conj().T @ v) - Wr @ (Vr.conj().T @ v))
             W[i + 1:, i] = w - (0.5 * tau[i] * np.vdot(w, v)) * v
         k1 = k0 + nb
-        A[k1:, k1:] -= np.hstack([V[nb:], W[nb:]]) @ np.hstack([W[nb:], V[nb:]]).conj().T
+        U, Z = np.hstack([V[nb:], W[nb:]]), np.hstack([W[nb:], V[nb:]]).conj().T
+        for i in range(k1, N, 4 * _PANEL):
+            A[i:i + 4 * _PANEL, k1:] -= U[i - k1:i - k1 + 4 * _PANEL] @ Z
         reflectors.append((k0 + 1, V[1:], tau))
     d[N - 1] = A[N - 1, N - 1].real
     return d, e, reflectors

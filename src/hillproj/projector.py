@@ -329,7 +329,7 @@ def _hessenberg_sweep(band: np.ndarray, h: np.ndarray, y: np.ndarray,
     v[top:] = band[N - 1, top - (N - 1 - b):, None]
     v[N - 1] += zs
     cs = np.empty((N, Q), dtype=complex)
-    ss = np.empty((N, Q), dtype=complex)
+    ss = np.empty((N, Q), dtype=np.result_type(h, float))  # s = h / rho: real for a real h
     habs = np.abs(h)
     for k in range(N - 1, 0, -1):
         rho = np.hypot(habs[k - 1], np.abs(v[k]))

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -656,6 +658,31 @@ class TestFirstOrderTotal:
         assert row.lhs == bounds.a0_sum(saw, BC.DIRICHLET, n, cutoff)
 
 
+class TestHarmonicWeightSum:
+    """``_harmonic_weight_sum``: sum 1/|n^2 - j^2| over the lattice in O(n)."""
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("n", [4, 5, 8, 9, 13])
+    def test_exact_on_small_lattices(self, n, step):
+        # at cutoff ~8n the far terms sum_{k=K+1}^{K+m} 1/k are several
+        # per cent of the sum: a helper that drops them fails here (checked
+        # by that mutation)
+        for cutoff in (8 * n, 8 * n + 1, 8 * n + 3):
+            js = bounds.lattice(n, cutoff, step, (n, -n))
+            exact = sum(Fraction(1, abs(n * n - int(j) ** 2)) for j in js)
+            got = bounds._harmonic_weight_sum(n, cutoff, step)
+            assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("n", [4, 8, 9, 32, 128, 1000])
+    def test_matches_the_direct_sum_of_the_suite(self, n, step):
+        # the lattice to 1e5 with float temporaries, as lemma_suite summed it
+        js = bounds.lattice(n, 10 ** 5, step, (n, -n)).astype(float)
+        direct = float(np.sum(1.0 / np.abs(n * n - js ** 2)))
+        got = bounds._harmonic_weight_sum(n, 10 ** 5, step)
+        assert abs(got - direct) <= 1e-14 * direct
+
+
 class TestLemmaSuite:
     def test_zero_majorant_all_pass_with_full_margin(self):
         rep = bounds.lemma_suite(zero_majorant(), 32, cutoff=512)
@@ -674,6 +701,20 @@ class TestLemmaSuite:
         rep = bounds.lemma_suite(delta_majorant(0.5, 9000), n, cutoff=512)
         row = [c for c in rep.checks if c.name == "harmonic_weight_sum"][0]
         assert row.passed and np.isclose(row.rhs, rhs)
+
+    def test_peak_memory(self):
+        # one level of the bounds-delta workload; the harmonic weight sum
+        # over |j| <= 1e5 alone took 2.3 MiB, and the suite 2.84 MiB
+        p = pot.delta_comb(0.5, max_index=9000)
+        r = pot.majorant(p)
+        np.fft.irfft(np.fft.rfft(np.zeros(8)))  # numpy.fft's first-call set-up
+        tracemalloc.start()
+        try:
+            bounds.lemma_suite(r, 8, 4096, potential=p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
 
     def test_mathieu_full_suite(self):
         p = pot.mathieu(1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import roots_legendre
 import hillproj as hp
 from hillproj import potential as pot
 from hillproj import projector as prj
-from hillproj.operator import HillMatrix, _band
+from hillproj.operator import HillMatrix, _band, _reflector, _tridiagonalize
 
 BC = hp.BoundaryCondition
 PI = math.pi
@@ -194,15 +195,16 @@ class TestHessenbergResolvent:
             assert np.array_equal(Q, eye)
 
     @pytest.mark.parametrize("dtype", [complex, float])
-    @pytest.mark.parametrize("N", [33, 70, 97])
+    @pytest.mark.parametrize("N", [33, 70, 97, 300])
     def test_blocked_tridiagonalization_across_panels(self, N, dtype):
         # a dense Hermitian L spans several 32-column panels, and the last
-        # panel can be short; the tridiagonal form keeps L's eigenvalues,
+        # panel can be short; at N = 300 the trailing updates span several
+        # row blocks.  The tridiagonal form keeps L's eigenvalues,
         # and a real symmetric L keeps real arithmetic
         rng = np.random.default_rng(N)
         M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         L = M + M.conj().T if dtype is complex else M.real + M.real.T
-        d, e, reflectors = hp.operator._tridiagonalize(L)
+        d, e, reflectors = _tridiagonalize(L)
         assert e.dtype == dtype and all(V.dtype == t.dtype == dtype for _, V, t in reflectors)
         A = np.diag(d) + np.diag(e, -1) + np.diag(e.conj(), 1)
         ev = np.linalg.eigvalsh(L)
@@ -210,6 +212,45 @@ class TestHessenbergResolvent:
         # every reflector leaves a real beta; the last entry needs no reflector
         assert not e[:-1].imag.any()
         assert [o for o, _, _ in reflectors] == list(range(1, N - 1, 32))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_row_blocks_match_one_product_per_column(self, dtype):
+        # N = 300 puts up to three 128-row blocks in each trailing update,
+        # the last one short; LAPACK's unblocked zhetd2 updates the whole
+        # trailing block by one rank-2 product per column.  Entries of the
+        # form are not well conditioned: on this real L the one-product
+        # panel update and the row blocks already differ by 1.2e-12 ||L||
+        N = 300
+        rng = np.random.default_rng(N)
+        M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        L = M + M.conj().T if dtype is complex else M.real + M.real.T
+        A = L.copy()
+        e = np.empty(N - 1, dtype=dtype)
+        for k in range(N - 1):
+            v, tau, e[k] = _reflector(A[k + 1:, k])
+            if v is not None:
+                w = tau * (A[k + 1:, k + 1:] @ v)
+                w -= (0.5 * tau * np.vdot(w, v)) * v
+                A[k + 1:, k + 1:] -= np.outer(v, w.conj()) + np.outer(w, v.conj())
+        d_blk, e_blk, _ = _tridiagonalize(L)
+        tol = 1e-11 * np.linalg.norm(L, 2)
+        assert np.abs(d_blk - A.diagonal().real).max() <= tol
+        assert np.abs(e_blk - e).max() <= tol
+
+    def test_reduction_peak_memory(self):
+        # the trailing update took one (N - k1)^2 product, 2.13 L.nbytes at
+        # its peak, and 128-row blocks 1.57 (the copy of L, the kept
+        # reflectors and one panel's V, W and block product)
+        N = 1025
+        M = np.random.default_rng(N).standard_normal((N, N))
+        L = M + M.T
+        tracemalloc.start()
+        try:
+            _tridiagonalize(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * L.nbytes, peak / L.nbytes
 
     @pytest.mark.parametrize("pname,bc,real", [
         ("delta", BC.PER_PLUS, True), ("mathieu", BC.DIRICHLET, True),
