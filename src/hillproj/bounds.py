@@ -42,6 +42,13 @@ Chain sums over a truncated index lattice (j = n mod step, |j| <= cutoff):
                      expanding the parenthesised brackets; they sum back
                      to sigma(n, s) exactly (``_sigma_tilde_pieces``).
 
+The first-order mass of the ``first_order_total`` check is the sum of
+|``first_order_residue``| over the +-n columns plus the +-n rows of the
+lattice (k >= 1 and n alone under Dirichlet).  Rows and columns carry the
+same total for every potential, complex ones included: the reflection
+(k, m) -> (-k, -m) of the symmetric per+- lattice swaps them, and the
+sine coupling is symmetric in (k, m).
+
 Everything is computed in transfer form.  An index set is held as a mask
 on its enclosing arithmetic progression, where every chain operator is
 diag * Hankel r(|j_k + j_l|) * diag or diag * Toeplitz |V(j_k - j_l)| *
@@ -71,6 +78,7 @@ import numpy as np
 
 from .operator import BoundaryCondition, coupling
 from .potential import FourierPotential, MajorantSeq, SinePotential
+from .projector import first_order_residue
 
 __all__ = [
     "CutoffTooSmall",
@@ -90,7 +98,6 @@ __all__ = [
     "sigma2",
     "sigma2_profile",
     "sigma_nested_vs_matrix",
-    "a0_sum",
     "default_cutoff",
     "lemma_suite",
     "GATED_CHECKS",
@@ -158,13 +165,13 @@ def lattice(n: int, cutoff: int, step: int = 2, exclude: tuple[int, ...] = ()) -
 def _vabs_lookup(source, max_offset: int) -> np.ndarray:
     """|V| over offsets [-max_offset, max_offset] (index d + max_offset).
 
-    A FourierPotential contributes |V(d)| = |d w(d)|; a MajorantSeq
-    stands in for |V| through its worst case |d| r(|d|).
+    A FourierPotential contributes |V(d)|, its per+- ``coupling`` at
+    m = 0; a MajorantSeq stands in for |V| through its worst case |d| r(|d|).
     """
+    d = np.arange(-max_offset, max_offset + 1)
     if isinstance(source, FourierPotential):
-        return np.abs(source.v_table(max_offset))
+        return np.abs(coupling(source, BoundaryCondition.PER_PLUS, d, 0))
     if isinstance(source, MajorantSeq):
-        d = np.arange(-max_offset, max_offset + 1)
         return np.abs(d) * source.table(max_offset)[np.abs(d)]
     raise TypeError("expected a FourierPotential or MajorantSeq")
 
@@ -478,26 +485,6 @@ def sigma_nested_vs_matrix(pot: FourierPotential, indices, lam: complex, s: int)
     return float(np.abs(prod - target).max())
 
 
-# ---------------------------------------------------------------------------
-# first-order total mass
-# ---------------------------------------------------------------------------
-
-def a0_sum(pot, bc: BoundaryCondition, n: int, cutoff: int) -> float:
-    """Total absolute mass of the first-order residues over the lattice.
-
-    Sums |first-order residue| over the nonzero pattern (the +-n rows and
-    columns): 2 * sum_{k != +-n} sum_{m = +-n} |W(k, m)|/|n^2-k^2| with W
-    the ``coupling``, over the lattice of ``bc`` through n (Dirichlet: the
-    indices k >= 1, and m = n only).
-    """
-    periodic, levels = bc.is_periodic_family, bc.level_indices(n)
-    ks = lattice(n, cutoff, 2 if periodic else 1, levels)
-    if not periodic:
-        ks = ks[ks >= 1]
-    mass = sum(np.abs(coupling(pot, bc, ks, m)) for m in levels)
-    return float(2.0 * (mass / np.abs(n * n - ks.astype(float) ** 2)).sum())
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -527,7 +514,7 @@ GATED_CHECKS = frozenset({
     "sigma2_chain",             # sigma2(n,s;m) <= ||r||^2 (2 ln 6n / n) sup sigma1(n,s-2)
     "harmonic_weight_sum",      # sum_{j != +-n} 1/|n^2-j^2| < 2 ln(6n)/n; the terms
                                 # (1/2n)(1/(|j|-n) - 1/(|j|+n)) for |j| > n telescope
-    "first_order_total",        # a0 mass <= 4||r||/sqrt(n) + 4 E_n(r)
+    "first_order_total",        # first-order mass <= 4||r||/sqrt(n) + 4 E_n(r)
     "chain_le_sigma",           # L(s, +-n) <= sigma(n, s)
 })
 
@@ -616,7 +603,8 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
     equalities, where rounding alone decides the sign.  The sums run on
     the majorant's lattice, step ``r.step``.
 
-    With a ``potential`` the suite adds ``first_order_total`` on ``r`` and,
+    With a ``potential`` the suite adds ``first_order_total`` (the
+    first-order mass of the module docstring against ``r``) and,
     on the step-2 lattice, the L/R chain checks.  On the step-1 (Dirichlet)
     lattice L and R need a Toeplitz-plus-Hankel majorant of the sine
     coupling, so ``chain_le_sigma`` and ``reflection_identity`` are listed
@@ -724,9 +712,13 @@ def lemma_suite(r: MajorantSeq, n: int, cutoff: int | None = None, *,
                                   "not run: Dirichlet L/R needs a Toeplitz+Hankel majorant")
                       for name in ("chain_le_sigma", "reflection_identity"))
     if potential is not None:
+        # the first-order residues on the +-n columns and the +-n rows
         bc = BoundaryCondition.PER_PLUS if step == 2 else BoundaryCondition.DIRICHLET
-        add("first_order_total", a0_sum(potential, bc, n, cutoff),
-            4.0 * norm / math.sqrt(n) + 4.0 * r.tail_energy(n))
+        ks, levels = lattice(n, cutoff, step), bc.level_indices(n)
+        ks = (ks if step == 2 else ks[ks >= 1])[:, None]
+        mass = sum(float(np.abs(first_order_residue(potential, bc, n, *km)).sum())
+                   for km in ((ks, levels), (levels, ks)))
+        add("first_order_total", mass, 4.0 * norm / math.sqrt(n) + 4.0 * r.tail_energy(n))
     max_tail = max(tails.values(), default=0.0)
     checks.append(CheckResult("cutoff_converged", max_tail <= TAIL_RTOL, max_tail, TAIL_RTOL,
                               "max relative tail estimate"))

@@ -230,10 +230,14 @@ def _bounds_levels(cfg: RunConfig) -> list[int]:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    r = majorant_for(cfg.pot, cfg.bc, _truncation(cfg.K, cfg.cutoff, cfg.n_max))
+    # a Dirichlet run converts its potential to sine data once, for the
+    # majorant and every level's first-order mass
+    top = _truncation(cfg.K, cfg.cutoff, cfg.n_max)
+    pot = cfg.pot if cfg.bc.is_periodic_family else potential.per_to_dir(cfg.pot, top)
+    r = majorant_for(pot, cfg.bc, top)
     levels = _bounds_levels(cfg)
     reports = [bounds.report_to_json(bounds.lemma_suite(
-        r, n, cfg.cutoff, potential=cfg.pot, rho_constant=cfg.rho_constant)) for n in levels]
+        r, n, cfg.cutoff, potential=pot, rho_constant=cfg.rho_constant)) for n in levels]
     rows = [{"n": n, **check} for n, rep in zip(levels, reports) for check in rep["checks"]]
     # a run that checked nothing must not pass
     ok = bool(reports) and all(rep["all_passed"] for rep in reports)

@@ -59,6 +59,10 @@ class DecayRecord:
 
     The last eight fields are the quadrature evidence of the projection:
     they go into the JSON records but not into the frozen CSV columns.
+    ``quad_error_est`` estimates ||X Y^T - P||_F only, so it is no error
+    bar for ``sum_abs_B``: that sum adds N^2 entries of B and can move by
+    up to N ||Delta P||_F (Cauchy-Schwarz); at K = 4096 it moved by 0.96
+    of the estimate.
     """
 
     n: int

@@ -6,9 +6,11 @@ lattice of exponentials (periodic: 2Z, antiperiodic: 1+2Z) or sines
 
     L[k, m] = k^2 delta_km + v0 delta_km + W(k, m).
 
-This module alone turns a stored potential into the coupling W
-(``coupling``) and into the majorant of it that the bounds read
-(``majorant_for``).  For Per+- the coupling is V(k - m) = (k - m) w(k - m),
+This module alone reads a potential's coefficient tables: ``coupling``
+turns them into the coupling W, ``assemble`` lays the same entries into L
+and counts the known ones (each boundary condition's coverage rule, once),
+and ``majorant_for`` turns them into the majorant the bounds read.  For
+Per+- the coupling is V(k - m) = (k - m) w(k - m),
 the Fourier coefficients of v - v0.  For Dirichlet it is
 
     W(k, m) = (|k-m| qt(|k-m|) - (k+m) qt(k+m)) / sqrt(2),
@@ -401,28 +403,20 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _coupling(pot, bc: BoundaryCondition, k, m) -> tuple[np.ndarray, np.ndarray]:
-    """W(k, m) over the broadcast index arrays k and m, and for each
-    coefficient it reads (with repeats) whether that one is known.  W is
-    real when the coefficient table it reads is."""
-    k, m = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(m, dtype=np.int64))
-    if bc.is_periodic_family:
-        pot, off = _fourier_data(pot), k - m
-        D = int(np.abs(off).max(initial=0))
-        return _real(pot.v_table(D))[off + D], pot.covers(np.abs(off[off != 0]))
-    diff, summ = np.abs(k - m), k + m
-    sp = _sine_data(pot, int(summ.max()))
-    tab = _real(sp.qt_table(int(summ.max())))
-    # times 1/sqrt(2), as numpy divides a complex table: a real table gives the
-    # real parts of the complex one bit for bit
-    W = (diff * tab[diff] - summ * tab[summ]) * (1 / math.sqrt(2.0))
-    return W, sp.covers(np.concatenate([diff[diff != 0], summ.ravel()]))
-
-
 def coupling(pot: FourierPotential | SinePotential, bc: BoundaryCondition, k, m) -> np.ndarray:
     """W(k, m), the matrix element of v - v0 between the basis functions of
-    indices m and k (module docstring), for index arrays k, m (broadcast)."""
-    return _coupling(pot, bc, k, m)[0]
+    indices m and k (module docstring), for index arrays k, m (broadcast).
+    W is real when the coefficient table it reads is."""
+    k, m = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(m, dtype=np.int64))
+    if bc.is_periodic_family:
+        off = k - m
+        D = int(np.abs(off).max(initial=0))
+        return _real(_fourier_data(pot).v_table(D))[off + D]
+    diff, summ = np.abs(k - m), k + m
+    tab = _real(_sine_data(pot, int(summ.max())).qt_table(int(summ.max())))
+    # times 1/sqrt(2), as numpy divides a complex table: a real table gives the
+    # real parts of the complex one bit for bit
+    return (diff * tab[diff] - summ * tab[summ]) * (1 / math.sqrt(2.0))
 
 
 def majorant_for(pot: FourierPotential | SinePotential, bc: BoundaryCondition,
@@ -473,9 +467,9 @@ def assemble(bc: BoundaryCondition,
     v0 = v0 if v0.imag else v0.real
     if bc.is_periodic_family:
         q = np.arange(1 - N, N)  # the offsets i - j
-        t, known = _coupling(pot, bc, idx[np.maximum(q, 0)] - idx[np.maximum(-q, 0)], 0)
-        coverage = int((N - np.abs(q[q != 0]))[known].sum()) / (N * N - N)
-        t = _real(t)
+        off = idx[np.maximum(q, 0)] - idx[np.maximum(-q, 0)]  # k - m at i - j
+        t = coupling(pot, bc, off, 0)
+        coverage = int((N - np.abs(q[q != 0]))[pot.covers(off[q != 0])].sum()) / (N * N - N)
         t = t.astype(np.result_type(t, v0))  # a complex v0 makes a real W complex
         t[N - 1] += v0
         L = _toeplitz(t).copy()
@@ -488,7 +482,7 @@ def assemble(bc: BoundaryCondition,
         coverage = int(reads[sp.covers(np.concatenate([diff[q != 0], summ]))].sum()) / (2 * N * N - N)
         hankel = np.lib.stride_tricks.sliding_window_view(summ * tab[summ], N)
         L = np.subtract(_toeplitz(diff * tab[diff]), hankel)
-        L *= 1 / math.sqrt(2.0)  # as ``_coupling``: W's entries bit for bit
+        L *= 1 / math.sqrt(2.0)  # as ``coupling``: W's entries bit for bit
         L = _real(L)
         L = np.ascontiguousarray(L, dtype=np.result_type(L, v0))
         L[np.diag_indices_from(L)] += v0

@@ -328,7 +328,8 @@ def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
       int_0^pi e^{ikx} sin(mx) dx = 2m/(m^2-k^2),
       s(m) = (2*sqrt(2)*m/pi) * sum_{k>0} (w(k) + w(-k))/(m^2-k^2),
       summed in pairs +-k, so the odd data of a pure sine series
-      (w(-k) == -w(k)) are exact zeros.
+      (w(-k) == -w(k): every even potential) are exact zeros, and are
+      not summed at all when every pair is zero.
     """
     if max_sine < 1:
         raise ValueError("max_sine must be >= 1")
@@ -343,7 +344,7 @@ def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
         # each |k| once: np.unique(ks) imports numpy.ma (with return_inverse it does not)
         ks = ks[np.diff(ks, prepend=0) > 0]
         pairs, ksq = w.get(ks) + w.get(-ks), ks.astype(float) ** 2
-        for m in range(1, max_sine + 1, 2):
+        for m in range(1, max_sine + 1, 2) if pairs.any() else ():
             s[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(pairs / (m * m - ksq))
     ms = np.flatnonzero(s)
     # The sine expansion terminates exactly only when S has no cosine part.

@@ -611,6 +611,26 @@ def first_order_row(rep):
     return row
 
 
+def first_order_parts(p, n, cutoff, step):
+    """(columns, rows): sum |W(k, m)| and sum |W(m, k)| over m = +-n (n
+    under Dirichlet) and the lattice k != +-n, each over
+    |n^2 - k^2|, one ``math.fsum`` per side, W read from ``w.get`` (step 2)
+    or ``qt.get`` (step 1) coefficient by coefficient."""
+    if step == 2:
+        def W(k, m):
+            return (k - m) * complex(p.w.get(k - m))
+        ks, ms = range(-cutoff + (n + cutoff) % 2, cutoff + 1, 2), (n, -n)
+    else:
+        def W(k, m):
+            return (abs(k - m) * complex(p.qt.get(abs(k - m)))
+                    - (k + m) * complex(p.qt.get(k + m))) / math.sqrt(2.0)
+        ks, ms = range(1, cutoff + 1), (n,)
+    pairs = [(k, m) for k in ks if abs(k) != n for m in ms]
+    return tuple(math.fsum(abs(W(*km)) / abs(n * n - k * k) for k, m in pairs
+                           for km in [(k, m) if side == 0 else (m, k)])
+                 for side in (0, 1))
+
+
 class TestFirstOrderTotal:
     def test_zero_potential(self):
         z = pot.zero()
@@ -630,12 +650,38 @@ class TestFirstOrderTotal:
         assert chk.passed and chk.margin > 0
 
     def test_equals_twice_the_single_chains(self):
+        # a real potential has rows and columns of the same moduli, so the
+        # mass is twice the columns, L(1, n) + L(1, -n)
         p = pot.delta_comb(0.5, max_index=2000)
         n, cutoff = 20, 160
-        a0 = bounds.a0_sum(p, BC.PER_PLUS, n, cutoff)
+        row = first_order_row(bounds.lemma_suite(pot.majorant(p), n, cutoff, potential=p))
         l_plus = bounds.l_sum(p, 1, n, n, cutoff=cutoff, check_tail=False)
         l_minus = bounds.l_sum(p, 1, -n, n, cutoff=cutoff, check_tail=False)
-        assert np.isclose(a0, 2 * (l_plus + l_minus), rtol=1e-12)
+        assert np.isclose(row.lhs, 2 * (l_plus + l_minus), rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["mathieu/per+", "delta/per+", "complex/per+",
+                                      "sawtooth/per-", "sawtooth/dir"])
+    def test_equals_the_enumeration(self, case):
+        # the rows plus the columns of the first-order residue, against an
+        # entry-by-entry enumeration of the coefficients.  For the complex
+        # potential (|V(-2)| = 0.2, |V(2)| = 1) the row and the column of n
+        # alone differ; the reflection (k, m) -> (-k, -m) of the lattice
+        # swaps them with those of -n, so their totals agree
+        name, bc = case.split("/")
+        n, cutoff = {"per+": (12, 384), "per-": (13, 416), "dir": (12, 384)}[bc]
+        p = {"mathieu": lambda: pot.mathieu(1.0),
+             "delta": lambda: pot.delta_comb(0.5, max_index=1024),
+             "complex": lambda: pot.from_coeffs(0.0, [(2, 0.5), (-2, 0.1j)]),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=1024)}[name]()
+        if bc == "dir":
+            p = pot.per_to_dir(p, 2 * cutoff)
+            r, step = pot.majorant_dir(p), 1
+        else:
+            r, step = pot.majorant(p), 2
+        row = first_order_row(bounds.lemma_suite(r, n, cutoff, potential=p))
+        cols, rows = first_order_parts(p, n, cutoff, step)
+        assert row.lhs > 0
+        assert abs(row.lhs - (cols + rows)) <= 1e-13 * row.lhs
 
     def test_dirichlet_variant(self):
         sp = pot.per_to_dir(pot.delta_comb(1.0, max_index=2000), 500)
@@ -645,9 +691,9 @@ class TestFirstOrderTotal:
     @pytest.mark.parametrize("K", [32, 600])
     def test_rhs_reads_the_reports_majorant(self, K):
         # 4||r||/sqrt(n) + 4 E_n(r) of the r handed in (its norm is the
-        # report's r_norm), and the a0 mass at the report's cutoff: under
-        # Dirichlet a majorant cut at 2K has a smaller ||r|| than one
-        # through 2 cutoff, and the check must not build a second one
+        # report's r_norm), and the first-order mass at the report's
+        # cutoff: under Dirichlet a majorant cut at 2K has a smaller ||r||
+        # than one through 2 cutoff, and the check must not build a second one
         saw = pot.sawtooth(1.0, max_index=2 * 1024 + 64)
         n, cutoff = 16, 1024
         r = hp.operator.majorant_for(saw, BC.DIRICHLET, 2 * K)
@@ -655,7 +701,8 @@ class TestFirstOrderTotal:
         row = first_order_row(rep)
         assert rep.inputs["r_norm"] == r.norm
         assert row.rhs == 4.0 * r.norm / math.sqrt(n) + 4.0 * r.tail_energy(n)
-        assert row.lhs == bounds.a0_sum(saw, BC.DIRICHLET, n, cutoff)
+        mass = sum(first_order_parts(pot.per_to_dir(saw, cutoff + n), n, cutoff, 1))
+        assert abs(row.lhs - mass) <= 1e-13 * mass
 
 
 class TestHarmonicWeightSum:

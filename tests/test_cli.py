@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hillproj import BoundaryCondition, assemble, bounds, cli, potential, projector
+from hillproj import BoundaryCondition, assemble, bounds, cli, operator, potential, projector
 
 
 def run(argv):
@@ -253,6 +253,26 @@ class TestBounds:
         assert rep["inputs"]["r_max_index"] >= 2 * 1024
         assert max(rep["tail_estimates"].values()) > 1e-4
 
+    def test_dirichlet_run_converts_its_potential_once(self, tmp_path, monkeypatch):
+        # one sine conversion serves the majorant and every level's
+        # first-order mass, which converted once more per level (5 calls here)
+        calls = []
+        convert = potential.per_to_dir
+
+        def counted(p, max_sine):
+            calls.append(max_sine)
+            return convert(p, max_sine)
+
+        monkeypatch.setattr(operator, "per_to_dir", counted)
+        monkeypatch.setattr(potential, "per_to_dir", counted)
+        code = run(["bounds", "--potential", "sawtooth:1.0", "--bc", "dir",
+                    "--K", "48", "--n-min", "8", "--n-max", "12", "--out", str(tmp_path)])
+        assert code == 1  # the Dirichlet L/R checks are not run
+        reports = json.loads((tmp_path / "bounds_report.json").read_text())["reports"]
+        assert len(reports) == 4
+        assert calls == [cli._truncation(48, None, 12)]
+        assert {rep["inputs"]["potential"] for rep in reports} == {"SinePotential"}
+
     def test_no_level_is_verdict_failure(self, tmp_path, capsys):
         # per- has odd levels only, and every level bounds picks is >= 4:
         # 1 .. 3 leaves none, and a run that checked nothing must not pass
@@ -362,12 +382,12 @@ class TestStrictJson:
 
 class TestImports:
     def test_package_loads_no_scipy(self):
-        # scipy serves the tests only; importing it would cost every CLI
-        # process its start-up time and resident memory
+        # scipy and mpmath serve the tests only; importing either would
+        # cost every CLI process its start-up time and resident memory
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         code = ("import sys, hillproj, hillproj.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -384,12 +404,13 @@ class TestImports:
         ["verify", "--seed", "1"],
     ], ids=["spectrum", "decay-per", "decay-dir", "bounds", "lpnorms", "verify"])
     def test_commands_load_no_scipy_and_no_numpy_ma(self, argv, tmp_path):
-        # numpy.ma costs about 10 ms on first import; a flagless np.unique loads it
+        # numpy.ma costs about 10 ms on first import; a flagless np.unique
+        # loads it.  mpmath serves the 30-digit oracle of the tests only
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         code = ("import sys; from hillproj import cli; "
                 f"code = cli.main({[*argv, '--out', str(tmp_path)]!r}); "
-                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') "
                 "or m.split('.')[:2] == ['numpy', 'ma']))")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)

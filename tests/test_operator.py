@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,7 +211,8 @@ class TestAssembleDirichlet:
     @pytest.mark.parametrize("pname", ["zero", "mathieu", "delta", "sawtooth", "non_hermitian",
                                        "complex_v0", "sine", "sine_partial"])
     def test_toeplitz_minus_hankel_is_the_broadcast_coupling(self, pname):
-        # L and coverage bit for bit as the N x N broadcast of ``_coupling``
+        # L bit for bit as the N x N broadcast of ``coupling``, and the
+        # coverage as the share of the broadcast differences and sums known
         p = {"zero": pot.zero, "mathieu": lambda: pot.mathieu(1.0),
              "delta": lambda: pot.delta_comb(0.5, max_index=2048),
              "sawtooth": lambda: pot.sawtooth(1.0, max_index=2048),
@@ -220,7 +223,10 @@ class TestAssembleDirichlet:
         for K in (8, 9, 40, 64, 512):
             H = hp.assemble(BC.DIRICHLET, p, K)
             idx = np.array(H.basis.indices)
-            W, known = op._coupling(p, BC.DIRICHLET, idx[:, None], idx[None, :])
+            W = op.coupling(p, BC.DIRICHLET, idx[:, None], idx[None, :])
+            diff, summ = np.abs(idx[:, None] - idx[None, :]), idx[:, None] + idx[None, :]
+            sp = p if isinstance(p, pot.SinePotential) else pot.per_to_dir(p, 2 * len(idx))
+            known = sp.covers(np.concatenate([diff[diff != 0], summ.ravel()]))
             want = op._real(W).astype(H.L.dtype)
             want[np.diag_indices_from(want)] += complex(p.v0) if H.L.dtype == complex else p.v0
             want[np.diag_indices_from(want)] += idx * idx
@@ -267,7 +273,8 @@ class TestAssembleValidation:
         p = pot.delta_comb(0.5, max_index=stored)
         H = hp.assemble(bc, p, 256)
         idx = np.array(H.basis.indices)
-        known = op._coupling(p, bc, idx[:, None], idx[None, :])[1]
+        off = idx[:, None] - idx[None, :]
+        known = p.covers(off[off != 0])
         assert op.COVERAGE_FLOOR <= H.coverage < 1.0
         assert H.coverage == float(np.mean(known))
         with pytest.raises(op.InsufficientCoefficients):
@@ -470,3 +477,13 @@ class TestDirichletInsidePeriodic:
     def test_not_for_an_odd_potential(self):
         # the sawtooth is real but not even: its Dirichlet levels fall between
         assert self.gap(pot.sawtooth(1.0, max_index=512)) > 0.1
+
+
+class TestOneReader:
+    def test_only_operator_reads_the_coefficient_tables(self):
+        # ``coupling``, ``assemble`` and ``majorant_for`` turn a potential
+        # into what the other modules read; none of those reads a table itself
+        src = Path(op.__file__).parent
+        readers = {f.name for f in src.glob("*.py")
+                   if re.search(r"\.(v|qt)_table\(", f.read_text())}
+        assert readers == {"operator.py"}

@@ -186,6 +186,39 @@ class TestPerToDir:
         assert np.abs(q_grid(p, xs) - q_grid_sine(sp, xs)).max() < 1e-8
         assert not sp.qt.get(np.arange(1, 65, 2)).any()  # summed in +-k pairs: exact zeros
 
+    @staticmethod
+    def odd_loop_reference(p, max_sine):
+        """(indices, values) of the sine data with the odd-index sum run
+        for every odd m, zero pairs or not: the conversion as it was
+        before it skipped a pure sine series."""
+        w = p.w
+        s = np.zeros(max_sine + 1, dtype=complex)
+        ev = np.arange(2, max_sine + 1, 2)
+        s[ev] = ((1j * (w.get(ev) - w.get(-ev))).view(float) / math.sqrt(2.0)).view(complex)
+        if len(w.idx):
+            ks = np.unique(np.abs(w.idx))
+            pairs, ksq = w.get(ks) + w.get(-ks), ks.astype(float) ** 2
+            for m in range(1, max_sine + 1, 2):
+                s[m] = (2.0 * math.sqrt(2.0) * m / math.pi) * np.sum(pairs / (m * m - ksq))
+        ms = np.flatnonzero(s)
+        return ms, -1j * s[ms]
+
+    @pytest.mark.parametrize("pname", ["zero", "mathieu", "delta", "sawtooth", "mixed"])
+    def test_bit_identical_to_the_odd_loop(self, pname):
+        p = {"zero": pot.zero, "mathieu": lambda: pot.mathieu(1.0),
+             "delta": lambda: pot.delta_comb(0.5, max_index=256),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=256),
+             # an odd part (w(-2) = -w(2), w(-6) = -w(6)) and an even one
+             "mixed": lambda: pot.from_coeffs(0.3, [(2, 0.4 + 0.1j), (-2, -0.4 - 0.1j),
+                                                   (4, 0.2), (-4, 0.05j), (6, 0.01j),
+                                                   (-6, -0.01j)])}[pname]()
+        for max_sine in (1, 9, 300):
+            sp = pot.per_to_dir(p, max_sine)
+            ms, vals = self.odd_loop_reference(p, max_sine)
+            assert sp.qt.idx.tobytes() == ms.tobytes()
+            assert sp.qt.val.tobytes() == vals.tobytes()
+        assert sp.max_index == 300 and sp.v0 == p.v0
+
     def test_gallery_round_trip(self):
         for p in (pot.mathieu(1.0), pot.delta_comb(0.5, max_index=64)):
             sp = pot.per_to_dir(p, 64)

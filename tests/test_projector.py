@@ -1131,6 +1131,51 @@ class TestLargestBaseBlock:
         assert np.linalg.norm(rect.P - S_ref, "fro") <= rect.quad_error_est
 
 
+def projector_30_digits(H, n):
+    """The spectral projector of H.L onto its eigenvalues in |z - n^2| < n,
+    sum v v^H over the orthonormal eigenvectors of mpmath's 30-digit
+    ``eigsy`` (real L) or ``eighe`` (complex Hermitian L), rounded to
+    complex128 at the end: an oracle that shares no code with LAPACK."""
+    import mpmath as mp  # inside the test: a missing mpmath fails it, never skips it
+
+    assert H.hermitian
+    with mp.workdps(30):
+        A = mp.matrix(H.L.tolist())
+        vals, V = mp.eighe(A) if np.iscomplexobj(H.L) else mp.eigsy(A)
+        P = mp.matrix(H.size, H.size)
+        for i in range(H.size):
+            if abs(vals[i] - n * n) < n:
+                P += V[:, i] * V[:, i].H
+        return np.array(P.tolist(), dtype=complex)
+
+
+class TestThirtyDigitOracle:
+    """Every level the gate passes at K = 16 against a 30-digit projector:
+    22 levels in all, at most 0.33 of ``quad_error_est`` apart, and the
+    LAPACK oracle at most 6.7e-15 from it.  Hermitian L only, and small
+    K: the rounding term of the estimate, which dominates at K = 2048,
+    goes unchecked here."""
+
+    @pytest.mark.parametrize("pname,bc,levels", [
+        ("mathieu", BC.PER_PLUS, [2, 4]), ("mathieu", BC.PER_MINUS, [3]),
+        ("mathieu", BC.DIRICHLET, [2, 3, 4]),
+        ("delta", BC.PER_PLUS, [2, 4]), ("delta", BC.PER_MINUS, [1, 3]),
+        ("delta", BC.DIRICHLET, [1, 2, 3, 4]),
+        ("sawtooth", BC.PER_PLUS, [2, 4]), ("sawtooth", BC.PER_MINUS, [1, 3]),
+        ("sawtooth", BC.DIRICHLET, [1, 2, 3, 4])])
+    def test_within_the_error_estimate(self, pname, bc, levels):
+        p = {"mathieu": lambda: pot.mathieu(1.0),
+             "delta": lambda: pot.delta_comb(0.5, max_index=512),
+             "sawtooth": lambda: pot.sawtooth(1.0, max_index=512)}[pname]()
+        H = hp.assemble(bc, p, 16)
+        pairs = prj.riesz_projections(H, range(1, 5))[0]
+        assert list(pairs) == levels
+        for n, pair in pairs.items():
+            P = projector_30_digits(H, n)
+            assert np.linalg.norm(pair.P - P, "fro") <= pair.quad_error_est, n
+            assert np.linalg.norm(prj.spectral_projector_dense(H, n) - P, "fro") <= 1e-13, n
+
+
 class TestFirstOrderResidue:
     def test_zero_cases(self):
         p = pot.mathieu(1.0)
