@@ -91,7 +91,7 @@ class RunConfig:
 
 
 def _truncation(K: int, cutoff: int | None, n_max: int) -> int:
-    """The index through which the potential and the bounds majorant run:
+    """A run's reach, the index through which its Fourier or sine data run:
     the chain sums read 2 cutoff + 2 n_max, and never fewer than 4K."""
     return max(4 * K, 2 * (cutoff or bounds.default_cutoff(n_max)) + 2 * n_max)
 
@@ -192,11 +192,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
+def _lattice_data(cfg: RunConfig):
+    """(pot, r): the potential as its lattice reads it, converted once through
+    the run's reach under Dirichlet, and the majorant of ``decay`` and ``bounds``."""
+    pot = cfg.pot if cfg.bc.is_periodic_family else potential.per_to_dir(
+        cfg.pot, _truncation(cfg.K, cfg.cutoff, cfg.n_max))
+    return pot, majorant_for(pot, cfg.bc)
+
+
 def cmd_decay(cfg: RunConfig) -> int:
     if cfg.n_min < 2:  # the rate rho_n is defined for n >= 2 only
         raise ConfigError(f"decay needs n_min >= 2, got {cfg.n_min}")
-    H = assemble(cfg.bc, cfg.pot, cfg.K)
-    r = majorant_for(cfg.pot, cfg.bc, 2 * cfg.K)
+    pot, r = _lattice_data(cfg)
+    H = assemble(cfg.bc, pot, cfg.K)
     # a level that fails its preconditions is listed, and the sweep goes on
     pairs, failed = projector.riesz_projections(H, cfg.levels())
     records = [norms.decay_record(pair, r, cfg.rho_constant) for pair in pairs.values()]
@@ -230,11 +238,7 @@ def _bounds_levels(cfg: RunConfig) -> list[int]:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    # a Dirichlet run converts its potential to sine data once, for the
-    # majorant and every level's first-order mass
-    top = _truncation(cfg.K, cfg.cutoff, cfg.n_max)
-    pot = cfg.pot if cfg.bc.is_periodic_family else potential.per_to_dir(cfg.pot, top)
-    r = majorant_for(pot, cfg.bc, top)
+    pot, r = _lattice_data(cfg)
     levels = _bounds_levels(cfg)
     reports = [bounds.report_to_json(bounds.lemma_suite(
         r, n, cfg.cutoff, potential=pot, rho_constant=cfg.rho_constant)) for n in levels]

@@ -18,8 +18,9 @@ the Fourier coefficients of v - v0.  For Dirichlet it is
 with qt the sine coefficients of the antiderivative Q of v - v0.  Since
 Q' = sum V(m) e^{imx}, a FourierPotential carries Q = -i sum w(m) e^{imx},
 and ``per_to_dir`` gives its sine data, so the same potential denotes the
-same v under every boundary condition.  Note the Dirichlet coupling has a
-nonzero diagonal of its own (-2k qt(2k)/sqrt(2)) on top of v0.
+same v under every boundary condition (``majorant_for`` takes sine data as
+given).  Note the Dirichlet coupling has a nonzero diagonal of its own
+(-2k qt(2k)/sqrt(2)) on top of v0.
 """
 
 from __future__ import annotations
@@ -387,12 +388,6 @@ def _band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return band, -np.diagonal(A, offset=-1)
 
 
-def _fourier_data(pot: FourierPotential | SinePotential) -> FourierPotential:
-    if isinstance(pot, SinePotential):
-        raise BcMismatch("periodic families need exponential coefficients")
-    return pot
-
-
 def _sine_data(pot: FourierPotential | SinePotential, max_sine: int) -> SinePotential:
     """Sine data of the antiderivative Q of v - v0 through ``max_sine``."""
     return pot if isinstance(pot, SinePotential) else per_to_dir(pot, max_sine)
@@ -409,9 +404,11 @@ def coupling(pot: FourierPotential | SinePotential, bc: BoundaryCondition, k, m)
     W is real when the coefficient table it reads is."""
     k, m = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(m, dtype=np.int64))
     if bc.is_periodic_family:
+        if isinstance(pot, SinePotential):
+            raise BcMismatch("periodic families need exponential coefficients")
         off = k - m
         D = int(np.abs(off).max(initial=0))
-        return _real(_fourier_data(pot).v_table(D))[off + D]
+        return _real(pot.v_table(D))[off + D]
     diff, summ = np.abs(k - m), k + m
     tab = _real(_sine_data(pot, int(summ.max())).qt_table(int(summ.max())))
     # times 1/sqrt(2), as numpy divides a complex table: a real table gives the
@@ -419,14 +416,13 @@ def coupling(pot: FourierPotential | SinePotential, bc: BoundaryCondition, k, m)
     return (diff * tab[diff] - summ * tab[summ]) * (1 / math.sqrt(2.0))
 
 
-def majorant_for(pot: FourierPotential | SinePotential, bc: BoundaryCondition,
-                 max_index: int) -> MajorantSeq:
+def majorant_for(pot: FourierPotential | SinePotential, bc: BoundaryCondition) -> MajorantSeq:
     """The majorant of the coefficients the coupling of ``bc`` reads:
-    ``majorant`` of w for Per+-, ``majorant_dir`` of the sine data of Q
-    (converted through ``max_index``) for Dirichlet."""
-    if bc.is_periodic_family:
-        return majorant(_fourier_data(pot))
-    return majorant_dir(_sine_data(pot, max_index))
+    ``majorant`` of w for Per+-, ``majorant_dir`` of the sine data of Q, as
+    given (the caller's ``per_to_dir`` chose their reach), for Dirichlet."""
+    if isinstance(pot, SinePotential) == bc.is_periodic_family:
+        raise BcMismatch(f"a {type(pot).__name__} cannot back the {bc.value} majorant")
+    return majorant(pot) if bc.is_periodic_family else majorant_dir(pot)
 
 
 def _toeplitz(t: np.ndarray) -> np.ndarray:

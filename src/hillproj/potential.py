@@ -317,7 +317,8 @@ def majorant_dir(sp: SinePotential) -> MajorantSeq:
 
 def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
     """Sine coefficients of Q = -i S on [0, pi], through ``max_sine``, from
-    those of the literal series S(x) = sum w(m) exp(imx).
+    those of the literal series S(x) = sum w(m) exp(imx), known as far as p
+    is: ``max_index`` is min(max_sine, p.max_index) unless p is complete.
 
     Closed form of s(m) = (sqrt(2)/pi) * integral_0^pi S(x) sin(mx) dx,
     then qt(m) = -i s(m):
@@ -349,7 +350,8 @@ def per_to_dir(p: FourierPotential, max_sine: int) -> SinePotential:
     ms = np.flatnonzero(s)
     # The sine expansion terminates exactly only when S has no cosine part.
     pure_sine = bool(np.all(_abs(w.val + w.get(-w.idx)) <= 1e-15))
-    return SinePotential(p.v0, _Coeffs(ms, -1j * s[ms]), max_sine,
+    return SinePotential(p.v0, _Coeffs(ms, -1j * s[ms]),
+                         max_sine if p.complete else min(max_sine, p.max_index),
                          complete=p.complete and pure_sine)
 
 

@@ -57,10 +57,12 @@ def sweeps(big_matrices):
 
 @pytest.fixture(scope="session")
 def decay_records(sweeps, gallery):
-    """(potential, bc) -> list of DecayRecord over the sweep levels."""
+    """(potential, bc) -> list of DecayRecord over the sweep levels; the
+    Dirichlet majorant reads the sine data through 2 BIG_K."""
     out = {}
     for (pname, bc), pairs in sweeps.items():
-        r = hp.operator.majorant_for(gallery[pname], bc, 2 * BIG_K)
+        p = gallery[pname] if bc.is_periodic_family else hp.per_to_dir(gallery[pname], 2 * BIG_K)
+        r = hp.operator.majorant_for(p, bc)
         out[pname, bc] = [norms.decay_record(pairs[n], r) for n in sorted(pairs)]
     return out
 

@@ -692,11 +692,12 @@ class TestFirstOrderTotal:
     def test_rhs_reads_the_reports_majorant(self, K):
         # 4||r||/sqrt(n) + 4 E_n(r) of the r handed in (its norm is the
         # report's r_norm), and the first-order mass at the report's
-        # cutoff: under Dirichlet a majorant cut at 2K has a smaller ||r||
-        # than one through 2 cutoff, and the check must not build a second one
+        # cutoff: under Dirichlet a majorant of sine data cut at 2K has a
+        # smaller ||r|| than one through 2 cutoff, and the check must not
+        # build a second one
         saw = pot.sawtooth(1.0, max_index=2 * 1024 + 64)
         n, cutoff = 16, 1024
-        r = hp.operator.majorant_for(saw, BC.DIRICHLET, 2 * K)
+        r = hp.operator.majorant_for(pot.per_to_dir(saw, 2 * K), BC.DIRICHLET)
         rep = bounds.lemma_suite(r, n, cutoff, potential=saw)
         row = first_order_row(rep)
         assert rep.inputs["r_norm"] == r.norm
@@ -706,28 +707,40 @@ class TestFirstOrderTotal:
 
 
 class TestHarmonicWeightSum:
-    """``_harmonic_weight_sum``: sum 1/|n^2 - j^2| over the lattice in O(n)."""
+    """``_harmonic_weight_sum``: sum 1/|n^2 - j^2| over the whole lattice in O(n)."""
+
+    @staticmethod
+    def tail(n, step, cutoff):
+        """A bound on the terms beyond ``cutoff``: m / (n s K), K = (cutoff - n) // s."""
+        return 2 * n // step / (n * step * ((cutoff - n) // step))
 
     @pytest.mark.parametrize("step", [1, 2])
     @pytest.mark.parametrize("n", [4, 5, 8, 9, 13])
     def test_exact_on_small_lattices(self, n, step):
-        # at cutoff ~8n the far terms sum_{k=K+1}^{K+m} 1/k are several
-        # per cent of the sum: a helper that drops them fails here (checked
-        # by that mutation)
+        # the near terms plus H_m / (n s), m = 2n / s, exactly; and the same
+        # value as the enumeration to a cutoff plus its exact remainder
+        # sum_{k=K+1}^{K+m} 1/(n s k)
+        m = 2 * n // step
+        near = sum(Fraction(1, n * n - j * j) for j in range(-n + step, n, step))
+        exact = near + sum(Fraction(1, n * step * k) for k in range(1, m + 1))
+        got = bounds._harmonic_weight_sum(n, step)
+        assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
         for cutoff in (8 * n, 8 * n + 1, 8 * n + 3):
             js = bounds.lattice(n, cutoff, step, (n, -n))
-            exact = sum(Fraction(1, abs(n * n - int(j) ** 2)) for j in js)
-            got = bounds._harmonic_weight_sum(n, cutoff, step)
-            assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+            far = (cutoff - n) // step
+            assert exact == (sum(Fraction(1, abs(n * n - int(j) ** 2)) for j in js)
+                             + sum(Fraction(1, n * step * k) for k in range(far + 1, far + m + 1)))
 
     @pytest.mark.parametrize("step", [1, 2])
     @pytest.mark.parametrize("n", [4, 8, 9, 32, 128, 1000])
     def test_matches_the_direct_sum_of_the_suite(self, n, step):
-        # the lattice to 1e5 with float temporaries, as lemma_suite summed it
-        js = bounds.lattice(n, 10 ** 5, step, (n, -n)).astype(float)
+        # the direct numpy sum to |j| <= 1e5 that the suite once took lies
+        # below the value, by at most the tail beyond it (and its own rounding)
+        cutoff = 10 ** 5
+        js = bounds.lattice(n, cutoff, step, (n, -n)).astype(float)
         direct = float(np.sum(1.0 / np.abs(n * n - js ** 2)))
-        got = bounds._harmonic_weight_sum(n, 10 ** 5, step)
-        assert abs(got - direct) <= 1e-14 * direct
+        got = bounds._harmonic_weight_sum(n, step)
+        assert -1e-14 * got <= got - direct <= self.tail(n, step, cutoff) + 1e-14 * got
 
 
 class TestLemmaSuite:
@@ -739,15 +752,17 @@ class TestLemmaSuite:
                 assert c.lhs == 0.0
 
     def test_harmonic_weight_sum_n50(self):
-        # direct sum over |j| <= 1e5 against 2 ln(300)/50
+        # the whole lattice, whatever the suite's cutoff: within the tail
+        # m / (n s K) above the direct sum over |j| <= 1e5, against 2 ln(300)/50
         n = 50
         js = np.array([j for j in range(-10 ** 5, 10 ** 5 + 1, 2) if abs(j) != n])
-        lhs = float(np.sum(1.0 / np.abs(n * n - js.astype(float) ** 2)))
+        direct = float(np.sum(1.0 / np.abs(n * n - js.astype(float) ** 2)))
         rhs = 2 * math.log(6 * n) / n
-        assert lhs < rhs
         rep = bounds.lemma_suite(delta_majorant(0.5, 9000), n, cutoff=512)
         row = [c for c in rep.checks if c.name == "harmonic_weight_sum"][0]
-        assert row.passed and np.isclose(row.rhs, rhs)
+        assert row.lhs == bounds._harmonic_weight_sum(n, 2)
+        assert direct <= row.lhs <= direct + TestHarmonicWeightSum.tail(n, 2, 10 ** 5)
+        assert row.passed and row.lhs < rhs and np.isclose(row.rhs, rhs)
 
     def test_peak_memory(self):
         # one level of the bounds-delta workload; the harmonic weight sum

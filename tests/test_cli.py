@@ -254,8 +254,9 @@ class TestBounds:
         assert max(rep["tail_estimates"].values()) > 1e-4
 
     def test_dirichlet_run_converts_its_potential_once(self, tmp_path, monkeypatch):
-        # one sine conversion serves the majorant and every level's
-        # first-order mass, which converted once more per level (5 calls here)
+        # one sine conversion at the run's reach serves the majorant and
+        # every level's first-order mass in ``bounds``, and the majorant and
+        # the matrix in ``decay`` (which converted twice, through 2K)
         calls = []
         convert = potential.per_to_dir
 
@@ -272,6 +273,28 @@ class TestBounds:
         assert len(reports) == 4
         assert calls == [cli._truncation(48, None, 12)]
         assert {rep["inputs"]["potential"] for rep in reports} == {"SinePotential"}
+        calls.clear()
+        code = run(["decay", "--potential", "sawtooth:1.0", "--bc", "dir",
+                    "--K", "48", "--n-min", "8", "--n-max", "12", "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == [cli._truncation(48, None, 12)]
+
+    def test_decay_reads_the_bounds_majorant(self, tmp_path):
+        # one reach per run: for the same flags a Dirichlet decay reports
+        # its rates from the majorant of bounds (a sawtooth majorant cut
+        # at 2K had a smaller ||r||)
+        flags = ["--potential", "sawtooth:1.0", "--bc", "dir", "--K", "64",
+                 "--n-min", "8", "--n-max", "16"]
+        assert run(["decay", *flags, "--out", str(tmp_path / "decay")]) == 0
+        assert run(["bounds", *flags, "--out", str(tmp_path / "bounds")]) == 1  # L/R not run
+        records = {rec["n"]: rec for rec in
+                   json.loads((tmp_path / "decay" / "decay.json").read_text())["records"]}
+        reports = json.loads((tmp_path / "bounds" / "bounds_report.json").read_text())["reports"]
+        assert len(reports) == 4
+        for rep in reports:
+            rec, values = records[rep["inputs"]["n"]], rep["values"]
+            assert (rec["rho_n"], rec["eps_n"], rec["kappa_n"]) == (
+                values["rho"], values["eps"], values["kappa"])
 
     def test_no_level_is_verdict_failure(self, tmp_path, capsys):
         # per- has odd levels only, and every level bounds picks is >= 4:

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import tracemalloc
@@ -259,6 +260,16 @@ class TestAssembleValidation:
         with pytest.raises(op.InsufficientCoefficients):
             hp.assemble(BC.PER_PLUS, p, 32)
 
+    def test_dirichlet_refuses_truncated_fourier_data(self):
+        # the sine data cover only what the Fourier data cover: K 32 reads
+        # sums up to 64, so a comb cut at 8 is refused as under per+, and
+        # one cut at 63 or 64 is not
+        with pytest.raises(op.InsufficientCoefficients, match="coverage 0.2321"):
+            hp.assemble(BC.DIRICHLET, pot.delta_comb(1.0, max_index=8), 32)
+        assert hp.assemble(BC.DIRICHLET, pot.delta_comb(1.0, max_index=63), 32).coverage == (
+            pytest.approx(0.9995, abs=1e-4))
+        assert hp.assemble(BC.DIRICHLET, pot.delta_comb(1.0, max_index=64), 32).coverage == 1.0
+
     def test_coverage_ratio_reported(self, monkeypatch):
         assert hp.assemble(BC.PER_PLUS, pot.mathieu(1.0), 32).coverage == 1.0
         p = pot.delta_comb(1.0, max_index=40)
@@ -383,19 +394,25 @@ class TestCoupling:
 
     def test_dirichlet_reads_the_physical_q(self):
         # Q = sin 2x for v = 2 cos 2x: one sine coefficient 1/sqrt(2)
-        r = op.majorant_for(pot.mathieu(1.0), BC.DIRICHLET, 16)
+        r = op.majorant_for(pot.per_to_dir(pot.mathieu(1.0), 16), BC.DIRICHLET)
         assert r.step == 1 and r.max_index == 2
         assert np.isclose(r.get(2), 1 / math.sqrt(2), rtol=1e-15)
         # W(1, 3) = (2 qt(2) - 4 qt(4)) / sqrt(2) = 1, the cos 2x coupling
         assert np.isclose(op.coupling(pot.mathieu(1.0), BC.DIRICHLET, 1, 3), 1.0, rtol=1e-15)
-        assert op.majorant_for(pot.mathieu(1.0), BC.PER_MINUS, 16).step == 2
+        assert op.majorant_for(pot.mathieu(1.0), BC.PER_MINUS).step == 2
 
     def test_sine_data_cannot_back_a_periodic_family(self):
         sp = pot.SinePotential(0.0, {2: 1.0}, 2)
         with pytest.raises(op.BcMismatch):
             op.coupling(sp, BC.PER_PLUS, 2, 4)
         with pytest.raises(op.BcMismatch):
-            op.majorant_for(sp, BC.PER_MINUS, 8)
+            op.majorant_for(sp, BC.PER_MINUS)
+
+    def test_fourier_data_cannot_back_the_dirichlet_majorant(self):
+        # the majorant reads sine data as given: the conversion, and with it
+        # the reach, is the caller's
+        with pytest.raises(op.BcMismatch):
+            op.majorant_for(pot.mathieu(1.0), BC.DIRICHLET)
 
 
 def characteristic_values(bc, q, count):
@@ -487,3 +504,25 @@ class TestOneReader:
         readers = {f.name for f in src.glob("*.py")
                    if re.search(r"\.(v|qt)_table\(", f.read_text())}
         assert readers == {"operator.py"}
+
+    def test_one_conversion_owner(self):
+        # the CLI converts a Dirichlet run's potential once, at its reach;
+        # in the library only ``_sine_data`` (for ``coupling`` and
+        # ``assemble``) converts, and no ``majorant_for`` call passes a reach
+        src = Path(op.__file__).parent
+        converters, majorant_args = [], []
+        for f in sorted(src.glob("*.py")):
+            tree = ast.parse(f.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "per_to_dir":
+                        converters.append((f.name, fn.name))
+                    elif name == "majorant_for":
+                        majorant_args.append(len(node.args) + len(node.keywords))
+        assert converters == [("cli.py", "_lattice_data"), ("operator.py", "_sine_data")]
+        assert majorant_args and max(majorant_args) == 2

@@ -217,7 +217,9 @@ class TestPerToDir:
             ms, vals = self.odd_loop_reference(p, max_sine)
             assert sp.qt.idx.tobytes() == ms.tobytes()
             assert sp.qt.val.tobytes() == vals.tobytes()
-        assert sp.max_index == 300 and sp.v0 == p.v0
+        # truncated Fourier data cover only their own indices
+        assert sp.max_index == (256 if pname in ("delta", "sawtooth") else 300)
+        assert sp.v0 == p.v0
 
     def test_gallery_round_trip(self):
         for p in (pot.mathieu(1.0), pot.delta_comb(0.5, max_index=64)):

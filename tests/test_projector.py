@@ -1176,6 +1176,42 @@ class TestThirtyDigitOracle:
             assert np.linalg.norm(prj.spectral_projector_dense(H, n) - P, "fro") <= 1e-13, n
 
 
+def projector_50_digits(H, n):
+    """The spectral projector of a non-Hermitian H.L onto its eigenvalues in
+    |z - n^2| < n, sum v w^T over the right eigenvectors v of mpmath's
+    50-digit ``eig`` and the rows w of the inverse of their matrix, rounded
+    to complex128 at the end."""
+    import mpmath as mp  # inside the test: a missing mpmath fails it, never skips it
+
+    assert not H.hermitian
+    with mp.workdps(50):
+        vals, V = mp.eig(mp.matrix(H.L.tolist()))
+        W = mp.inverse(V)
+        P = mp.matrix(H.size, H.size)
+        for i in range(H.size):
+            if abs(vals[i] - n * n) < n:
+                P += V[:, i] * W[i, :]
+        return np.array(P.tolist(), dtype=complex)
+
+
+class TestFiftyDigitOracle:
+    """The non-Hermitian ``from_coeffs(0.3 + 0.2j, NON_HERMITIAN)`` at K = 16
+    against a 50-digit projector: 8 levels, at most 0.33 of
+    ``quad_error_est`` apart, and the LAPACK oracle at most 1.3e-12 from it.
+    Every eigenvalue here is simple; a Jordan block is not checked."""
+
+    @pytest.mark.parametrize("bc,levels", [(BC.PER_PLUS, [2, 4]), (BC.PER_MINUS, [1, 3]),
+                                           (BC.DIRICHLET, [1, 2, 3, 4])])
+    def test_within_the_error_estimate(self, bc, levels):
+        H = hp.assemble(bc, pot.from_coeffs(0.3 + 0.2j, NON_HERMITIAN), 16)
+        pairs = prj.riesz_projections(H, range(1, 5))[0]
+        assert list(pairs) == levels
+        for n, pair in pairs.items():
+            P = projector_50_digits(H, n)
+            assert np.linalg.norm(pair.P - P, "fro") <= pair.quad_error_est, n
+            assert np.linalg.norm(prj.spectral_projector_dense(H, n) - P, "fro") <= 1e-11, n
+
+
 class TestFirstOrderResidue:
     def test_zero_cases(self):
         p = pot.mathieu(1.0)
